@@ -13,7 +13,23 @@ let show (r : D.report) =
     r.scenario r.schedules r.abandoned r.bound_hits r.deepest
     (if r.truncated then ", TRUNCATED" else "")
 
+(* Exact exploration sizes of the catalog (DESIGN.md "mcheck" table):
+   (schedules, sleep-pruned).  Any change to the protocol's schedule
+   points moves these, so a drift is either a deliberate protocol change
+   (update the table and DESIGN.md together) or an accidental one. *)
+let pinned =
+  [ ("find-vs-split", (17, 0));
+    ("insert-vs-insert-same-leaf", (16, 0));
+    ("update-insert-delete-trio", (4581, 864));
+    ("range-vs-merge", (7, 0));
+    ("fallback-contention", (152, 6));
+    ("find-vs-root-split", (36, 4));
+    ("recover-then-concurrent", (17, 0)) ]
+
 let test_catalog_clean () =
+  Alcotest.(check (list string)) "catalog matches the pinned table"
+    (List.map fst pinned)
+    (List.map (fun sc -> sc.D.name) S.catalog);
   List.iter
     (fun sc ->
       let r = explore sc in
@@ -21,8 +37,9 @@ let test_catalog_clean () =
       Alcotest.(check bool)
         (sc.D.name ^ " explored to completion")
         false r.truncated;
-      Alcotest.(check bool) (sc.D.name ^ " explored schedules") true
-        (r.schedules > 0);
+      let schedules, pruned = List.assoc sc.D.name pinned in
+      Alcotest.(check int) (sc.D.name ^ " schedules") schedules r.schedules;
+      Alcotest.(check int) (sc.D.name ^ " sleep-pruned") pruned r.abandoned;
       match r.failure with
       | None -> ()
       | Some f ->

@@ -417,7 +417,7 @@ let trace_cmd =
             done;
             Printf.printf " %8d\n" (List.length mine)
           end)
-        [ E.abort_global; E.abort_precise; E.abort_explicit ]
+        [ E.abort_precise; E.abort_explicit ]
     end;
     (* top contended nodes: precise aborts carry the failing node *)
     let attributed = List.filter (fun e -> e.F.b <> -1) aborts in

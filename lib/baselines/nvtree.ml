@@ -17,6 +17,7 @@
 module Region = Scm.Region
 module Pptr = Pmem.Pptr
 module Spec = Htm.Speculative_lock
+module Nv = Htm.Node_versions
 
 (* persistent leaf layout *)
 let off_count = 0 (* 8B p-atomic commit word *)
@@ -50,6 +51,10 @@ module Make (K : Fptree.Keys.KEY) = struct
     value_bytes : int;
     entry_bytes : int;
     spec : Spec.t;
+    dir : Nv.cell;
+        (* version of the whole PLN directory: optimistic sections
+           observe it, the one structural writer (split / rebuild)
+           bumps it *)
     mutable plns : pln array;     (* sorted by seps.(0) *)
     mutable pln_mins : K.t array; (* pln_mins.(i) = plns.(i).seps.(0) *)
     mutable n_pln : int;
@@ -321,22 +326,83 @@ module Make (K : Fptree.Keys.KEY) = struct
   let try_lock l = Htm.Sched.Opaque.cas l.lock false true
   let unlock l = Htm.Sched.Opaque.set l.lock false
 
-  let find t k =
-    Spec.with_txn t.spec (fun () ->
-        let _, _, leaf = find_leaf t k in
-        if Htm.Sched.Opaque.get leaf.lock then Spec.Abort
-        else begin
-          let r = scan_leaf t leaf k in
-          if Htm.Sched.Opaque.get leaf.lock then Spec.Abort
-          else Spec.Commit (match r with Some (v, true) -> Some v | _ -> None)
-        end)
+  (* Optimistic sections read the directory with [dir] in the read
+     set and take leaf locks (or observe them free) inside it; the
+     fallback mutex excludes the structural writer, so locked bodies
+     need only wait out leaf locks.  The leaf locks are opaque to the
+     model checker, hence [Spec.retry] rather than [Spec.busy]. *)
+  module Find_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = unit
+    type res = int option
 
-  let lock_leaf_for t k =
-    Spec.with_txn t.spec
-      ~on_rollback:(fun (_, _, l) -> unlock l)
-      (fun () ->
-        let (pln, i, leaf) = find_leaf t k in
-        if try_lock leaf then Spec.Commit (pln, i, leaf) else Spec.Abort)
+    let lock t = t.spec
+    let committed _ = ()
+
+    (* A leaf lock held around the scan is an explicit abort. *)
+    let probe t k =
+      let _, _, leaf = find_leaf t k in
+      if Htm.Sched.Opaque.get leaf.lock then raise Spec.Abort;
+      let r = scan_leaf t leaf k in
+      if Htm.Sched.Opaque.get leaf.lock then raise Spec.Abort;
+      match r with Some (v, true) -> Some v | _ -> None
+
+    let optimistic t k () rs =
+      Nv.observe rs t.dir;
+      let r = probe t k in
+      if Nv.validate rs then r else raise Nv.Conflict
+
+    let locked t k () =
+      match probe t k with r -> r | exception Spec.Abort -> Spec.retry t.spec
+  end)
+
+  let find t k = Find_section.run t k ()
+
+  module Lock_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = unit
+    type res = pln * int * leaf
+
+    let lock t = t.spec
+    let committed _ = ()
+
+    let optimistic t k () rs =
+      Nv.observe rs t.dir;
+      let (_, _, leaf) as r = find_leaf t k in
+      if not (try_lock leaf) then raise Spec.Abort;
+      if Nv.validate rs then r
+      else begin
+        unlock leaf;
+        raise Nv.Conflict
+      end
+
+    let locked t k () =
+      let (_, _, leaf) as r = find_leaf t k in
+      if try_lock leaf then r else Spec.retry t.spec
+  end)
+
+  let lock_leaf_for t k = Lock_section.run t k ()
+
+  module Range_start_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = unit
+    type res = leaf
+
+    let lock t = t.spec
+    let committed _ = ()
+
+    let optimistic t lo () rs =
+      Nv.observe rs t.dir;
+      let _, _, leaf = find_leaf t lo in
+      if Nv.validate rs then leaf else raise Nv.Conflict
+
+    let locked t lo () =
+      let _, _, leaf = find_leaf t lo in
+      leaf
+  end)
 
   (* Append [mk_entry] to the leaf holding [k], splitting first if the
      leaf is full.  Returns false if [precond] fails on the current
@@ -358,10 +424,14 @@ module Make (K : Fptree.Keys.KEY) = struct
            rebuild may have replaced the PLN array (the leaf itself
            cannot have moved: we hold its lock). *)
         Spec.with_write t.spec (fun () ->
-            let pln', i', leaf' = find_leaf t k in
-            assert (leaf' == leaf);
-            let prev = prev_leaf_of t pln' i' in
-            split_leaf t pln' i' leaf prev);
+            Nv.begin_write t.dir;
+            Fun.protect
+              ~finally:(fun () -> Nv.end_write t.dir)
+              (fun () ->
+                let pln', i', leaf' = find_leaf t k in
+                assert (leaf' == leaf);
+                let prev = prev_leaf_of t pln' i' in
+                split_leaf t pln' i' leaf prev));
         unlock leaf;
         append_op t k ~precond ~flag v
       end
@@ -379,11 +449,7 @@ module Make (K : Fptree.Keys.KEY) = struct
   let range t ~lo ~hi =
     if K.compare lo hi > 0 then []
     else begin
-      let start =
-        Spec.with_txn t.spec (fun () ->
-            let _, _, leaf = find_leaf t lo in
-            Spec.Commit leaf)
-      in
+      let start = Range_start_section.run t lo () in
       let acc = ref [] in
       let rec walk off =
         let live = live_entries t off in
@@ -416,16 +482,7 @@ module Make (K : Fptree.Keys.KEY) = struct
 
   let scm_bytes t = Pmem.Palloc.live_bytes (alloc t)
 
-  (* NV-Tree drives the coarse one-word protocol ([Spec.with_txn]), so
-     its invalidations land in the global [conflicts] bucket. *)
-  let htm_stats t =
-    let s = Spec.stats t.spec in
-    [ ("aborts", s.Spec.aborts);
-      ("conflicts", s.Spec.conflicts);
-      ("precise_conflicts", s.Spec.precise_conflicts);
-      ("explicit_aborts", s.Spec.explicit_aborts);
-      ("fallbacks", s.Spec.fallbacks);
-      ("backoff_waits", s.Spec.backoff_waits) ]
+  let htm_stats t = Spec.stats_assoc t.spec
 
   let dram_bytes t =
     let per_pln = (t.pln_cap * (K.dram_bytes K.dummy + 16)) + 24 in
@@ -449,7 +506,7 @@ module Make (K : Fptree.Keys.KEY) = struct
       { ctx = { Fptree.Keys.region; alloc = alloc_ };
         meta; cap; pln_cap; value_bytes;
         entry_bytes = entry_bytes_of ~value_bytes;
-        spec = Spec.create ();
+        spec = Spec.create (); dir = Nv.fresh ();
         plns = [||]; pln_mins = [||]; n_pln = 0;
         rebuilds = 0; key_probes = 0 }
     in
@@ -468,7 +525,7 @@ module Make (K : Fptree.Keys.KEY) = struct
       { ctx = { Fptree.Keys.region; alloc = alloc_ };
         meta = rootp.Pptr.off; cap; pln_cap; value_bytes;
         entry_bytes = entry_bytes_of ~value_bytes;
-        spec = Spec.create ();
+        spec = Spec.create (); dir = Nv.fresh ();
         plns = [||]; pln_mins = [||]; n_pln = 0;
         rebuilds = 0; key_probes = 0 }
     in

@@ -856,7 +856,7 @@ module Make (K : Keys.KEY) = struct
       else Microlog.reset log
     end
 
-  (* ---- speculative-section helpers ---- *)
+  (* ---- speculative sections ---- *)
 
   (* Acquire the leaf responsible for [k] with its lock held, via a
      speculative transaction (steps 1–2 of Figure 6), allocation-free.
@@ -866,198 +866,101 @@ module Make (K : Keys.KEY) = struct
      writer that modified a node {e on this key's path} forces a
      retry, not any writer anywhere (TSX read-set granularity).  A
      failed [try_lock] is an explicit abort; after the retry threshold
-     the real mutex is taken, with explicit aborts releasing and
+     the real mutex is taken, with a busy leaf lock releasing and
      reacquiring it (Algorithm 1).
 
      Path validation alone pins the leaf's identity: once [try_lock]
      succeeds no writer is inside the leaf, and any split or removal
      of it before that bumped an observed ancestor. *)
+  module Lock_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = unit
+    type res = Inner.leaf_ref
 
-  (* Attribute the precise-conflict abort that just failed this
-     domain's optimistic section to the failing node: its identity and
-     descent depth are read back from the domain's read set
-     ([Nv.current]/[Nv.failure]) before the next attempt's
-     [Nv.scratch] wipes the evidence.  Emitted here rather than in
-     [Speculative_lock] because only the tree knows the read set; the
-     other abort reasons (global, explicit) are emitted unattributed
-     by the lock's counters. *)
-  let note_precise_abort () =
-    if Obs.Gate.enabled () then begin
-      let node, depth = Nv.failure (Nv.current ()) in
-      Obs.Flight.htm_abort ~reason:Obs.Event.abort_precise ~node ~depth
-    end
+    let lock t = t.spec
+    let committed _ = ()
 
-  let rec lock_attempt t k attempt =
-    if attempt >= Spec.retry_threshold t.spec then lock_leaf_fallback t k
-    else
-      let inner = t.inner in
-      let rs = Nv.scratch () in
-      match Inner.find_leaf_rs rs K.compare inner k with
-      | exception Nv.Conflict -> lock_retry_conflict t k attempt
-      | exception e ->
-        (* Trust the exception only if no writer raced us. *)
-        if Nv.validate rs then raise e
-        else lock_retry_conflict t k attempt
-      | leaf ->
-        if try_lock t leaf then
-          if Nv.validate rs then leaf
-          else begin
-            unlock t leaf;
-            lock_retry_conflict t k attempt
-          end
-        else begin
-          (* Leaf lock held: precise conflict if a writer invalidated
-             our path, else the explicit-XABORT bucket (same taxonomy
-             as [with_txn]). *)
-          if not (Nv.validate rs) then begin
-            Spec.note_precise_conflict t.spec;
-            note_precise_abort ()
-          end
-          else Spec.note_explicit_abort t.spec;
-          Spec.note_abort t.spec;
-          Spec.backoff t.spec attempt;
-          lock_attempt t k (attempt + 1)
-        end
+    let optimistic t k () rs =
+      let leaf = Inner.find_leaf_rs rs K.compare t.inner k in
+      if not (try_lock t leaf) then raise Spec.Abort;
+      if Nv.validate rs then leaf
+      else begin
+        unlock t leaf;
+        raise Nv.Conflict
+      end
 
-  and lock_retry_conflict t k attempt =
-    Spec.note_precise_conflict t.spec;
-    note_precise_abort ();
-    Spec.note_abort t.spec;
-    Spec.backoff t.spec attempt;
-    lock_attempt t k (attempt + 1)
+    let locked t k () =
+      let leaf = Inner.find_leaf K.compare t.inner.Inner.root k in
+      if try_lock t leaf then leaf
+      else Spec.busy t.spec ~obj:(Sched.obj_lock leaf.Inner.off)
+  end)
 
-  and lock_leaf_fallback t k =
-    Spec.lock_fallback t.spec;
-    lock_leaf_fallback_locked t k
-
-  and lock_leaf_fallback_locked t k =
-    let leaf = Inner.find_leaf K.compare t.inner.Inner.root k in
-    if try_lock t leaf then begin
-      Spec.unlock_fallback t.spec;
-      leaf
-    end
-    else begin
-      Spec.unlock_fallback t.spec;
-      (* Model checker: park until the holder writes the lock word (a
-         spinning fiber would otherwise make the schedule space
-         unbounded); no-op in production, where the relax spin below
-         keeps its behaviour. *)
-      Sched.await ~obj:(Sched.obj_lock leaf.Inner.off);
-      Spec.relax ();
-      Spec.relock_fallback t.spec;
-      lock_leaf_fallback_locked t k
-    end
-
-  let lock_leaf_for t k = lock_attempt t k 0
+  let lock_leaf_for t k = Lock_section.run t k ()
 
   (* ---- base operations ---- *)
 
   (* Allocation-free find core, on the per-node protocol: the
      traversal records each inner node's version into the calling
-     domain's preallocated read set ({!Nv.scratch}), the leaf's own
-     version word is observed before the probe, and the whole set is
-     validated after the value is read.  A busy word ([Nv.Conflict]) or
-     a failed validation is a precise conflict — some writer touched a
-     node this find actually read; writers elsewhere in the tree are
+     domain's preallocated read set, the leaf's own version word is
+     observed before the probe, and the whole set is validated after
+     the value is read.  A busy word ([Nv.Conflict]) or a failed
+     validation is a precise conflict — some writer touched a node
+     this find actually read; writers elsewhere in the tree are
      invisible, which is what lets concurrent domains scale.  No
      closure, option, or outcome constructor is allocated; raises
-     [Not_found] (constant constructor) on a miss.  An exception during
-     speculation is trusted only if the read set still validates. *)
-  let rec find_attempt t k h attempt =
-    if attempt >= Spec.retry_threshold t.spec then find_fallback t k h
-    else
-      let inner = t.inner in
-      let rs = Nv.scratch () in
-      match Inner.find_leaf_rs rs K.compare inner k with
-      | exception Nv.Conflict -> find_retry_conflict t k h attempt
-      | exception e ->
-        if Nv.validate rs then raise e
-        else find_retry_conflict t k h attempt
-      | leaf -> (
-        (* The leaf's version word stands in for its content lines: a
-           writer opens a phase before its first store, so a quiescent
-           observation here plus validation after the probe brackets
-           the reads exactly like TSX read-set tracking would. *)
-        match Nv.observe_id rs leaf.Inner.ver leaf.Inner.off with
-        | exception Nv.Conflict -> find_retry_conflict t k h attempt
-        | () -> (
-          match find_slot t leaf.Inner.off k h with
-          | exception Nv.Conflict -> find_retry_conflict t k h attempt
-          | exception e ->
-            if Nv.validate rs then raise e
-            else find_retry_conflict t k h attempt
-          | s ->
-            let v = if s >= 0 then read_value t leaf.Inner.off s else 0 in
-            if Nv.validate rs then begin
-              if stats_on () then
-                Obs.Histogram.record Metrics.find_retries attempt;
-              if s >= 0 then v else raise Not_found
-            end
-            else find_retry_conflict t k h attempt))
+     [Not_found] (constant constructor) on a miss. *)
+  module Find_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = int
+    type res = int
 
-  and find_retry_conflict t k h attempt =
-    Spec.note_precise_conflict t.spec;
-    note_precise_abort ();
-    Spec.note_abort t.spec;
-    Spec.backoff t.spec attempt;
-    find_attempt t k h (attempt + 1)
+    let lock t = t.spec
 
-  and find_fallback t k h =
-    Spec.lock_fallback t.spec;
-    find_fallback_locked t k h
+    let committed attempts =
+      if stats_on () then Obs.Histogram.record Metrics.find_retries attempts
 
-  and find_fallback_locked t k h =
+    let optimistic t k h rs =
+      let leaf = Inner.find_leaf_rs rs K.compare t.inner k in
+      (* The leaf's version word stands in for its content lines: a
+         writer opens a phase before its first store, so a quiescent
+         observation here plus validation after the probe brackets
+         the reads exactly like TSX read-set tracking would. *)
+      Nv.observe_id rs leaf.Inner.ver leaf.Inner.off;
+      let s = find_slot t leaf.Inner.off k h in
+      (* a miss is an exception: the driver trusts it only if [rs]
+         still validates *)
+      if s < 0 then raise Not_found;
+      let v = read_value t leaf.Inner.off s in
+      if Nv.validate rs then v else raise Nv.Conflict
+
     (* Under the real mutex: structural writers serialize on the same
        mutex ([Spec.with_write]), but optimistic leaf writers do not —
        they only hold the leaf lock and its version phase.  So the
-       probe spins on the leaf's version word, releasing the mutex
-       between retries as in the paper's Algorithm 1 (a leaf writer
-       waiting on the mutex for its structure update can then make
-       progress — no deadlock). *)
-    let leaf = Inner.find_leaf K.compare t.inner.Inner.root k in
-    Sched.point ~obj:(Sched.obj_ver leaf.Inner.off) ~write:false;
-    let v0 = Nv.read leaf.Inner.ver in
-    if Nv.is_busy v0 then begin
-      Spec.unlock_fallback t.spec;
-      (* Model checker: park until the leaf writer bumps the version
-         word (see lock_leaf_fallback_locked). *)
-      Sched.await ~obj:(Sched.obj_ver leaf.Inner.off);
-      Spec.relax ();
-      Spec.relock_fallback t.spec;
-      find_fallback_locked t k h
-    end
-    else begin
+       probe checks the leaf's version word around the read, releasing
+       the mutex between retries as in the paper's Algorithm 1 (a leaf
+       writer waiting on the mutex for its structure update can then
+       make progress — no deadlock). *)
+    let locked t k h =
+      let leaf = Inner.find_leaf K.compare t.inner.Inner.root k in
+      let obj = Sched.obj_ver leaf.Inner.off in
+      Sched.point ~obj ~write:false;
+      let v0 = Nv.read leaf.Inner.ver in
+      if Nv.is_busy v0 then Spec.busy t.spec ~obj;
       match find_slot t leaf.Inner.off k h with
       | exception e ->
-        Sched.point ~obj:(Sched.obj_ver leaf.Inner.off) ~write:false;
-        if Nv.read leaf.Inner.ver = v0 then begin
-          Spec.unlock_fallback t.spec;
-          raise e
-        end
-        else begin
-          Spec.unlock_fallback t.spec;
-          Spec.relax ();
-          Spec.relock_fallback t.spec;
-          find_fallback_locked t k h
-        end
+        Sched.point ~obj ~write:false;
+        if Nv.read leaf.Inner.ver = v0 then raise e else Spec.retry t.spec
       | s ->
         let v = if s >= 0 then read_value t leaf.Inner.off s else 0 in
-        Sched.point ~obj:(Sched.obj_ver leaf.Inner.off) ~write:false;
-        if Nv.read leaf.Inner.ver <> v0 then begin
-          Spec.unlock_fallback t.spec;
-          Spec.relax ();
-          Spec.relock_fallback t.spec;
-          find_fallback_locked t k h
-        end
-        else begin
-          Spec.unlock_fallback t.spec;
-          if stats_on () then
-            (* The retry budget was exhausted before the fallback. *)
-            Obs.Histogram.record Metrics.find_retries
-              (Spec.retry_threshold t.spec);
-          if s >= 0 then v else raise Not_found
-        end
-    end
+        Sched.point ~obj ~write:false;
+        if Nv.read leaf.Inner.ver <> v0 then Spec.retry t.spec
+        else if s >= 0 then v
+        else raise Not_found
+  end)
+
+  let find_attempt t k h = Find_section.run t k h
 
   (* Bracket [f ()] (returning success as bool) with flight-recorder
      op begin/end events.  Only reached with the gate on: the gate-off
@@ -1087,7 +990,7 @@ module Make (K : Keys.KEY) = struct
       to [k], or @raise Not_found.  Allocation-free in fast mode. *)
   let find_value_exn t k =
     if stats_on () then t.stats.finds <- t.stats.finds + 1;
-    if not (Obs.Gate.enabled ()) then find_attempt t k (K.fingerprint k) 0
+    if not (Obs.Gate.enabled ()) then find_attempt t k (K.fingerprint k)
     else begin
       let h = K.fingerprint k in
       let s = !find_sample_tick + 1 in
@@ -1098,7 +1001,7 @@ module Make (K : Keys.KEY) = struct
         (* sampled: begin/end pair, measured latency; the pair also
            keeps "find in flight" visible in crash dumps *)
         let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_find ~key:h in
-        match find_attempt t k h 0 with
+        match find_attempt t k h with
         | v ->
           ignore
             (Obs.Flight.op_end ~op:Obs.Event.op_find ~key:h ~t0 ~ok:true);
@@ -1109,7 +1012,7 @@ module Make (K : Keys.KEY) = struct
           raise Not_found
       end
       else
-        match find_attempt t k h 0 with
+        match find_attempt t k h with
         | v ->
           Obs.Flight.op_mark ~op:Obs.Event.op_find ~key:h ~ok:true;
           v
@@ -1333,125 +1236,78 @@ module Make (K : Keys.KEY) = struct
   (* Decide what a delete must do, with the necessary locks held
      (the speculative section of Algorithm 5): the leaf — and, for a
      whole-leaf delete, its predecessor — locked, on a validated path.
-     Raw per-node protocol, same shape as [lock_attempt].  The second
-     validation after locking the predecessor catches a concurrent
-     split or removal of it: the predecessor's last routing node is in
-     the read set via the prev-leaf descent, and both mutations bump
-     it, so a stale predecessor cannot be committed into the decision
-     (its next pointer is about to be overwritten). *)
-  let rec delete_decide t k h attempt =
-    if attempt >= Spec.retry_threshold t.spec then delete_decide_fallback t k h
-    else
-      let inner = t.inner in
-      let rs = Nv.scratch () in
-      match Inner.find_leaf_and_prev_rs rs K.compare inner k with
-      | exception Nv.Conflict -> delete_retry t k h attempt
-      | exception e ->
-        if Nv.validate rs then raise e else delete_retry t k h attempt
-      | leaf, prev ->
-        if not (try_lock t leaf) then begin
-          if not (Nv.validate rs) then begin
-            Spec.note_precise_conflict t.spec;
-            note_precise_abort ()
-          end
-          else Spec.note_explicit_abort t.spec;
-          Spec.note_abort t.spec;
-          Spec.backoff t.spec attempt;
-          delete_decide t k h (attempt + 1)
-        end
-        else if not (Nv.validate rs) then begin
-          unlock t leaf;
-          delete_retry t k h attempt
-        end
-        else begin
-          (* Content is stable now that the lock is held. *)
-          let bm = leaf_bitmap t leaf.Inner.off in
-          let single =
-            Layout.bitmap_count bm = 1
-            && find_slot t leaf.Inner.off k h >= 0
-          in
-          let sole =
-            prev = None && Pptr.is_null (leaf_next t leaf.Inner.off)
-          in
-          if single && not sole then
-            match prev with
-            | None -> Del_whole_leaf (leaf, None)
-            | Some p ->
-              if not (try_lock t p) then begin
-                unlock t leaf;
-                Spec.note_explicit_abort t.spec;
-                Spec.note_abort t.spec;
-                Spec.backoff t.spec attempt;
-                delete_decide t k h (attempt + 1)
-              end
-              else if Nv.validate rs then Del_whole_leaf (leaf, Some p)
-              else begin
-                unlock t p;
-                unlock t leaf;
-                delete_retry t k h attempt
-              end
-          else Del_in_leaf leaf
-        end
+     The second validation after locking the predecessor catches a
+     concurrent split or removal of it: the predecessor's last routing
+     node is in the read set via the prev-leaf descent, and both
+     mutations bump it, so a stale predecessor cannot be committed into
+     the decision (its next pointer is about to be overwritten). *)
+  module Delete_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = int
+    type res = delete_decision
 
-  and delete_retry t k h attempt =
-    Spec.note_precise_conflict t.spec;
-    note_precise_abort ();
-    Spec.note_abort t.spec;
-    Spec.backoff t.spec attempt;
-    delete_decide t k h (attempt + 1)
+    let lock t = t.spec
+    let committed _ = ()
 
-  and delete_decide_fallback t k h =
-    Spec.lock_fallback t.spec;
-    delete_decide_locked t k h
-
-  and delete_decide_locked t k h =
-    (* Under the real mutex structural updates are excluded, so the
-       path and the predecessor are stable; leaf locks are still taken
-       by optimistic writers, so a lock failure releases the mutex and
-       retries (Algorithm 1). *)
-    let leaf, prev = Inner.find_leaf_and_prev K.compare t.inner.Inner.root k in
-    if not (try_lock t leaf) then begin
-      Spec.unlock_fallback t.spec;
-      (* Model checker: park until the holder writes the lock word. *)
-      Sched.await ~obj:(Sched.obj_lock leaf.Inner.off);
-      Spec.relax ();
-      Spec.relock_fallback t.spec;
-      delete_decide_locked t k h
-    end
-    else begin
-      let bm = leaf_bitmap t leaf.Inner.off in
+    (* With the leaf locked its content is stable: a whole-leaf delete
+       needs its only entry to be [k] and the leaf not to be the sole
+       one in the chain. *)
+    let whole_leaf t k h leaf prev =
       let single =
-        Layout.bitmap_count bm = 1 && find_slot t leaf.Inner.off k h >= 0
+        Layout.bitmap_count (leaf_bitmap t leaf.Inner.off) = 1
+        && find_slot t leaf.Inner.off k h >= 0
       in
       let sole = prev = None && Pptr.is_null (leaf_next t leaf.Inner.off) in
-      if single && not sole then
+      single && not sole
+
+    let optimistic t k h rs =
+      let leaf, prev = Inner.find_leaf_and_prev_rs rs K.compare t.inner k in
+      if not (try_lock t leaf) then raise Spec.Abort;
+      if not (Nv.validate rs) then begin
+        unlock t leaf;
+        raise Nv.Conflict
+      end;
+      if not (whole_leaf t k h leaf prev) then Del_in_leaf leaf
+      else
         match prev with
-        | None ->
-          Spec.unlock_fallback t.spec;
-          Del_whole_leaf (leaf, None)
+        | None -> Del_whole_leaf (leaf, None)
         | Some p ->
-          if try_lock t p then begin
-            Spec.unlock_fallback t.spec;
-            Del_whole_leaf (leaf, Some p)
+          if not (try_lock t p) then begin
+            unlock t leaf;
+            raise Spec.Abort
           end
+          else if Nv.validate rs then Del_whole_leaf (leaf, Some p)
+          else begin
+            unlock t p;
+            unlock t leaf;
+            raise Nv.Conflict
+          end
+
+    (* Under the real mutex structural updates are excluded, so the
+       path and the predecessor are stable; leaf locks are still taken
+       by optimistic writers, so a busy lock releases the mutex and
+       retries (Algorithm 1). *)
+    let locked t k h =
+      let leaf, prev = Inner.find_leaf_and_prev K.compare t.inner.Inner.root k in
+      if not (try_lock t leaf) then
+        Spec.busy t.spec ~obj:(Sched.obj_lock leaf.Inner.off);
+      if not (whole_leaf t k h leaf prev) then Del_in_leaf leaf
+      else
+        match prev with
+        | None -> Del_whole_leaf (leaf, None)
+        | Some p ->
+          if try_lock t p then Del_whole_leaf (leaf, Some p)
           else begin
             unlock t leaf;
-            Spec.unlock_fallback t.spec;
-            Sched.await ~obj:(Sched.obj_lock p.Inner.off);
-            Spec.relax ();
-            Spec.relock_fallback t.spec;
-            delete_decide_locked t k h
+            Spec.busy t.spec ~obj:(Sched.obj_lock p.Inner.off)
           end
-      else begin
-        Spec.unlock_fallback t.spec;
-        Del_in_leaf leaf
-      end
-    end
+  end)
 
   let delete_op t k =
     if stats_on () then t.stats.deletes <- t.stats.deletes + 1;
     let h = K.fingerprint k in
-    match delete_decide t k h 0 with
+    match Delete_section.run t k h with
     | Del_in_leaf leaf ->
       let slot = find_slot t leaf.Inner.off k h in
       if slot < 0 then begin
@@ -1640,48 +1496,36 @@ module Make (K : Keys.KEY) = struct
   let leaf_locked_for t k =
     is_locked (Inner.find_leaf K.compare t.inner.Inner.root k)
 
+  (* Start-leaf descent for a range scan, on the per-node protocol
+     (the walk itself reads dirty, as before).  A torn read during a
+     racing structural update is an exception the driver retries
+     rather than letting it escape to the range caller. *)
+  module Range_start_section = Spec.Section (struct
+    type ctx = t
+    type arg = K.t
+    type aux = unit
+    type res = Inner.leaf_ref
+
+    let lock t = t.spec
+    let committed _ = ()
+
+    let optimistic t lo () rs =
+      let leaf = Inner.find_leaf_rs rs K.compare t.inner lo in
+      if Nv.validate rs then leaf else raise Nv.Conflict
+
+    let locked t lo () = Inner.find_leaf K.compare t.inner.Inner.root lo
+  end)
+
   (** Inclusive range scan via the leaf linked list.  Reads are dirty
       (no leaf locks taken); the result is sorted.  The leaf chain is
       in key order, so sorting each (unsorted) leaf's hits in place and
       appending them to a growable buffer yields a sorted result with
       no global cons-then-sort pass — O(hits) buffer space and one
       final list build instead of O(n log n) list churn. *)
-  (* Start-leaf descent for a range scan, on the per-node protocol
-     (the walk itself reads dirty, as before). *)
-  let rec range_start t lo attempt =
-    if attempt >= Spec.retry_threshold t.spec then begin
-      Spec.lock_fallback t.spec;
-      let leaf = Inner.find_leaf K.compare t.inner.Inner.root lo in
-      Spec.unlock_fallback t.spec;
-      leaf
-    end
-    else
-      let inner = t.inner in
-      let rs = Nv.scratch () in
-      match Inner.find_leaf_rs rs K.compare inner lo with
-      | exception Nv.Conflict -> range_start_retry t lo attempt
-      | exception e ->
-        (* Trust the exception only if no writer raced us (same
-           discipline as [find_attempt]/[lock_attempt]): a torn read
-           during a racing structural update must retry, not escape to
-           the range caller. *)
-        if Nv.validate rs then raise e
-        else range_start_retry t lo attempt
-      | leaf ->
-        if Nv.validate rs then leaf
-        else range_start_retry t lo attempt
-
-  and range_start_retry t lo attempt =
-    Spec.note_precise_conflict t.spec;
-    note_precise_abort ();
-    Spec.note_abort t.spec;
-    Spec.backoff t.spec attempt;
-    range_start t lo (attempt + 1)
-
   let range_op t ~lo ~hi =
     if K.compare lo hi > 0 then []
     else begin
-      let start = range_start t lo 0 in
+      let start = Range_start_section.run t lo () in
       let m = t.layout.Layout.m in
       let cap = ref 64 in
       let ks = ref (Array.make !cap K.dummy) in
@@ -1797,18 +1641,8 @@ module Make (K : Keys.KEY) = struct
   let stats t = t.stats
   let spec_stats t = Spec.stats t.spec
 
-  (** Abort-reason breakdown as an assoc list ({!Tree_intf.S}):
-      [precise_conflicts] counts per-node read-set invalidations, the
-      [conflicts] bucket is the legacy tree-global protocol (only
-      baselines driving [with_txn] feed it). *)
-  let htm_stats t =
-    let s = Spec.stats t.spec in
-    [ ("aborts", s.Spec.aborts);
-      ("conflicts", s.Spec.conflicts);
-      ("precise_conflicts", s.Spec.precise_conflicts);
-      ("explicit_aborts", s.Spec.explicit_aborts);
-      ("fallbacks", s.Spec.fallbacks);
-      ("backoff_waits", s.Spec.backoff_waits) ]
+  (** Abort-reason breakdown as an assoc list ({!Tree_intf.S}). *)
+  let htm_stats t = Spec.stats_assoc t.spec
 
   let reset_stats t =
     let s = t.stats in

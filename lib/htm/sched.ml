@@ -19,7 +19,7 @@
     existing node-identity convention (0 = root version cell, > 0 =
     leaf SCM offset, < 0 = DRAM inner id) injects without collisions:
     class 0 = version cells ({!obj_ver}), class 1 = leaf-lock words
-    ({!obj_lock}), class 3 = singletons ({!obj_mutex}, {!obj_global}).
+    ({!obj_lock}), class 3 = the singleton {!obj_mutex}.
 
     {b Modeling boundary.}  Only the protocol's cross-thread state
     yields.  Lock-free sub-allocators that are linearizable by
@@ -67,9 +67,6 @@ let[@inline] obj_lock off = (off * 4) + 1
 
 (** The [Speculative_lock] fallback mutex. *)
 let obj_mutex = 3
-
-(** The tree-global speculation version ([Speculative_lock.version]). *)
-let obj_global = 7
 
 (* ---- yield points ---- *)
 

@@ -44,9 +44,6 @@ val obj_lock : int -> int
 val obj_mutex : int
 (** The [Speculative_lock] fallback mutex. *)
 
-val obj_global : int
-(** The tree-global speculation version word. *)
-
 (** {1 Yield points} *)
 
 val point : obj:int -> write:bool -> unit

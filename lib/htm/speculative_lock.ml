@@ -2,29 +2,22 @@
     spin mutex), used by Selective Concurrency (Section 4.4).
 
     Hardware TSX runs a critical section as an optimistic transaction:
-    the elided lock is added to the read set, conflicts abort the
-    transaction, and after a retry threshold the global lock is taken
-    for real.  The OCaml runtime has no HTM, so we emulate the same
-    semantics with a sequence lock:
+    the lines it reads form its read set, a conflicting write aborts
+    it, and after a retry threshold the elided lock is taken for real.
+    The OCaml runtime has no HTM, so the emulation is split in two:
 
-    - the version word is even when the structure is stable and odd
-      while a writer is inside;
-    - an optimistic reader snapshots an even version, runs, and
-      validates that the version did not move — a moved version is a
-      conflict abort, exactly like a TSX read-set invalidation;
-    - a writer (or a reader that exhausted its retries — the fallback
-      path) takes the real mutex; writers additionally bump the version
-      to odd/even around their critical section so that concurrent
-      optimistic readers abort.
-
-    The version word here is {e tree-global}: any writer invalidates
-    every concurrent optimistic section, which models TSX with a
-    one-line read set.  The tree's own hot paths instead drive
-    {!Node_versions} — per-node version words with per-domain read
-    sets — and only use this module for the fallback mutex, the
-    writer serialization, and the abort statistics; the closure API
-    below ([with_txn]/[with_write]) keeps the coarse one-word protocol
-    for callers that want it (NV-Tree baseline, tests).
+    - {!Node_versions} is the read set: every tree node embeds a
+      version cell, optimistic readers record the cells they traverse
+      and validate them at commit, and writers bump only the cells of
+      the nodes they modify (cache-line-granular conflict detection);
+    - this module is the elided lock: the {!Section} driver runs an
+      optimistic body against a fresh read set, retries it with
+      bounded backoff, and after [retry_threshold] aborts runs the
+      caller's locked body under the real fallback mutex — releasing
+      the mutex whenever that body finds a leaf lock busy, as in the
+      paper's Algorithm 1, so a thread holding a leaf lock can still
+      enter its structure-updating writer section (no deadlock).
+      Structural writers serialize on the same mutex ({!with_write}).
 
     This preserves the property the FPTree design depends on: read-only
     traversals of the DRAM part run lock-free and scale, while
@@ -35,15 +28,10 @@
     ({!Obs.Counter}) and broken down by reason, the shape of the
     paper's Appendix B abort analysis:
 
-    - {e conflict}: the global version word moved during speculation —
-      a read-set invalidation under the coarse one-word protocol;
-    - {e precise conflict}: a per-node read set was invalidated
-      ({!Node_versions}) — the transaction aborted because a writer
-      touched a node it actually read, not merely because any writer
-      committed anywhere;
-    - {e explicit}: the transaction aborted itself (elided lock busy at
-      entry, or the body returned [Abort] — a leaf lock was taken),
-      the analogue of an XABORT / capacity-style early exit;
+    - {e precise conflict}: a node in the read set was busy or moved —
+      a writer touched a node the transaction actually read;
+    - {e explicit}: the body found a lock it needs held ({!Abort}), the
+      analogue of an XABORT;
     - {e fallback}: entries into the real mutex after the retry budget.
 
     Each lock keeps its own shards ([stats] / [shard_stats]); the same
@@ -55,17 +43,13 @@ let g_aborts =
   Obs.Registry.counter "htm_aborts_total"
     ~help:"speculative transaction aborts, all reasons"
 
-let g_conflicts =
-  Obs.Registry.counter "htm_conflict_aborts_total"
-    ~help:"aborts from global-version invalidation (coarse read set)"
-
 let g_precise_conflicts =
   Obs.Registry.counter "htm_precise_conflict_aborts_total"
     ~help:"aborts from per-node read-set invalidation (precise)"
 
 let g_explicit =
   Obs.Registry.counter "htm_explicit_aborts_total"
-    ~help:"self-inflicted aborts (elided lock busy / explicit XABORT)"
+    ~help:"self-inflicted aborts (lock held / explicit XABORT)"
 
 let g_fallbacks =
   Obs.Registry.counter "htm_fallbacks_total"
@@ -81,18 +65,19 @@ let g_backoff_waits =
 let jitter_shards = 64
 let jitter_stride = 8
 
+(* [awaiting] value of {!retry}: re-run the locked body without parking. *)
+let no_obj = min_int
+
 type t = {
-  version : Padded.t;
-      (* padded: the hottest word of the lock — every optimistic
-         section loads it, so it must not share a line with the stat
-         shards or the jitter state *)
   fallback : Mutex.t;
   retry_threshold : int;
   backoff_ceiling : int;
   jitter : int Atomic.t array;
+  mutable awaiting : int;
+      (* object a locked body found busy ({!busy}); written and read
+         only while the fallback mutex is held *)
   (* per-lock sharded statistics (exact under domains) *)
   aborts : Obs.Counter.t;
-  conflicts : Obs.Counter.t;
   precise_conflicts : Obs.Counter.t;
   explicit_aborts : Obs.Counter.t;
   fallbacks : Obs.Counter.t;
@@ -103,57 +88,43 @@ let create ?(retry_threshold = 8) ?(backoff_ceiling = 1024) () =
   if backoff_ceiling < 1 then
     invalid_arg "Speculative_lock.create: backoff_ceiling must be >= 1";
   {
-    version = Padded.make 0;
     fallback = Mutex.create ();
     retry_threshold;
     backoff_ceiling;
     jitter = Array.init (jitter_shards * jitter_stride) (fun _ -> Atomic.make 0);
+    awaiting = no_obj;
     aborts = Obs.Counter.make ();
-    conflicts = Obs.Counter.make ();
     precise_conflicts = Obs.Counter.make ();
     explicit_aborts = Obs.Counter.make ();
     fallbacks = Obs.Counter.make ();
     backoff_waits = Obs.Counter.make ();
   }
 
-(* Flight-recorder wiring: global-conflict, explicit and fallback
-   events are emitted here (the single choke point for every caller,
-   including [with_txn] and the baselines); precise conflicts are NOT
-   emitted here — the tree's retry handlers emit them with the failing
-   node's identity and descent depth ([Node_versions.failure]), which
-   this module cannot know.  Emitting both here and there would double
-   count. *)
-
-let[@inline] count_abort t =
-  Obs.Counter.incr t.aborts;
-  Obs.Counter.incr g_aborts
-
-let[@inline] count_conflict t =
-  Obs.Counter.incr t.conflicts;
-  Obs.Counter.incr g_conflicts;
-  if Obs.Gate.enabled () then
-    Obs.Flight.htm_abort ~reason:Obs.Event.abort_global ~node:(-1) ~depth:(-1)
+(* Flight-recorder wiring: every abort and fallback of every caller
+   passes through the driver below, so this is the single place that
+   emits them.  A precise conflict is attributed to the failing node's
+   identity and descent depth, read back from the domain's read set
+   ([Node_versions.current]/[failure]) before the next attempt's
+   [scratch] wipes the evidence. *)
 
 let[@inline] count_precise_conflict t =
   Obs.Counter.incr t.precise_conflicts;
-  Obs.Counter.incr g_precise_conflicts
+  Obs.Counter.incr g_precise_conflicts;
+  Obs.Counter.incr t.aborts;
+  Obs.Counter.incr g_aborts;
+  if Obs.Gate.enabled () then begin
+    let node, depth = Node_versions.failure (Node_versions.current ()) in
+    Obs.Flight.htm_abort ~reason:Obs.Event.abort_precise ~node ~depth
+  end
 
 let[@inline] count_explicit t =
   Obs.Counter.incr t.explicit_aborts;
   Obs.Counter.incr g_explicit;
+  Obs.Counter.incr t.aborts;
+  Obs.Counter.incr g_aborts;
   if Obs.Gate.enabled () then
     Obs.Flight.htm_abort ~reason:Obs.Event.abort_explicit ~node:(-1)
       ~depth:(-1)
-
-let[@inline] count_fallback t =
-  Obs.Counter.incr t.fallbacks;
-  Obs.Counter.incr g_fallbacks;
-  if Obs.Gate.enabled () then Obs.Flight.fallback_lock ()
-
-type 'a outcome = Commit of 'a | Abort
-(** What the transaction body decides: [Abort] is an explicit XABORT
-    (e.g. the target leaf is locked by another thread) and makes the
-    whole transaction retry. *)
 
 let cpu_relax () = Domain.cpu_relax ()
 
@@ -203,109 +174,12 @@ let backoff t attempt =
     done
   end
 
-(** Run [f] as a TSX-style transaction.  [f] must be free of side
-    effects on shared transient state (it may CAS leaf locks: a
-    successful CAS followed by a failed validation is undone by the
-    caller via [on_rollback]).  After [retry_threshold] aborts the
-    fallback mutex is taken and [f] runs to a [Commit] under it. *)
-let with_txn ?(on_rollback = fun _ -> ()) t f =
-  let rec optimistic attempt =
-    if attempt >= t.retry_threshold then fallback ()
-    else begin
-      let v = Padded.get t.version in
-      if v land 1 = 1 then begin
-        (* A writer is inside: the elided lock is busy. *)
-        count_explicit t;
-        count_abort t;
-        backoff t attempt;
-        optimistic (attempt + 1)
-      end
-      else
-        let result =
-          (* Exceptions during speculation may be artifacts of racing
-             with a writer; only trust them if the version still
-             validates. *)
-          match f () with
-          | r -> Ok r
-          | exception e -> Error e
-        in
-        if Padded.get t.version <> v then begin
-          (match result with Ok (Commit x) -> on_rollback x | _ -> ());
-          count_conflict t;
-          count_abort t;
-          backoff t attempt;
-          optimistic (attempt + 1)
-        end
-        else
-          match result with
-          | Ok (Commit x) -> x
-          | Ok Abort ->
-            count_explicit t;
-            count_abort t;
-            backoff t attempt;
-            optimistic (attempt + 1)
-          | Error e -> raise e
-    end
-  and fallback () =
-    (* Like the paper's Algorithm 1 under the global lock: an explicit
-       abort releases the lock and the enclosing while-loop reacquires
-       it, so a thread holding a leaf lock can still enter its second
-       (structure-updating) critical section — no deadlock. *)
-    count_fallback t;
-    Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback)
-        f
-    in
-    match r with
-    | Commit x -> x
-    | Abort ->
-      cpu_relax ();
-      fallback ()
-  in
-  optimistic 0
+(* ---- the fallback mutex ---- *)
 
-(* ---- raw optimistic-read primitives ---- *)
-
-(* The closure passed to [with_txn] is a minor-heap allocation per
-   call, and the [outcome]/[result] wrappers are more.  Allocation-free
-   hot paths (the tree's find) drive the same seqlock protocol through
-   these primitives instead; the semantics mirror [with_txn] exactly.
-   The tree's per-node protocol ({!Node_versions}) uses only the
-   fallback/stat primitives from here. *)
-
-let retry_threshold t = t.retry_threshold
-
-(** Snapshot the version word for an optimistic section; negative when
-    a writer is inside (the elided lock is busy — abort immediately). *)
-let read_begin t =
-  let v = Padded.get t.version in
-  if v land 1 = 1 then -1 else v
-
-(** [true] iff no writer committed since {!read_begin} returned [v]. *)
-let read_validate t v = Padded.get t.version = v
-
-let note_abort t = count_abort t
-let note_conflict t = count_conflict t
-
-(** Count a per-node read-set invalidation ({!Node_versions}): the
-    precise-conflict bucket, disjoint from {!note_conflict}'s
-    global-version bucket.  Callers still call {!note_abort} for the
-    total. *)
-let note_precise_conflict t = count_precise_conflict t
-
-(** Count a self-inflicted abort (elided lock busy at [read_begin], or
-    the target leaf's lock was held): the explicit-XABORT bucket of the
-    reason breakdown.  Callers still call {!note_abort} for the total. *)
-let note_explicit_abort t = count_explicit t
-
-let relax = cpu_relax
-
-(** Enter the fallback path: the real mutex, counted like [with_txn]'s
-    fallback.  The caller must pair it with {!unlock_fallback}. *)
 let lock_fallback t =
-  count_fallback t;
+  Obs.Counter.incr t.fallbacks;
+  Obs.Counter.incr g_fallbacks;
+  if Obs.Gate.enabled () then Obs.Flight.fallback_lock ();
   Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
   if Scm.Pmtrace.enabled () then Scm.Pmtrace.fallback_lock ()
 
@@ -317,28 +191,118 @@ let unlock_fallback t =
   if Scm.Pmtrace.enabled () then Scm.Pmtrace.fallback_unlock ();
   Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback
 
+exception Abort
+exception Busy
+
+let busy t ~obj =
+  t.awaiting <- obj;
+  raise Busy
+
+let retry t = busy t ~obj:no_obj
+
+(* ---- the optimistic-section driver ---- *)
+
+module type SECTION = sig
+  type ctx
+  type arg
+  type aux
+  type res
+
+  val lock : ctx -> t
+  val optimistic : ctx -> arg -> aux -> Node_versions.readset -> res
+  val locked : ctx -> arg -> aux -> res
+  val committed : int -> unit
+end
+
+(* A functor rather than a closure-taking function: the build has no
+   flambda, so a per-call closure over the caller's arguments would be
+   a minor-heap allocation on every find.  The step functions are
+   reached through the functor argument — an indirect call, no
+   allocation — and the per-call arguments travel as plain
+   parameters. *)
+module Section (S : SECTION) = struct
+  (* Algorithm 1 under the global lock: a busy lock releases the mutex
+     and the loop reacquires it. *)
+  let rec locked l ctx a b =
+    match S.locked ctx a b with
+    | r ->
+      unlock_fallback l;
+      r
+    | exception Busy ->
+      let obj = l.awaiting in
+      unlock_fallback l;
+      (* Model checker: park until the holder writes the object (a
+         spinning fiber would otherwise make the schedule space
+         unbounded); no-op in production, where the relax spin keeps
+         its behaviour. *)
+      if obj <> no_obj then Sched.await ~obj;
+      cpu_relax ();
+      relock_fallback l;
+      locked l ctx a b
+    | exception e ->
+      unlock_fallback l;
+      raise e
+
+  let fallback l ctx a b =
+    lock_fallback l;
+    match locked l ctx a b with
+    | r ->
+      S.committed l.retry_threshold;
+      r
+    | exception e ->
+      S.committed l.retry_threshold;
+      raise e
+
+  let rec attempt l ctx a b n =
+    if n >= l.retry_threshold then fallback l ctx a b
+    else
+      let rs = Node_versions.scratch () in
+      match S.optimistic ctx a b rs with
+      | r ->
+        S.committed n;
+        r
+      | exception Node_versions.Conflict -> conflict l ctx a b n
+      | exception Abort ->
+        if Node_versions.validate rs then begin
+          count_explicit l;
+          backoff l n;
+          attempt l ctx a b (n + 1)
+        end
+        else conflict l ctx a b n
+      | exception e ->
+        (* Exceptions during speculation may be artifacts of racing
+           with a writer; only trust them if the read set validates. *)
+        if Node_versions.validate rs then begin
+          S.committed n;
+          raise e
+        end
+        else conflict l ctx a b n
+
+  and conflict l ctx a b n =
+    count_precise_conflict l;
+    backoff l n;
+    attempt l ctx a b (n + 1)
+
+  let run ctx a b = attempt (S.lock ctx) ctx a b 0
+end
+
 (** Run [f] as a writing transaction.  Writers to the transient
-    structure always serialize on the mutex and invalidate concurrent
-    optimistic readers via the version word.  (On real TSX small
-    writers could also commit speculatively; serializing them is the
-    fallback behaviour and only affects scalability of structure
-    modifications, i.e. splits.) *)
+    structure always serialize on the mutex; concurrent optimistic
+    readers are invalidated by the per-node version bumps [f] makes.
+    (On real TSX small writers could also commit speculatively;
+    serializing them is the fallback behaviour and only affects
+    scalability of structure modifications, i.e. splits.) *)
 let with_write t f =
   Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  Sched.point ~obj:Sched.obj_global ~write:true;
-  Padded.incr t.version;
   if Scm.Pmtrace.enabled () then Scm.Pmtrace.writer_begin ();
   Fun.protect
     ~finally:(fun () ->
       if Scm.Pmtrace.enabled () then Scm.Pmtrace.writer_end ();
-      Sched.point ~obj:Sched.obj_global ~write:true;
-      Padded.incr t.version;
       Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback)
     f
 
 type stats = {
   aborts : int;
-  conflicts : int;
   precise_conflicts : int;
   explicit_aborts : int;
   fallbacks : int;
@@ -349,17 +313,23 @@ type stats = {
 let stats (t : t) =
   {
     aborts = Obs.Counter.value t.aborts;
-    conflicts = Obs.Counter.value t.conflicts;
     precise_conflicts = Obs.Counter.value t.precise_conflicts;
     explicit_aborts = Obs.Counter.value t.explicit_aborts;
     fallbacks = Obs.Counter.value t.fallbacks;
     backoff_waits = Obs.Counter.value t.backoff_waits;
   }
 
+let stats_assoc t =
+  let s = stats t in
+  [ ("aborts", s.aborts);
+    ("precise_conflicts", s.precise_conflicts);
+    ("explicit_aborts", s.explicit_aborts);
+    ("fallbacks", s.fallbacks);
+    ("backoff_waits", s.backoff_waits) ]
+
 let merge a b =
   {
     aborts = a.aborts + b.aborts;
-    conflicts = a.conflicts + b.conflicts;
     precise_conflicts = a.precise_conflicts + b.precise_conflicts;
     explicit_aborts = a.explicit_aborts + b.explicit_aborts;
     fallbacks = a.fallbacks + b.fallbacks;
@@ -367,8 +337,8 @@ let merge a b =
   }
 
 let zero_stats =
-  { aborts = 0; conflicts = 0; precise_conflicts = 0; explicit_aborts = 0;
-    fallbacks = 0; backoff_waits = 0 }
+  { aborts = 0; precise_conflicts = 0; explicit_aborts = 0; fallbacks = 0;
+    backoff_waits = 0 }
 
 (** Per-domain-shard breakdown: [(shard, stats)] for every shard with
     at least one non-zero counter (shard = domain id mod
@@ -382,9 +352,6 @@ let shard_stats (t : t) =
   List.iter
     (fun (s, v) -> Hashtbl.replace tbl s { (get s) with aborts = v })
     (Obs.Counter.per_shard t.aborts);
-  List.iter
-    (fun (s, v) -> Hashtbl.replace tbl s { (get s) with conflicts = v })
-    (Obs.Counter.per_shard t.conflicts);
   List.iter
     (fun (s, v) -> Hashtbl.replace tbl s { (get s) with precise_conflicts = v })
     (Obs.Counter.per_shard t.precise_conflicts);

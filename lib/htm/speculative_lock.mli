@@ -1,19 +1,18 @@
 (** Software emulation of HTM lock elision (Intel TSX speculative spin
-    mutex), the substrate of Selective Concurrency (Section 4.4).
+    mutex), the substrate of Selective Concurrency (Section 4.4,
+    Algorithm 1).
 
-    Semantics: optimistic readers run lock-free and validate a version
-    word (a moved version is a conflict abort, like a TSX read-set
-    invalidation); after [retry_threshold] aborts the global lock is
-    taken for real — and, as in the paper's Algorithm 1, an explicit
-    abort under the fallback releases the lock before retrying.
-    Writers always serialize and bump the version to odd/even around
-    their critical section.
-
-    The version word of this module is tree-global (a one-line read
-    set).  The tree's hot paths use {!Node_versions} — per-node
-    versions with per-domain read sets, i.e. cache-line-granular
-    conflict detection — and this module for the shared fallback
-    mutex, writer serialization, backoff, and abort statistics. *)
+    One protocol, driven by {!Section}: an optimistic body runs
+    lock-free against a per-node read set ({!Node_versions}); a moved
+    or busy node version is a precise conflict, a held lock an
+    explicit abort; after [retry_threshold] aborts the fallback mutex
+    is taken for real and a locked body runs under it, releasing the
+    mutex whenever that body finds a lock busy (Algorithm 1's explicit
+    abort under the global lock).  Structural writers serialize on the
+    same mutex ({!with_write}) and bump the version cells of the nodes
+    they modify.  The retry loop, backoff, fallback mutex and abort
+    accounting are private to this module: callers supply only the
+    two bodies. *)
 
 type t
 
@@ -23,86 +22,73 @@ type t
     @raise Invalid_argument on a ceiling < 1. *)
 val create : ?retry_threshold:int -> ?backoff_ceiling:int -> unit -> t
 
-type 'a outcome =
-  | Commit of 'a
-  | Abort
-      (** Explicit XABORT — e.g. the target leaf is locked by another
-          thread; the transaction retries. *)
+(** {1 Optimistic sections} *)
 
-(** Run [f] as a TSX-style transaction.  [f] must not mutate shared
-    transient state except through CAS operations that [on_rollback]
-    can undo: it is called with the committed value when a successful
-    body fails validation.  Exceptions raised by [f] propagate only if
-    the version still validates (otherwise they are treated as racy
-    artifacts and the transaction retries). *)
-val with_txn : ?on_rollback:('a -> unit) -> t -> (unit -> 'a outcome) -> 'a
+exception Abort
+(** Raised by an optimistic body when a lock it needs is held (an
+    explicit XABORT).  The driver counts it as an explicit abort if
+    the read set still validates, else as a precise conflict.
+    Constant constructor: raising it does not allocate. *)
+
+(** What a call site supplies.  [optimistic ctx a b rs] runs the
+    speculative body against the emptied read set [rs]: it must
+    validate [rs] itself before returning a result (undoing any lock
+    it took and raising {!Node_versions.Conflict} when validation
+    fails), may raise {!Abort}, and may raise any other exception,
+    which the driver trusts only if [rs] still validates.
+    [locked ctx a b] runs under the fallback mutex; when it finds a
+    leaf lock or version busy it calls {!busy} or {!retry}.
+    [committed n] is told how many aborts preceded a committed result
+    or trusted exception ([retry_threshold] after a fallback). *)
+module type SECTION = sig
+  type ctx
+  type arg
+  type aux
+  type res
+
+  val lock : ctx -> t
+  val optimistic : ctx -> arg -> aux -> Node_versions.readset -> res
+  val locked : ctx -> arg -> aux -> res
+  val committed : int -> unit
+end
+
+(** The one optimistic-section driver: retry budget, read-set scratch,
+    exception trust, precise/explicit abort accounting with flight
+    attribution, backoff, and the Algorithm 1 fallback loop.
+    Allocation-free with the flight recorder off (the gate-on abort
+    attribution builds a pair). *)
+module Section (S : SECTION) : sig
+  val run : S.ctx -> S.arg -> S.aux -> S.res
+end
+
+val busy : t -> obj:int -> 'a
+(** Called by a locked body that found the lock word or version cell
+    [obj] ({!Sched.obj_lock} / {!Sched.obj_ver}) busy: the driver
+    releases the fallback mutex, parks on [obj] under the model
+    checker ({!Sched.await}), relaxes, relocks and re-runs the body.
+    Only valid inside a locked body. *)
+
+val retry : t -> 'a
+(** {!busy} without parking: for a locked body that saw an object
+    move after it was read (the writer may already be gone), or that
+    waits on a lock the model checker does not see. *)
 
 (** Run [f] as a writing transaction: mutual exclusion against other
-    writers and fallback holders, and invalidation of all concurrent
-    optimistic readers. *)
+    writers and fallback holders.  Optimistic readers are invalidated
+    by the version-cell bumps [f] makes on the nodes it modifies. *)
 val with_write : t -> (unit -> 'a) -> 'a
-
-(** {1 Raw optimistic-read primitives}
-
-    Closure-free building blocks of the same protocol [with_txn]
-    implements, for allocation-free hot paths: snapshot with
-    {!read_begin} (negative = writer inside, abort), run the read-only
-    body, accept its result only if {!read_validate} holds; after
-    {!retry_threshold} aborts take {!lock_fallback} and run the body
-    under the real mutex ({!relock_fallback} re-enters it after an
-    explicit abort released it).  Callers are responsible for the
-    retry loop and for undoing side effects on failed validation. *)
-
-val retry_threshold : t -> int
-val read_begin : t -> int
-val read_validate : t -> int -> bool
-val note_abort : t -> unit
-val note_conflict : t -> unit
-
-(** Count a per-node read-set invalidation ({!Node_versions}) — the
-    precise-conflict bucket, disjoint from the global-version bucket
-    of {!note_conflict}; call alongside {!note_abort}, which counts
-    the total. *)
-val note_precise_conflict : t -> unit
-
-(** Count a self-inflicted abort (elided lock busy, target leaf lock
-    held — the explicit-XABORT bucket of the reason breakdown); call
-    alongside {!note_abort}, which counts the total. *)
-val note_explicit_abort : t -> unit
-
-val relax : unit -> unit
-
-(** [backoff t attempt] waits before retry [attempt] (0-based) of an
-    optimistic section: bounded exponential relax-loop (doubling up to
-    the lock's ceiling) plus a jitter term drawn from per-domain
-    Weyl-sequence state that advances on every wait — each acquisition
-    sees a fresh jitter sequence, so domains that abort on the same
-    conflict repeatedly do not replay identical wait schedules.
-    Counted as [backoff_waits] in the statistics.  Raw-path callers use
-    this in place of {!relax} when they track the attempt number. *)
-val backoff : t -> int -> unit
-
-val lock_fallback : t -> unit
-val relock_fallback : t -> unit
-val unlock_fallback : t -> unit
 
 (** {1 Statistics}
 
-    Domain-sharded and exact under parallel domains (the seed's single
-    [Atomic.t] aggregate per lock could not attribute events to
-    domains).  [aborts] is the total; [conflicts] (global version
-    moved — coarse read-set invalidation), [precise_conflicts]
-    (per-node read set invalidated — {!Node_versions}) and
-    [explicit_aborts] (lock busy / explicit XABORT) partition the
-    causes; [fallbacks] counts entries into the real mutex.  The same
-    events feed the process-wide [htm_*_total] counters in
-    {!Obs.Registry}. *)
+    Domain-sharded and exact under parallel domains.  [aborts] is the
+    total; [precise_conflicts] (a node in the read set moved or was
+    busy) and [explicit_aborts] (a lock was held) partition it;
+    [fallbacks] counts entries into the real mutex.  The same events
+    feed the process-wide [htm_*_total] counters in {!Obs.Registry}. *)
 
 type stats = {
   aborts : int;
-  conflicts : int;
   precise_conflicts : int;
-      (** per-node read-set invalidations (precise conflicts) *)
   explicit_aborts : int;
   fallbacks : int;
   backoff_waits : int;  (** bounded-exponential backoff waits between retries *)
@@ -110,6 +96,10 @@ type stats = {
 
 (** Merged (all-domain) totals for this lock. *)
 val stats : t -> stats
+
+(** {!stats} as the [(reason, count)] list of
+    {!Fptree.Tree_intf.S.htm_stats}. *)
+val stats_assoc : t -> (string * int) list
 
 val merge : stats -> stats -> stats
 val zero_stats : stats

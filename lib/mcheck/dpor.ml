@@ -59,7 +59,6 @@ let conflict a b = obj_of a = obj_of b && (writes a || writes b)
 
 let obj_name o =
   if o = Sched.obj_mutex then "fallback-mutex"
-  else if o = Sched.obj_global then "global-version"
   else
     let id = o asr 2 in
     match o land 3 with

@@ -104,9 +104,7 @@ let check_tree t (logs : done_op list ref array) ~setup () =
   | exception e -> Error ("invariant: " ^ Printexc.to_string e)
   | () ->
     let g k = List.assoc k (F.htm_stats t) in
-    let parts =
-      g "conflicts" + g "precise_conflicts" + g "explicit_aborts"
-    in
+    let parts = g "precise_conflicts" + g "explicit_aborts" in
     if g "aborts" <> parts then
       Error
         (Printf.sprintf "abort partition: %d aborts <> %d attributed"

@@ -16,8 +16,8 @@
                     updated / deleted), 0 otherwise
     - [htm_abort]:  a = abort reason, b = failing node identity
                     (see {!Flight}: 0 = root pointer cell, > 0 = leaf
-                    SCM offset, < 0 = DRAM inner-node id, -1 with
-                    reason [abort_global] = unattributed),
+                    SCM offset, < 0 = DRAM inner-node id, -1 =
+                    unattributed),
                     c = descent depth at failure (-1 = unknown)
     - [fallback_lock]: no payload (the acquiring domain is the ring)
     - [backoff_wait]: a = retry attempt number, b = spins waited
@@ -98,15 +98,14 @@ let op_name = function
 
 (* ---- HTM abort reasons (payload [a] of htm_abort) ---- *)
 
-(* global = tree-global speculation conflict (baselines); precise =
-   per-node read-set validation failure; explicit = deliberate abort
-   (fallback lock or leaf lock observed held). *)
-let abort_global = 0
+(* precise = per-node read-set validation failure; explicit =
+   deliberate abort (leaf lock observed held).  Code 0 is retired (the
+   old tree-global protocol); the others keep their values so saved
+   flight dumps still decode. *)
 let abort_precise = 1
 let abort_explicit = 2
 
 let abort_name = function
-  | 0 -> "global-conflict"
   | 1 -> "precise-conflict"
   | 2 -> "explicit"
   | r -> "abort_" ^ string_of_int r

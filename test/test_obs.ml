@@ -228,28 +228,39 @@ let test_parallel_scm_counters_exact () =
 
 let test_htm_per_domain_shards () =
   let module Spec = Htm.Speculative_lock in
+  let module Run = Spec.Section (struct
+    type ctx = Spec.t
+    type arg = bool ref
+    type aux = unit
+    type res = int
+
+    let lock l = l
+
+    (* abort explicitly once, then commit *)
+    let optimistic _ aborted () _ =
+      if !aborted then 7
+      else begin
+        aborted := true;
+        raise Spec.Abort
+      end
+
+    let locked _ _ () = 7
+    let committed _ = ()
+  end) in
   let l = Spec.create () in
   let ds =
     Array.init 4 (fun _ ->
         Domain.spawn (fun () ->
-            (* abort explicitly once, then commit: one deterministic
-               explicit abort attributed to this domain's shard *)
-            let aborted = ref false in
-            let v =
-              Spec.with_txn l (fun () ->
-                  if !aborted then Spec.Commit 7
-                  else begin
-                    aborted := true;
-                    Spec.Abort
-                  end)
-            in
-            if v <> 7 then failwith "txn returned wrong value"))
+            (* one deterministic explicit abort attributed to this
+               domain's shard *)
+            let v = Run.run l (ref false) () in
+            if v <> 7 then failwith "section returned wrong value"))
   in
   Array.iter Domain.join ds;
   let s = Spec.stats l in
   Alcotest.(check int) "4 aborts total" 4 s.Spec.aborts;
   Alcotest.(check int) "all explicit" 4 s.Spec.explicit_aborts;
-  Alcotest.(check int) "no conflicts" 0 s.Spec.conflicts;
+  Alcotest.(check int) "no precise conflicts" 0 s.Spec.precise_conflicts;
   Alcotest.(check int) "no fallbacks" 0 s.Spec.fallbacks;
   let shards = Spec.shard_stats l in
   Alcotest.(check bool) "per-domain shards present" true (shards <> []);

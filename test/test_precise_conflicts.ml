@@ -4,11 +4,8 @@
    plus assertions that the precise-conflict accounting has the shape
    the fine-grained protocol promises:
 
-   - the legacy tree-global [conflicts] bucket stays at zero — FPTree
-     hot paths no longer validate against the global version, so every
-     read-set invalidation lands in [precise_conflicts];
-   - the abort partition is exact (aborts = conflicts +
-     precise_conflicts + explicit_aborts);
+   - the abort partition is exact (aborts = precise_conflicts +
+     explicit_aborts);
    - precise conflicts are far below what the global protocol would
      have produced.  Under global validation every structural update
      (split / leaf unlink) invalidates EVERY in-flight reader, so with
@@ -91,13 +88,10 @@ let test_oracle_divergence_and_counters () =
   done;
   (* ---- abort accounting ---- *)
   let s = List.assoc "aborts" (F.htm_stats t)
-  and gc = List.assoc "conflicts" (F.htm_stats t)
   and pc = List.assoc "precise_conflicts" (F.htm_stats t)
   and ea = List.assoc "explicit_aborts" (F.htm_stats t) in
-  (* hot paths never consult the global version: legacy bucket empty *)
-  Alcotest.(check int) "global-version conflicts are zero" 0 gc;
   (* the partition is exact *)
-  Alcotest.(check int) "abort causes partition the total" s (gc + pc + ea);
+  Alcotest.(check int) "abort causes partition the total" s (pc + ea);
   (* Far below the global protocol's floor: every split/unlink would
      have aborted every overlapping reader, so the old abort count is
      bounded below by the number of splits.  The split-instrumentation

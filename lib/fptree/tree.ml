@@ -960,8 +960,6 @@ module Make (K : Keys.KEY) = struct
         else raise Not_found
   end)
 
-  let find_attempt t k h = Find_section.run t k h
-
   (* Bracket [f ()] (returning success as bool) with flight-recorder
      op begin/end events.  Only reached with the gate on: the gate-off
      entry points below stay direct calls, so the allocation-free hot
@@ -990,7 +988,7 @@ module Make (K : Keys.KEY) = struct
       to [k], or @raise Not_found.  Allocation-free in fast mode. *)
   let find_value_exn t k =
     if stats_on () then t.stats.finds <- t.stats.finds + 1;
-    if not (Obs.Gate.enabled ()) then find_attempt t k (K.fingerprint k)
+    if not (Obs.Gate.enabled ()) then Find_section.run t k (K.fingerprint k)
     else begin
       let h = K.fingerprint k in
       let s = !find_sample_tick + 1 in
@@ -1001,7 +999,7 @@ module Make (K : Keys.KEY) = struct
         (* sampled: begin/end pair, measured latency; the pair also
            keeps "find in flight" visible in crash dumps *)
         let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_find ~key:h in
-        match find_attempt t k h with
+        match Find_section.run t k h with
         | v ->
           ignore
             (Obs.Flight.op_end ~op:Obs.Event.op_find ~key:h ~t0 ~ok:true);
@@ -1012,7 +1010,7 @@ module Make (K : Keys.KEY) = struct
           raise Not_found
       end
       else
-        match find_attempt t k h with
+        match Find_section.run t k h with
         | v ->
           Obs.Flight.op_mark ~op:Obs.Event.op_find ~key:h ~ok:true;
           v
@@ -1497,7 +1495,7 @@ module Make (K : Keys.KEY) = struct
     is_locked (Inner.find_leaf K.compare t.inner.Inner.root k)
 
   (* Start-leaf descent for a range scan, on the per-node protocol
-     (the walk itself reads dirty, as before).  A torn read during a
+     (the walk itself reads dirty).  A torn read during a
      racing structural update is an exception the driver retries
      rather than letting it escape to the range caller. *)
   module Range_start_section = Spec.Section (struct

@@ -35,11 +35,12 @@ module type S = sig
   val scm_bytes : t -> int
 
   val htm_stats : t -> (string * int) list
-  (** Speculative-concurrency abort counters as [(reason, count)]
-      pairs — e.g. ["aborts"], ["precise_conflicts"] (per-node
-      read-set invalidations), ["conflicts"] (tree-global version
-      invalidations), ["fallbacks"].  Empty for trees without a
-      speculative path. *)
+  (** Speculative-concurrency counters as [(reason, count)] pairs:
+      ["aborts"], partitioned into ["precise_conflicts"] (per-node
+      read-set invalidations) and ["explicit_aborts"] (a lock was
+      held), plus ["fallbacks"] and ["backoff_waits"]
+      ({!Htm.Speculative_lock.stats_assoc}).  Empty for trees without
+      a speculative path. *)
 end
 
 module type FIXED = S with type key = int

@@ -424,7 +424,7 @@ let write_int64_atomic t off v =
 
 let write_word_atomic t off v =
   if not (Cacheline.is_word_aligned off) then
-    invalid_arg "Region.write_int64_atomic: offset not 8-byte aligned";
+    invalid_arg "Region.write_word_atomic: offset not 8-byte aligned";
   if fast_mode t then begin
     check t off 8;
     set_64_le t.buf off (Int64.of_int v)
@@ -659,10 +659,22 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
+      let bad fmt = Printf.ksprintf (fun m -> failwith ("Region.load: " ^ m)) fmt in
+      (* header: magic, then id and size as 4-byte binary ints *)
+      let header = String.length magic + 8 in
+      let len = in_channel_length ic in
+      if len < header then bad "truncated header (%d bytes)" len;
       let m = really_input_string ic (String.length magic) in
-      if m <> magic then failwith "Region.load: bad magic";
+      if m <> magic then bad "bad magic";
       let id = input_binary_int ic in
       let size = input_binary_int ic in
+      (* validate before [make] allocates [size] bytes *)
+      if size <= 0 || size mod Cacheline.line_size <> 0 then
+        bad "bad size %d (not a positive multiple of %d)" size
+          Cacheline.line_size;
+      if size <> len - header then
+        bad "size %d does not match the %d payload bytes in the file" size
+          (len - header);
       let t = make ~id ~size in
       really_input ic t.buf 0 size;
       t)

@@ -143,4 +143,9 @@ val corrupt : t -> off:int -> len:int -> bits:int -> seed:int -> unit
     [path]. *)
 val save : t -> string -> unit
 
+(** [load path] reads an image written by {!save}.  The header is
+    checked before anything is allocated.
+    @raise Failure ["Region.load: ..."] on a bad magic, a truncated
+    header, or a size that is not a positive multiple of 64 equal to
+    the payload bytes in the file. *)
 val load : string -> t

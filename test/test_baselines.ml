@@ -133,23 +133,81 @@ let test_nv_recovery () =
   Alcotest.(check (option int)) "survivor" (Some 200) (Nv.find t2 100);
   Alcotest.(check (option int)) "deleted stays deleted" None (Nv.find t2 10)
 
+(* Inserters split leaves and, with a tiny PLN capacity, rebuild the
+   whole directory while reader domains run [find] and [range] over a
+   preloaded key set: every preloaded key must be found with its value,
+   and every range must be sorted and hold every preloaded key in it. *)
 let test_nv_concurrent () =
   Scm.Config.set_crash_tracking false;
   Scm.Config.set_stats false;
   let a = Pmem.Palloc.create ~size:(256 * 1024 * 1024) () in
-  let t = Nv.create ~cap:32 ~pln_cap:64 a in
+  let t = Nv.create ~cap:32 ~pln_cap:4 a in
   let n_domains = max 2 (min 4 (Domain.recommended_domain_count () - 1)) in
   let per = 2000 in
+  (* preloaded keys are odd, inserted keys even *)
+  let n_pre = 2000 in
+  let pre i = (2 * i) + 1 in
+  for i = 0 to n_pre - 1 do
+    ignore (Nv.insert t (pre i) (i * 7))
+  done;
+  let rebuilds0 = Nv.rebuild_count t in
+  let writing = Atomic.make n_domains in
   let ds =
     List.init n_domains (fun d ->
         Domain.spawn (fun () ->
             for i = 0 to per - 1 do
-              ignore (Nv.insert t ((i * n_domains) + d) i)
-            done))
+              ignore (Nv.insert t (2 * ((i * n_domains) + d)) i)
+            done;
+            Atomic.decr writing))
+  in
+  (* read until the writers finish, and at least [min_rounds] times *)
+  let reader ~min_rounds f =
+    Domain.spawn (fun () ->
+        let rng = Random.State.make [| min_rounds |] in
+        let errors = ref [] and round = ref 0 in
+        while !errors = [] && (!round < min_rounds || Atomic.get writing > 0) do
+          incr round;
+          match f rng with None -> () | Some e -> errors := [ e ]
+        done;
+        !errors)
+  in
+  let finder =
+    reader ~min_rounds:20_000 (fun rng ->
+        let i = Random.State.int rng n_pre in
+        match Nv.find t (pre i) with
+        | Some v when v = i * 7 -> None
+        | Some v -> Some (Printf.sprintf "find %d: value %d" (pre i) v)
+        | None -> Some (Printf.sprintf "find %d: missing" (pre i)))
+  in
+  let ranger =
+    reader ~min_rounds:500 (fun rng ->
+        let i = Random.State.int rng n_pre in
+        let j = min (n_pre - 1) (i + Random.State.int rng 64) in
+        let r = Nv.range t ~lo:(pre i) ~hi:(pre j) in
+        let keys = List.map fst r in
+        if keys <> List.sort_uniq compare keys then
+          Some (Printf.sprintf "range [%d, %d]: not sorted" (pre i) (pre j))
+        else
+          let rec missing x =
+            if x > j then None
+            else if List.assoc_opt (pre x) r <> Some (x * 7) then
+              Some (Printf.sprintf "range [%d, %d]: lost %d" (pre i) (pre j) (pre x))
+            else missing (x + 1)
+          in
+          missing i)
   in
   List.iter Domain.join ds;
-  Alcotest.(check int) "concurrent inserts all present" (n_domains * per)
-    (Nv.count t)
+  let errors = Domain.join finder @ Domain.join ranger in
+  Alcotest.(check (list string)) "readers saw every preloaded key" [] errors;
+  Alcotest.(check bool) "inserters rebuilt the directory" true
+    (Nv.rebuild_count t > rebuilds0);
+  Alcotest.(check int) "concurrent inserts all present"
+    ((n_domains * per) + n_pre)
+    (Nv.count t);
+  for i = 0 to n_pre - 1 do
+    if Nv.find t (pre i) <> Some (i * 7) then
+      Alcotest.failf "preloaded key %d lost" (pre i)
+  done
 
 let test_wb_binary_search_probes () =
   let a = fresh_alloc () in

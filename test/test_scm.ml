@@ -157,7 +157,40 @@ let test_save_load_roundtrip () =
   Sys.remove path;
   Alcotest.(check int64) "persisted word round-trips" 77L (Region.read_int64 r2 0);
   Alcotest.(check int64) "dirty word excluded from image" 0L (Region.read_int64 r2 8);
-  Alcotest.(check int) "region id preserved" (Region.id r) (Region.id r2)
+  Alcotest.(check int) "region id preserved" (Region.id r) (Region.id r2);
+  (* hostile or truncated images are refused with a Failure, before
+     the header's size is trusted *)
+  let image ~size ~payload =
+    let path = Filename.temp_file "scmtest" ".img" in
+    let oc = open_out_bin path in
+    output_string oc "FPTSCM01";
+    (match size with
+    | Some s ->
+      output_binary_int oc 1;
+      output_binary_int oc s
+    | None -> ());
+    output_string oc (String.make payload '\000');
+    close_out oc;
+    path
+  in
+  let refused what ~size ~payload =
+    let path = image ~size ~payload in
+    let r = try Ok (Region.load path) with e -> Error e in
+    Sys.remove path;
+    match r with
+    | Error (Failure m) when String.starts_with ~prefix:"Region.load: " m -> ()
+    | Error e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+    | Ok _ -> Alcotest.failf "%s: loaded" what
+  in
+  refused "magic only" ~size:None ~payload:0;
+  refused "short payload" ~size:(Some 128) ~payload:64;
+  refused "size larger than the file" ~size:(Some (1 lsl 30)) ~payload:128;
+  refused "negative size" ~size:(Some (-64)) ~payload:0;
+  refused "size not a multiple of 64" ~size:(Some 100) ~payload:100;
+  let ok = image ~size:(Some 128) ~payload:128 in
+  let r3 = Region.load ok in
+  Sys.remove ok;
+  Alcotest.(check int) "well-formed hand-built image loads" 128 (Region.size r3)
 
 let test_blit_and_fill () =
   let r = fresh () in

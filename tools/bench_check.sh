@@ -269,4 +269,11 @@ grep -q '"sample_shift"' "$WEAR_HEAT" || {
   echo "FAIL: heatmap dump malformed"; exit 1; }
 echo "   heatmap dump -> $WEAR_HEAT"
 
+echo "== perfbench selfcheck (BENCHMARK.json workloads at scale 0.01) =="
+# Every workload twice at a tiny scale through the benchmark driver:
+# each declared metric printed with its unit, zero failed operations,
+# and the counted/byte metrics of the single-client workloads repeated
+# exactly (non-zero exit otherwise).
+python3 perfbench/run.py --selfcheck
+
 echo "== done: /tmp/bench_check_hotpath.json, $DUMP, $TRACE =="

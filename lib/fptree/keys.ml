@@ -31,6 +31,13 @@ module type KEY = sig
 
   val dummy : t
   val compare : t -> t -> int
+
+  val insert_ord : t array -> int array -> int -> unit
+  (** [insert_ord keys ord i] inserts index [i] into the key-order
+      permutation [ord.(0) .. ord.(i-1)] of [keys.(0) .. keys.(i-1)]
+      (plain insertion; ties keep index order).  This is how a range
+      scan orders one unsorted leaf's hits. *)
+
   val fingerprint : t -> int
   val dram_bytes : t -> int
 
@@ -77,6 +84,18 @@ module Fixed : KEY with type t = int = struct
   let inline = true
   let dummy = min_int
   let compare = Int.compare
+
+  (* The compare is an inline int test: one predictable branch per
+     shifted slot and no call at all. *)
+  let insert_ord (keys : int array) ord i =
+    let k = keys.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && keys.(ord.(!j)) > k do
+      ord.(!j + 1) <- ord.(!j);
+      decr j
+    done;
+    ord.(!j + 1) <- i
+
   let fingerprint = Fingerprint.of_int
   let dram_bytes _ = 8
   let read ctx ~off = Scm.Region.read_word ctx.region off
@@ -98,6 +117,16 @@ module Var : KEY with type t = string = struct
   let inline = false
   let dummy = ""
   let compare = String.compare
+
+  let insert_ord (keys : string array) ord i =
+    let k = keys.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && String.compare keys.(ord.(!j)) k > 0 do
+      ord.(!j + 1) <- ord.(!j);
+      decr j
+    done;
+    ord.(!j + 1) <- i
+
   let fingerprint = Fingerprint.of_string
   let dram_bytes s = String.length s + 24 (* OCaml string header etc. *)
 

@@ -23,6 +23,16 @@ module type KEY = sig
 
   val dummy : t
   val compare : t -> t -> int
+
+  val insert_ord : t array -> int array -> int -> unit
+  (** [insert_ord keys ord i] extends the key-order permutation
+      [ord.(0) .. ord.(i-1)] of [keys.(0) .. keys.(i-1)] with index
+      [i] by plain insertion (ties keep index order), leaving
+      [ord.(0) .. ord.(i)] sorted by key.  Requires
+      [i < Array.length keys] and [i < Array.length ord].  Specialised
+      per representation so the shift loop compares directly, without
+      an indirect call. *)
+
   val fingerprint : t -> int
   val dram_bytes : t -> int
 

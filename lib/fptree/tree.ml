@@ -596,28 +596,6 @@ module Make (K : Keys.KEY) = struct
 
   (* ---- leaf split (Algorithm 3) ---- *)
 
-  (* In-place binary-insertion sort of parallel arrays by key; [aux]
-     entries ride along.  n <= m <= 64 and every [K.compare] is an
-     indirect call through the functor, so the binary search keeps the
-     comparison count at n log n while the shifts — plain array moves —
-     stay the cheap part.  Beats both a plain insertion sort (n^2/4
-     compares) and a general sort with its closure calls. *)
-  let sort_by_key keys aux n =
-    for i = 1 to n - 1 do
-      let k = keys.(i) and a = aux.(i) in
-      (* position for k in the sorted prefix [0, i) *)
-      let lo = ref 0 and hi = ref i in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if K.compare keys.(mid) k > 0 then hi := mid else lo := mid + 1
-      done;
-      let pos = !lo in
-      Array.blit keys pos keys (pos + 1) (i - pos);
-      Array.blit aux pos aux (pos + 1) (i - pos);
-      keys.(pos) <- k;
-      aux.(pos) <- a
-    done
-
   (* Indices are always within [0, n) with n <= the scratch length, so
      the bounds checks are dead weight on the split path. *)
   let swap2 keys aux i j =
@@ -1516,26 +1494,24 @@ module Make (K : Keys.KEY) = struct
 
   (** Inclusive range scan via the leaf linked list.  Reads are dirty
       (no leaf locks taken); the result is sorted.  The leaf chain is
-      in key order, so sorting each (unsorted) leaf's hits in place and
-      appending them to a growable buffer yields a sorted result with
-      no global cons-then-sort pass — O(hits) buffer space and one
-      final list build instead of O(n log n) list churn. *)
+      in key order but each leaf is unsorted, so a leaf's hits go into
+      per-call scratch ([lk]/[lv] in slot order, [ord] their key-order
+      permutation kept by [K.insert_ord] as they arrive) and are then
+      consed onto the result in key order before the next leaf is
+      read.  [walk]/[emit] build the list front to back in constant
+      stack ([tail_mod_cons]), so a call allocates its result (a cons
+      and a pair per hit) plus the three m-sized scratch arrays. *)
   let range_op t ~lo ~hi =
     if K.compare lo hi > 0 then []
     else begin
       let start = Range_start_section.run t lo () in
       let m = t.layout.Layout.m in
-      let cap = ref 64 in
-      let ks = ref (Array.make !cap K.dummy) in
-      let vs = ref (Array.make !cap 0) in
-      let len = ref 0 in
-      (* per-leaf scratch for the in-leaf sort *)
       let lk = Array.make m K.dummy in
       let lv = Array.make m 0 in
-      let rec walk leaf =
+      let ord = Array.make m 0 in
+      let[@tail_mod_cons] rec walk leaf =
         let bm = leaf_bitmap t leaf in
         let any_le_hi = ref false in
-        let nonempty = bm <> 0 in
         let nhits = ref 0 in
         for s = 0 to m - 1 do
           if bm land (1 lsl s) <> 0 then begin
@@ -1543,42 +1519,33 @@ module Make (K : Keys.KEY) = struct
             if K.compare k hi <= 0 then begin
               any_le_hi := true;
               if K.compare lo k <= 0 then begin
-                lk.(!nhits) <- k;
-                lv.(!nhits) <- read_value t leaf s;
-                incr nhits
+                let i = !nhits in
+                lk.(i) <- k;
+                lv.(i) <- read_value t leaf s;
+                K.insert_ord lk ord i;
+                nhits := i + 1
               end
             end
           end
         done;
-        let nhits = !nhits in
-        sort_by_key lk lv nhits;
-        if !len + nhits > !cap then begin
-          let cap' = max (!cap * 2) (!len + nhits) in
-          let ks' = Array.make cap' K.dummy in
-          let vs' = Array.make cap' 0 in
-          Array.blit !ks 0 ks' 0 !len;
-          Array.blit !vs 0 vs' 0 !len;
-          ks := ks';
-          vs := vs';
-          cap := cap'
-        end;
-        Array.blit lk 0 !ks !len nhits;
-        Array.blit lv 0 !vs !len nhits;
-        len := !len + nhits;
-        if nonempty && not !any_le_hi then ()
-        else begin
-          (* probe the next pointer's words directly: no Pptr record *)
-          let noff = leaf + t.layout.Layout.next_off in
-          if not (Pptr.is_null_at (region t) noff) then
-            walk (Pptr.off_at (region t) noff)
-        end
+        (* stop after a non-empty leaf with no key <= hi; otherwise
+           probe the next pointer's words directly (no Pptr record) *)
+        let next =
+          if bm <> 0 && not !any_le_hi then -1
+          else
+            let noff = leaf + t.layout.Layout.next_off in
+            if Pptr.is_null_at (region t) noff then -1
+            else Pptr.off_at (region t) noff
+        in
+        emit 0 !nhits next
+      and[@tail_mod_cons] emit i n next =
+        if i < n then
+          let j = ord.(i) in
+          (lk.(j), lv.(j)) :: emit (i + 1) n next
+        else if next < 0 then []
+        else walk next
       in
-      walk start.Inner.off;
-      let ks = !ks and vs = !vs in
-      let rec build i acc =
-        if i < 0 then acc else build (i - 1) ((ks.(i), vs.(i)) :: acc)
-      in
-      build (!len - 1) []
+      walk start.Inner.off
     end
 
   let range t ~lo ~hi =

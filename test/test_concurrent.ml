@@ -159,15 +159,15 @@ let test_range_during_writes_is_sane () =
           incr i
         done)
   in
+  (* The writer only inserts keys >= 2000, so the window [100, 200]
+     holds exactly its 51 preloaded pairs throughout. *)
+  let expect = List.init 51 (fun j -> (100 + (2 * j), 50 + j)) in
   for _ = 1 to 200 do
     let r = F.range t ~lo:100 ~hi:200 in
-    (* stable prefix [100,200] was loaded before the writer started *)
-    List.iter
-      (fun (k, v) ->
-        if k < 100 || k > 200 || v * 2 <> k then
-          Alcotest.failf "range returned bad pair (%d,%d)" k v)
-      r;
-    if List.length r < 51 then Alcotest.failf "range lost committed keys"
+    if r <> expect then
+      Alcotest.failf "range returned %d pairs, not the 51 preloaded in order: %s"
+        (List.length r)
+        (String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "(%d,%d)" k v) r))
   done;
   Atomic.set stop true;
   Domain.join writer

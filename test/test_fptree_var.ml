@@ -180,6 +180,37 @@ let qcheck_model =
       !ok
       && Pmem.Palloc.leaked_blocks a ~reachable:(V.reachable_blocks t) = [])
 
+(* Range scans over string keys that share prefixes (1-char keys
+   included), inserted in random order into m = 4 leaves so a range
+   crosses several unsorted leaves: the result must be the model's
+   pairs in [lo, hi], in String.compare order. *)
+let qcheck_range_matches_model =
+  let key_gen =
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 1 5))
+  in
+  QCheck.Test.make ~name:"var-key range scan equals model filter" ~count:50
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list (pair string int)) (pair string string))
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 0 150) (pair key_gen small_nat))
+           (pair key_gen key_gen)))
+    (fun (kvs, (a, b)) ->
+      let lo, hi = if String.compare a b <= 0 then (a, b) else (b, a) in
+      let t = V.create_single ~m:4 (fresh_alloc ~size:(4 * 1024 * 1024) ()) in
+      let m = Hashtbl.create 64 in
+      List.iter (fun (k, v) -> if V.insert t k v then Hashtbl.replace m k v) kvs;
+      let expect =
+        Hashtbl.fold
+          (fun k v acc ->
+            if String.compare lo k <= 0 && String.compare k hi <= 0 then
+              (k, v) :: acc
+            else acc)
+          m []
+        |> List.sort (fun (x, _) (y, _) -> String.compare x y)
+      in
+      V.range t ~lo ~hi = expect)
+
 let () =
   Alcotest.run "fptree-var"
     [
@@ -204,5 +235,8 @@ let () =
           Alcotest.test_case "leak audit across insert crash points" `Quick
             test_recovery_leak_audit_insert;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest qcheck_model ]);
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest qcheck_model;
+          QCheck_alcotest.to_alcotest qcheck_range_matches_model;
+        ] );
     ]

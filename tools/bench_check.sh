@@ -137,6 +137,31 @@ grep -q 'fptree.recovery.rebuild' "$GDUMP" || {
   | grep -q '# TYPE scm_persists_total counter' || {
   echo "FAIL: text exposition missing scm_persists_total"; exit 1; }
 
+# range over the reloaded image after deletes and puts in non-ascending
+# key order: exactly the keys stats counts, strictly ascending, each put
+# value in place and 10*k (fill's value) for every other key
+RANGE_OUT=/tmp/bench_check_range.txt
+"$CLI" del "$IMG" 17777 > /dev/null
+"$CLI" put "$IMG" 9001 5 > /dev/null
+"$CLI" del "$IMG" 42 > /dev/null
+"$CLI" put "$IMG" 3 33 > /dev/null
+"$CLI" put "$IMG" 17777 1 > /dev/null
+"$CLI" range "$IMG" 1 20000 > "$RANGE_OUT"
+nkeys=$("$CLI" stats "$IMG" | sed -n 's/^keys: *\([0-9]*\)$/\1/p')
+nrange=$(wc -l < "$RANGE_OUT")
+if [ -z "$nkeys" ] || [ "$nrange" -ne "$nkeys" ]; then
+  echo "FAIL: range printed $nrange pairs, stats counts '$nkeys' keys"; exit 1
+fi
+sort -c -n -u "$RANGE_OUT" || {
+  echo "FAIL: range output is not strictly ascending"; exit 1; }
+awk '$1 == 9001 { ok += ($2 == 5); next }
+     $1 == 3 { ok += ($2 == 33); next }
+     $1 == 17777 { ok += ($2 == 1); next }
+     $1 == 42 || $2 != 10 * $1 { bad = 1 }
+     END { exit !(ok == 3 && !bad) }' "$RANGE_OUT" || {
+  echo "FAIL: range values differ from the puts and fill's 10*k"; exit 1; }
+echo "   range 1..20000: $nrange pairs, ascending, values match"
+
 echo "== flight smoke (--flight-dump + trace summarizer) =="
 FDUMP=/tmp/bench_check_flight.json
 rm -f "$FDUMP"

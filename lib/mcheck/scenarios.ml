@@ -279,6 +279,15 @@ let range_vs_merge =
     ~threads:[ [ Range (0, 100) ]; [ Del 30; Del 40 ] ]
     ()
 
+(* The range scans the full leaf {10,20,30,40} while the insert splits
+   it: a walk that then follows the new next pointer reaches 30 a
+   second time in the split-off leaf. *)
+let range_vs_end_split =
+  mk ~name:"range-vs-end-split" ~m:4
+    ~setup:[ (10, 1); (20, 2); (30, 3); (40, 4) ]
+    ~threads:[ [ Range (0, 35) ]; [ Ins (25, 5) ] ]
+    ()
+
 let fallback_contention =
   mk ~name:"fallback-contention" ~m:4 ~retries:1
     ~setup:[ (10, 1); (20, 2); (30, 3); (40, 4) ]
@@ -291,6 +300,7 @@ let catalog : Dpor.scenario list =
     insert_vs_insert;
     trio;
     range_vs_merge;
+    range_vs_end_split;
     fallback_contention;
     find_vs_root_split;
     recover_concurrent;

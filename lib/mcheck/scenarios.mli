@@ -10,7 +10,8 @@
 val catalog : Dpor.scenario list
 (** The protocol scenarios, in checking order: find vs leaf split,
     two inserts into one leaf, a three-thread find/insert/delete mix,
-    range vs whole-leaf delete, fallback-path contention (retry
+    range vs whole-leaf delete, range vs a split of the leaf holding
+    its upper bound, fallback-path contention (retry
     threshold 1), find vs root split, and recovery followed by
     concurrent ops. *)
 

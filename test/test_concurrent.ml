@@ -172,6 +172,58 @@ let test_range_during_writes_is_sane () =
   Atomic.set stop true;
   Domain.join writer
 
+(* A writer inserts odd keys between preloaded even ones, splitting
+   the very leaves concurrent range scans walk and end in.  Every scan
+   must come back strictly ascending, inside its bounds, with every
+   preloaded pair and with each odd key carrying its inserted value.
+   Windows of ~60 keys end mid-chain, so the scans exercise both the
+   end-leaf stop and its fallback when the end leaf splits. *)
+let test_range_during_splits_is_ascending () =
+  let _, t = setup () in
+  let w_lo = 10_000 and w_hi = 50_000 in
+  for i = 0 to w_hi / 2 do
+    ignore (F.insert t (2 * i) i)
+  done;
+  let done_ = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        Array.iter
+          (fun i ->
+            let k = w_lo + 1 + (2 * i) in
+            if not (F.insert t k (3 * k)) then failwith "odd key inserted twice")
+          (Workloads.Keygen.permutation ~seed:5 ((w_hi - w_lo) / 2));
+        Atomic.set done_ true)
+  in
+  let check lo hi =
+    let r = F.range t ~lo ~hi in
+    let rec go prev evens = function
+      | [] -> evens
+      | (k, v) :: rest ->
+        if k <= prev || k < lo || k > hi then
+          Alcotest.failf "range [%d, %d]: key %d after %d" lo hi k prev;
+        let want = if k land 1 = 0 then k / 2 else 3 * k in
+        if v <> want then
+          Alcotest.failf "range [%d, %d]: key %d has value %d, not %d" lo hi k v want;
+        go k (if k land 1 = 0 then evens + 1 else evens) rest
+    in
+    let evens = go min_int 0 r in
+    let expect = (hi / 2) - ((lo + 1) / 2) + 1 in
+    if evens <> expect then
+      Alcotest.failf "range [%d, %d]: %d preloaded pairs, not %d" lo hi evens expect
+  in
+  let j = ref 0 in
+  while not (Atomic.get done_) do
+    let lo = w_lo + (37 * !j mod (w_hi - w_lo)) in
+    check lo (lo + 120);
+    if !j mod 64 = 0 then check w_lo w_hi;
+    incr j
+  done;
+  Domain.join writer;
+  check w_lo w_hi;
+  Alcotest.(check int) "every odd key landed" (w_hi - w_lo)
+    (List.length (F.range t ~lo:w_lo ~hi:(w_hi - 1)));
+  F.check_invariants t
+
 let test_recovery_after_concurrent_run () =
   let a, t = setup () in
   let per = 2000 in
@@ -223,6 +275,8 @@ let () =
           Alcotest.test_case "concurrent whole-leaf deletes" `Quick
             test_concurrent_whole_leaf_deletes;
           Alcotest.test_case "range during writes" `Quick test_range_during_writes_is_sane;
+          Alcotest.test_case "range during splits" `Quick
+            test_range_during_splits_is_ascending;
         ] );
       ( "recovery",
         [

@@ -192,6 +192,42 @@ let test_concurrent_config_no_groups () =
   let leaks = Pmem.Palloc.leaked_blocks a ~reachable:(F.reachable_blocks t) in
   Alcotest.(check (list int)) "no leaks without groups" [] leaks
 
+(* A range stops right after the leaf covering [hi] instead of reading
+   one leaf past it, so with [hi] strictly inside a leaf E that is not
+   the last one, the scan's SCM line reads do not depend on how full
+   E's successor is.  Sequential keys 0, 10, .., 990 at the default
+   m = 56 leave three leaves: [0, 270], E = [280, 550] and S =
+   [560, 990].  S then keeps three keys, or is refilled to 52 with keys
+   above 550 (they all route to S, so E never splits). *)
+let test_range_stops_at_end_leaf () =
+  let lines_with ~s_fill =
+    let t = F.create_single (fresh_alloc ()) in
+    for i = 0 to 99 do
+      ignore (F.insert t (i * 10) i)
+    done;
+    for i = 59 to 99 do
+      ignore (F.delete t (i * 10))
+    done;
+    for i = 0 to s_fill - 1 do
+      ignore (F.insert t (591 + (10 * i)) i)
+    done;
+    Alcotest.(check int) "three leaves" 3 (F.leaf_count t);
+    Alcotest.(check int) "S holds 3 + fill keys" (59 + s_fill) (F.count t);
+    (* a flush evicts its line from the simulated cache: the scan
+       starts cold, so every line it touches counts *)
+    Scm.Region.persist_all (Pmem.Palloc.region (F.alloc t));
+    Scm.Stats.reset ();
+    let r = F.range t ~lo:300 ~hi:405 in
+    let lines = (Scm.Stats.snapshot ()).Scm.Stats.line_reads in
+    Alcotest.(check (list (pair int int))) "range [300, 405]"
+      (List.init 11 (fun j -> (300 + (10 * j), 30 + j)))
+      r;
+    lines
+  in
+  let few = lines_with ~s_fill:0 and full = lines_with ~s_fill:49 in
+  Alcotest.(check bool) (Printf.sprintf "scan counted (%d lines)" few) true (few > 0);
+  Alcotest.(check int) "line reads independent of the successor's fill" few full
+
 let test_group_recycling () =
   (* Leaf groups: deleting a whole key range must eventually free a
      group and reuse its leaves. *)
@@ -389,6 +425,8 @@ let () =
           Alcotest.test_case "deletes empty leaves" `Quick test_delete_emptying_leaves;
           Alcotest.test_case "reverse-order deletes" `Quick test_delete_reverse_order;
           Alcotest.test_case "range scans" `Quick test_range;
+          Alcotest.test_case "range stops at the end leaf" `Quick
+            test_range_stops_at_end_leaf;
           Alcotest.test_case "group recycling" `Quick test_group_recycling;
         ] );
       ( "recovery",

@@ -162,6 +162,24 @@ awk '$1 == 9001 { ok += ($2 == 5); next }
   echo "FAIL: range values differ from the puts and fill's 10*k"; exit 1; }
 echo "   range 1..20000: $nrange pairs, ascending, values match"
 
+# a window ending mid-chain takes the end-leaf stop instead of running
+# to the null next pointer: every key 8950..9050 once, in order, with
+# fill's 10*k except the put at 9001
+"$CLI" range "$IMG" 8950 9050 > "$RANGE_OUT"
+nmid=$(wc -l < "$RANGE_OUT")
+if [ "$nmid" -ne 101 ]; then
+  echo "FAIL: range 8950..9050 printed $nmid pairs, not 101"; exit 1
+fi
+awk 'NR == 1 { prev = $1 - 1 }
+     $1 != prev + 1 { bad = 1 }
+     { prev = $1 }
+     $1 == 9001 { ok += ($2 == 5); next }
+     $2 != 10 * $1 { bad = 1 }
+     END { exit !(ok == 1 && !bad && prev == 9050) }' "$RANGE_OUT" || {
+  echo "FAIL: range 8950..9050 is not 8950..9050 ascending with the expected values"
+  exit 1; }
+echo "   range 8950..9050 (mid-chain): $nmid pairs, ascending, values match"
+
 echo "== flight smoke (--flight-dump + trace summarizer) =="
 FDUMP=/tmp/bench_check_flight.json
 rm -f "$FDUMP"

@@ -11,9 +11,10 @@
 
     plus a concurrent find/mixed domain matrix (default 1/2/4, override
     with HOTPATH_DOMAINS=1,2) scored in effective thread-CPU seconds
-    with a "scaling" JSON section of speedup ratios, and two fixed
-    op traces whose instrumented counters (line reads / flushes /
-    fences) pin the simulator's accounting across refactors.
+    with a "scaling" JSON section of speedup ratios, and the flight
+    recorder's gate-on/gate-off find throughput ratio.  (The fixed op
+    traces that pin the simulator's counters are tier-1 tests, in
+    test/test_hotpath.ml.)
 
     Emits hotpath_run.json (override with HOTPATH_OUT; tag the run
     with HOTPATH_LABEL).  Per-op minor-heap words are reported so
@@ -225,79 +226,6 @@ let measure_trace_overhead () =
     o.find_mops_off o.find_mops_on o.ratio;
   flush stdout
 
-(* ---- fixed op traces: instrumented counters must not drift ---- *)
-
-type trace_counters = {
-  trace : string;
-  line_reads : int;
-  line_writes : int;
-  flushes : int;
-  fences : int;
-  persists : int;
-  key_probes : int;
-  leaf_deletes : int;
-}
-
-let traces : trace_counters list ref = ref []
-
-let counter_trace ~trace f =
-  Env.single ();
-  Scm.Stats.reset ();
-  let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-  let t = F.create_single a in
-  f t;
-  let s = Scm.Stats.snapshot () in
-  let st = F.stats t in
-  let tc =
-    {
-      trace;
-      line_reads = s.Scm.Stats.line_reads;
-      line_writes = s.Scm.Stats.line_writes;
-      flushes = s.Scm.Stats.flushes;
-      fences = s.Scm.Stats.fences;
-      persists = s.Scm.Stats.persists;
-      key_probes = st.Fptree.Tree.key_probes;
-      leaf_deletes = st.Fptree.Tree.leaf_deletes;
-    }
-  in
-  traces := tc :: !traces;
-  Printf.printf
-    "  trace %-12s reads=%d writes=%d flushes=%d fences=%d persists=%d \
-     probes=%d leaf_deletes=%d\n"
-    trace tc.line_reads tc.line_writes tc.flushes tc.fences tc.persists
-    tc.key_probes tc.leaf_deletes;
-  flush stdout
-
-let core_trace t =
-  let n = 20_000 in
-  let ins = Workloads.Keygen.permutation ~seed:201 n in
-  Array.iter (fun k -> ignore (F.insert t (2 * k) k)) ins;
-  let probe = Workloads.Keygen.permutation ~seed:202 n in
-  Array.iter (fun k -> ignore (F.find t (2 * k))) probe;
-  for i = 0 to (n / 2) - 1 do
-    ignore (F.update t (2 * probe.(i)) i)
-  done;
-  (* scattered deletes: 10% of the keys, far below the density that
-     would empty a leaf, so no group frees occur in this trace *)
-  for i = 0 to (n / 10) - 1 do
-    ignore (F.delete t (2 * ins.(i)))
-  done;
-  let rng = Random.State.make [| 203 |] in
-  for _ = 1 to 200 do
-    let lo = 2 * Random.State.int rng n in
-    ignore (F.range t ~lo ~hi:(lo + 400))
-  done
-
-(* Deletes every key: exercises whole-leaf deletes and group frees.
-   (The delete_leaf double micro-log reset fixed in this PR makes this
-   trace cheaper by exactly 4 persists per leaf delete.) *)
-let delete_heavy_trace t =
-  let n = 20_000 in
-  let ins = Workloads.Keygen.permutation ~seed:204 n in
-  Array.iter (fun k -> ignore (F.insert t (2 * k) k)) ins;
-  let del = Workloads.Keygen.permutation ~seed:205 n in
-  Array.iter (fun k -> ignore (F.delete t (2 * k))) del
-
 (* ---- JSON ---- *)
 
 let json_escape s =
@@ -371,28 +299,16 @@ let emit_json path ~label ~n =
       | _ -> ())
     [ "conc_find"; "conc_mixed" ];
   Buffer.add_string b (String.concat ",\n" (List.rev !entries));
-  Buffer.add_string b "\n  },\n";
+  Buffer.add_string b "\n  }";
   (match !overhead with
   | Some o ->
-    Printf.bprintf b "  \"trace_overhead\": {\n";
+    Printf.bprintf b ",\n  \"trace_overhead\": {\n";
     Printf.bprintf b "    \"find_mops_off\": %.4f,\n" o.find_mops_off;
     Printf.bprintf b "    \"find_mops_on\": %.4f,\n" o.find_mops_on;
     Printf.bprintf b "    \"trace_overhead_find_ratio\": %.4f\n" o.ratio;
-    Buffer.add_string b "  },\n"
+    Buffer.add_string b "  }"
   | None -> ());
-  Printf.bprintf b "  \"instrumented_counter_traces\": [\n";
-  let traces = List.rev !traces in
-  List.iteri
-    (fun i t ->
-      Printf.bprintf b
-        "    {\"trace\": \"%s\", \"line_reads\": %d, \"line_writes\": %d, \
-         \"flushes\": %d, \"fences\": %d, \"persists\": %d, \"key_probes\": \
-         %d, \"leaf_deletes\": %d}%s\n"
-        t.trace t.line_reads t.line_writes t.flushes t.fences t.persists
-        t.key_probes t.leaf_deletes
-        (if i = List.length traces - 1 then "" else ","))
-    traces;
-  Buffer.add_string b "  ]\n}\n";
+  Buffer.add_string b "\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents b);
   close_out oc;
@@ -423,10 +339,6 @@ let run () =
   (* concurrency: wall-clock mode, 1 and N domains *)
   Env.parallel ~latency_ns:90. ();
   concurrent_suite (max 100_000 (n / 2));
-  (* flight-recorder overhead pin (gate restored to off afterwards, so
-     the counter traces below stay byte-identical to the seed) *)
+  (* flight-recorder overhead pin (gate restored to off afterwards) *)
   measure_trace_overhead ();
-  (* counter-pinning traces *)
-  counter_trace ~trace:"core" core_trace;
-  counter_trace ~trace:"delete_heavy" delete_heavy_trace;
   emit_json out ~label ~n

@@ -1,9 +1,8 @@
 #!/bin/sh
 # Perf-regression smoke check: build everything, run the tier-1 test
-# suite, then run the hotpath microbenchmark at a small scale so that a
-# hot-path slowdown or an instrumented-counter drift fails loudly (the
-# counter traces are printed by the bench; compare against the
-# committed BENCH_hotpath.json).
+# suite (which pins the instrumented counter traces exactly, in
+# test/test_hotpath.ml), then run the hotpath microbenchmark at a small
+# scale so that a hot-path slowdown fails loudly.
 #
 # Usage: tools/bench_check.sh [scale]   (default scale 0.05 = 50k keys)
 
@@ -53,32 +52,6 @@ if ! awk "BEGIN{exit !($ratio >= 0.9)}"; then
   exit 1
 fi
 echo "   tracing-on/off find throughput ratio: $ratio"
-
-# With the gate off, the instrumented counter traces must be
-# byte-identical to the committed pins: the recorder ran inside this
-# bench process (trace-overhead stage), so any leak of gate-on behavior
-# into the gate-off paths shows up here as counter drift.  Compare each
-# fixed trace's counters against the LAST pinned occurrence in
-# BENCH_hotpath.json (same emitter, same key order, so the flattened
-# JSON objects compare as strings).
-flat_trace() { # file trace-name -> single-line {"trace":...} block
-  tr -d ' \n' < "$1" | grep -o "{\"trace\":\"$2\"[^}]*}" | tail -1
-}
-for tr_name in core delete_heavy; do
-  fresh=$(flat_trace "$HP_JSON" "$tr_name")
-  pinned=$(flat_trace BENCH_hotpath.json "$tr_name")
-  if [ -z "$fresh" ] || [ -z "$pinned" ]; then
-    echo "FAIL: counter trace '$tr_name' missing from $HP_JSON or BENCH_hotpath.json"
-    exit 1
-  fi
-  if [ "$fresh" != "$pinned" ]; then
-    echo "FAIL: gate-off counter trace '$tr_name' drifted from the committed pin:"
-    echo "   pinned: $pinned"
-    echo "   fresh:  $fresh"
-    exit 1
-  fi
-done
-echo "   gate-off counter traces byte-identical to committed pins"
 
 echo "== observability smoke (instrumented pass + metrics dump) =="
 CLI=_build/default/bin/fptree_cli.exe

@@ -7,6 +7,9 @@ val spins_per_ns : unit -> float
 (** Spin-loop iterations per nanosecond; calibrated on first use
     (domain-safe: concurrent first calls serialize on a mutex). *)
 
+(** [busy_wait_ns ns] spins for [ns] nanoseconds; waits of 10 us and
+    more also end on a monotonic-clock deadline, so they never fall
+    short. *)
 val busy_wait_ns : float -> unit
 
 (** Injected by the region on each simulated read miss. *)

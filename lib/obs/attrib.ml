@@ -209,7 +209,6 @@ let () =
         ~help:
           (Printf.sprintf "SCM %s by (component, op); sums to scm_%s_total"
              qn qn)
-        ~reset
         (fun () ->
           List.map
             (fun (comp, op, v) ->

@@ -12,20 +12,14 @@
     existing instance); registration is mutex-protected, reads of
     registered metrics are lock-free. *)
 
-(** A read-through family of labeled series (e.g. the SCM attribution
-    matrix): [read] returns the non-zero [(label set, value)] pairs,
-    [lreset] zeroes the backing store so a registry reset starts a
-    fresh observation epoch (pass a no-op for pure views). *)
-type labeled = {
-  read : unit -> ((string * string) list * int) list;
-  lreset : unit -> unit;
-}
-
 type metric =
   | Counter of Counter.t
   | Gauge of (unit -> int)
   | Histogram of Histogram.t
-  | Labeled of labeled
+  | Labeled of (unit -> ((string * string) list * int) list)
+      (** A read-through family of labeled series (e.g. the SCM
+          attribution matrix): the non-zero [(label set, value)]
+          pairs. *)
 
 type entry = { name : string; help : string; metric : metric }
 
@@ -59,23 +53,9 @@ let histogram ?(help = "") name =
 
 let gauge ?(help = "") name f = ignore (register name help (Gauge f))
 
-let labeled ?(help = "") ?(reset = fun () -> ()) name read =
-  ignore (register name help (Labeled { read; lreset = reset }))
+let labeled ?(help = "") name read = ignore (register name help (Labeled read))
 
 let all () = List.rev !entries
-
-(** Reset every counter and histogram (gauges are read-through) and
-    clear the span ring: one observation epoch ends, the next starts. *)
-let reset_all () =
-  List.iter
-    (fun e ->
-      match e.metric with
-      | Counter c -> Counter.reset c
-      | Histogram h -> Histogram.reset h
-      | Labeled l -> l.lreset ()
-      | Gauge _ -> ())
-    (all ());
-  Trace.clear ()
 
 (* ---- Prometheus-style text exposition ---- *)
 
@@ -96,7 +76,7 @@ let to_text () =
       | Gauge f ->
         Printf.bprintf b "# TYPE %s gauge\n" e.name;
         Printf.bprintf b "%s %d\n" e.name (f ())
-      | Labeled l ->
+      | Labeled read ->
         Printf.bprintf b "# TYPE %s counter\n" e.name;
         List.iter
           (fun (labels, v) ->
@@ -107,7 +87,7 @@ let to_text () =
                    labels)
             in
             Printf.bprintf b "%s{%s} %d\n" e.name ls v)
-          (l.read ())
+          (read ())
       | Histogram h ->
         Printf.bprintf b "# TYPE %s histogram\n" e.name;
         let cum = ref 0 in
@@ -137,7 +117,7 @@ let json_of_metric = function
                (Counter.per_shard c)) );
       ]
   | Gauge f -> Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Int (f ())) ]
-  | Labeled l ->
+  | Labeled read ->
     Json.Obj
       [
         ("type", Json.Str "labeled");
@@ -152,7 +132,7 @@ let json_of_metric = function
                          (List.map (fun (k, lv) -> (k, Json.Str lv)) labels) );
                      ("value", Json.Int v);
                    ])
-               (l.read ())) );
+               (read ())) );
       ]
   | Histogram h ->
     Json.Obj

@@ -32,11 +32,12 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
-  val insert_ord : t array -> int array -> int -> unit
-  (** [insert_ord keys ord i] inserts index [i] into the key-order
-      permutation [ord.(0) .. ord.(i-1)] of [keys.(0) .. keys.(i-1)]
-      (plain insertion; ties keep index order).  This is how a range
-      scan orders one unsorted leaf's hits. *)
+  val gather :
+    ctx -> Layout.t -> leaf:int -> bm:int -> floor:t -> strict:bool ->
+    hi:t -> t array -> int array -> int
+  (** One range-scan pass over an unsorted leaf: the hits of the slots
+      in [bm], in key order in the scratch prefix, and their count (or
+      -1 when no key is [<= hi]).  See keys.mli. *)
 
   val fingerprint : t -> int
   val dram_bytes : t -> int
@@ -85,16 +86,51 @@ module Fixed : KEY with type t = int = struct
   let dummy = min_int
   let compare = Int.compare
 
-  (* The compare is an inline int test: one predictable branch per
-     shifted slot and no call at all. *)
-  let insert_ord (keys : int array) ord i =
-    let k = keys.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && keys.(ord.(!j)) > k do
-      ord.(!j + 1) <- ord.(!j);
-      decr j
+  (* Every compare is an inline int test: one predictable branch per
+     shifted hit and no call at all. *)
+  let gather ctx (l : Layout.t) ~leaf ~bm ~floor ~strict ~hi (ks : int array)
+      (vs : int array) =
+    let r = ctx.region in
+    let kst = Layout.key_stride l and vst = Layout.value_stride l in
+    let ko = ref (Layout.key_off l ~leaf ~slot:0) in
+    let vo = ref (Layout.value_off l ~leaf ~slot:0) in
+    let n = ref 0 and le_hi = ref false in
+    let b = ref bm and s = ref 0 in
+    while !b <> 0 && !s < l.Layout.m do
+      if !b land 1 <> 0 then begin
+        let k = Scm.Region.read_word r !ko in
+        if k <= hi then begin
+          le_hi := true;
+          if k > floor || (k = floor && not strict) then begin
+            let v = Scm.Region.read_word r !vo in
+            let j = ref (!n - 1) in
+            while !j >= 0 && ks.(!j) > k do
+              ks.(!j + 1) <- ks.(!j);
+              vs.(!j + 1) <- vs.(!j);
+              decr j
+            done;
+            let j = !j in
+            if j >= 0 && ks.(j) = k then
+              (* the key again, from a second slot: close the gap and
+                 keep the first slot's pair *)
+              for i = j + 1 to !n - 1 do
+                ks.(i) <- ks.(i + 1);
+                vs.(i) <- vs.(i + 1)
+              done
+            else begin
+              ks.(j + 1) <- k;
+              vs.(j + 1) <- v;
+              incr n
+            end
+          end
+        end
+      end;
+      b := !b lsr 1;
+      incr s;
+      ko := !ko + kst;
+      vo := !vo + vst
     done;
-    ord.(!j + 1) <- i
+    if !le_hi then !n else -1
 
   let fingerprint = Fingerprint.of_int
   let dram_bytes _ = 8
@@ -118,15 +154,6 @@ module Var : KEY with type t = string = struct
   let dummy = ""
   let compare = String.compare
 
-  let insert_ord (keys : string array) ord i =
-    let k = keys.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && String.compare keys.(ord.(!j)) k > 0 do
-      ord.(!j + 1) <- ord.(!j);
-      decr j
-    done;
-    ord.(!j + 1) <- i
-
   let fingerprint = Fingerprint.of_string
   let dram_bytes s = String.length s + 24 (* OCaml string header etc. *)
 
@@ -146,6 +173,51 @@ module Var : KEY with type t = string = struct
            || base + 8 + len > Scm.Region.size ctx.region
         then ""
         else Scm.Region.read_string ctx.region (base + 8) len
+
+  (* The same pass as [Fixed.gather], comparing with [String.compare]
+     called directly. *)
+  let gather ctx (l : Layout.t) ~leaf ~bm ~floor ~strict ~hi
+      (ks : string array) (vs : int array) =
+    let r = ctx.region in
+    let kst = Layout.key_stride l and vst = Layout.value_stride l in
+    let ko = ref (Layout.key_off l ~leaf ~slot:0) in
+    let vo = ref (Layout.value_off l ~leaf ~slot:0) in
+    let n = ref 0 and le_hi = ref false in
+    let b = ref bm and s = ref 0 in
+    while !b <> 0 && !s < l.Layout.m do
+      if !b land 1 <> 0 then begin
+        let k = read ctx ~off:!ko in
+        if String.compare k hi <= 0 then begin
+          le_hi := true;
+          let c = String.compare k floor in
+          if c > 0 || (c = 0 && not strict) then begin
+            let v = Scm.Region.read_word r !vo in
+            let j = ref (!n - 1) in
+            while !j >= 0 && String.compare ks.(!j) k > 0 do
+              ks.(!j + 1) <- ks.(!j);
+              vs.(!j + 1) <- vs.(!j);
+              decr j
+            done;
+            let j = !j in
+            if j >= 0 && String.equal ks.(j) k then
+              for i = j + 1 to !n - 1 do
+                ks.(i) <- ks.(i + 1);
+                vs.(i) <- vs.(i + 1)
+              done
+            else begin
+              ks.(j + 1) <- k;
+              vs.(j + 1) <- v;
+              incr n
+            end
+          end
+        end
+      end;
+      b := !b lsr 1;
+      incr s;
+      ko := !ko + kst;
+      vo := !vo + vst
+    done;
+    if !le_hi then !n else -1
 
   let write ctx ~off k =
     let len = String.length k in

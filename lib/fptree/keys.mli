@@ -24,14 +24,25 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
-  val insert_ord : t array -> int array -> int -> unit
-  (** [insert_ord keys ord i] extends the key-order permutation
-      [ord.(0) .. ord.(i-1)] of [keys.(0) .. keys.(i-1)] with index
-      [i] by plain insertion (ties keep index order), leaving
-      [ord.(0) .. ord.(i)] sorted by key.  Requires
-      [i < Array.length keys] and [i < Array.length ord].  Specialised
-      per representation so the shift loop compares directly, without
-      an indirect call. *)
+  val gather :
+    ctx -> Layout.t -> leaf:int -> bm:int -> floor:t -> strict:bool ->
+    hi:t -> t array -> int array -> int
+  (** [gather ctx l ~leaf ~bm ~floor ~strict ~hi ks vs] is a range
+      scan's pass over one unsorted leaf of layout [l].  It visits the
+      slots set in [bm] (those below [l.m]) in ascending slot order and
+      reads each one's key and, only for a hit, its value: the same
+      SCM reads in the same order as reading slot by slot with {!read}
+      and [Layout.value_off].  A hit is a key [<= hi] and above [floor]
+      ([>= floor] when [strict] is false).  Hits are insertion-sorted
+      in place into [ks.(0) .. ks.(n-1)], values alongside in [vs],
+      ascending by key; a key met again in a later slot (a dirty read
+      across a delete and re-insert) is dropped, keeping the first
+      slot's pair, so the prefix is strictly ascending.  The result is
+      [n], or [-1] when no visited slot holds a key [<= hi] (so always
+      for [bm = 0]).  [ks] and [vs] must hold [l.m] elements.
+      Specialised per representation: compares are direct (an inline
+      int test, or [String.compare]), and nothing is allocated beyond
+      the keys read. *)
 
   val fingerprint : t -> int
   val dram_bytes : t -> int

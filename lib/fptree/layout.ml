@@ -81,6 +81,15 @@ let value_off t ~leaf ~slot =
     leaf + t.data_off + (t.m * t.key_bytes) + (slot * t.value_bytes)
   else key_off t ~leaf ~slot + t.key_bytes
 
+(* Both offsets are affine in the slot: slot [s]'s cell sits [s]
+   strides past slot 0's, which lets a whole-leaf scan step through
+   the cells with one add per slot whatever the layout. *)
+let key_stride t =
+  if t.split_arrays then t.key_bytes else t.key_bytes + t.value_bytes
+
+let value_stride t =
+  if t.split_arrays then t.value_bytes else t.key_bytes + t.value_bytes
+
 (* ---- bitmap: the p-atomic commit word ---- *)
 
 let full_mask t =

@@ -44,6 +44,13 @@ val with_checksums : t -> t
 val key_off : t -> leaf:int -> slot:int -> int
 val value_off : t -> leaf:int -> slot:int -> int
 
+(** Cell offsets are affine in the slot:
+    [key_off t ~leaf ~slot:s = key_off t ~leaf ~slot:0 + s * key_stride t],
+    and likewise for values with {!value_stride}. *)
+
+val key_stride : t -> int
+val value_stride : t -> int
+
 (** {1 The p-atomic commit word} *)
 
 val full_mask : t -> int

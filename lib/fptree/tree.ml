@@ -1515,13 +1515,13 @@ module Make (K : Keys.KEY) = struct
 
   (** Inclusive range scan via the leaf linked list.  Reads are dirty
       (no leaf locks taken); the result is sorted.  The leaf chain is
-      in key order but each leaf is unsorted, so a leaf's hits go into
-      per-call scratch ([lk]/[lv] in slot order, [ord] their key-order
-      permutation kept by [K.insert_ord] as they arrive) and are then
-      consed onto the result in key order before the next leaf is
+      in key order but each leaf is unsorted: [K.gather] makes one pass
+      over a leaf's slots, in slot order, and leaves its hits sorted by
+      key in two m-sized per-call scratch arrays ([lk]/[lv]), from
+      which they are consed onto the result before the next leaf is
       read.  [walk]/[emit] build the list front to back in constant
       stack ([tail_mod_cons]), so a call allocates its result (a cons
-      and a pair per hit) plus the three m-sized scratch arrays.
+      and a pair per hit) plus the two scratch arrays.
 
       The walk stops right after the end leaf (the one covering [hi]
       when the start section validated) if that leaf's version word is
@@ -1534,12 +1534,13 @@ module Make (K : Keys.KEY) = struct
       the last key already emitted: a split of a scanned leaf moves
       its upper keys into a new successor the walk may then follow,
       and splits only move keys rightward, so this keeps the result
-      strictly ascending without duplicates.  A leaf with hits whose
-      bitmap changed during its scan is scanned again, so a split
-      cannot pair a moved key with the value of an insert that reused
-      its slot.  The read-only
-      [Sched.point]s before each bitmap and next-pointer read let the
-      model checker interleave writers inside the walk. *)
+      strictly ascending without duplicates ([K.gather] also drops a
+      key met twice within one leaf).  A leaf with hits whose bitmap
+      changed during its scan is scanned again, so a split cannot
+      pair a moved key with the value of an insert that reused its
+      slot.  The read-only [Sched.point]s before each bitmap and
+      next-pointer read let the model checker interleave writers
+      inside the walk. *)
   let range_op t ~lo ~hi =
     if K.compare lo hi > 0 then []
     else begin
@@ -1547,40 +1548,22 @@ module Make (K : Keys.KEY) = struct
       let m = t.layout.Layout.m in
       let lk = Array.make m K.dummy in
       let lv = Array.make m 0 in
-      let ord = Array.make m 0 in
       let end_off = b.rb_end.Inner.off in
       let[@tail_mod_cons] rec walk leaf floor strict =
         let obj = Sched.obj_ver leaf in
         Sched.point ~obj ~write:false;
         let bm = leaf_bitmap t leaf in
-        let any_le_hi = ref false in
-        let nhits = ref 0 in
-        for s = 0 to m - 1 do
-          if bm land (1 lsl s) <> 0 then begin
-            let k = read_key t leaf s in
-            if K.compare k hi <= 0 then begin
-              any_le_hi := true;
-              let c = K.compare floor k in
-              if c < 0 || (c = 0 && not strict) then begin
-                let i = !nhits in
-                lk.(i) <- k;
-                lv.(i) <- read_value t leaf s;
-                K.insert_ord lk ord i;
-                nhits := i + 1
-              end
-            end
-          end
-        done;
+        let g = K.gather t.ctx t.layout ~leaf ~bm ~floor ~strict ~hi lk lv in
         (* a split clears half the bitmap and lets an insert reuse a
            slot between its key and value reads: rescan such a leaf *)
-        if !nhits > 0 && leaf_bitmap t leaf <> bm then walk leaf floor strict
+        if g > 0 && leaf_bitmap t leaf <> bm then walk leaf floor strict
         else begin
           (* stop after a non-empty leaf with no key <= hi, or after
              the end leaf if its version still matches (-1 never
              does); otherwise probe the next pointer's words directly
              (no Pptr record) *)
           let next =
-            if bm <> 0 && not !any_le_hi then -1
+            if bm <> 0 && g < 0 then -1
             else begin
               Sched.point ~obj ~write:false;
               if leaf = end_off && Nv.read b.rb_end.Inner.ver = b.rb_end_ver
@@ -1592,14 +1575,11 @@ module Make (K : Keys.KEY) = struct
               end
             end
           in
-          let n = !nhits in
-          if n = 0 then emit 0 0 next floor strict
-          else emit 0 n next lk.(ord.(n - 1)) true
+          if g <= 0 then emit 0 0 next floor strict
+          else emit 0 g next lk.(g - 1) true
         end
       and[@tail_mod_cons] emit i n next floor strict =
-        if i < n then
-          let j = ord.(i) in
-          (lk.(j), lv.(j)) :: emit (i + 1) n next floor strict
+        if i < n then (lk.(i), lv.(i)) :: emit (i + 1) n next floor strict
         else if next < 0 then []
         else walk next floor strict
       in

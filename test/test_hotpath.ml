@@ -96,10 +96,12 @@ let test_find_no_alloc () =
 
 (* A range scan allocates its result list and O(m) per-call scratch,
    nothing per leaf or per hit beyond the list: each returned pair is
-   a cons cell plus a tuple (3 + 3 words).  Keys go in permuted so
-   every leaf is unsorted and the in-leaf ordering does real work;
-   a leaf holds at most m keys, so H > 2m hits span at least three
-   leaves. *)
+   a cons cell plus a tuple (3 + 3 words).  The scratch is two m-slot
+   arrays (keys and values, m + 1 words each, sorted in place), and the
+   64 covers the walk closure, the start section's bounds record and
+   the span descent's leaf pair.  Keys go in permuted so every leaf is
+   unsorted and the in-leaf ordering does real work; a leaf holds at
+   most m keys, so H > 2m hits span at least three leaves. *)
 let test_range_alloc () =
   fast_mode ();
   let t = fresh_tree () in
@@ -119,7 +121,7 @@ let test_range_alloc () =
   Alcotest.(check bool) "ascending, with values" true
     (List.for_all2 (fun (k, v) i -> k = 2002 + (2 * i) && v = k + 1) r
        (List.init h Fun.id));
-  let bound = (6 * h) + (4 * (m + 1)) + 64 in
+  let bound = (6 * h) + (2 * (m + 1)) + 64 in
   Alcotest.(check bool)
     (Printf.sprintf "range allocates only its list and scratch (saw %.0f words, bound %d)"
        dw bound)

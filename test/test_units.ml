@@ -89,7 +89,13 @@ let test_layout_geometry_variants () =
         if k < l.Fptree.Layout.data_off || v + vb > l.Fptree.Layout.bytes then
           Alcotest.failf "cell out of bounds (m=%d kb=%d vb=%d)" m kb vb;
         if (not sa) && v <> k + kb then
-          Alcotest.failf "interleaved value not after key"
+          Alcotest.failf "interleaved value not after key";
+        (* affine in the slot, as whole-leaf scans assume *)
+        let k0 = Fptree.Layout.key_off l ~leaf:0 ~slot:0 in
+        let v0 = Fptree.Layout.value_off l ~leaf:0 ~slot:0 in
+        if k <> k0 + (s * Fptree.Layout.key_stride l)
+           || v <> v0 + (s * Fptree.Layout.value_stride l)
+        then Alcotest.failf "cell offsets not affine in the slot (m=%d sa=%b)" m sa
       done)
     [
       (4, 8, 8, true, false); (64, 8, 8, true, false); (56, 16, 8, true, false);
@@ -336,6 +342,132 @@ let test_var_key_defensive_read () =
   Alcotest.(check string) "out-of-range block reads empty" ""
     (Fptree.Keys.Var.read ctx ~off:scratch)
 
+(* ---- range-scan gather ---- *)
+
+(* [K.gather] over hand-written leaves, the same body for both key
+   modules.  The leaf geometries are the three a range scan meets:
+   interleaved FPTree cells (m = 56), PTree's split key and value
+   arrays (m = 32), and the concurrent FPTree's m = 64, whose top
+   usable slot (62) is the bitmap's sign bit. *)
+module Gather_tests (K : Fptree.Keys.KEY) (S : sig
+  val name : string
+  val key_bytes : int
+  val key : int -> K.t
+  val key_t : K.t Alcotest.testable
+end) =
+struct
+  let layouts =
+    List.map
+      (fun (name, m, fingerprints, split_arrays) ->
+        ( name,
+          Fptree.Layout.make ~m ~key_bytes:S.key_bytes ~value_bytes:8
+            ~fingerprints ~split_arrays ))
+      [ ("interleaved m=56", 56, true, false);
+        ("split arrays m=32", 32, false, true);
+        ("m=64", 64, true, false) ]
+
+  (* A fresh region holding one leaf of layout [l] whose slots carry
+     [(slot, key index)] entries, each with value [1000 + index];
+     returns the gather arguments that stay fixed. *)
+  let leaf l entries =
+    Scm.Registry.clear ();
+    Scm.Config.reset ();
+    let a = Pmem.Palloc.create ~size:(1024 * 1024) () in
+    Pmem.Palloc.alloc a ~into:(Pmem.Palloc.root_loc a) l.Fptree.Layout.bytes;
+    let ctx = { Fptree.Keys.region = Pmem.Palloc.region a; alloc = a } in
+    let leaf = (Pmem.Palloc.root a).Pmem.Pptr.off in
+    let bm =
+      List.fold_left
+        (fun bm (slot, i) ->
+          K.write ctx ~off:(Fptree.Layout.key_off l ~leaf ~slot) (S.key i);
+          Scm.Region.write_word ctx.Fptree.Keys.region
+            (Fptree.Layout.value_off l ~leaf ~slot) (1000 + i);
+          bm lor (1 lsl slot))
+        0 entries
+    in
+    (ctx, leaf, bm)
+
+  (* Run one gather; the result is the count (or -1) and the sorted
+     hit prefix as (key, value) pairs. *)
+  let gather l (ctx, leaf, bm) ?(bm = bm) ~floor ~strict ~hi () =
+    let ks = Array.make l.Fptree.Layout.m K.dummy in
+    let vs = Array.make l.Fptree.Layout.m 0 in
+    let n =
+      K.gather ctx l ~leaf ~bm ~floor:(S.key floor) ~strict ~hi:(S.key hi) ks vs
+    in
+    (n, List.init (max n 0) (fun i -> (ks.(i), vs.(i))))
+
+  let hits is = List.map (fun i -> (S.key i, 1000 + i)) is
+  let result = Alcotest.(pair int (list (pair S.key_t int)))
+  let top l = min (l.Fptree.Layout.m - 1) 62
+
+  (* six keys in permuted slot order, including slot 0 and the top
+     usable slot *)
+  let entries l = [ (0, 50); (3, 10); (7, 40); (12, 20); (20, 60); (top l, 30) ]
+
+  let test_filters () =
+    List.iter
+      (fun (name, l) ->
+        let lf = leaf l (entries l) in
+        let chk what expect got =
+          Alcotest.check result (Printf.sprintf "%s %s: %s" S.name name what)
+            expect got
+        in
+        chk "ascending from a permuted leaf"
+          (6, hits [ 10; 20; 30; 40; 50; 60 ])
+          (gather l lf ~floor:0 ~strict:false ~hi:99 ());
+        chk "hi is inclusive" (4, hits [ 10; 20; 30; 40 ])
+          (gather l lf ~floor:0 ~strict:false ~hi:40 ());
+        chk "non-strict floor keeps the floor key"
+          (5, hits [ 20; 30; 40; 50; 60 ])
+          (gather l lf ~floor:20 ~strict:false ~hi:99 ());
+        chk "strict floor drops it" (4, hits [ 30; 40; 50; 60 ])
+          (gather l lf ~floor:20 ~strict:true ~hi:99 ());
+        chk "keys <= hi but none above the floor" (0, [])
+          (gather l lf ~floor:60 ~strict:true ~hi:99 ());
+        chk "every key above hi" (-1, [])
+          (gather l lf ~floor:0 ~strict:false ~hi:5 ());
+        chk "empty bitmap" (-1, [])
+          (gather l lf ~bm:0 ~floor:0 ~strict:false ~hi:99 ()))
+      layouts
+
+  (* A dirty read across a delete and a re-insert into another slot can
+     see one key in two slots: it is returned once, with the pair from
+     the lower slot. *)
+  let test_duplicate () =
+    List.iter
+      (fun (name, l) ->
+        let lf = leaf l (entries l @ [ (25, 40) ]) in
+        let ctx, leaf, _ = lf in
+        Scm.Region.write_word ctx.Fptree.Keys.region
+          (Fptree.Layout.value_off l ~leaf ~slot:25) 9999;
+        Alcotest.check result
+          (Printf.sprintf "%s %s: one key in two slots" S.name name)
+          (6, hits [ 10; 20; 30; 40; 50; 60 ])
+          (gather l lf ~floor:0 ~strict:false ~hi:99 ()))
+      layouts
+end
+
+module Gather_fixed =
+  Gather_tests
+    (Fptree.Keys.Fixed)
+    (struct
+      let name = "fixed"
+      let key_bytes = 8
+      let key i = i
+      let key_t = Alcotest.int
+    end)
+
+module Gather_var =
+  Gather_tests
+    (Fptree.Keys.Var)
+    (struct
+      let name = "var"
+      let key_bytes = 16
+      let key i = Printf.sprintf "key-%03d" i
+      let key_t = Alcotest.string
+    end)
+
 let () =
   Alcotest.run "fptree-units"
     [
@@ -374,5 +506,11 @@ let () =
         [
           Alcotest.test_case "var key blocks" `Quick test_var_key_blocks;
           Alcotest.test_case "defensive reads" `Quick test_var_key_defensive_read;
+        ] );
+      ( "gather",
+        [ Alcotest.test_case "fixed filters and order" `Quick Gather_fixed.test_filters;
+          Alcotest.test_case "fixed duplicate key" `Quick Gather_fixed.test_duplicate;
+          Alcotest.test_case "var filters and order" `Quick Gather_var.test_filters;
+          Alcotest.test_case "var duplicate key" `Quick Gather_var.test_duplicate;
         ] );
     ]

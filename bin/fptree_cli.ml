@@ -15,9 +15,9 @@
    Every command loads the image, recovers the tree (micro-log replay +
    DRAM rebuild), applies the operation, and writes the image back.
    Any command accepts [--metrics PATH] to dump the observability
-   registry (counters, histograms, recovery spans) after it ran, and
-   [--trace PATH] to record every SCM store/flush/publication point to
-   a JSON file for the pmcheck analyzer. *)
+   registry (counters, histograms, recovery-phase timings) after it
+   ran, and [--trace PATH] to record every SCM store/flush/publication
+   point to a JSON file for the pmcheck analyzer. *)
 
 open Cmdliner
 
@@ -64,8 +64,8 @@ let metrics_arg =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"PATH"
         ~doc:
-          "after the command, dump the observability registry (metrics + \
-           spans) to $(docv); '-' writes to stdout")
+          "after the command, dump the observability registry to $(docv); \
+           '-' writes to stdout")
 
 let metrics_format_arg =
   Arg.(
@@ -313,19 +313,7 @@ let metrics_cmd =
     | j ->
       let open Obs.Json in
       let metrics = member "metrics" j in
-      List.iter (fun name -> print_metric name (member name metrics)) (keys metrics);
-      let spans = to_list (member "spans" j) in
-      if spans <> [] then begin
-        print_newline ();
-        Printf.printf "%-34s %10s  %s\n" "span" "dur_us" "domain";
-        List.iter
-          (fun s ->
-            Printf.printf "%-34s %10.1f  %d\n"
-              (to_string_val (member "name" s))
-              (to_float (member "dur_us" s))
-              (to_int (member "domain" s)))
-          spans
-      end
+      List.iter (fun name -> print_metric name (member name metrics)) (keys metrics)
   in
   let dump_arg =
     Arg.(

@@ -38,10 +38,6 @@ type db = {
   mutable ai_rows : int;
   mutable sf_rows : int;
   mutable cf_rows : int;
-  mutable gate_w : int;
-      (* Cached [Obs.Gate] witness, refreshed when the gate generation
-         moves (0 = always stale).  Benign word-sized race, as in
-         [Kvstore.Cache]. *)
 }
 
 let ai_key s_id ai_type = (s_id * 4) + (ai_type - 1)
@@ -86,7 +82,6 @@ let populate ?(arena_bytes = 64 * 1024 * 1024) ~subscribers kind =
       cf_end_time = carve (subscribers * 12);
       cf_numberx = carve (subscribers * 12);
       ai_rows = 0; sf_rows = 0; cf_rows = 0;
-      gate_w = 0;
     }
   in
   let rng = Random.State.make [| 424242 |] in
@@ -166,21 +161,10 @@ let h_txn_us =
   Obs.Registry.histogram "dbproto_txn_us"
     ~help:"TATP transaction latency, microseconds"
 
-(* Generation-witness fast path for the gate decision (see
-   [Obs.Gate]): refreshed only across [set_enabled] flips. *)
-let[@inline] observing db =
-  let w = db.gate_w in
-  if Obs.Gate.check w then Obs.Gate.decision w
-  else begin
-    let w' = Obs.Gate.cached_witness () in
-    db.gate_w <- w';
-    Obs.Gate.decision w'
-  end
-
 (** One transaction of the read-only mix (35/10/35 re-normalized).
     Latency is recorded only when the observability gate is on. *)
 let run_one db rng sink =
-  if not (observing db) then begin
+  if not (Obs.Gate.enabled ()) then begin
     let s_id = 1 + Random.State.int rng db.subscribers in
     let dice = Random.State.int rng 80 in
     let v =
@@ -236,7 +220,6 @@ let run_benchmark ?(clients = 8) ~n_tx db =
     scan the SCM columns.  For the transient STXTree the indexes are
     rebuilt from base data.  Returns (new db, seconds). *)
 let restart ?(workers = 4) db =
-  Obs.Trace.with_span "tatp.restart" @@ fun () ->
   let t0 = Obs.Clock.now_s () in
   let db' =
     match db.kind with

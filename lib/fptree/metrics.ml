@@ -3,9 +3,10 @@
     registry aggregates over instances, like any process-wide metric
     endpoint.
 
-    All of these are recorded only on the instrumented path (the
-    simulator's [stats] switch), so the fast-mode hot paths stay
-    allocation-free and branch-identical to PR 1.
+    All of these except the recovery-phase histograms are recorded
+    only on the instrumented path (the simulator's [stats] switch), so
+    the fast-mode hot paths stay allocation-free.  Recovery is a cold
+    path: its phases are timed on every recovery.
 
     Paper mapping: [fptree_probes_per_leaf_search] is Figure 4 (the
     fingerprinting claim: ~1 key probe per in-leaf search);
@@ -13,8 +14,9 @@
     perfect fingerprint would have avoided); [fptree_split_us] prices
     the split path (median selection + copy + bitmap commits);
     [fptree_find_retries] is the seqlock (HTM-emulation) retry
-    behaviour of Appendix B; recovery timings are emitted as
-    [fptree.recovery.*] spans (Figure 11). *)
+    behaviour of Appendix B; [fptree_recovery_*_us] time the recovery
+    phases (Figure 11), which are also emitted as [fptree.recovery.*]
+    flight-recorder spans while [Obs.Gate] is on. *)
 
 let probes_per_search =
   Obs.Registry.histogram "fptree_probes_per_leaf_search"
@@ -39,3 +41,14 @@ let quarantined_leaves =
 let space_refused =
   Obs.Registry.counter "fptree_space_refused_total"
     ~help:"operations refused with Out_of_space (watermark or exhaustion)"
+
+let recovery_phase name what =
+  Obs.Registry.histogram
+    (Printf.sprintf "fptree_recovery_%s_us" name)
+    ~help:(Printf.sprintf "recovery %s phase duration, microseconds" what)
+
+let recovery_init_us = recovery_phase "init" "first-open initialisation"
+let recovery_log_replay_us = recovery_phase "log_replay" "micro-log replay"
+let recovery_quarantine_us =
+  recovery_phase "quarantine" "checksum quarantine"
+let recovery_rebuild_us = recovery_phase "rebuild" "DRAM inner-node rebuild"

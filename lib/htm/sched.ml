@@ -6,12 +6,13 @@
     model checker needs to preempt the protocol at exactly those
     accesses.  This module is the seam: every shared access of the
     protocol goes through an instrumented operation here that, when
-    [Scm.Config.current.model_check] is on, first {e yields} to a
+    the [model_check] bit of [Obs.Gate]'s mode word is on (set by
+    [Scm.Config.set_model_check]), first {e yields} to a
     scheduler installed via {!install} (lib/mcheck's DPOR explorer —
     this library cannot depend on it, hence the hook record) and only
     performs the access when the scheduler resumes it.  When the gate
-    is off, each operation costs one load + branch over the raw
-    [Atomic] call — the same pattern [Scm.Pmtrace] uses for the
+    is off, each operation costs one mask test over the raw [Atomic]
+    call — the same pattern [Scm.Pmtrace] uses for the
     persistence instrumentation.
 
     {b Object identity.}  The scheduler distinguishes accesses by an
@@ -58,7 +59,7 @@ let hooks = ref noop_hooks
 let install h = hooks := h
 let uninstall () = hooks := noop_hooks
 
-let[@inline] on () = Scm.Config.current.model_check
+let[@inline] on () = Obs.Gate.any Obs.Gate.model_check
 
 (* ---- object identities ---- *)
 

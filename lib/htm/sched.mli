@@ -3,8 +3,8 @@
 
     Every shared access of the protocol (version cells, leaf-lock
     words, fallback mutex, root swap) routes through an operation here.
-    With [Scm.Config.current.model_check] off (production) each costs
-    one load + branch over the raw [Atomic] call; with it on, the
+    With the [model_check] bit of [Obs.Gate]'s mode word off
+    (production) each costs one mask test over the raw [Atomic] call; with it on, the
     operation yields to the installed scheduler before performing the
     access, so a DPOR explorer controls the interleaving.  See the
     implementation header for the modeling boundary ({!Opaque}). *)
@@ -21,12 +21,13 @@ type hooks = {
 
 val install : hooks -> unit
 (** Install the scheduler's hooks (lib/mcheck).  The hooks only fire
-    while [Scm.Config.current.model_check] is on. *)
+    while the [model_check] switch is on. *)
 
 val uninstall : unit -> unit
 
 val on : unit -> bool
-(** [Scm.Config.current.model_check] — the gate every instrumented
+(** The [model_check] bit of [Obs.Gate]'s mode word (written by
+    [Scm.Config.set_model_check]) — the gate every instrumented
     operation checks. *)
 
 (** {1 Object identities}

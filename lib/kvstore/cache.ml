@@ -29,13 +29,6 @@ type t = {
   global_lock : Mutex.t option; (* Some for non-concurrent indexes *)
   hits : int Atomic.t;
   misses : int Atomic.t;
-  mutable gate_w : int;
-      (* Cached [Obs.Gate] witness (generation + decision), refreshed
-         only when the gate's generation moves.  0 = before the
-         initial generation, i.e. always stale, forcing the first
-         refresh.  Un-synchronized word-sized writes are a benign
-         race: every racing refresh installs a current-generation
-         witness (same argument as [Scm.Region]'s mode witness). *)
 }
 
 let create index =
@@ -47,20 +40,7 @@ let create index =
     global_lock = (if index.Tree_ops.concurrent then None else Some (Mutex.create ()));
     hits = Atomic.make 0;
     misses = Atomic.make 0;
-    gate_w = 0;
   }
-
-(* The generation-witness fast path [Obs.Gate] documents: one field
-   load + one generation compare per op instead of re-deriving the
-   decision, refreshed only across [set_enabled] flips. *)
-let[@inline] observing t =
-  let w = t.gate_w in
-  if Obs.Gate.check w then Obs.Gate.decision w
-  else begin
-    let w' = Obs.Gate.cached_witness () in
-    t.gate_w <- w';
-    Obs.Gate.decision w'
-  end
 
 (* Key fingerprint for flight-recorder events: any stable small hash
    will do, the events only need to correlate ops on the same key. *)
@@ -110,7 +90,7 @@ let set_index t key id =
     the cache keeps serving GETs and overwrites of existing keys may
     still succeed. *)
 let set t key value =
-  if not (observing t) then begin
+  if not (Obs.Gate.enabled ()) then begin
     let id = store_item t value in
     with_global t (fun () -> set_index t key id)
   end
@@ -135,7 +115,7 @@ let set_exn t key value =
 
 (** GET. *)
 let get t key =
-  if not (observing t) then begin
+  if not (Obs.Gate.enabled ()) then begin
     match with_global t (fun () -> t.index.Tree_ops.find key) with
     | Some id ->
       Atomic.incr t.hits;
@@ -165,7 +145,7 @@ let get t key =
   end
 
 let delete t key =
-  if not (observing t) then
+  if not (Obs.Gate.enabled ()) then
     with_global t (fun () -> t.index.Tree_ops.delete key)
   else begin
     let fp = key_fp key in

@@ -22,8 +22,8 @@
       domain like {!Counter} shards).  Tests and the bench_check [wear]
       stage enforce this equality.
     - {b Zero cost off, allocation-free on.}  With attribution disabled
-      (fast mode), scope open/close is one [bool ref] load and a
-      branch; nothing else runs.  Enabled, a scope is two unsafe array
+      (fast mode), scope open/close is one test of the [Gate] mode
+      word; nothing else runs.  Enabled, a scope is two unsafe array
       accesses on a padded per-domain slot — no allocation, so the
       hot-path minor-words pins hold in both modes.
     - {b Leak tolerance.}  Scopes are set/restore, not a stack; an
@@ -95,20 +95,16 @@ let cells =
 let pad = 16
 let ambient = Array.make (stripes * pad) 0
 
-(* Gate: flipped by [Scm.Config.set_stats] so that fast-mode scope
-   opens compile down to one load + branch.  Default matches the
-   config default (stats on). *)
-let enabled_flag = ref true
-
-let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
+(* Gate: the [stats] bit of the mode word, the same switch as the
+   counters the cells feed; a fast-mode scope open is one mask test. *)
+let[@inline] enabled () = Gate.any Gate.stats
 
 let[@inline] slot () = ((Domain.self () :> int) land (stripes - 1)) * pad
 
 (* ---- scopes ---- *)
 
 let[@inline] set_component c =
-  if not !enabled_flag then 0
+  if not (enabled ()) then 0
   else begin
     let i = slot () in
     let prev = Array.unsafe_get ambient i in
@@ -117,10 +113,10 @@ let[@inline] set_component c =
   end
 
 let[@inline] restore_component prev =
-  if !enabled_flag then Array.unsafe_set ambient (slot ()) prev
+  if enabled () then Array.unsafe_set ambient (slot ()) prev
 
 let[@inline] set_op k =
-  if not !enabled_flag then 0
+  if not (enabled ()) then 0
   else begin
     let i = slot () + 1 in
     let prev = Array.unsafe_get ambient i in
@@ -129,7 +125,7 @@ let[@inline] set_op k =
   end
 
 let[@inline] restore_op prev =
-  if !enabled_flag then Array.unsafe_set ambient (slot () + 1) prev
+  if enabled () then Array.unsafe_set ambient (slot () + 1) prev
 
 let[@inline] ambient_component () =
   Array.unsafe_get ambient (slot ())

@@ -9,8 +9,9 @@
     dropped, so matrix sums equal the global [scm_*_total] counters
     exactly — the headline invariant, test- and bench-enforced.
 
-    Scopes are allocation-free and, with attribution disabled (fast
-    mode), cost one [bool ref] load and a branch.  See attrib.ml for
+    Scopes are allocation-free and gated on the [stats] bit of
+    {!Gate}'s mode word (set by [Scm.Config.set_stats]): disabled,
+    they cost one mask test.  See attrib.ml for
     the full discipline (striping, leak tolerance, gating). *)
 
 (** {1 Component labels} (closed set; indices are wire-stable) *)
@@ -49,11 +50,6 @@ val q_flushes : int
 val q_persists : int
 val n_quants : int
 val quant_name : string array
-
-(** {1 Gating} — flipped by [Scm.Config.set_stats]. *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool
 
 (** {1 Scopes}
 

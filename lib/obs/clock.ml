@@ -41,7 +41,7 @@ let[@inline] now_us_int () =
   let t = monotonic_us_fast () in
   if t >= 0 then t else int_of_float (Unix.gettimeofday () *. 1e6)
 
-(** Monotonic microseconds, as a float (the span ring's unit). *)
+(** Monotonic microseconds, as a float. *)
 let now_us () = float_of_int (now_us_int ())
 
 (** Monotonic seconds: for elapsed-time measurements. *)

@@ -26,8 +26,9 @@
                     offset (-1 = head of chain)
     - [root_swap]:  a = 1 when the tree grew a level, 2 when the root
                     collapsed into its single child
-    - [span]:       a = interned span-name id (see {!Flight.name_of}),
-                    b = duration us; [t_us] is the span start
+    - [span]:       a = interned span-name id (an index into
+                    {!Flight.name_table}), b = duration us; [t_us] is
+                    the span start
     - [persist_batch]: a = persists in this batch window,
                     b = running per-domain persist total
     - [space_refused]: a = op kind, b = key fingerprint, c = arena

@@ -39,9 +39,9 @@
     {2 Gating}
 
     The recorder has no switch of its own: emission sites gate on
-    [Obs.Gate] (with the generation-witness fast path where the call
-    rate warrants it).  The {!emit} family itself never checks the
-    gate — tests and cold paths may emit unconditionally. *)
+    [Obs.Gate.enabled] (one test of the mode word).  The {!emit}
+    family itself never checks the gate — tests and cold paths may
+    emit unconditionally. *)
 
 (* ---- ring ---- *)
 
@@ -206,13 +206,20 @@ let name_table () =
   Mutex.unlock names_lock;
   l
 
-let name_of id =
-  let l = name_table () in
-  match List.nth_opt l id with Some s -> s | None -> "?" ^ string_of_int id
-
 (** A completed span (e.g. a recovery phase): [t_us] is the start. *)
 let span ~name ~start_us ~dur_us =
   emit_at start_us ~tag:Event.span ~a:(intern name) ~b:dur_us ~c:0 ~d:0
+
+(** Run the cold-path phase [f] (a recovery phase, say) and record its
+    duration in microseconds into [hist], always — also when [f]
+    raises.  With the gate on, the phase is also emitted as a {!span}
+    named [name], so a crash dump carries it next to per-op events. *)
+let timed ~name hist f =
+  let t0 = Clock.now_us_int () in
+  Fun.protect f ~finally:(fun () ->
+      let dur_us = Clock.now_us_int () - t0 in
+      Histogram.record hist dur_us;
+      if Gate.enabled () then span ~name ~start_us:t0 ~dur_us)
 
 (* ---- drain ---- *)
 

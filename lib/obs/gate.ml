@@ -1,55 +1,43 @@
-(** Global on/off switch for application-level observability (op
-    latency histograms, flight-recorder events, span recording on warm
-    paths).
+(** The instrumentation mode word: every run-time instrumentation
+    switch of the system is one bit of a single global [int].
 
-    The SCM simulator's own instrumentation is governed by
-    [Scm.Config.current.stats]; this gate covers the layers above the
-    simulator (kvstore / dbproto op latencies, the flight recorder)
-    that have no simulator mode of their own.  Reading the gate is a
-    single immutable-field load; callers on hot paths may additionally
-    cache the decision with the same generation-witness pattern
-    [Scm.Region] uses for its fast-mode switch — [generation] is
-    bumped on every change, so a cached witness is valid while the
-    generation it captured still matches.  {!cached_witness},
-    {!check} and {!decision} package that pattern:
+    - [stats], [crash_tracking], [delay_injection], [tracing] and
+      [model_check] mirror the fields of the same names in
+      [Scm.Config.current] and are written only by its [set_*] setters
+      (the source lint rejects direct field writes, which would leave
+      the word stale);
+    - [observe] is application-level observability (op latency
+      histograms, flight-recorder events) for the layers above the
+      simulator, written by {!set_enabled}.
 
-    {[
-      (* per-structure cache, initialised to 0 = always stale *)
-      mutable gate_w : int
-      ...
-      let w = t.gate_w in
-      let w = if Gate.check w then w
-              else (let w' = Gate.cached_witness () in t.gate_w <- w'; w') in
-      if Gate.decision w then <instrumented path>
-    ]}
+    Readers test a mask against the word directly — one load, one
+    [land], one compare — so a hot path can ask "is any of these
+    switches on?" in a single test: [Scm.Region]'s fast path checks
+    [stats|crash_tracking|delay_injection|tracing], its simulated cache
+    [stats|delay_injection], [Attrib]'s scopes [stats] and
+    [Htm.Sched] [model_check].
 
-    The cached field is a word-sized mutable slot written without
-    synchronization; racing refreshes all install a witness of the
-    current generation, so the race is benign (same argument as
-    [Scm.Region.refresh_mode]). *)
+    The word is a plain mutable cell: writers flip switches between
+    phases, never concurrently with each other, and a racing reader
+    sees either the old or the new word. *)
 
-let flag = ref false
-let generation = ref 1
+let stats = 1
+let crash_tracking = 2
+let delay_injection = 4
+let tracing = 8
+let model_check = 16
+let observe = 32
 
-let enabled () = !flag
+(** The mode word.  Its initial value matches [Scm.Config.default]:
+    counting and crash tracking on. *)
+let word = ref (stats lor crash_tracking)
 
-let set_enabled b =
-  if !flag <> b then begin
-    flag := b;
-    incr generation
-  end
+(** [any mask] is true iff at least one switch in [mask] is on. *)
+let[@inline] any mask = !word land mask <> 0
 
-(* A witness packs (generation, decision) into one immediate int:
-   generation in the upper bits, the enabled bit in bit 0.  The
-   initial generation is 1, so the natural zero-initialisation of a
-   cached field is always stale and forces a first refresh. *)
+(** Turn the switches in [mask] on or off; the others keep their
+    state. *)
+let set mask b = word := if b then !word lor mask else !word land lnot mask
 
-(** Capture the current (generation, decision) pair. *)
-let[@inline] cached_witness () = (!generation lsl 1) lor (if !flag then 1 else 0)
-
-(** [check w] is true iff witness [w] was captured under the current
-    generation — i.e. its cached decision is still valid. *)
-let[@inline] check w = w asr 1 = !generation
-
-(** The enabled/disabled decision recorded in witness [w]. *)
-let[@inline] decision w = w land 1 = 1
+let[@inline] enabled () = any observe
+let set_enabled b = set observe b

@@ -157,15 +157,6 @@ let json_of_metric = function
                (Histogram.nonzero_buckets h)) );
       ]
 
-let json_of_span (s : Trace.span) =
-  Json.Obj
-    [
-      ("name", Json.Str s.Trace.name);
-      ("start_us", Json.Float s.Trace.start_us);
-      ("dur_us", Json.Float s.Trace.dur_us);
-      ("domain", Json.Int s.Trace.domain);
-    ]
-
 let to_json_value () =
   Json.Obj
     [
@@ -179,7 +170,6 @@ let to_json_value () =
                    Json.Obj (kvs @ [ ("help", Json.Str e.help) ])
                  | j -> j ))
              (all ())) );
-      ("spans", Json.Arr (List.map json_of_span (Trace.dump ())));
     ]
 
 let to_json () = Json.to_string (to_json_value ())

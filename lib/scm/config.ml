@@ -61,8 +61,8 @@ type t = {
       (** Route every shared-memory access of the concurrency protocol
           (version cells, leaf-lock words, fallback mutex, root swap)
           through the {!Htm.Sched} shim so a cooperative model checker
-          can interleave them.  Production paths pay one load + branch
-          when off — same gating pattern as [tracing]. *)
+          can interleave them.  Production paths pay one test of the
+          [Obs.Gate] mode word when off — same gating as [tracing]. *)
   mutable backoff_seed : int option;
       (** [Some s]: [Speculative_lock] backoff jitter becomes a pure
           function of (s, attempt, domain slot) instead of the
@@ -76,19 +76,19 @@ type t = {
           allocating operations (inserts, splitting updates) are
           refused with [`Out_of_space] while reads, in-place updates
           and deletes keep running.  Plain field (gates no region
-          accessor, so no generation bump); default 0.9. *)
+          accessor, so not in the mode word); default 0.9. *)
   mutable flight_sample_shift : int;
       (** Flight-recorder latency sampling: every [2^shift]-th find
           records a measured begin/end pair with clock reads, the rest
           a marker-only event (default 4, the historical 1/16 ratio).
-          Plain field — the sampling branch re-reads it per op, so no
-          generation bump; clamp is the caller's business ([0] means
-          every find is measured). *)
+          Plain field — the sampling branch re-reads it per op, so it
+          is not in the mode word; clamp is the caller's business ([0]
+          means every find is measured). *)
   mutable wear_heatmap : bool;
       (** Record a per-region, line-granularity shadow count of flushed
           lines (the spatial wear heatmap) on the instrumented persist
           path.  Plain field read inside the already-instrumented flush
-          loop, so no generation bump; off by default — the shadow
+          loop, so not in the mode word; off by default — the shadow
           arrays cost size/64 words per region when first touched. *)
   mutable heatmap_sample_shift : int;
       (** Heatmap sampling: count every [2^shift]-th flushed line
@@ -122,46 +122,29 @@ let default () = {
 
 let current = default ()
 
-(* Bumped on every change to the instrumentation switches below.  Each
-   region captures (generation, fast?) as a witness when it is touched
-   and re-derives it only when the generation moved, so the hot-path
-   accessors pay one integer compare instead of re-reading the whole
-   configuration per access. *)
-let mode_generation = ref 1
+(* Each switch is also a bit of [Obs.Gate]'s mode word, which is what
+   the hot paths read; the setters below are its only writers, so the
+   field and the bit never disagree. *)
 
 let set_stats b =
-  (* Attribution scopes gate on the same switch as the counters they
-     feed: unconditional, so a direct [current.stats] write followed by
-     a same-value [set_stats] still lands the gate in the right state. *)
-  Obs.Attrib.set_enabled b;
-  if current.stats <> b then begin
-    current.stats <- b;
-    incr mode_generation
-  end
+  current.stats <- b;
+  Obs.Gate.set Obs.Gate.stats b
 
 let set_crash_tracking b =
-  if current.crash_tracking <> b then begin
-    current.crash_tracking <- b;
-    incr mode_generation
-  end
+  current.crash_tracking <- b;
+  Obs.Gate.set Obs.Gate.crash_tracking b
 
 let set_delay_injection b =
-  if current.delay_injection <> b then begin
-    current.delay_injection <- b;
-    incr mode_generation
-  end
+  current.delay_injection <- b;
+  Obs.Gate.set Obs.Gate.delay_injection b
 
 let set_tracing b =
-  if current.tracing <> b then begin
-    current.tracing <- b;
-    incr mode_generation
-  end
+  current.tracing <- b;
+  Obs.Gate.set Obs.Gate.tracing b
 
 let set_model_check b =
-  if current.model_check <> b then begin
-    current.model_check <- b;
-    incr mode_generation
-  end
+  current.model_check <- b;
+  Obs.Gate.set Obs.Gate.model_check b
 
 let reset () =
   let d = default () in

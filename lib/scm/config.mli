@@ -30,7 +30,6 @@ type t = {
   mutable torn_count : int;
   mutable torn_seed : int;
   mutable model_check : bool;
-      (** Change through {!set_model_check} (generation-witnessed). *)
   mutable backoff_seed : int option;
       (** [Some s] pins [Speculative_lock] backoff jitter to a pure
           function of (s, attempt, domain slot), so equal-seed runs
@@ -42,8 +41,8 @@ type t = {
           usable bytes (default 0.9): past it, allocating operations
           are refused with [`Out_of_space] while reads, in-place
           updates and deletes keep serving.  Plain field — it gates no
-          region accessor, so no generation bump; set by direct
-          assignment. *)
+          region accessor, so it is not in the mode word; set by
+          direct assignment. *)
   mutable flight_sample_shift : int;
       (** Flight-recorder latency sampling: every [2^shift]-th find
           records a measured begin/end pair, the rest a marker-only
@@ -64,22 +63,16 @@ val default : unit -> t
 (** The live configuration, read by every simulator operation.
 
     The instrumentation switches ([stats], [crash_tracking],
-    [delay_injection]) must be changed through the setters below, never
-    by direct field assignment: the setters bump {!mode_generation},
-    which is how regions learn that their cached fast/instrumented mode
-    witness is stale. *)
+    [delay_injection], [tracing], [model_check]) are readable here but
+    must be changed through the setters below, never by direct field
+    assignment: each setter also writes the switch's bit of
+    [Obs.Gate]'s mode word, which is what the hot paths test.  The
+    source lint ([tools/lint.ml]) rejects direct writes. *)
 val current : t
 
-(** Generation counter of the instrumentation switches; bumped by
-    {!set_stats}, {!set_crash_tracking}, {!set_delay_injection},
-    {!set_tracing} and {!reset}.  Read per-access by {!Region}'s mode
-    witness check. *)
-val mode_generation : int ref
-
-(** Also flips {!Obs.Attrib}'s scope gate, so write-attribution scopes
-    are live exactly when the counters they feed are. *)
+(** [Obs.Attrib]'s scopes test the same bit, so write-attribution
+    scopes are live exactly when the counters they feed are. *)
 val set_stats : bool -> unit
-
 val set_crash_tracking : bool -> unit
 val set_delay_injection : bool -> unit
 

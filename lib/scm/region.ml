@@ -20,9 +20,9 @@
     paper's throughput experiments — every accessor takes a specialized
     fast path: one span validation, then an unchecked [Bytes] access; no
     per-line simulated-cache probe and no per-word dirty-tracking
-    hashtable traffic.  The choice is made by a mode witness captured
-    per region and invalidated by {!Config.mode_generation}, so the
-    per-access cost of the mode decision is a single integer compare.
+    hashtable traffic.  The choice is one mask test on [Obs.Gate]'s
+    mode word, which the {!Config} setters keep in step with the
+    switches.
 
     {b Instrumented path.}  Every other configuration runs one read
     sequence (span check, simulated-cache probe, unchecked load) and one
@@ -37,10 +37,6 @@ type t = {
   cache_tags : int array;
   (* word index -> persisted value, for words written since last flush. *)
   dirty : (int, int64) Hashtbl.t;
-  (* Mode witness: [fast] is valid while [mode_gen] equals
-     [!Config.mode_generation]. *)
-  mutable fast : bool;
-  mutable mode_gen : int;
   (* Spatial wear heatmap: shadow write counts (and the component
      bitmask of who wrote) per cache line, recorded in the instrumented
      flush loop when [Config.current.wear_heatmap] is on.  Allocated
@@ -65,8 +61,6 @@ let make ~id ~size =
     size;
     cache_tags = Array.make cache_slots (-1);
     dirty = Hashtbl.create 1024;
-    fast = false;
-    mode_gen = 0; (* Config.mode_generation starts at 1: refresh on first use *)
     heat_counts = [||];
     heat_comps = [||];
     heat_tick = 0;
@@ -81,21 +75,14 @@ let check t off len =
       (Printf.sprintf "Region: out-of-bounds access off=%d len=%d size=%d"
          off len t.size)
 
-(* ---- mode witness ---- *)
+(* ---- mode ---- *)
 
-let refresh_mode t =
-  t.mode_gen <- !Config.mode_generation;
-  t.fast <-
-    (not Config.current.stats)
-    && (not Config.current.crash_tracking)
-    && (not Config.current.delay_injection)
-    && not Config.current.tracing
+let instrumented =
+  Obs.Gate.(stats lor crash_tracking lor delay_injection lor tracing)
 
-(** [true] when the fast path applies; re-derives the witness only when
-    the configuration generation moved. *)
-let[@inline] fast_mode t =
-  if t.mode_gen <> !Config.mode_generation then refresh_mode t;
-  t.fast
+(** [true] when the fast path applies: every switch that instruments a
+    region access is off. *)
+let[@inline] fast_mode () = not (Obs.Gate.any instrumented)
 
 (* ---- unchecked byte-buffer primitives (every use is preceded by a
    span validation via [check]) ---- *)
@@ -121,16 +108,17 @@ let[@inline] set_64_le b off v =
    ([stats]) or the injected read delay ([delay_injection]).  An empty
    span touches no line. *)
 
+let cache_model = Obs.Gate.(stats lor delay_injection)
+
 let touch_lines t off len =
-  let c = Config.current in
-  if len > 0 && (c.stats || c.delay_injection) then begin
+  if len > 0 && Obs.Gate.any cache_model then begin
     let first = Cacheline.line_of_offset off in
     let last = Cacheline.line_of_offset (off + len - 1) in
     for line = first to last do
       let slot = line mod cache_slots in
       if t.cache_tags.(slot) <> line then begin
         t.cache_tags.(slot) <- line;
-        if c.stats then Stats.incr_line_reads ();
+        if Config.current.stats then Stats.incr_line_reads ();
         Latency.on_scm_read_miss ()
       end
     done
@@ -179,7 +167,7 @@ let corrupt t ~off ~len ~bits ~seed =
 
 let[@inline] load t off len =
   check t off len;
-  if not (fast_mode t) then touch_lines t off len
+  if not (fast_mode ()) then touch_lines t off len
 
 let read_u8 t off =
   load t off 1;
@@ -265,7 +253,7 @@ let store_end ~tearable t off len pre =
 let write_u8 t off v =
   check t off 1;
   let c = Char.unsafe_chr (v land 0xff) in
-  if fast_mode t then Bytes.unsafe_set t.buf off c
+  if fast_mode () then Bytes.unsafe_set t.buf off c
   else begin
     let pre = store_begin ~tearable:false t off 1 in
     Bytes.unsafe_set t.buf off c;
@@ -276,7 +264,7 @@ let write_u8 t off v =
    every store. *)
 let[@inline] store_64 ~tearable t off v =
   check t off 8;
-  if fast_mode t then set_64_le t.buf off v
+  if fast_mode () then set_64_le t.buf off v
   else begin
     let pre = store_begin ~tearable t off 8 in
     set_64_le t.buf off v;
@@ -306,7 +294,7 @@ let write_string t off s =
   let len = String.length s in
   check t off len;
   if len > 0 then
-    if fast_mode t then Bytes.unsafe_blit_string s 0 t.buf off len
+    if fast_mode () then Bytes.unsafe_blit_string s 0 t.buf off len
     else begin
       let pre = store_begin ~tearable:true t off len in
       Bytes.unsafe_blit_string s 0 t.buf off len;
@@ -318,7 +306,7 @@ let blit_internal t ~src ~dst ~len =
   load t src len;
   check t dst len;
   if len > 0 then
-    if fast_mode t then Bytes.unsafe_blit t.buf src t.buf dst len
+    if fast_mode () then Bytes.unsafe_blit t.buf src t.buf dst len
     else begin
       let pre = store_begin ~tearable:true t dst len in
       Bytes.unsafe_blit t.buf src t.buf dst len;
@@ -328,7 +316,7 @@ let blit_internal t ~src ~dst ~len =
 let fill t off len c =
   check t off len;
   if len > 0 then
-    if fast_mode t then Bytes.unsafe_fill t.buf off len c
+    if fast_mode () then Bytes.unsafe_fill t.buf off len c
     else begin
       let pre = store_begin ~tearable:true t off len in
       Bytes.unsafe_fill t.buf off len c;
@@ -388,7 +376,7 @@ let fence t =
     injected "forgotten Persist()" the pmcheck analyzer must catch. *)
 let persist_effective t off len =
   Config.on_persist ();
-  if fast_mode t then begin
+  if fast_mode () then begin
     (* No stats, no delay injection, no dirty words to retire.  The
        simulated cache is still invalidated so that a later
        instrumented phase starts from the same cache image the

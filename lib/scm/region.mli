@@ -9,10 +9,9 @@
     When [Config.current] has [stats], [crash_tracking],
     [delay_injection] and [tracing] all off, accessors switch to a fast
     path (one span validation, then unchecked buffer access, no
-    per-line or per-word instrumentation).  The mode witness is
-    captured per region and refreshed only when
-    {!Config.mode_generation} moves, so instrumentation switches MUST
-    go through the [Config] setters. *)
+    per-line or per-word instrumentation).  The decision is one test
+    of [Obs.Gate]'s mode word, which only the [Config] setters write,
+    so instrumentation switches MUST go through them. *)
 
 type t
 

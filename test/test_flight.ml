@@ -1,8 +1,9 @@
-(* Tests of the flight recorder (lib/obs Flight + Gate witness + Clock)
-   and its failure-detection wiring:
+(* Tests of the flight recorder (lib/obs Flight + Gate mode word +
+   Clock) and its failure-detection wiring:
 
-   - gate witness fast path: stale witnesses refused across
-     [set_enabled] flips, zero is always stale;
+   - mode word: each switch setter flips exactly its own bit, same-value
+     sets are no-ops, [Config.reset] restores the default and leaves
+     the [observe] bit alone;
    - monotonic clock: nondecreasing readings;
    - ring wraparound: oldest-overwrite semantics exact under the
      drain protocol's conservative window;
@@ -22,29 +23,62 @@ module F = Fptree.Fixed
 
 let self_dom () = (Domain.self () :> int)
 
-(* ---- gate witness ---- *)
+(* ---- mode word ---- *)
 
-let test_gate_witness () =
+(* Every setter of an instrumentation switch, with the one bit of the
+   mode word it owns. *)
+let setters =
+  Obs.Gate.
+    [ ("stats", stats, Scm.Config.set_stats);
+      ("crash_tracking", crash_tracking, Scm.Config.set_crash_tracking);
+      ("delay_injection", delay_injection, Scm.Config.set_delay_injection);
+      ("tracing", tracing, Scm.Config.set_tracing);
+      ("model_check", model_check, Scm.Config.set_model_check);
+      ("observe", observe, Obs.Gate.set_enabled) ]
+
+let test_mode_word () =
+  let default = Obs.Gate.(stats lor crash_tracking) in
   Obs.Gate.set_enabled false;
-  let w_off = Obs.Gate.cached_witness () in
-  Alcotest.(check bool) "fresh witness valid" true (Obs.Gate.check w_off);
-  Alcotest.(check bool) "off decision" false (Obs.Gate.decision w_off);
-  (* zero (a zero-initialised cache field) is before the first
-     generation: always stale *)
-  Alcotest.(check bool) "zero witness stale" false (Obs.Gate.check 0);
-  Obs.Gate.set_enabled true;
-  Alcotest.(check bool) "stale witness refused after enable" false
-    (Obs.Gate.check w_off);
-  let w_on = Obs.Gate.cached_witness () in
-  Alcotest.(check bool) "refreshed witness valid" true (Obs.Gate.check w_on);
-  Alcotest.(check bool) "on decision" true (Obs.Gate.decision w_on);
-  Obs.Gate.set_enabled false;
-  Alcotest.(check bool) "stale witness refused after disable" false
-    (Obs.Gate.check w_on);
-  (* no-op set does not invalidate *)
-  let w = Obs.Gate.cached_witness () in
-  Obs.Gate.set_enabled false;
-  Alcotest.(check bool) "no-op set keeps witness" true (Obs.Gate.check w)
+  Scm.Config.reset ();
+  Alcotest.(check int) "reset: stats|crash_tracking" default
+    !Obs.Gate.word;
+  List.iter
+    (fun (name, bit, set) ->
+      List.iter
+        (fun start ->
+          (* from an all-off and an all-on word, flipping one switch
+             moves exactly its bit *)
+          List.iter (fun (_, _, s) -> s start) setters;
+          let before = !Obs.Gate.word in
+          set (not start);
+          Alcotest.(check int) (name ^ ": flips only its bit")
+            (before lxor bit) !Obs.Gate.word;
+          let flipped = !Obs.Gate.word in
+          set (not start);
+          Alcotest.(check int) (name ^ ": same-value set is a no-op")
+            flipped !Obs.Gate.word;
+          set start;
+          Alcotest.(check int) (name ^ ": flips back") before
+            !Obs.Gate.word)
+        [ false; true ])
+    setters;
+  (* reset restores the config default and leaves [observe] alone *)
+  List.iter
+    (fun observing ->
+      List.iter (fun (_, _, s) -> s true) setters;
+      Obs.Gate.set_enabled observing;
+      Scm.Config.reset ();
+      Alcotest.(check int) "reset keeps observe"
+        (if observing then default lor Obs.Gate.observe else default)
+        !Obs.Gate.word;
+      Alcotest.(check bool) "gate enabled follows observe" observing
+        (Obs.Gate.enabled ()))
+    [ true; false ];
+  (* the config fields read the same switches *)
+  let c = Scm.Config.current in
+  Alcotest.(check bool) "fields match the word" true
+    (c.stats && c.crash_tracking && not
+       (c.delay_injection || c.tracing || c.model_check))
 
 (* ---- monotonic clock ---- *)
 
@@ -390,8 +424,8 @@ let () =
     [
       ( "gate",
         [
-          Alcotest.test_case "witness refused across flips" `Quick
-            test_gate_witness;
+          Alcotest.test_case "mode word one bit per setter" `Quick
+            test_mode_word;
         ] );
       ( "clock",
         [

@@ -247,10 +247,11 @@ let test_admission_trace_identical () =
 
 (* ---- config lattice ----
 
-   Every combination of the five instrumentation switches runs the same
-   3k-op trace on a concurrent-configuration tree (single domain; its
-   protocol accesses go through the model-check shim, which with no
-   scheduler installed performs them directly).  The switches observe,
+   Every combination of the six instrumentation switches (the bits of
+   [Obs.Gate]'s mode word) runs the same 3k-op trace on a
+   concurrent-configuration tree (single domain; its protocol accesses
+   go through the model-check shim, which with no scheduler installed
+   performs them directly).  The switches observe,
    they never steer: op results and contents must not move, the line
    and persist counts must agree wherever counting is on, and no dirty
    word may be tracked while crash tracking is off.  Delay injection
@@ -261,7 +262,8 @@ let switches =
     ("crash_tracking", Scm.Config.set_crash_tracking);
     ("delay_injection", Scm.Config.set_delay_injection);
     ("tracing", Scm.Config.set_tracing);
-    ("model_check", Scm.Config.set_model_check) ]
+    ("model_check", Scm.Config.set_model_check);
+    ("observe", Obs.Gate.set_enabled) ]
 
 let test_config_lattice () =
   let run bits =
@@ -307,7 +309,8 @@ let test_config_lattice () =
           (Printf.sprintf "%s: line reads/writes and persists as %s" what first)
           l lines
     end
-  done
+  done;
+  Obs.Gate.set_enabled false
 
 (* ---- counter traces: the simulator's SCM accounting must not drift ----
 
@@ -465,7 +468,7 @@ let () =
             `Quick test_admission_trace_identical;
         ] );
       ( "config-lattice",
-        [ Alcotest.test_case "all 32 switch combinations agree" `Quick
+        [ Alcotest.test_case "all 64 switch combinations agree" `Quick
             test_config_lattice;
         ] );
       ( "counter-traces",

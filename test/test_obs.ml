@@ -1,7 +1,7 @@
 (* Tests of the observability subsystem (lib/obs) and its wiring:
    histogram bucket geometry and percentiles against a sorted-array
    oracle, sharded counter/histogram exactness under parallel domains,
-   registry exposition round-trips, span capture, the fingerprint
+   registry exposition round-trips, recovery-phase timing, the fingerprint
    probe-count regression (Fig. 4), and the parallel-exactness of the
    sharded SCM counters that the seed's plain refs could not provide. *)
 
@@ -143,15 +143,6 @@ let test_registry_roundtrip () =
   Alcotest.(check bool) "text histogram sum" true
     (contains txt "test_rt_us_sum 5050")
 
-let test_span_capture () =
-  Obs.Trace.clear ();
-  Obs.Trace.with_span "test.span" (fun () -> ignore (Sys.opaque_identity 1));
-  match List.rev (Obs.Trace.dump ()) with
-  | s :: _ ->
-    Alcotest.(check string) "span name" "test.span" s.Obs.Trace.name;
-    Alcotest.(check bool) "span duration >= 0" true (s.Obs.Trace.dur_us >= 0.)
-  | [] -> Alcotest.fail "span not recorded"
-
 (* ---- tree wiring: probe-count regression (Fig. 4) ---- *)
 
 let fresh_alloc ?(size = 64 * 1024 * 1024) () =
@@ -159,6 +150,52 @@ let fresh_alloc ?(size = 64 * 1024 * 1024) () =
   Scm.Config.reset ();
   Scm.Stats.reset ();
   Pmem.Palloc.create ~size ()
+
+(* Every recovery times its phases into the registry, whatever the
+   switches; only with the gate on does a phase also become a flight
+   span. *)
+let test_recovery_timing () =
+  let count name = Obs.Histogram.count (Obs.Registry.histogram name) in
+  let reopen a =
+    F.recover (Pmem.Palloc.of_region (Pmem.Palloc.region a))
+  in
+  let a = fresh_alloc () in
+  let t = F.create_single a in
+  for k = 1 to 500 do
+    ignore (F.insert t k k)
+  done;
+  Scm.Config.set_stats false;
+  Obs.Gate.set_enabled false;
+  let replay = count "fptree_recovery_log_replay_us" in
+  let rebuild = count "fptree_recovery_rebuild_us" in
+  let spans () =
+    List.filter
+      (fun (e : Obs.Flight.event) -> e.tag = Obs.Event.span)
+      (Obs.Flight.drain ())
+  in
+  let spans_before = List.length (spans ()) in
+  let t = reopen a in
+  Alcotest.(check int) "one log replay sample" (replay + 1)
+    (count "fptree_recovery_log_replay_us");
+  Alcotest.(check int) "one rebuild sample" (rebuild + 1)
+    (count "fptree_recovery_rebuild_us");
+  Alcotest.(check int) "no span with the gate off" spans_before
+    (List.length (spans ()));
+  Obs.Gate.set_enabled true;
+  ignore (reopen a);
+  Obs.Gate.set_enabled false;
+  let rebuild_id =
+    let rec index i = function
+      | [] -> -1
+      | n :: _ when n = "fptree.recovery.rebuild" -> i
+      | _ :: tl -> index (i + 1) tl
+    in
+    index 0 (Obs.Flight.name_table ())
+  in
+  Alcotest.(check bool) "rebuild span drained" true
+    (List.exists (fun (e : Obs.Flight.event) -> e.a = rebuild_id) (spans ()));
+  Alcotest.(check int) "tree intact" 500 (F.count t);
+  Scm.Config.reset ()
 
 let test_probe_count_regression () =
   (* With one-byte fingerprints at m=64, an in-leaf search should cost
@@ -371,7 +408,8 @@ let () =
         [
           Alcotest.test_case "exposition round-trip" `Quick
             test_registry_roundtrip;
-          Alcotest.test_case "span capture" `Quick test_span_capture;
+          Alcotest.test_case "recovery phases timed" `Quick
+            test_recovery_timing;
         ] );
       ( "wiring",
         [

@@ -101,9 +101,12 @@ if ! awk "BEGIN{exit !($probe_mean >= 1.0 && $probe_mean <= 2.0)}"; then
 fi
 echo "   fptree_probes_per_leaf_search: count=$probe_count mean=$probe_mean"
 
-# recovery phases must have been traced as spans
-grep -q 'fptree.recovery.rebuild' "$GDUMP" || {
-  echo "FAIL: no fptree.recovery.rebuild span in $GDUMP"; exit 1; }
+# the recovery phases must have been timed
+rebuild_count=$("$CLI" metrics "$GDUMP" \
+  | sed -n 's/^fptree_recovery_rebuild_us .*count=\([0-9]*\).*/\1/p')
+if [ -z "$rebuild_count" ] || [ "$rebuild_count" -lt 1 ]; then
+  echo "FAIL: fptree_recovery_rebuild_us has no sample in $GDUMP"; exit 1
+fi
 
 # text exposition path
 "$CLI" stats "$IMG" --metrics - --metrics-format text \

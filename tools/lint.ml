@@ -26,6 +26,11 @@
      exhaustion crosses into application layers only as the typed
      [`Out_of_space] result ([Tree.guard_space] is the adapter), so a
      raw match elsewhere marks a layer leak.
+   - a [<-] write to an instrumentation switch field ([stats],
+     [crash_tracking], [delay_injection], [tracing], [model_check])
+     outside lib/scm/config.ml: the [Scm.Config] setters are the only
+     writers of [Obs.Gate]'s mode word, which the hot paths read, so a
+     direct write would leave the word stale without any error.
 
    Comments and string/char literals are stripped first, so prose
    mentioning these identifiers is fine.  Usage:
@@ -192,6 +197,24 @@ let in_lib sub path =
 
 let in_scm path = in_lib "scm" path
 let in_obs path = in_lib "obs" path
+let is_config path = in_scm path && Filename.basename path = "config.ml"
+
+let switch_fields =
+  [ "stats"; "crash_tracking"; "delay_injection"; "tracing"; "model_check" ]
+
+(* [f] at each [.field <-] write (blanks allowed before the arrow). *)
+let find_field_writes hay field f =
+  let n = String.length hay in
+  let fl = String.length field in
+  for i = 1 to n - fl do
+    if hay.[i - 1] = '.' && String.sub hay i fl = field then begin
+      let j = ref (i + fl) in
+      while !j < n && (hay.[!j] = ' ' || hay.[!j] = '\n') do
+        incr j
+      done;
+      if !j + 1 < n && hay.[!j] = '<' && hay.[!j + 1] = '-' then f i
+    end
+  done
 
 let check_file path =
   let stripped = strip (read_file path) in
@@ -231,6 +254,16 @@ let check_file path =
     bad "Region.persist" msg;
     bad "Scm.Region.persist" msg
   end;
+  if not (is_config path) then
+    List.iter
+      (fun field ->
+        find_field_writes stripped field (fun i ->
+            report path (line_of stripped i)
+              (Printf.sprintf
+                 "direct write to the %s switch: use its Scm.Config \
+                  setter, which also updates Obs.Gate's mode word"
+                 field)))
+      switch_fields;
   if not (in_lib "pmem" path || in_lib "fptree" path) then
     bad "Out_of_scm"
       "Out_of_scm outside lib/pmem and lib/fptree: exhaustion surfaces \

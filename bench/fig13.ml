@@ -5,20 +5,23 @@
     indexes saturate the pipeline, single-threaded ones serialize. *)
 
 let backends () =
+  let tree name ~concurrent impl mk =
+    (name, fun () -> Kvstore.Tree_ops.of_tree ~name ~concurrent impl (mk ()))
+  in
   [
-    ("FPTree", fun () ->
-        Kvstore.Tree_ops.of_fptree_single
-          (Fptree.Var.create_single (Trees.arena ())));
+    tree "FPTree" ~concurrent:false (module Fptree.Var) (fun () ->
+        Fptree.Var.create_single (Trees.arena ()));
     ("FPTreeC", fun () ->
         Kvstore.Tree_ops.of_fptree_concurrent
           (Fptree.Var.create_concurrent (Trees.arena ())));
-    ("PTree", fun () ->
-        Kvstore.Tree_ops.of_ptree (Fptree.Ptree.Var.create (Trees.arena ())));
-    ("NV-TreeC", fun () ->
-        Kvstore.Tree_ops.of_nvtree (Baselines.Nvtree.Var.create (Trees.arena ())));
-    ("wBTree", fun () ->
-        Kvstore.Tree_ops.of_wbtree (Baselines.Wbtree.Var.create (Trees.arena ())));
-    ("STXTree", fun () -> Kvstore.Tree_ops.of_stxtree (Baselines.Stxtree.Var.create ()));
+    tree "PTree" ~concurrent:false (module Fptree.Ptree.Var) (fun () ->
+        Fptree.Ptree.Var.create (Trees.arena ()));
+    tree "NV-TreeC" ~concurrent:true (module Baselines.Nvtree.Var) (fun () ->
+        Baselines.Nvtree.Var.create (Trees.arena ()));
+    tree "wBTree" ~concurrent:false (module Baselines.Wbtree.Var) (fun () ->
+        Baselines.Wbtree.Var.create (Trees.arena ()));
+    tree "STXTree" ~concurrent:false (module Baselines.Stxtree.Var)
+      Baselines.Stxtree.Var.create;
     ("HashMap", fun () -> Kvstore.Tree_ops.of_hashmap ());
   ]
 

@@ -3,39 +3,11 @@
     wBTree (binary search) — the analytical curves of Section 4.2, plus
     a measured validation at leaf sizes the crash-safe layouts support. *)
 
-type probe_tree = {
-  ins : int -> unit;
-  fnd : int -> unit;
-  probes : unit -> int;
-  reset : unit -> unit;
-}
-
 let mk_tree name m =
   match name with
-  | "FPTree" ->
-    let tr = Fptree.Fixed.create_single ~m (Trees.arena ()) in
-    {
-      ins = (fun k -> ignore (Fptree.Fixed.insert tr k k));
-      fnd = (fun k -> ignore (Fptree.Fixed.find tr k));
-      probes = (fun () -> (Fptree.Fixed.stats tr).Fptree.Tree.key_probes);
-      reset = (fun () -> Fptree.Fixed.reset_stats tr);
-    }
-  | "NV-Tree" ->
-    let tr = Baselines.Nvtree.Fixed.create ~cap:m (Trees.arena ()) in
-    {
-      ins = (fun k -> ignore (Baselines.Nvtree.Fixed.insert tr k k));
-      fnd = (fun k -> ignore (Baselines.Nvtree.Fixed.find tr k));
-      probes = (fun () -> Baselines.Nvtree.Fixed.stats_probes tr);
-      reset = (fun () -> Baselines.Nvtree.Fixed.reset_probes tr);
-    }
-  | _ ->
-    let tr = Baselines.Wbtree.Fixed.create ~leaf_m:m (Trees.arena ()) in
-    {
-      ins = (fun k -> ignore (Baselines.Wbtree.Fixed.insert tr k k));
-      fnd = (fun k -> ignore (Baselines.Wbtree.Fixed.find tr k));
-      probes = (fun () -> Baselines.Wbtree.Fixed.stats_probes tr);
-      reset = (fun () -> Baselines.Wbtree.Fixed.reset_probes tr);
-    }
+  | "FPTree" -> Trees.fptree_fixed ~m ()
+  | "NV-Tree" -> Trees.nvtree_fixed ~cap:m ()
+  | _ -> Trees.wbtree_fixed ~leaf_m:m ()
 
 let run () =
   Report.heading "Figure 4: expected in-leaf key probes per successful search";
@@ -63,10 +35,10 @@ let run () =
       Env.single ();
       let t = mk_tree h m in
       let keys = Workloads.Keygen.permutation ~seed:11 n in
-      Array.iter t.ins keys;
-      t.reset ();
-      Array.iter t.fnd keys;
-      Report.f2 (float_of_int (t.probes ()) /. float_of_int n));
+      Array.iter (fun k -> ignore (t.Trees.insert k k)) keys;
+      t.Trees.reset_probes ();
+      Array.iter (fun k -> ignore (t.Trees.find k)) keys;
+      Report.f2 (float_of_int (t.Trees.probes ()) /. float_of_int n));
   Report.note
     "measured wBTree probes include its SCM inner-node binary searches; the \
      analytical curve counts the leaf only"

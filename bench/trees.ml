@@ -1,5 +1,7 @@
 (** Uniform tree handles for the benchmark harness: every evaluated
-    tree (Table 1) behind one record, fixed-key and variable-key. *)
+    tree (Table 1) behind one record, fixed-key and variable-key, built
+    by {!handle} from the tree's {!Fptree.Tree_intf.S} module.  Only
+    each tree's configuration stays per tree. *)
 
 type 'k handle = {
   name : string;
@@ -8,7 +10,6 @@ type 'k handle = {
   update : 'k -> int -> bool;
   delete : 'k -> bool;
   range : 'k -> 'k -> ('k * int) list;
-  count : unit -> int;
   dram_bytes : unit -> int;
   scm_bytes : unit -> int;
   recover : unit -> float;
@@ -27,139 +28,73 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
+(** [handle ~name (module T) ~create ~recover] puts the tree
+    [create ()] behind a handle.  A restart calls [recover tr] untimed
+    and times the thunk it returns; the thunk's tree replaces [tr]. *)
+let handle (type a k) ~name
+    (module T : Fptree.Tree_intf.S with type t = a and type key = k) ~create
+    ~(recover : a -> unit -> a) : k handle =
+  let tr = ref (create ()) in
+  {
+    name;
+    insert = (fun k v -> T.insert !tr k v);
+    find = (fun k -> T.find !tr k);
+    update = (fun k v -> T.update !tr k v);
+    delete = (fun k -> T.delete !tr k);
+    range = (fun lo hi -> T.range !tr ~lo ~hi);
+    dram_bytes = (fun () -> T.dram_bytes !tr);
+    scm_bytes = (fun () -> T.scm_bytes !tr);
+    recover =
+      (fun () ->
+        let tr', s = time (recover !tr) in
+        tr := tr';
+        s);
+    probes = (fun () -> T.key_probes !tr);
+    reset_probes = (fun () -> T.reset_probes !tr);
+  }
+
+(* A tree in its own SCM arena: a restart re-attaches the allocator to
+   the arena's region and recovers the tree from it, both timed. *)
+let persistent ~name tree ?mb ~create ~recover () =
+  let a = arena ?mb () in
+  handle ~name tree
+    ~create:(fun () -> create a)
+    ~recover:(fun _ () -> recover (Pmem.Palloc.of_region (Pmem.Palloc.region a)))
+
 (* ---- fixed keys ---- *)
 
 let fptree_fixed ?(concurrent = false) ?m ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t =
-    if concurrent then Fptree.Fixed.create_concurrent ?m ~value_bytes a
-    else Fptree.Fixed.create_single ?m ~value_bytes a
-  in
-  let tr = ref t in
-  {
-    name = (if concurrent then "FPTreeC" else "FPTree");
-    insert = (fun k v -> Fptree.Fixed.insert !tr k v);
-    find = (fun k -> Fptree.Fixed.find !tr k);
-    update = (fun k v -> Fptree.Fixed.update !tr k v);
-    delete = (fun k -> Fptree.Fixed.delete !tr k);
-    range = (fun lo hi -> Fptree.Fixed.range !tr ~lo ~hi);
-    count = (fun () -> Fptree.Fixed.count !tr);
-    dram_bytes = (fun () -> Fptree.Fixed.dram_bytes !tr);
-    scm_bytes = (fun () -> Fptree.Fixed.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Fptree.Fixed.recover a')
-        in
-        s);
-    probes = (fun () -> (Fptree.Fixed.stats !tr).Fptree.Tree.key_probes);
-    reset_probes = (fun () -> Fptree.Fixed.reset_stats !tr);
-  }
+  persistent ~name:(if concurrent then "FPTreeC" else "FPTree")
+    (module Fptree.Fixed) ?mb
+    ~create:(fun a ->
+      if concurrent then Fptree.Fixed.create_concurrent ?m ~value_bytes a
+      else Fptree.Fixed.create_single ?m ~value_bytes a)
+    ~recover:(fun a -> Fptree.Fixed.recover a) ()
 
 let ptree_fixed ?m ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t = Fptree.Ptree.Fixed.create ?m ~value_bytes a in
-  let tr = ref t in
-  {
-    name = "PTree";
-    insert = (fun k v -> Fptree.Ptree.Fixed.insert !tr k v);
-    find = (fun k -> Fptree.Ptree.Fixed.find !tr k);
-    update = (fun k v -> Fptree.Ptree.Fixed.update !tr k v);
-    delete = (fun k -> Fptree.Ptree.Fixed.delete !tr k);
-    range = (fun lo hi -> Fptree.Ptree.Fixed.range !tr ~lo ~hi);
-    count = (fun () -> Fptree.Ptree.Fixed.count !tr);
-    dram_bytes = (fun () -> Fptree.Ptree.Fixed.dram_bytes !tr);
-    scm_bytes = (fun () -> Fptree.Ptree.Fixed.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Fptree.Ptree.Fixed.recover ~config:Fptree.Tree.ptree_config a')
-        in
-        s);
-    probes = (fun () -> (Fptree.Ptree.Fixed.stats !tr).Fptree.Tree.key_probes);
-    reset_probes = (fun () -> Fptree.Ptree.Fixed.reset_stats !tr);
-  }
+  persistent ~name:"PTree" (module Fptree.Ptree.Fixed) ?mb
+    ~create:(fun a -> Fptree.Ptree.Fixed.create ?m ~value_bytes a)
+    ~recover:(fun a -> Fptree.Ptree.Fixed.recover ~config:Fptree.Tree.ptree_config a)
+    ()
 
 let nvtree_fixed ?(cap = 32) ?(pln_cap = 128) ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t = Baselines.Nvtree.Fixed.create ~cap ~pln_cap ~value_bytes a in
-  let tr = ref t in
-  {
-    name = "NV-Tree";
-    insert = (fun k v -> Baselines.Nvtree.Fixed.insert !tr k v);
-    find = (fun k -> Baselines.Nvtree.Fixed.find !tr k);
-    update = (fun k v -> Baselines.Nvtree.Fixed.update !tr k v);
-    delete = (fun k -> Baselines.Nvtree.Fixed.delete !tr k);
-    range = (fun lo hi -> Baselines.Nvtree.Fixed.range !tr ~lo ~hi);
-    count = (fun () -> Baselines.Nvtree.Fixed.count !tr);
-    dram_bytes = (fun () -> Baselines.Nvtree.Fixed.dram_bytes !tr);
-    scm_bytes = (fun () -> Baselines.Nvtree.Fixed.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Baselines.Nvtree.Fixed.recover ~cap ~pln_cap ~value_bytes a')
-        in
-        s);
-    probes = (fun () -> Baselines.Nvtree.Fixed.stats_probes !tr);
-    reset_probes = (fun () -> Baselines.Nvtree.Fixed.reset_probes !tr);
-  }
+  persistent ~name:"NV-Tree" (module Baselines.Nvtree.Fixed) ?mb
+    ~create:(Baselines.Nvtree.Fixed.create ~cap ~pln_cap ~value_bytes)
+    ~recover:(Baselines.Nvtree.Fixed.recover ~cap ~pln_cap ~value_bytes) ()
 
 let wbtree_fixed ?(leaf_m = 64) ?(inner_m = 32) ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t = Baselines.Wbtree.Fixed.create ~leaf_m ~inner_m ~value_bytes a in
-  let tr = ref t in
-  {
-    name = "wBTree";
-    insert = (fun k v -> Baselines.Wbtree.Fixed.insert !tr k v);
-    find = (fun k -> Baselines.Wbtree.Fixed.find !tr k);
-    update = (fun k v -> Baselines.Wbtree.Fixed.update !tr k v);
-    delete = (fun k -> Baselines.Wbtree.Fixed.delete !tr k);
-    range = (fun lo hi -> Baselines.Wbtree.Fixed.range !tr ~lo ~hi);
-    count = (fun () -> Baselines.Wbtree.Fixed.count !tr);
-    dram_bytes = (fun () -> Baselines.Wbtree.Fixed.dram_bytes !tr);
-    scm_bytes = (fun () -> Baselines.Wbtree.Fixed.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Baselines.Wbtree.Fixed.recover ~leaf_m ~inner_m ~value_bytes a')
-        in
-        s);
-    probes = (fun () -> Baselines.Wbtree.Fixed.stats_probes !tr);
-    reset_probes = (fun () -> Baselines.Wbtree.Fixed.reset_probes !tr);
-  }
+  persistent ~name:"wBTree" (module Baselines.Wbtree.Fixed) ?mb
+    ~create:(Baselines.Wbtree.Fixed.create ~leaf_m ~inner_m ~value_bytes)
+    ~recover:(Baselines.Wbtree.Fixed.recover ~leaf_m ~inner_m ~value_bytes) ()
 
+(* transient: recovery = full rebuild from a key stream *)
 let stxtree_fixed ?(leaf_cap = 16) ?(inner_cap = 16) ?(value_bytes = 8) () =
-  let t = Baselines.Stxtree.Fixed.create ~leaf_cap ~inner_cap ~value_bytes () in
-  let tr = ref t in
-  {
-    name = "STXTree";
-    insert = (fun k v -> Baselines.Stxtree.Fixed.insert !tr k v);
-    find = (fun k -> Baselines.Stxtree.Fixed.find !tr k);
-    update = (fun k v -> Baselines.Stxtree.Fixed.update !tr k v);
-    delete = (fun k -> Baselines.Stxtree.Fixed.delete !tr k);
-    range = (fun lo hi -> Baselines.Stxtree.Fixed.range !tr ~lo ~hi);
-    count = (fun () -> Baselines.Stxtree.Fixed.count !tr);
-    dram_bytes = (fun () -> Baselines.Stxtree.Fixed.dram_bytes !tr);
-    scm_bytes = (fun () -> 0);
-    recover =
-      (fun () ->
-        (* transient: recovery = full rebuild from a key stream *)
-        let pairs = Baselines.Stxtree.Fixed.range !tr ~lo:min_int ~hi:max_int in
-        let (), s =
-          time (fun () -> tr := Baselines.Stxtree.Fixed.rebuild_from !tr pairs)
-        in
-        s);
-    probes = (fun () -> 0);
-    reset_probes = ignore;
-  }
+  let module S = Baselines.Stxtree.Fixed in
+  handle ~name:"STXTree" (module S)
+    ~create:(S.create ~leaf_cap ~inner_cap ~value_bytes)
+    ~recover:(fun t ->
+      let pairs = S.range t ~lo:min_int ~hi:max_int in
+      fun () -> S.rebuild_from t pairs)
 
 let make_fixed ?value_bytes ?mb = function
   | "FPTree" -> fptree_fixed ?value_bytes ?mb ()
@@ -172,136 +107,37 @@ let make_fixed ?value_bytes ?mb = function
 
 (* ---- variable-size (string) keys ---- *)
 
-let fptree_var ?(concurrent = false) ?m ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t =
-    if concurrent then Fptree.Var.create_concurrent ?m ~value_bytes a
-    else Fptree.Var.create_single ?m ~value_bytes a
-  in
-  let tr = ref t in
-  {
-    name = (if concurrent then "FPTreeCVar" else "FPTreeVar");
-    insert = (fun k v -> Fptree.Var.insert !tr k v);
-    find = (fun k -> Fptree.Var.find !tr k);
-    update = (fun k v -> Fptree.Var.update !tr k v);
-    delete = (fun k -> Fptree.Var.delete !tr k);
-    range = (fun lo hi -> Fptree.Var.range !tr ~lo ~hi);
-    count = (fun () -> Fptree.Var.count !tr);
-    dram_bytes = (fun () -> Fptree.Var.dram_bytes !tr);
-    scm_bytes = (fun () -> Fptree.Var.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Fptree.Var.recover a')
-        in
-        s);
-    probes = (fun () -> (Fptree.Var.stats !tr).Fptree.Tree.key_probes);
-    reset_probes = (fun () -> Fptree.Var.reset_stats !tr);
-  }
+let fptree_var ?(concurrent = false) ?(value_bytes = 8) ?mb () =
+  persistent ~name:(if concurrent then "FPTreeCVar" else "FPTreeVar")
+    (module Fptree.Var) ?mb
+    ~create:(fun a ->
+      if concurrent then Fptree.Var.create_concurrent ~value_bytes a
+      else Fptree.Var.create_single ~value_bytes a)
+    ~recover:(fun a -> Fptree.Var.recover a) ()
 
-let ptree_var ?m ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t = Fptree.Ptree.Var.create ?m ~value_bytes a in
-  let tr = ref t in
-  {
-    name = "PTreeVar";
-    insert = (fun k v -> Fptree.Ptree.Var.insert !tr k v);
-    find = (fun k -> Fptree.Ptree.Var.find !tr k);
-    update = (fun k v -> Fptree.Ptree.Var.update !tr k v);
-    delete = (fun k -> Fptree.Ptree.Var.delete !tr k);
-    range = (fun lo hi -> Fptree.Ptree.Var.range !tr ~lo ~hi);
-    count = (fun () -> Fptree.Ptree.Var.count !tr);
-    dram_bytes = (fun () -> Fptree.Ptree.Var.dram_bytes !tr);
-    scm_bytes = (fun () -> Fptree.Ptree.Var.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Fptree.Ptree.Var.recover ~config:Fptree.Tree.ptree_config a')
-        in
-        s);
-    probes = (fun () -> (Fptree.Ptree.Var.stats !tr).Fptree.Tree.key_probes);
-    reset_probes = (fun () -> Fptree.Ptree.Var.reset_stats !tr);
-  }
+let ptree_var ?(value_bytes = 8) ?mb () =
+  persistent ~name:"PTreeVar" (module Fptree.Ptree.Var) ?mb
+    ~create:(fun a -> Fptree.Ptree.Var.create ~value_bytes a)
+    ~recover:(fun a -> Fptree.Ptree.Var.recover ~config:Fptree.Tree.ptree_config a)
+    ()
 
 let nvtree_var ?(cap = 32) ?(pln_cap = 128) ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t = Baselines.Nvtree.Var.create ~cap ~pln_cap ~value_bytes a in
-  let tr = ref t in
-  {
-    name = "NV-TreeVar";
-    insert = (fun k v -> Baselines.Nvtree.Var.insert !tr k v);
-    find = (fun k -> Baselines.Nvtree.Var.find !tr k);
-    update = (fun k v -> Baselines.Nvtree.Var.update !tr k v);
-    delete = (fun k -> Baselines.Nvtree.Var.delete !tr k);
-    range = (fun lo hi -> Baselines.Nvtree.Var.range !tr ~lo ~hi);
-    count = (fun () -> Baselines.Nvtree.Var.count !tr);
-    dram_bytes = (fun () -> Baselines.Nvtree.Var.dram_bytes !tr);
-    scm_bytes = (fun () -> Baselines.Nvtree.Var.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Baselines.Nvtree.Var.recover ~cap ~pln_cap ~value_bytes a')
-        in
-        s);
-    probes = (fun () -> Baselines.Nvtree.Var.stats_probes !tr);
-    reset_probes = (fun () -> Baselines.Nvtree.Var.reset_probes !tr);
-  }
+  persistent ~name:"NV-TreeVar" (module Baselines.Nvtree.Var) ?mb
+    ~create:(Baselines.Nvtree.Var.create ~cap ~pln_cap ~value_bytes)
+    ~recover:(Baselines.Nvtree.Var.recover ~cap ~pln_cap ~value_bytes) ()
 
 let wbtree_var ?(leaf_m = 64) ?(inner_m = 32) ?(value_bytes = 8) ?mb () =
-  let a = arena ?mb () in
-  let t = Baselines.Wbtree.Var.create ~leaf_m ~inner_m ~value_bytes a in
-  let tr = ref t in
-  {
-    name = "wBTreeVar";
-    insert = (fun k v -> Baselines.Wbtree.Var.insert !tr k v);
-    find = (fun k -> Baselines.Wbtree.Var.find !tr k);
-    update = (fun k v -> Baselines.Wbtree.Var.update !tr k v);
-    delete = (fun k -> Baselines.Wbtree.Var.delete !tr k);
-    range = (fun lo hi -> Baselines.Wbtree.Var.range !tr ~lo ~hi);
-    count = (fun () -> Baselines.Wbtree.Var.count !tr);
-    dram_bytes = (fun () -> Baselines.Wbtree.Var.dram_bytes !tr);
-    scm_bytes = (fun () -> Baselines.Wbtree.Var.scm_bytes !tr);
-    recover =
-      (fun () ->
-        let (), s =
-          time (fun () ->
-              let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-              tr := Baselines.Wbtree.Var.recover ~leaf_m ~inner_m ~value_bytes a')
-        in
-        s);
-    probes = (fun () -> Baselines.Wbtree.Var.stats_probes !tr);
-    reset_probes = (fun () -> Baselines.Wbtree.Var.reset_probes !tr);
-  }
+  persistent ~name:"wBTreeVar" (module Baselines.Wbtree.Var) ?mb
+    ~create:(Baselines.Wbtree.Var.create ~leaf_m ~inner_m ~value_bytes)
+    ~recover:(Baselines.Wbtree.Var.recover ~leaf_m ~inner_m ~value_bytes) ()
 
 let stxtree_var ?(leaf_cap = 8) ?(inner_cap = 8) ?(value_bytes = 8) () =
-  let t = Baselines.Stxtree.Var.create ~leaf_cap ~inner_cap ~value_bytes () in
-  let tr = ref t in
-  {
-    name = "STXTreeVar";
-    insert = (fun k v -> Baselines.Stxtree.Var.insert !tr k v);
-    find = (fun k -> Baselines.Stxtree.Var.find !tr k);
-    update = (fun k v -> Baselines.Stxtree.Var.update !tr k v);
-    delete = (fun k -> Baselines.Stxtree.Var.delete !tr k);
-    range = (fun lo hi -> Baselines.Stxtree.Var.range !tr ~lo ~hi);
-    count = (fun () -> Baselines.Stxtree.Var.count !tr);
-    dram_bytes = (fun () -> Baselines.Stxtree.Var.dram_bytes !tr);
-    scm_bytes = (fun () -> 0);
-    recover =
-      (fun () ->
-        let pairs = Baselines.Stxtree.Var.range !tr ~lo:"" ~hi:"\xff\xff\xff" in
-        let (), s =
-          time (fun () -> tr := Baselines.Stxtree.Var.rebuild_from !tr pairs)
-        in
-        s);
-    probes = (fun () -> 0);
-    reset_probes = ignore;
-  }
+  let module S = Baselines.Stxtree.Var in
+  handle ~name:"STXTreeVar" (module S)
+    ~create:(S.create ~leaf_cap ~inner_cap ~value_bytes)
+    ~recover:(fun t ->
+      let pairs = S.range t ~lo:"" ~hi:"\xff\xff\xff" in
+      fun () -> S.rebuild_from t pairs)
 
 let make_var ?value_bytes ?mb = function
   | "FPTreeVar" -> fptree_var ?value_bytes ?mb ()

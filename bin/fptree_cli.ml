@@ -140,15 +140,13 @@ let create_cmd =
   let run metrics format trace flight path size_mb checksums =
     with_metrics metrics format trace flight @@ fun () ->
     Scm.Registry.clear ();
-    let alloc = Pmem.Palloc.create ~size:(size_mb * 1024 * 1024) () in
-    (match
-       Fptree.Tree.guard_space (fun () ->
-           Fptree.Fixed.create
-             ~config:{ Fptree.Tree.fptree_config with Fptree.Tree.checksums }
-             alloc)
-     with
-    | Ok _ -> ()
-    | Error `Out_of_space -> die "out of space: arena too small for an empty tree");
+    (* A non-positive size is refused here; an empty tree fits in the
+       smallest (1 MiB) arena. *)
+    let alloc = or_die (fun () -> Pmem.Palloc.create ~size:(size_mb * 1024 * 1024) ()) in
+    ignore
+      (Fptree.Fixed.create
+         ~config:{ Fptree.Tree.fptree_config with Fptree.Tree.checksums }
+         alloc);
     save (Pmem.Palloc.region alloc) path;
     Printf.printf "created %s (%d MiB arena%s)\n" path size_mb
       (if checksums then ", per-leaf checksums" else "")
@@ -516,21 +514,20 @@ let wear_cmd =
        deletes, lookups — enough of each that every component row is
        exercised. *)
     or_die (fun () ->
-        match
-          Fptree.Tree.guard_space @@ fun () ->
-          for i = base + 1 to base + ops do
-            ignore (Fptree.Fixed.insert t i (i * 10))
-          done;
-          for i = base + 1 to base + ops do
-            if i mod 2 = 0 then ignore (Fptree.Fixed.update t i (i * 11));
-            if i mod 4 = 0 then ignore (Fptree.Fixed.delete t i);
-            ignore (Fptree.Fixed.find t i)
-          done;
-          ignore (Fptree.Fixed.reclaim_space t)
-        with
-        | Ok () -> ()
-        | Error `Out_of_space ->
-          failwith "out of space during the wear workload (use a larger image)");
+        let admitted = function
+          | Ok _ -> ()
+          | Error `Out_of_space ->
+            failwith "out of space during the wear workload (use a larger image)"
+        in
+        for i = base + 1 to base + ops do
+          admitted (Fptree.Fixed.try_insert t i (i * 10))
+        done;
+        for i = base + 1 to base + ops do
+          if i mod 2 = 0 then admitted (Fptree.Fixed.try_update t i (i * 11));
+          if i mod 4 = 0 then ignore (Fptree.Fixed.delete t i);
+          ignore (Fptree.Fixed.find t i)
+        done;
+        ignore (Fptree.Fixed.reclaim_space t));
     let st = Fptree.Fixed.stats t in
     (* (component x op) persist matrix, components as rows *)
     Printf.printf "attribution (component x quantity, workload only):\n";

@@ -27,7 +27,8 @@ let () =
                (Pmem.Palloc.create ~size:(256 * 1024 * 1024) ())) );
       ( "wBTree  (persistent, global lock)",
         fun () ->
-          Kvstore.Tree_ops.of_wbtree
+          Kvstore.Tree_ops.of_tree ~name:"wBTree" ~concurrent:false
+            (module Baselines.Wbtree.Var)
             (Baselines.Wbtree.Var.create
                (Pmem.Palloc.create ~size:(256 * 1024 * 1024) ())) );
       ("HashMap (transient)", fun () -> Kvstore.Tree_ops.of_hashmap ());

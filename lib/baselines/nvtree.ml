@@ -406,7 +406,10 @@ module Make (K : Fptree.Keys.KEY) = struct
 
   (* Append [mk_entry] to the leaf holding [k], splitting first if the
      leaf is full.  Returns false if [precond] fails on the current
-     live value. *)
+     live value.  An exception from the split or the append (arena
+     exhaustion: a split's fresh leaves, a variable key's block) leaves
+     the entry uncommitted and releases the leaf lock before it
+     propagates; a held lock would stall every later op on the leaf. *)
   let rec append_op t k ~precond ~flag v =
     let pln, i, leaf = lock_leaf_for t k in
     let current = scan_leaf t leaf k in
@@ -423,28 +426,38 @@ module Make (K : Fptree.Keys.KEY) = struct
            position is re-resolved inside it because a concurrent
            rebuild may have replaced the PLN array (the leaf itself
            cannot have moved: we hold its lock). *)
-        Spec.with_write t.spec (fun () ->
-            Nv.begin_write t.dir;
-            Fun.protect
-              ~finally:(fun () -> Nv.end_write t.dir)
-              (fun () ->
-                let pln', i', leaf' = find_leaf t k in
-                assert (leaf' == leaf);
-                let prev = prev_leaf_of t pln' i' in
-                split_leaf t pln' i' leaf prev));
-        unlock leaf;
+        (match
+           Spec.with_write t.spec (fun () ->
+               Nv.begin_write t.dir;
+               Fun.protect
+                 ~finally:(fun () -> Nv.end_write t.dir)
+                 (fun () ->
+                   let pln', i', leaf' = find_leaf t k in
+                   assert (leaf' == leaf);
+                   let prev = prev_leaf_of t pln' i' in
+                   split_leaf t pln' i' leaf prev))
+         with
+        | () -> unlock leaf
+        | exception e ->
+          unlock leaf;
+          raise e);
         append_op t k ~precond ~flag v
       end
-      else begin
-        append_entry t leaf.off c ~flag k v;
-        unlock leaf;
-        true
-      end
+      else
+        match append_entry t leaf.off c ~flag k v with
+        | () ->
+          unlock leaf;
+          true
+        | exception e ->
+          unlock leaf;
+          raise e
     end
 
   let insert t k v = append_op t k ~precond:(fun live -> not live) ~flag:flag_live v
   let update t k v = append_op t k ~precond:(fun live -> live) ~flag:flag_live v
   let delete t k = append_op t k ~precond:(fun live -> live) ~flag:flag_dead 0
+  let try_insert t k v = Fptree.Tree.guard_space (fun () -> insert t k v)
+  let try_update t k v = Fptree.Tree.guard_space (fun () -> update t k v)
 
   let range t ~lo ~hi =
     if K.compare lo hi > 0 then []
@@ -488,7 +501,7 @@ module Make (K : Fptree.Keys.KEY) = struct
     let per_pln = (t.pln_cap * (K.dram_bytes K.dummy + 16)) + 24 in
     (t.n_pln * per_pln) + (t.n_pln * (K.dram_bytes K.dummy + 8))
 
-  let stats_probes t = t.key_probes
+  let key_probes t = t.key_probes
   let reset_probes t = t.key_probes <- 0
   let rebuild_count t = t.rebuilds
 

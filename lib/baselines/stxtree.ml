@@ -210,6 +210,10 @@ module Make (K : KEY) = struct
       List.sort (fun (a, _) (b, _) -> K.compare a b) !acc
     end
 
+  (* DRAM-only: no arena to exhaust, but the same typed surface. *)
+  let try_insert t k v = Fptree.Tree.guard_space (fun () -> insert t k v)
+  let try_update t k v = Fptree.Tree.guard_space (fun () -> update t k v)
+
   let count t = t.size
 
   let dram_bytes t =
@@ -227,6 +231,8 @@ module Make (K : KEY) = struct
 
   let scm_bytes _ = 0
   let htm_stats _ = [] (* no speculative path: plain transient tree *)
+  let key_probes _ = 0 (* binary search; probes are not counted *)
+  let reset_probes _ = ()
 
   (** Full rebuild from a sorted stream: the paper's recovery baseline
       (a transient tree must reinsert everything after a restart). *)

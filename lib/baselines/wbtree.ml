@@ -390,6 +390,9 @@ module Make (K : Fptree.Keys.KEY) = struct
       Region.persist r (entry_val_off t leaf e) 8;
       true
 
+  let try_insert t k v = Fptree.Tree.guard_space (fun () -> insert t k v)
+  let try_update t k v = Fptree.Tree.guard_space (fun () -> update t k v)
+
   (* remove an emptied node from its parent chain *)
   let remove_empty_leaf t k leaf =
     if read_root t = leaf then ()
@@ -498,7 +501,7 @@ module Make (K : Fptree.Keys.KEY) = struct
   let scm_bytes t = Pmem.Palloc.live_bytes (alloc t)
   let dram_bytes _ = 0 (* resides fully in SCM *)
   let htm_stats _ = [] (* single-threaded: no speculative path *)
-  let stats_probes t = t.key_probes
+  let key_probes t = t.key_probes
   let reset_probes t = t.key_probes <- 0
 
   (* ---- construction / recovery ---- *)

@@ -31,65 +31,29 @@ type t = {
 let nvtree_db_cap = 1024
 let nvtree_db_pln = 8
 
-(* The baselines (and the transient STXTree) predate the typed result
-   surface; route them through the blessed adapter so exhaustion comes
-   out as the same [`Out_of_space] the FPTree envelopes return. *)
-let guard2 f k v = Fptree.Tree.guard_space (fun () -> f k v)
-
-let wrap_fptree tr =
-  { kind = FPTree; alloc = None;
-    insert = Fptree.Fixed.try_insert tr; find = Fptree.Fixed.find tr;
-    update = Fptree.Fixed.try_update tr; delete = Fptree.Fixed.delete tr;
-    count = (fun () -> Fptree.Fixed.count tr) }
-
-let wrap_ptree tr =
-  { kind = PTree; alloc = None;
-    insert = Fptree.Ptree.Fixed.try_insert tr; find = Fptree.Ptree.Fixed.find tr;
-    update = Fptree.Ptree.Fixed.try_update tr;
-    delete = Fptree.Ptree.Fixed.delete tr;
-    count = (fun () -> Fptree.Ptree.Fixed.count tr) }
-
-let wrap_nvtree tr =
-  { kind = NVTree; alloc = None;
-    insert = guard2 (Baselines.Nvtree.Fixed.insert tr);
-    find = Baselines.Nvtree.Fixed.find tr;
-    update = guard2 (Baselines.Nvtree.Fixed.update tr);
-    delete = Baselines.Nvtree.Fixed.delete tr;
-    count = (fun () -> Baselines.Nvtree.Fixed.count tr) }
-
-let wrap_wbtree tr =
-  { kind = WBTree; alloc = None;
-    insert = guard2 (Baselines.Wbtree.Fixed.insert tr);
-    find = Baselines.Wbtree.Fixed.find tr;
-    update = guard2 (Baselines.Wbtree.Fixed.update tr);
-    delete = Baselines.Wbtree.Fixed.delete tr;
-    count = (fun () -> Baselines.Wbtree.Fixed.count tr) }
-
-let wrap_stxtree tr =
-  { kind = STXTree; alloc = None;
-    insert = guard2 (Baselines.Stxtree.Fixed.insert tr);
-    find = Baselines.Stxtree.Fixed.find tr;
-    update = guard2 (Baselines.Stxtree.Fixed.update tr);
-    delete = Baselines.Stxtree.Fixed.delete tr;
-    count = (fun () -> Baselines.Stxtree.Fixed.count tr) }
+let wrap kind alloc (type a) (module T : Fptree.Tree_intf.FIXED with type t = a)
+    (tr : a) =
+  { kind; alloc;
+    insert = (fun k v -> T.try_insert tr k v); find = (fun k -> T.find tr k);
+    update = (fun k v -> T.try_update tr k v); delete = (fun k -> T.delete tr k);
+    count = (fun () -> T.count tr) }
 
 (** Create a fresh index of [kind] in its own SCM arena. *)
 let create ?(arena_bytes = 64 * 1024 * 1024) kind =
   match kind with
-  | STXTree -> { (wrap_stxtree (Baselines.Stxtree.Fixed.create ())) with alloc = None }
+  | STXTree ->
+    wrap kind None (module Baselines.Stxtree.Fixed) (Baselines.Stxtree.Fixed.create ())
   | _ ->
     let a = Pmem.Palloc.create ~size:arena_bytes () in
-    let t =
-      match kind with
-      | FPTree -> wrap_fptree (Fptree.Fixed.create_single a)
-      | PTree -> wrap_ptree (Fptree.Ptree.Fixed.create a)
-      | NVTree ->
-        wrap_nvtree
-          (Baselines.Nvtree.Fixed.create ~cap:nvtree_db_cap ~pln_cap:nvtree_db_pln a)
-      | WBTree -> wrap_wbtree (Baselines.Wbtree.Fixed.create a)
-      | STXTree -> assert false
-    in
-    { t with alloc = Some a }
+    let w m tr = wrap kind (Some a) m tr in
+    (match kind with
+    | FPTree -> w (module Fptree.Fixed) (Fptree.Fixed.create_single a)
+    | PTree -> w (module Fptree.Ptree.Fixed) (Fptree.Ptree.Fixed.create a)
+    | NVTree ->
+      w (module Baselines.Nvtree.Fixed)
+        (Baselines.Nvtree.Fixed.create ~cap:nvtree_db_cap ~pln_cap:nvtree_db_pln a)
+    | WBTree -> w (module Baselines.Wbtree.Fixed) (Baselines.Wbtree.Fixed.create a)
+    | STXTree -> assert false)
 
 (** Re-open an index after a (simulated) restart.  The STXTree is
     transient: the caller must rebuild it from base data. *)
@@ -97,16 +61,15 @@ let recover t =
   match (t.kind, t.alloc) with
   | STXTree, _ | _, None -> invalid_arg "Index.recover: transient index"
   | kind, Some a ->
-    let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-    let t' =
-      match kind with
-      | FPTree -> wrap_fptree (Fptree.Fixed.recover a')
-      | PTree ->
-        wrap_ptree (Fptree.Ptree.Fixed.recover ~config:Fptree.Tree.ptree_config a')
-      | NVTree ->
-        wrap_nvtree
-          (Baselines.Nvtree.Fixed.recover ~cap:nvtree_db_cap ~pln_cap:nvtree_db_pln a')
-      | WBTree -> wrap_wbtree (Baselines.Wbtree.Fixed.recover a')
-      | STXTree -> assert false
-    in
-    { t' with alloc = Some a' }
+    let a = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
+    let w m tr = wrap kind (Some a) m tr in
+    (match kind with
+    | FPTree -> w (module Fptree.Fixed) (Fptree.Fixed.recover a)
+    | PTree ->
+      w (module Fptree.Ptree.Fixed)
+        (Fptree.Ptree.Fixed.recover ~config:Fptree.Tree.ptree_config a)
+    | NVTree ->
+      w (module Baselines.Nvtree.Fixed)
+        (Baselines.Nvtree.Fixed.recover ~cap:nvtree_db_cap ~pln_cap:nvtree_db_pln a)
+    | WBTree -> w (module Baselines.Wbtree.Fixed) (Baselines.Wbtree.Fixed.recover a)
+    | STXTree -> assert false)

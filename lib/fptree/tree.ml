@@ -1652,6 +1652,9 @@ module Make (K : Keys.KEY) = struct
     s.key_probes <- 0; s.finds <- 0; s.inserts <- 0; s.updates <- 0;
     s.deletes <- 0; s.leaf_splits <- 0; s.leaf_deletes <- 0
 
+  let key_probes t = t.stats.key_probes
+  let reset_probes = reset_stats
+
   (* ---- construction and recovery ---- *)
 
   let make_logs t_region meta cfg =
@@ -2060,10 +2063,11 @@ module Make (K : Keys.KEY) = struct
 end
 
 (** The one blessed adapter from the allocator's exhaustion exception
-    to the typed result surface.  Upper layers wrap allocating calls in
-    this (or use the [try_*] envelopes) instead of matching
-    [Out_of_scm] textually — the lint rule keeps the exception's name
-    out of every library above [lib/pmem]/[lib/fptree]. *)
+    to the typed result surface.  The baselines define their
+    [try_insert]/[try_update] ({!Tree_intf.S}) with it; callers above
+    the trees use those envelopes.  Lint rules keep [Out_of_scm] out of
+    every library above [lib/pmem]/[lib/fptree], and this adapter out
+    of everything but [lib/fptree] and [lib/baselines]. *)
 let guard_space f =
   match f () with
   | v -> Ok v

@@ -22,83 +22,22 @@ type t = {
           without a speculative path. *)
 }
 
-let of_fptree_concurrent (tr : Fptree.Var.t) =
+(** The cache index over any variable-key tree; [name] labels the
+    backend in reports. *)
+let of_tree (type a) ~name ~concurrent
+    (module T : Fptree.Tree_intf.VAR with type t = a) (tr : a) =
   {
-    name = "FPTreeC";
-    insert = Fptree.Var.try_insert tr;
-    update = Fptree.Var.try_update tr;
-    find = Fptree.Var.find tr;
-    delete = Fptree.Var.delete tr;
-    concurrent = true;
-    htm_stats = (fun () -> Fptree.Var.htm_stats tr);
+    name;
+    insert = (fun k v -> T.try_insert tr k v);
+    update = (fun k v -> T.try_update tr k v);
+    find = (fun k -> T.find tr k);
+    delete = (fun k -> T.delete tr k);
+    concurrent;
+    htm_stats = (fun () -> T.htm_stats tr);
   }
 
-let of_fptree_single (tr : Fptree.Var.t) =
-  {
-    name = "FPTree";
-    insert = Fptree.Var.try_insert tr;
-    update = Fptree.Var.try_update tr;
-    find = Fptree.Var.find tr;
-    delete = Fptree.Var.delete tr;
-    concurrent = false;
-    htm_stats = (fun () -> Fptree.Var.htm_stats tr);
-  }
-
-let of_ptree (tr : Fptree.Ptree.Var.t) =
-  {
-    name = "PTree";
-    insert = Fptree.Ptree.Var.try_insert tr;
-    update = Fptree.Ptree.Var.try_update tr;
-    find = Fptree.Ptree.Var.find tr;
-    delete = Fptree.Ptree.Var.delete tr;
-    concurrent = false;
-    htm_stats = (fun () -> Fptree.Ptree.Var.htm_stats tr);
-  }
-
-let of_nvtree (tr : Baselines.Nvtree.Var.t) =
-  {
-    name = "NV-TreeC";
-    insert =
-      (fun k v ->
-        Fptree.Tree.guard_space (fun () -> Baselines.Nvtree.Var.insert tr k v));
-    update =
-      (fun k v ->
-        Fptree.Tree.guard_space (fun () -> Baselines.Nvtree.Var.update tr k v));
-    find = Baselines.Nvtree.Var.find tr;
-    delete = Baselines.Nvtree.Var.delete tr;
-    concurrent = true;
-    htm_stats = (fun () -> Baselines.Nvtree.Var.htm_stats tr);
-  }
-
-let of_wbtree (tr : Baselines.Wbtree.Var.t) =
-  {
-    name = "wBTree";
-    insert =
-      (fun k v ->
-        Fptree.Tree.guard_space (fun () -> Baselines.Wbtree.Var.insert tr k v));
-    update =
-      (fun k v ->
-        Fptree.Tree.guard_space (fun () -> Baselines.Wbtree.Var.update tr k v));
-    find = Baselines.Wbtree.Var.find tr;
-    delete = Baselines.Wbtree.Var.delete tr;
-    concurrent = false;
-    htm_stats = (fun () -> Baselines.Wbtree.Var.htm_stats tr);
-  }
-
-let of_stxtree (tr : Baselines.Stxtree.Var.t) =
-  {
-    name = "STXTree";
-    insert =
-      (fun k v ->
-        Fptree.Tree.guard_space (fun () -> Baselines.Stxtree.Var.insert tr k v));
-    update =
-      (fun k v ->
-        Fptree.Tree.guard_space (fun () -> Baselines.Stxtree.Var.update tr k v));
-    find = Baselines.Stxtree.Var.find tr;
-    delete = Baselines.Stxtree.Var.delete tr;
-    concurrent = false;
-    htm_stats = (fun () -> Baselines.Stxtree.Var.htm_stats tr);
-  }
+let of_fptree_concurrent tr =
+  of_tree ~name:"FPTreeC" ~concurrent:true (module Fptree.Var) tr
 
 (** The vanilla-memcached stand-in: a plain DRAM hash table behind a
     bucket-style lock. *)

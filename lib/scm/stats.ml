@@ -44,8 +44,8 @@ let persists_c =
 (* Payload bytes stored through the instrumented write paths — the
    numerator-side input of the wear report's write-amplification ratio
    (64 × line_writes / store_bytes).  Not part of {!snapshot}: the
-   five-field record is pinned by the committed BENCH_hotpath.json
-   counter traces. *)
+   five-field record is pinned as exact records by the counter-trace
+   tests in test/test_hotpath.ml. *)
 let store_bytes_c =
   Obs.Registry.counter "scm_store_bytes_total"
     ~help:"payload bytes stored through instrumented region writes"

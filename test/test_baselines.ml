@@ -219,7 +219,7 @@ let test_wb_binary_search_probes () =
   for i = 1 to 2000 do
     ignore (Wb.find t i)
   done;
-  let per_find = float_of_int (Wb.stats_probes t) /. 2000. in
+  let per_find = float_of_int (Wb.key_probes t) /. 2000. in
   (* binary search in leaf (log2 64 = 6) + inner levels; must be far
      below a linear scan of a 64-entry leaf (32) *)
   Alcotest.(check bool)
@@ -391,45 +391,89 @@ let qcheck_wb =
     (fun () -> Wb.create ~leaf_m:4 ~inner_m:4 (fresh_alloc ()))
 
 (* Runtime counterpart of [Baselines.Conformance]'s compile-time
-   ascriptions: drive every FIXED tree through the uniform
-   [Fptree.Tree_intf.FIXED] interface with one shared script, the way
-   tree-agnostic benchmarks and integrations do. *)
-type packed = P : (module Fptree.Tree_intf.FIXED with type t = 'a) * 'a -> packed
+   ascriptions: drive every tree, fixed- and variable-key, through the
+   uniform [Fptree.Tree_intf.S] interface with one shared script, the
+   way tree-agnostic benchmarks and integrations do.  Then fill a fresh
+   1 MiB arena through [try_insert] until it refuses: no exception may
+   escape, and every admitted pair must stay readable. *)
+type packed =
+  | P : {
+      name : string;
+      m : (module Fptree.Tree_intf.S with type t = 'a and type key = 'k);
+      key : int -> 'k; (* order-preserving *)
+      make : Pmem.Palloc.t -> 'a;
+    }
+      -> packed
+
+let conformance_script (type a k) name
+    (module M : Fptree.Tree_intf.S with type t = a and type key = k) key (t : a) =
+  for i = 1 to 100 do
+    if not (M.insert t (key i) (i * 7)) then Alcotest.failf "%s: insert %d" name i
+  done;
+  if M.try_insert t (key 1) 0 <> Ok false then Alcotest.failf "%s: try_insert dup" name;
+  if M.count t <> 100 then Alcotest.failf "%s: count" name;
+  if M.find t (key 42) <> Some (42 * 7) then Alcotest.failf "%s: find" name;
+  if not (M.update t (key 42) 0) then Alcotest.failf "%s: update" name;
+  if M.try_update t (key 101) 0 <> Ok false then Alcotest.failf "%s: try_update miss" name;
+  if not (M.delete t (key 41)) then Alcotest.failf "%s: delete" name;
+  if M.range t ~lo:(key 40) ~hi:(key 43) <> [ (key 40, 280); (key 42, 0); (key 43, 301) ]
+  then Alcotest.failf "%s: range" name;
+  if M.dram_bytes t < 0 || M.scm_bytes t < 0 then Alcotest.failf "%s: footprint" name;
+  M.reset_probes t;
+  if M.key_probes t <> 0 then Alcotest.failf "%s: reset_probes" name;
+  (* speculative counters: an assoc list (possibly empty), and no
+     tree reports aborts it never performed single-threaded *)
+  List.iter
+    (fun (k, v) ->
+      if v <> 0 then Alcotest.failf "%s: nonzero %s single-threaded" name k)
+    (M.htm_stats t)
+
+(* A persistent tree spends at least 8 bytes of arena per key, so it
+   must refuse before [limit] keys; the DRAM-only STXTree never does. *)
+let exhaustion (type a k) name
+    (module M : Fptree.Tree_intf.S with type t = a and type key = k) key (t : a) =
+  let limit = 1 lsl 17 in
+  let admitted = ref 0 and refused = ref false in
+  while (not !refused) && !admitted < limit do
+    let i = !admitted + 1 in
+    match M.try_insert t (key i) i with
+    | Ok true -> admitted := i
+    | Ok false -> Alcotest.failf "%s: fresh key %d reported present" name i
+    | Error `Out_of_space -> refused := true
+    | exception e -> Alcotest.failf "%s: insert %d raised %s" name i (Printexc.to_string e)
+  done;
+  if (not !refused) && M.scm_bytes t > 0 then
+    Alcotest.failf "%s: %d keys fit in a 1 MiB arena" name limit;
+  for i = 1 to !admitted do
+    if M.find t (key i) <> Some i then Alcotest.failf "%s: admitted key %d lost" name i
+  done;
+  Alcotest.(check int) (name ^ ": count after exhaustion") !admitted (M.count t)
 
 let test_conformance_uniform_interface () =
+  let fixed name m make = P { name; m; key = Fun.id; make } in
+  let var name m make = P { name; m; key = Printf.sprintf "k%07d"; make } in
   let packs =
     [
-      (let a = fresh_alloc () in
-       P ((module Fptree.Fixed), Fptree.Fixed.create_single ~m:8 a));
-      (let a = fresh_alloc () in
-       P ((module Fptree.Ptree.Fixed), Fptree.Ptree.Fixed.create ~m:8 a));
-      P ((module Stx), Stx.create ~leaf_cap:8 ~inner_cap:8 ());
-      (let a = fresh_alloc () in P ((module Nv), Nv.create ~cap:16 a));
-      (let a = fresh_alloc () in P ((module Wb), Wb.create ~leaf_m:8 a));
+      fixed "FPTree" (module Fptree.Fixed) (Fptree.Fixed.create_single ~m:8);
+      fixed "FPTreeC" (module Fptree.Fixed) (Fptree.Fixed.create_concurrent ~m:8);
+      fixed "PTree" (module Fptree.Ptree.Fixed) (Fptree.Ptree.Fixed.create ~m:8);
+      fixed "STXTree" (module Stx) (fun _ -> Stx.create ~leaf_cap:8 ~inner_cap:8 ());
+      fixed "NV-Tree" (module Nv) (Nv.create ~cap:16);
+      fixed "wBTree" (module Wb) (Wb.create ~leaf_m:8);
+      var "FPTreeVar" (module Fptree.Var) (Fptree.Var.create_single ~m:8);
+      var "FPTreeCVar" (module Fptree.Var) (Fptree.Var.create_concurrent ~m:8);
+      var "PTreeVar" (module Fptree.Ptree.Var) (Fptree.Ptree.Var.create ~m:8);
+      var "STXTreeVar" (module StxV) (fun _ -> StxV.create ~leaf_cap:8 ~inner_cap:8 ());
+      var "NV-TreeVar" (module NvV) (NvV.create ~cap:16);
+      var "wBTreeVar" (module WbV) (WbV.create ~leaf_m:8);
     ]
   in
   List.iter
-    (fun (P ((module M), t)) ->
-      for i = 1 to 100 do
-        if not (M.insert t i (i * 7)) then
-          Alcotest.failf "%s: insert %d" M.name i
-      done;
-      if M.count t <> 100 then Alcotest.failf "%s: count" M.name;
-      if M.find t 42 <> Some (42 * 7) then Alcotest.failf "%s: find" M.name;
-      if not (M.update t 42 0) then Alcotest.failf "%s: update" M.name;
-      if not (M.delete t 41) then Alcotest.failf "%s: delete" M.name;
-      if M.range t ~lo:40 ~hi:43 <> [ (40, 280); (42, 0); (43, 301) ] then
-        Alcotest.failf "%s: range" M.name;
-      if M.dram_bytes t < 0 || M.scm_bytes t < 0 then
-        Alcotest.failf "%s: footprint" M.name;
-      (* speculative counters: an assoc list (possibly empty), and no
-         tree reports aborts it never performed single-threaded *)
-      List.iter
-        (fun (k, v) ->
-          if v <> 0 then Alcotest.failf "%s: nonzero %s single-threaded" M.name k)
-        (M.htm_stats t))
+    (fun (P { name; m; key; make }) ->
+      conformance_script name m key (make (fresh_alloc ~size:(8 lsl 20) ()));
+      exhaustion name m key (make (fresh_alloc ~size:(1 lsl 20) ())))
     packs;
-  Alcotest.(check int) "five trees conform" 5 (List.length packs)
+  Alcotest.(check int) "twelve trees conform" 12 (List.length packs)
 
 let () =
   Alcotest.run "baselines"
@@ -463,7 +507,7 @@ let () =
       ("stxtree", [ Alcotest.test_case "rebuild baseline" `Quick test_stx_rebuild ]);
       ( "conformance",
         [
-          Alcotest.test_case "uniform FIXED interface" `Quick
+          Alcotest.test_case "uniform interface" `Quick
             test_conformance_uniform_interface;
         ] );
       ( "properties",

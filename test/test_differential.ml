@@ -13,62 +13,29 @@ type fixed_tree = {
   count : unit -> int;
 }
 
+let tree (type a) name (module T : Fptree.Tree_intf.FIXED with type t = a) (t : a) =
+  { name; insert = T.insert t; find = T.find t; update = T.update t;
+    delete = T.delete t; range = (fun lo hi -> T.range t ~lo ~hi);
+    count = (fun () -> T.count t) }
+
 let mk_all () =
   Scm.Registry.clear ();
   Scm.Config.reset ();
   Scm.Config.set_crash_tracking false;
-  let fp =
-    let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-    let t = Fptree.Fixed.create ~config:{ Fptree.Tree.fptree_config with Fptree.Tree.m = 6 } a in
-    { name = "FPTree"; insert = Fptree.Fixed.insert t; find = Fptree.Fixed.find t;
-      update = Fptree.Fixed.update t; delete = Fptree.Fixed.delete t;
-      range = (fun lo hi -> Fptree.Fixed.range t ~lo ~hi);
-      count = (fun () -> Fptree.Fixed.count t) }
-  in
-  let fpc =
-    let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-    let t = Fptree.Fixed.create_concurrent ~m:6 a in
-    { name = "FPTreeC"; insert = Fptree.Fixed.insert t; find = Fptree.Fixed.find t;
-      update = Fptree.Fixed.update t; delete = Fptree.Fixed.delete t;
-      range = (fun lo hi -> Fptree.Fixed.range t ~lo ~hi);
-      count = (fun () -> Fptree.Fixed.count t) }
-  in
-  let pt =
-    let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-    let t = Fptree.Ptree.Fixed.create ~m:6 a in
-    { name = "PTree"; insert = Fptree.Ptree.Fixed.insert t;
-      find = Fptree.Ptree.Fixed.find t; update = Fptree.Ptree.Fixed.update t;
-      delete = Fptree.Ptree.Fixed.delete t;
-      range = (fun lo hi -> Fptree.Ptree.Fixed.range t ~lo ~hi);
-      count = (fun () -> Fptree.Ptree.Fixed.count t) }
-  in
-  let nv =
-    let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-    let t = Baselines.Nvtree.Fixed.create ~cap:8 ~pln_cap:4 a in
-    { name = "NV-Tree"; insert = Baselines.Nvtree.Fixed.insert t;
-      find = Baselines.Nvtree.Fixed.find t; update = Baselines.Nvtree.Fixed.update t;
-      delete = Baselines.Nvtree.Fixed.delete t;
-      range = (fun lo hi -> Baselines.Nvtree.Fixed.range t ~lo ~hi);
-      count = (fun () -> Baselines.Nvtree.Fixed.count t) }
-  in
-  let wb =
-    let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-    let t = Baselines.Wbtree.Fixed.create ~leaf_m:6 ~inner_m:5 a in
-    { name = "wBTree"; insert = Baselines.Wbtree.Fixed.insert t;
-      find = Baselines.Wbtree.Fixed.find t; update = Baselines.Wbtree.Fixed.update t;
-      delete = Baselines.Wbtree.Fixed.delete t;
-      range = (fun lo hi -> Baselines.Wbtree.Fixed.range t ~lo ~hi);
-      count = (fun () -> Baselines.Wbtree.Fixed.count t) }
-  in
-  let stx =
-    let t = Baselines.Stxtree.Fixed.create ~leaf_cap:6 ~inner_cap:6 () in
-    { name = "STXTree"; insert = Baselines.Stxtree.Fixed.insert t;
-      find = Baselines.Stxtree.Fixed.find t; update = Baselines.Stxtree.Fixed.update t;
-      delete = Baselines.Stxtree.Fixed.delete t;
-      range = (fun lo hi -> Baselines.Stxtree.Fixed.range t ~lo ~hi);
-      count = (fun () -> Baselines.Stxtree.Fixed.count t) }
-  in
-  [ fp; fpc; pt; nv; wb; stx ]
+  let arena () = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
+  [
+    tree "FPTree" (module Fptree.Fixed)
+      (Fptree.Fixed.create
+         ~config:{ Fptree.Tree.fptree_config with Fptree.Tree.m = 6 } (arena ()));
+    tree "FPTreeC" (module Fptree.Fixed) (Fptree.Fixed.create_concurrent ~m:6 (arena ()));
+    tree "PTree" (module Fptree.Ptree.Fixed) (Fptree.Ptree.Fixed.create ~m:6 (arena ()));
+    tree "NV-Tree" (module Baselines.Nvtree.Fixed)
+      (Baselines.Nvtree.Fixed.create ~cap:8 ~pln_cap:4 (arena ()));
+    tree "wBTree" (module Baselines.Wbtree.Fixed)
+      (Baselines.Wbtree.Fixed.create ~leaf_m:6 ~inner_m:5 (arena ()));
+    tree "STXTree" (module Baselines.Stxtree.Fixed)
+      (Baselines.Stxtree.Fixed.create ~leaf_cap:6 ~inner_cap:6 ());
+  ]
 
 type op = Ins of int * int | Del of int | Upd of int * int | Fnd of int | Rng of int * int
 

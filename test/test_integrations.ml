@@ -48,24 +48,31 @@ let test_cache_all_backends () =
         Kvstore.Tree_ops.of_fptree_concurrent (Fptree.Var.create_concurrent a));
       (fun () ->
         let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-        Kvstore.Tree_ops.of_fptree_single (Fptree.Var.create_single a));
+        Kvstore.Tree_ops.of_tree ~name:"FPTree" ~concurrent:false
+          (module Fptree.Var) (Fptree.Var.create_single a));
       (fun () ->
         let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-        Kvstore.Tree_ops.of_ptree (Fptree.Ptree.Var.create a));
+        Kvstore.Tree_ops.of_tree ~name:"PTree" ~concurrent:false
+          (module Fptree.Ptree.Var) (Fptree.Ptree.Var.create a));
       (fun () ->
         let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-        Kvstore.Tree_ops.of_nvtree (Baselines.Nvtree.Var.create a));
+        Kvstore.Tree_ops.of_tree ~name:"NV-TreeC" ~concurrent:true
+          (module Baselines.Nvtree.Var) (Baselines.Nvtree.Var.create a));
       (fun () ->
         let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
-        Kvstore.Tree_ops.of_wbtree (Baselines.Wbtree.Var.create a));
-      (fun () -> Kvstore.Tree_ops.of_stxtree (Baselines.Stxtree.Var.create ()));
+        Kvstore.Tree_ops.of_tree ~name:"wBTree" ~concurrent:false
+          (module Baselines.Wbtree.Var) (Baselines.Wbtree.Var.create a));
+      (fun () ->
+        Kvstore.Tree_ops.of_tree ~name:"STXTree" ~concurrent:false
+          (module Baselines.Stxtree.Var) (Baselines.Stxtree.Var.create ()));
       (fun () -> Kvstore.Tree_ops.of_hashmap ());
     ]
   in
   List.iter
     (fun mk ->
       setup_concurrent ();
-      let c = Kvstore.Cache.create (mk ()) in
+      let index = mk () in
+      let c = Kvstore.Cache.create index in
       for i = 0 to 499 do
         Kvstore.Cache.set_exn c (Printf.sprintf "x%04d" i) (string_of_int i)
       done;
@@ -73,8 +80,7 @@ let test_cache_all_backends () =
         let got = Kvstore.Cache.get c (Printf.sprintf "x%04d" i) in
         if got <> Some (string_of_int i) then
           Alcotest.failf "backend %s: wrong value for %d"
-            (Kvstore.Cache.get c "zz" |> fun _ -> "?")
-            i
+            index.Kvstore.Tree_ops.name i
       done)
     backends;
   Alcotest.(check pass) "all backends consistent" () ()

@@ -20,6 +20,11 @@ dune runtest
 echo "== lint (SCM-access discipline) =="
 dune build @lint
 
+echo "== tree handles (build, fill and recover every bench/trees.ml row) =="
+# fig8 fills each fixed- and variable-key handle; fig7rec/fig7recvar
+# fill and restart each one through its recovery path.
+dune exec bench/main.exe -- --scale 0.01 fig8 fig7rec fig7recvar > /dev/null
+
 echo "== hotpath microbench (scale $SCALE) =="
 HOTPATH_LABEL="bench_check" HOTPATH_OUT="/tmp/bench_check_hotpath.json" \
   dune exec bench/main.exe -- --scale "$SCALE" hotpath

@@ -22,10 +22,14 @@
    - [Domain.DLS.new_key] outside lib/htm and lib/obs: hidden
      per-domain cells are invisible state that breaks the checker's
      deterministic replay;
-   - [Out_of_scm] outside lib/pmem and lib/fptree: allocator
-     exhaustion crosses into application layers only as the typed
-     [`Out_of_space] result ([Tree.guard_space] is the adapter), so a
-     raw match elsewhere marks a layer leak.
+   - [Out_of_scm], however qualified, outside lib/pmem and
+     lib/fptree: allocator exhaustion crosses into application layers
+     only as the typed [`Out_of_space] result ([Tree.guard_space] is
+     the adapter), so a raw match elsewhere marks a layer leak;
+   - [guard_space], however qualified, outside lib/fptree and
+     lib/baselines: each tree defines its [try_insert]/[try_update]
+     once ([Fptree.Tree_intf.S]), so a caller wrapping a tree op in the
+     adapter again is a hand-copied adapter;
    - a [<-] write to an instrumentation switch field ([stats],
      [crash_tracking], [delay_injection], [tracing], [model_check])
      outside lib/scm/config.ml: the [Scm.Config] setters are the only
@@ -156,13 +160,17 @@ let is_ident_char c =
   || c = '_' || c = '\''
 
 (* Occurrences of [needle] in [hay] at a token boundary (the preceding
-   char is not part of an identifier or a module path). *)
-let find_tokens hay needle f =
+   char is not part of an identifier or, unless [qualified], a module
+   path). *)
+let find_tokens ?(qualified = false) hay needle f =
   let nl = String.length needle in
   let n = String.length hay in
   for i = 0 to n - nl do
     if String.sub hay i nl = needle then begin
-      let before = i = 0 || (not (is_ident_char hay.[i - 1]) && hay.[i - 1] <> '.') in
+      let before =
+        i = 0
+        || (not (is_ident_char hay.[i - 1])) && (qualified || hay.[i - 1] <> '.')
+      in
       let after =
         (not (is_ident_char needle.[nl - 1]))
         || i + nl >= n
@@ -218,8 +226,9 @@ let find_field_writes hay field f =
 
 let check_file path =
   let stripped = strip (read_file path) in
-  let bad needle msg =
-    find_tokens stripped needle (fun i -> report path (line_of stripped i) msg)
+  let bad ?qualified needle msg =
+    find_tokens ?qualified stripped needle (fun i ->
+        report path (line_of stripped i) msg)
   in
   bad "Obj." "Obj is forbidden: no unsafe casts around the SCM API";
   if not (in_scm path) then begin
@@ -265,10 +274,15 @@ let check_file path =
                  field)))
       switch_fields;
   if not (in_lib "pmem" path || in_lib "fptree" path) then
-    bad "Out_of_scm"
+    bad ~qualified:true "Out_of_scm"
       "Out_of_scm outside lib/pmem and lib/fptree: exhaustion surfaces \
        to callers as the typed `Out_of_space result (Tree.guard_space \
-       is the one blessed adapter)"
+       is the one blessed adapter)";
+  if not (in_lib "fptree" path || in_lib "baselines" path) then
+    bad ~qualified:true "guard_space"
+      "guard_space outside lib/fptree and lib/baselines: call the tree's \
+       try_insert / try_update (Fptree.Tree_intf.S) instead of wrapping \
+       its ops again"
 
 let rec walk path =
   if Sys.is_directory path then

@@ -1,61 +1,39 @@
-(** Hot-path microbenchmark: before/after perf trajectory for the
-    fast-mode SCM accessors and the allocation-free tree operations.
+(** Hot-path microbenchmark for the fast-mode SCM accessors and the
+    allocation-free tree operations.
 
-    Measures wall-clock throughput of insert / find / update / delete /
-    range on the single-threaded FPTree at [scale * 1M] keys, in two
-    simulator modes:
+    Measures throughput of insert / find / update / delete / range on
+    the single-threaded FPTree at [scale * 1M] keys, in two simulator
+    modes:
 
     - [fast]: stats, crash tracking and delay injection all off — the
       configuration of the paper's throughput experiments (Figs 7-10);
     - [instrumented]: SCM access counting on (modeled-time runs).
 
-    plus a concurrent find/mixed domain matrix (default 1/2/4, override
-    with HOTPATH_DOMAINS=1,2) scored in effective thread-CPU seconds
-    with a "scaling" JSON section of speedup ratios, and the flight
-    recorder's gate-on/gate-off find throughput ratio.  (The fixed op
-    traces that pin the simulator's counters are tier-1 tests, in
-    test/test_hotpath.ml.)
+    plus a concurrent find/mixed run on 1, 2 and 4 domains scored in
+    effective thread-CPU seconds, and the flight recorder's
+    gate-on/gate-off find throughput ratio.  (The fixed op traces that
+    pin the simulator's counters are tier-1 tests, in
+    test/test_hotpath.ml.)  Per-op minor-heap words are reported so
+    allocation regressions on the hot paths are visible.
 
-    Emits hotpath_run.json (override with HOTPATH_OUT; tag the run
-    with HOTPATH_LABEL).  Per-op minor-heap words are reported so
-    allocation regressions on the hot paths are visible. *)
+    Two gates end the run: the 2-domain [conc_find] speedup must be at
+    least 1.0 (readers do not invalidate each other, Figs 9-11) and the
+    traced/untraced find throughput ratio at least 0.9 (DESIGN.md §12).
+    A gate below its bound prints one [FAIL:] line and exits 1. *)
 
 module F = Fptree.Fixed
 
-type run = {
-  mode : string;
-  domains : int;
-  op : string;
-  ops : int;
-  secs : float;       (* effective seconds: thread-CPU for conc runs *)
-  wall_secs : float;
-  mops : float;
-  minor_words_per_op : float;
-}
-
-let runs : run list ref = ref []
-
 let record ~mode ~domains ~op ~ops f =
   let mw0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_s () in
   f ();
-  let secs = Unix.gettimeofday () -. t0 in
+  let secs = Obs.Clock.now_s () -. t0 in
   let mw = Gc.minor_words () -. mw0 in
-  let r =
-    {
-      mode;
-      domains;
-      op;
-      ops;
-      secs;
-      wall_secs = secs;
-      mops = (float_of_int ops /. secs /. 1e6);
-      minor_words_per_op = (mw /. float_of_int (max 1 ops));
-    }
-  in
-  runs := r :: !runs;
   Printf.printf "  %-12s %-10s d=%-2d %8.3f Mops/s  (%7.3fs, %6.1f minor w/op)\n"
-    mode op domains r.mops secs r.minor_words_per_op;
+    mode op domains
+    (float_of_int ops /. secs /. 1e6)
+    secs
+    (mw /. float_of_int (max 1 ops));
   flush stdout
 
 (* ---- single-threaded suite (one tree per mode) ---- *)
@@ -86,7 +64,7 @@ let single_suite ~mode n =
         ignore (F.delete t (2 * ins.(i)))
       done)
 
-(* ---- concurrent suite (find and 50/50 mixed; domain matrix) ---- *)
+(* ---- concurrent suite (find and 50/50 mixed on 1, 2 and 4 domains) ---- *)
 
 (* Throughput here is computed from *effective* seconds — the maximum
    per-worker thread-CPU time ({!Workloads.Domain_pool.run_cpu}) — not
@@ -95,35 +73,23 @@ let single_suite ~mode n =
    wall-clock measures the kernel scheduler's time-slicing, not the
    concurrency protocol.  Effective seconds still charge every abort,
    retry, spin and cache miss the protocol costs, so the 1→N ratio is
-   the dedicated-core scaling ratio.  Wall seconds are recorded
-   alongside in the JSON for transparency. *)
-
-let domains_matrix () =
-  match Sys.getenv_opt "HOTPATH_DOMAINS" with
-  | Some s ->
-    let ds =
-      String.split_on_char ',' s
-      |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-      |> List.filter (fun d -> d >= 1 && d <= 64)
-    in
-    if ds = [] then [ 1; 2; 4 ] else ds
-  | None -> [ 1; 2; 4 ]
-
+   the dedicated-core scaling ratio.  They do not charge time a worker
+   sleeps in a blocking mutex (the fallback path's [Mutex.t]), so
+   readers serialised that way still read as ~1.1x.  Wall seconds are printed
+   alongside for transparency.  Returns [(domains, (find, mixed))]
+   throughputs in Mops/s. *)
 let concurrent_suite n =
   let record_conc ~domains ~op body =
     let wall, eff = Workloads.Domain_pool.run_cpu ~domains body in
     let secs = if eff > 0. then eff else wall in
-    let r =
-      { mode = "fast"; domains; op; ops = n; secs; wall_secs = wall;
-        mops = (float_of_int n /. secs /. 1e6); minor_words_per_op = nan }
-    in
-    runs := r :: !runs;
+    let mops = float_of_int n /. secs /. 1e6 in
     Printf.printf
       "  %-12s %-10s d=%-2d %8.3f Mops/s  (eff %7.3fs, wall %7.3fs)\n" "fast"
-      op domains r.mops secs wall;
-    flush stdout
+      op domains mops secs wall;
+    flush stdout;
+    mops
   in
-  List.iter
+  List.map
     (fun domains ->
       let a = Pmem.Palloc.create ~size:(512 * 1024 * 1024) () in
       let t = F.create_concurrent a in
@@ -131,20 +97,25 @@ let concurrent_suite n =
       for i = 0 to warm - 1 do
         ignore (F.insert t (2 * i) i)
       done;
-      record_conc ~domains ~op:"conc_find" (fun d ->
-          let lo, hi = Workloads.Domain_pool.slice ~domains ~total:n d in
-          let rng = Random.State.make [| 7; d |] in
-          for _ = lo to hi - 1 do
-            ignore (F.find t (2 * Random.State.int rng warm))
-          done);
-      record_conc ~domains ~op:"conc_mixed" (fun d ->
-          let lo, hi = Workloads.Domain_pool.slice ~domains ~total:n d in
-          let rng = Random.State.make [| 8; d |] in
-          for j = lo to hi - 1 do
-            if j land 1 = 0 then ignore (F.find t (2 * Random.State.int rng warm))
-            else ignore (F.insert t ((2 * j) + 1) j)
-          done))
-    (domains_matrix ())
+      let find =
+        record_conc ~domains ~op:"conc_find" (fun d ->
+            let lo, hi = Workloads.Domain_pool.slice ~domains ~total:n d in
+            let rng = Random.State.make [| 7; d |] in
+            for _ = lo to hi - 1 do
+              ignore (F.find t (2 * Random.State.int rng warm))
+            done)
+      in
+      let mixed =
+        record_conc ~domains ~op:"conc_mixed" (fun d ->
+            let lo, hi = Workloads.Domain_pool.slice ~domains ~total:n d in
+            let rng = Random.State.make [| 8; d |] in
+            for j = lo to hi - 1 do
+              if j land 1 = 0 then ignore (F.find t (2 * Random.State.int rng warm))
+              else ignore (F.insert t ((2 * j) + 1) j)
+            done)
+      in
+      (domains, (find, mixed)))
+    [ 1; 2; 4 ]
 
 (* ---- trace overhead: the flight recorder's hot-path cost ---- *)
 
@@ -157,15 +128,7 @@ let concurrent_suite n =
    canonical 1M-key scale regardless of --scale: the pin is a ratio
    against the find everyone else measures, and a toy tree whose hot
    set fits in L2 overstates the relative cost of the fixed ~30 ns
-   per-event budget. *)
-type trace_overhead = {
-  find_mops_off : float;
-  find_mops_on : float;
-  ratio : float;  (* on / off throughput; gate: >= 0.9 *)
-}
-
-let overhead : trace_overhead option ref = ref None
-
+   per-event budget.  Returns the on / off throughput ratio. *)
 let measure_trace_overhead () =
   Env.parallel ~latency_ns:90. ();
   let n = 1_000_000 in
@@ -213,123 +176,31 @@ let measure_trace_overhead () =
   Obs.Gate.set_enabled false;
   let total = float_of_int (passes * n) in
   let mops secs = total /. secs /. 1e6 in
-  let o =
-    {
-      find_mops_off = mops !t_off;
-      find_mops_on = mops !t_on;
-      ratio = !t_off /. !t_on;
-    }
-  in
-  overhead := Some o;
+  let ratio = !t_off /. !t_on in
   Printf.printf
     "  trace-overhead find: off %8.3f Mops/s, on %8.3f Mops/s  (ratio %.3f)\n"
-    o.find_mops_off o.find_mops_on o.ratio;
-  flush stdout
-
-(* ---- JSON ---- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let emit_json path ~label ~n =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Printf.bprintf b "  \"label\": \"%s\",\n" (json_escape label);
-  Printf.bprintf b "  \"keys\": %d,\n" n;
-  Printf.bprintf b "  \"runs\": [\n";
-  let runs = List.rev !runs in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"mode\": \"%s\", \"domains\": %d, \"op\": \"%s\", \"ops\": %d, \
-         \"secs\": %.4f, \"wall_secs\": %.4f, \"mops\": %.4f, \
-         \"minor_words_per_op\": %s}%s\n"
-        r.mode r.domains r.op r.ops r.secs r.wall_secs r.mops
-        (if Float.is_nan r.minor_words_per_op then "null"
-         else Printf.sprintf "%.2f" r.minor_words_per_op)
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  Buffer.add_string b "  ],\n";
-  (* scaling matrix: flat keys so shell gates can grep single lines.
-     mops are derived from effective (thread-CPU) seconds; see the
-     concurrent_suite comment. *)
-  let conc_mops op d =
-    List.find_opt (fun r -> r.op = op && r.domains = d) runs
-    |> Option.map (fun r -> r.mops)
-  in
-  let conc_domains =
-    List.filter_map
-      (fun r -> if r.op = "conc_find" then Some r.domains else None)
-      runs
-  in
-  Printf.bprintf b "  \"scaling\": {\n";
-  Printf.bprintf b "    \"measure\": \"effective_thread_cpu_seconds\",\n";
-  Printf.bprintf b "    \"host_cores\": %d,\n"
-    (Workloads.Domain_pool.available_domains ());
-  let entries = ref [] in
-  List.iter
-    (fun op ->
-      List.iter
-        (fun d ->
-          match conc_mops op d with
-          | Some m ->
-            entries :=
-              Printf.sprintf "    \"%s_mops_%d\": %.4f" op d m :: !entries
-          | None -> ())
-        conc_domains;
-      match conc_mops op 1 with
-      | Some base when base > 0. ->
-        List.iter
-          (fun d ->
-            if d > 1 then
-              match conc_mops op d with
-              | Some m ->
-                entries :=
-                  Printf.sprintf "    \"%s_speedup_%dx\": %.4f" op d (m /. base)
-                  :: !entries
-              | None -> ())
-          conc_domains
-      | _ -> ())
-    [ "conc_find"; "conc_mixed" ];
-  Buffer.add_string b (String.concat ",\n" (List.rev !entries));
-  Buffer.add_string b "\n  }";
-  (match !overhead with
-  | Some o ->
-    Printf.bprintf b ",\n  \"trace_overhead\": {\n";
-    Printf.bprintf b "    \"find_mops_off\": %.4f,\n" o.find_mops_off;
-    Printf.bprintf b "    \"find_mops_on\": %.4f,\n" o.find_mops_on;
-    Printf.bprintf b "    \"trace_overhead_find_ratio\": %.4f\n" o.ratio;
-    Buffer.add_string b "  }"
-  | None -> ());
-  Buffer.add_string b "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "  wrote %s\n" path
+    (mops !t_off) (mops !t_on) ratio;
+  flush stdout;
+  ratio
 
 (* ---- entry point ---- *)
+
+(* [(gate, value, bound)]: each value must be at least its bound. *)
+let check_gates gates =
+  List.iter
+    (fun (gate, v, bound) ->
+      Printf.printf "  gate %-26s %.3f (bound %.1f)\n" gate v bound)
+    gates;
+  let failed = List.filter (fun (_, v, bound) -> not (v >= bound)) gates in
+  List.iter
+    (fun (gate, v, bound) -> Printf.printf "FAIL: %s %.3f < %.1f\n" gate v bound)
+    failed;
+  flush stdout;
+  if failed <> [] then exit 1
 
 let run () =
   Report.heading "Hot-path microbenchmark (fast vs instrumented mode)";
   let n = Env.scaled 1_000_000 in
-  let label =
-    match Sys.getenv_opt "HOTPATH_LABEL" with Some l -> l | None -> "current"
-  in
-  let out =
-    (* Default away from BENCH_hotpath.json: that committed artifact
-       combines a before and an after run and must not be clobbered by
-       a casual bench invocation. *)
-    match Sys.getenv_opt "HOTPATH_OUT" with
-    | Some p -> p
-    | None -> "hotpath_run.json"
-  in
   (* fast mode: the paper's throughput configuration (Figs 7-10) *)
   Env.parallel ~latency_ns:90. ();
   single_suite ~mode:"fast" n;
@@ -338,7 +209,12 @@ let run () =
   single_suite ~mode:"instrumented" n;
   (* concurrency: wall-clock mode, 1 and N domains *)
   Env.parallel ~latency_ns:90. ();
-  concurrent_suite (max 100_000 (n / 2));
+  let conc = concurrent_suite (max 100_000 (n / 2)) in
+  let find1, mixed1 = List.assoc 1 conc and find2, mixed2 = List.assoc 2 conc in
+  Printf.printf "  2-domain speedup: conc_find %.3fx, conc_mixed %.3fx\n"
+    (find2 /. find1) (mixed2 /. mixed1);
   (* flight-recorder overhead pin (gate restored to off afterwards) *)
-  measure_trace_overhead ();
-  emit_json out ~label ~n
+  let ratio = measure_trace_overhead () in
+  check_gates
+    [ ("conc_find_speedup_2x", find2 /. find1, 1.0);
+      ("trace_overhead_find_ratio", ratio, 0.9) ]

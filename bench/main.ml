@@ -25,7 +25,7 @@ let experiments : (string * string * (unit -> unit)) list =
     ("fig14", "payload-size impact, single-threaded", Fig14.run_single);
     ("fig14conc", "payload-size impact, concurrent", Fig14.run_concurrent);
     ("micro", "bechamel raw per-op latencies", Micro.run);
-    ("hotpath", "fast-mode hot-path microbenchmark (BENCH_hotpath.json)", Hotpath.run);
+    ("hotpath", "hot-path microbenchmark + scaling and trace-overhead gates", Hotpath.run);
     ("falseshare", "false-sharing cost of unpadded hot atomics", Falseshare.run);
     ("ablation", "FPTree design-choice ablation", Ablation.run);
     ("extensions", "range scans + Zipfian mix (beyond the paper)", Extensions.run);

@@ -188,33 +188,42 @@ let rec rightmost_leaf_rs rs = function
     Nv.observe_id rs n.ver n.id;
     rightmost_leaf_rs rs n.children.(n.nkeys)
 
+(* Descent for {!find_leaf_and_prev}: [left] is the nearest subtree to
+   the left of the path so far, meaningful only when [has_left].  Top
+   level over plain arguments (see {!bsearch}): a local [let rec], a
+   [Some] per level or an [Option.map] partial application would each
+   allocate on every delete. *)
+let rec leaf_and_prev cmp node key left has_left =
+  match node with
+  | Leaf l -> (l, if has_left then Some (rightmost_leaf left) else None)
+  | Inner n ->
+    let i = child_index cmp n key in
+    if i > 0 then leaf_and_prev cmp n.children.(i) key n.children.(i - 1) true
+    else leaf_and_prev cmp n.children.(i) key left has_left
+
 (** Descend to the leaf for [key] and also return the leaf immediately
     to its left in key order, if any (FindLeafAndPrevLeaf). *)
-let find_leaf_and_prev cmp root key =
-  let rec go node left =
-    match node with
-    | Leaf l -> (l, Option.map rightmost_leaf left)
-    | Inner n ->
-      let i = child_index cmp n key in
-      let left = if i > 0 then Some n.children.(i - 1) else left in
-      go n.children.(i) left
-  in
-  go root None
+let find_leaf_and_prev cmp root key = leaf_and_prev cmp root key root false
+
+(* {!leaf_and_prev} with read-set recording: each inner node on the
+   path is observed before it is read, then the left subtree's
+   rightmost path. *)
+let rec leaf_and_prev_rs rs cmp node key left has_left =
+  match node with
+  | Leaf l -> (l, if has_left then Some (rightmost_leaf_rs rs left) else None)
+  | Inner n ->
+    Nv.observe_id rs n.ver n.id;
+    let i = child_index cmp n key in
+    if i > 0 then
+      leaf_and_prev_rs rs cmp n.children.(i) key n.children.(i - 1) true
+    else leaf_and_prev_rs rs cmp n.children.(i) key left has_left
 
 (** {!find_leaf_and_prev} with read-set recording (root pointer and
     both descents). *)
 let find_leaf_and_prev_rs rs cmp t key =
-  let rec go node left =
-    match node with
-    | Leaf l -> (l, Option.map (rightmost_leaf_rs rs) left)
-    | Inner n ->
-      Nv.observe_id rs n.ver n.id;
-      let i = child_index cmp n key in
-      let left = if i > 0 then Some n.children.(i - 1) else left in
-      go n.children.(i) left
-  in
   Nv.observe_id rs t.root_ver 0;
-  go t.root None
+  let root = t.root in
+  leaf_and_prev_rs rs cmp root key root false
 
 (* ---- structural updates (run under the writer lock) ---- *)
 

@@ -122,21 +122,6 @@ let flags_of cfg =
   lor (if cfg.use_groups then 4 else 0)
   lor (if cfg.checksums then 8 else 0)
 
-let config_of_meta region meta base_cfg =
-  let w off = Int64.to_int (Scm.Region.read_int64 region (meta + off)) in
-  let flags = w meta_flags in
-  { base_cfg with
-    m = w meta_m;
-    value_bytes = w meta_value_bytes;
-    fingerprints = flags land 1 <> 0;
-    split_arrays = flags land 2 <> 0;
-    use_groups = flags land 4 <> 0;
-    checksums = flags land 8 <> 0;
-    n_split_logs = w meta_n_split;
-    n_delete_logs = w meta_n_delete;
-    group_size = w meta_group_size;
-  }
-
 (** Key-cell footprint for a persisted key-kind word (0 = inline 8-byte
     keys, otherwise a 16-byte persistent pointer cell) — lets offline
     tools reconstruct the leaf layout without the key functor. *)
@@ -149,6 +134,50 @@ let layout_of ~key_cell_bytes cfg =
       ~fingerprints:cfg.fingerprints ~split_arrays:cfg.split_arrays
   in
   if cfg.checksums then Layout.with_checksums l else l
+
+(** The configuration persisted in the descriptor at [meta], over
+    [base_cfg] for the fields that are not persisted.  Every word is
+    checked before anything is sized from it; [Error field] names the
+    first implausible one.  [avail] is the room the descriptor may
+    occupy (its allocator block, or the rest of the region).  The one
+    set of rules for {!Make.recover} and the fsck audit. *)
+let config_of_meta region meta ~avail base_cfg =
+  let w off = Int64.to_int (Scm.Region.read_int64 region (meta + off)) in
+  let kind = w meta_key_kind and flags = w meta_flags in
+  let cfg =
+    { base_cfg with
+      m = w meta_m;
+      value_bytes = w meta_value_bytes;
+      fingerprints = flags land 1 <> 0;
+      split_arrays = flags land 2 <> 0;
+      use_groups = flags land 4 <> 0;
+      checksums = flags land 8 <> 0;
+      n_split_logs = w meta_n_split;
+      n_delete_logs = w meta_n_delete;
+      group_size = w meta_group_size;
+    }
+  in
+  let size = Scm.Region.size region in
+  (* Microlog.Pool's slot range *)
+  let logs_ok n = n >= 1 && n <= 62 in
+  let leaf_span () =
+    let l = layout_of ~key_cell_bytes:(key_cell_bytes_of_kind kind) cfg in
+    Scm.Cacheline.align_up l.Layout.bytes 64
+  in
+  if cfg.m < 2 || cfg.m > 64 then Error "leaf capacity m"
+  else if cfg.value_bytes < 8 || cfg.value_bytes mod 8 <> 0
+          || cfg.value_bytes > size
+  then Error "value width"
+  else if kind <> 0 && kind <> 1 then Error "key kind"
+  else if flags land lnot 15 <> 0 then Error "flags"
+  else if not (logs_ok cfg.n_split_logs && logs_ok cfg.n_delete_logs) then
+    Error "micro-log counts"
+  else if meta_bytes cfg > avail then Error "descriptor larger than its block"
+  else if leaf_span () > size then Error "leaf larger than the region"
+  else if cfg.use_groups
+          && (cfg.group_size < 1 || cfg.group_size > (size - 64) / leaf_span ())
+  then Error "group size"
+  else Ok cfg
 
 module Make (K : Keys.KEY) = struct
   type key = K.t
@@ -701,6 +730,12 @@ module Make (K : Keys.KEY) = struct
     refresh_csum t fresh;
     sep
 
+  (** Split the locked full [leaf] persistently and return the
+      separator and the new right sibling, not yet in the inner
+      structure.  Opens [leaf]'s version phase once the new leaf is
+      allocated; the caller closes it after {!Inner.update_parents}.
+      No phase is left open when it raises, and on [Out_of_scm]
+      nothing is changed. *)
   let split_leaf t (leaf : Inner.leaf_ref) =
     let instrumented = stats_on () in
     let t0 = if instrumented then Obs.Clock.now_us () else 0. in
@@ -731,15 +766,28 @@ module Make (K : Keys.KEY) = struct
         Microlog.Pool.release t.split_logs log;
         raise Pmem.Palloc.Out_of_scm
     in
-    let sep = do_split_steps t ~cur:leaf.Inner.off ~fresh in
-    Microlog.reset log;
-    Microlog.Pool.release t.split_logs log;
-    if instrumented then
-      Obs.Histogram.record Metrics.split_us
-        (int_of_float (Obs.Clock.now_us () -. t0));
-    if Obs.Gate.enabled () then
-      Obs.Flight.split ~left:leaf.Inner.off ~right:fresh;
-    (sep, Inner.leaf_ref fresh)
+    (* [leaf] changes only from here on: opening its phase after the
+       allocation keeps readers of the leaf out of the allocator's
+       critical section.  An exception past this point (an injected
+       crash at a persist) closes the phase again, so callers unwind
+       the same way whatever failed. *)
+    ver_begin t leaf;
+    match
+      let sep = do_split_steps t ~cur:leaf.Inner.off ~fresh in
+      Microlog.reset log;
+      Microlog.Pool.release t.split_logs log;
+      sep
+    with
+    | exception e ->
+      ver_end t leaf;
+      raise e
+    | sep ->
+      if instrumented then
+        Obs.Histogram.record Metrics.split_us
+          (int_of_float (Obs.Clock.now_us () -. t0));
+      if Obs.Gate.enabled () then
+        Obs.Flight.split ~left:leaf.Inner.off ~right:fresh;
+      (sep, Inner.leaf_ref fresh)
 
   let recover_split t log =
     if not (Microlog.is_idle log) then begin
@@ -1007,6 +1055,23 @@ module Make (K : Keys.KEY) = struct
     | v -> Some v
     | exception Not_found -> None
 
+  (* The node a leaf split holds ([Nv.begin_hold]) from before the
+     split until the parents reference the new sibling: the last inner
+     node the caller's lock section recorded, i.e. the leaf's parent.
+     Readers arriving there wait instead of descending into the leaf
+     and failing validation when the parent changes.  If the section
+     committed under the fallback mutex the record is from an earlier
+     attempt and may name another node, which only delays its readers.
+     No hold under the model checker (it cannot affect safety and
+     would only enlarge the schedule space) or when the leaf is the
+     root. *)
+  let split_hold () =
+    if Sched.on () then None
+    else
+      match Nv.last_recorded (Nv.current ()) with
+      | Some (c, id) when id < 0 -> Some c
+      | _ -> None
+
   let insert_into_nonfull t (l : Inner.leaf_ref) k v h =
     let leaf = l.Inner.off in
     let bm = leaf_bitmap t leaf in
@@ -1053,17 +1118,20 @@ module Make (K : Keys.KEY) = struct
     else begin
       if leaf_is_full t leaf.Inner.off then begin
         (* The split leaf's version phase spans the whole split: from
-           before its first mutation until the parents reference the
-           new right sibling.  In the window after [cur]'s bitmap
-           shrinks but before [update_parents], keys above [sep] live
-           only in the (unreachable) right leaf — a reader of [cur]
-           must not validate there. *)
-        ver_begin t leaf;
+           before its first mutation (opened by [split_leaf]) until
+           the parents reference the new right sibling.  In the window
+           after [cur]'s bitmap shrinks but before [update_parents],
+           keys above [sep] live only in the (unreachable) right leaf
+           — a reader of [cur] must not validate there.  The parent's
+           hold spans the same window and the allocation before it. *)
+        let hold = split_hold () in
+        Option.iter Nv.begin_hold hold;
         match split_leaf t leaf with
         | exception e ->
           (* The split's own unwind ran (log disarmed, nothing
-             persisted): close the phase, release the lock, unwind. *)
-          ver_end t leaf;
+             persisted, no phase opened): release the hold and the
+             lock, unwind. *)
+          Option.iter Nv.end_hold hold;
           unlock t leaf;
           raise e
         | sep, right ->
@@ -1081,11 +1149,13 @@ module Make (K : Keys.KEY) = struct
             Spec.with_write t.spec (fun () ->
                 Inner.update_parents t.inner K.compare ~sep ~right);
             ver_end t leaf;
+            Option.iter Nv.end_hold hold;
             unlock t leaf;
             raise e);
           Spec.with_write t.spec (fun () ->
               Inner.update_parents t.inner K.compare ~sep ~right);
           ver_end t leaf;
+          Option.iter Nv.end_hold hold;
           unlock t leaf;
           true
       end
@@ -1131,16 +1201,20 @@ module Make (K : Keys.KEY) = struct
       (* Insert-after-delete published by a single p-atomic bitmap
          write (Algorithm 8 / 16).  One version phase on the locked
          leaf covers the whole mutation — including, on a split, the
-         window until the parents reference the right sibling. *)
-      ver_begin t leaf;
+         window until the parents reference the right sibling; a
+         split opens it once its new leaf is allocated and holds the
+         parent as in [insert_op]. *)
+      let full = leaf_is_full t leaf.Inner.off in
+      let hold = if full then split_hold () else None in
+      Option.iter Nv.begin_hold hold;
       let target, prev_slot, did_split, sep_right =
-        if leaf_is_full t leaf.Inner.off then
+        if full then
           match split_leaf t leaf with
           | exception e ->
-            (* Exhaustion before any mutation (the split unwound):
-               close the phase, release the lock, leave the old entry
-               standing. *)
-            ver_end t leaf;
+            (* Exhaustion before any mutation (the split unwound, no
+               phase opened): release the hold and the lock, leave
+               the old entry standing. *)
+            Option.iter Nv.end_hold hold;
             unlock t leaf;
             raise e
           | sep, right ->
@@ -1148,7 +1222,10 @@ module Make (K : Keys.KEY) = struct
             let slot = find_slot t target.Inner.off k h in
             assert (slot >= 0);
             (target, slot, true, Some (sep, right))
-        else (leaf, prev_slot0, false, None)
+        else begin
+          ver_begin t leaf;
+          (leaf, prev_slot0, false, None)
+        end
       in
       let tl = target.Inner.off in
       let bm = leaf_bitmap t tl in
@@ -1185,6 +1262,7 @@ module Make (K : Keys.KEY) = struct
             Inner.update_parents t.inner K.compare ~sep ~right)
       | _ -> ());
       ver_end t leaf;
+      Option.iter Nv.end_hold hold;
       unlock t leaf;
       true
     end
@@ -1953,7 +2031,16 @@ module Make (K : Keys.KEY) = struct
     in
     (* If creation never completed, the persisted config words may be
        missing: trust the caller's config and (re)write them. *)
-    let cfg = if initialized then config_of_meta region meta config else config in
+    let cfg =
+      if not initialized then config
+      else
+        match
+          config_of_meta region meta ~avail:(Region.size region - meta) config
+        with
+        | Ok cfg -> cfg
+        | Error what ->
+          failwith ("Tree.recover: implausible descriptor field: " ^ what)
+    in
     if initialized then begin
       let kind = Int64.to_int (Region.read_int64 region (meta + meta_key_kind)) in
       if kind <> K.kind then failwith "Tree.recover: key kind mismatch"

@@ -125,29 +125,15 @@ let rec audit ctx =
       end
       else begin
         (* Parse and validate the descriptor before trusting anything. *)
-        let cfg =
-          Tree.config_of_meta ctx.region meta Tree.fptree_config
-        in
-        let kind = meta_word ctx meta Tree.meta_key_kind in
-        let bad =
-          if cfg.Tree.m < 2 || cfg.Tree.m > 64 then Some "leaf capacity m"
-          else if cfg.Tree.value_bytes < 8 || cfg.Tree.value_bytes mod 8 <> 0
-          then Some "value width"
-          else if kind <> 0 && kind <> 1 then Some "key kind"
-          else if cfg.Tree.n_split_logs < 1 || cfg.Tree.n_delete_logs < 1
-          then Some "micro-log counts"
-          else if cfg.Tree.use_groups && cfg.Tree.group_size < 1 then
-            Some "group size"
-          else if Tree.meta_bytes cfg > meta_bytes_avail then
-            Some "descriptor larger than its block"
-          else None
-        in
-        match bad with
-        | Some what ->
+        match
+          Tree.config_of_meta ctx.region meta ~avail:meta_bytes_avail
+            Tree.fptree_config
+        with
+        | Error what ->
           note ctx Error "header-corrupt" meta
             (Printf.sprintf "implausible descriptor field: %s" what);
           (0, 0)
-        | None -> audit_tree ctx meta cfg kind
+        | Ok cfg -> audit_tree ctx meta cfg (meta_word ctx meta Tree.meta_key_kind)
       end
   end
 

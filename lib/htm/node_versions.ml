@@ -22,15 +22,43 @@
       read.
 
     {b Version encoding.}  The low 8 bits of a version word count the
-    writers currently inside a phase on that cell; the upper bits are a
-    sequence number bumped by every [begin_write] {e and} [end_write].
-    [observe] aborts when the count is non-zero (a writer is inside —
-    the line is locked in the coherence sense), and [validate] fails
-    when the word changed at all.  Counting instead of odd/even parity
-    lets one writer nest phases on the same cell (leaf split: the
-    leaf's phase stays open across the inner-node update so no reader
-    can observe the half-moved state as stable) and keeps overlapping
-    phases by distinct writers well-formed.
+    writers currently inside a phase on that cell, the next 8 count
+    {!begin_hold} holds, and the upper bits are a sequence number
+    bumped by every [begin_write] {e and} [end_write].  [observe]
+    waits, for a bounded time, while either count is non-zero (a
+    writer is inside — the line is locked in the coherence sense — or
+    a hold asks newcomers to queue) and aborts if the word is still
+    busy; [validate] fails when anything but the hold count changed.
+    Counting instead of odd/even parity lets one writer nest phases on
+    the same cell (leaf split: the leaf's phase stays open across the
+    inner-node update so no reader can observe the half-moved state as
+    stable) and keeps overlapping phases by distinct writers
+    well-formed.
+
+    {b Waiting on a busy word.}  A busy word means a writer is about to
+    change the node, not that anything the reader already recorded
+    moved.  Aborting at once only to re-descend into the same busy
+    node wastes the retry budget (and counts a precise conflict per
+    retry), so {!observe_id} first spins, relaxing the CPU, until the
+    word is quiet or {!busy_wait_ns} has passed; only a word still busy
+    then aborts the section.  The reader records the word it finally
+    saw quiet, so validation is as strict as before: had the writer
+    touched a node recorded earlier on the path, that entry fails.
+    Under the model checker ({!Sched.on}) the wait is skipped and the
+    observation aborts at once: a spinning fiber would stall the
+    cooperative scheduler, and an observation after a wait is the
+    same as one made later in the schedule, which the checker already
+    explores.
+
+    {b Holds.}  A hold ({!begin_hold}/{!end_hold}) marks a node
+    busy to newcomers without invalidating the readers that already
+    recorded it: the hold count is outside what {!validate} compares.
+    A leaf split holds the split leaf's parent from before the split
+    starts until the parent references the new sibling, so readers
+    queue above the leaf whose routing is about to change instead of
+    descending into it and failing validation once the parent moves.
+    A hold never changes the node, so it cannot make a stale read
+    validate; it only delays or aborts readers.
 
     {b False positives.}  A cell is private to its node, so the only
     false positives left are writer phases that did not actually
@@ -50,7 +78,12 @@ let fresh () = Atomic.make 0
 
 exception Conflict
 
-let count_mask = 0xFF
+(* Writer count in bits 0-7, hold count in bits 8-15, sequence number
+   from bit 16. *)
+let hold_one = 1 lsl 8
+let seq_one = 1 lsl 16
+let hold_mask = 0xFF00
+let count_mask = 0xFFFF
 
 let[@inline] is_busy v = v land count_mask <> 0
 let[@inline] read (c : cell) = Atomic.get c
@@ -60,10 +93,18 @@ let[@inline] read (c : cell) = Atomic.get c
     overlap; the cell reads busy until every phase closed, and any
     overlapping reader's validation fails. *)
 let[@inline] begin_write (c : cell) =
-  ignore (Atomic.fetch_and_add c ((1 lsl 8) + 1))
+  ignore (Atomic.fetch_and_add c (seq_one + 1))
 
 let[@inline] end_write (c : cell) =
-  ignore (Atomic.fetch_and_add c ((1 lsl 8) - 1))
+  ignore (Atomic.fetch_and_add c (seq_one - 1))
+
+(** Hold [c]: it reads busy to {!observe_id} until the matching
+    {!end_hold}, but readers that recorded it earlier still validate.
+    Holds nest and overlap like phases; they are not schedule points
+    (no caller takes one under the model checker). *)
+let begin_hold (c : cell) = ignore (Atomic.fetch_and_add c hold_one)
+
+let end_hold (c : cell) = ignore (Atomic.fetch_and_add c (-hold_one))
 
 (** {!begin_write}/{!end_write} under a node identity: the bump yields
     to the model checker ({!Sched.point}) before touching the cell, so
@@ -71,11 +112,11 @@ let[@inline] end_write (c : cell) =
     anonymous forms stay for callers outside the checked protocol. *)
 let[@inline] begin_write_id (c : cell) id =
   Sched.point ~obj:(Sched.obj_ver id) ~write:true;
-  ignore (Atomic.fetch_and_add c ((1 lsl 8) + 1))
+  ignore (Atomic.fetch_and_add c (seq_one + 1))
 
 let[@inline] end_write_id (c : cell) id =
   Sched.point ~obj:(Sched.obj_ver id) ~write:true;
-  ignore (Atomic.fetch_and_add c ((1 lsl 8) - 1))
+  ignore (Atomic.fetch_and_add c (seq_one - 1))
 
 (* ---- per-domain read sets ---- *)
 
@@ -162,20 +203,47 @@ let[@inline] record rs c v id =
   Array.unsafe_set rs.rs_ids rs.rs_n id;
   rs.rs_n <- rs.rs_n + 1
 
-(** Add [c] to the read set under node identity [id] (the tree's
-    convention: 0 = root pointer cell, > 0 = leaf SCM offset, < 0 =
-    DRAM inner-node id).  The identity costs one extra array store on
-    the hot path and is only read back on aborts.
-    @raise Conflict if a writer is inside a phase on [c]. *)
-let[@inline] observe_id rs (c : cell) id =
-  Sched.point ~obj:(Sched.obj_ver id) ~write:false;
+(** How long {!observe_id} waits for a busy word before aborting.
+    Long enough to outlast a leaf split whose writer was descheduled
+    part-way (with more domains than CPUs that is a scheduler time
+    slice, not the microseconds the split itself takes); short enough
+    that a stuck section still reaches its fallback. *)
+let busy_wait_ns = 1_000_000
+
+let rec spin_until_quiet (c : cell) deadline i =
   let v = Atomic.get c in
+  if v land count_mask = 0 then v
+  else if i land 63 = 0 && Obs.Clock.now_ns () > deadline then v
+  else begin
+    Domain.cpu_relax ();
+    spin_until_quiet c deadline (i + 1)
+  end
+
+(* The busy branch of {!observe_id}, out of line so the quiet path
+   stays a load, a test and the record. *)
+let observe_busy rs (c : cell) id v =
+  let v =
+    if Sched.on () then v
+    else spin_until_quiet c (Obs.Clock.now_ns () + busy_wait_ns) 1
+  in
   if v land count_mask <> 0 then begin
     rs.rs_busy <- true;
     rs.rs_busy_id <- id;
     raise Conflict
   end;
   record rs c v id
+
+(** Add [c] to the read set under node identity [id] (the tree's
+    convention: 0 = root pointer cell, > 0 = leaf SCM offset, < 0 =
+    DRAM inner-node id).  The identity costs one extra array store on
+    the hot path and is only read back on aborts.  A busy word is
+    waited on first (see the header).
+    @raise Conflict if a writer is inside a phase on [c], or [c] is
+    held, after {!busy_wait_ns}. *)
+let[@inline] observe_id rs (c : cell) id =
+  Sched.point ~obj:(Sched.obj_ver id) ~write:false;
+  let v = Atomic.get c in
+  if v land count_mask <> 0 then observe_busy rs c id v else record rs c v id
 
 (** {!observe_id} with an anonymous identity (callers that do not
     participate in abort attribution). *)
@@ -184,8 +252,8 @@ let[@inline] observe rs (c : cell) = observe_id rs c 0
 (** Attribute the abort that ended the section recorded in [rs]:
     [(node identity, descent depth)] of the failing cell.  For a busy
     cell the observe path stored both directly; for a validation
-    failure the first moved cell is found by rescanning — version
-    words only ever grow, so the failing entry is still detectable.
+    failure the first moved cell is found by rescanning — sequence
+    numbers only ever grow, so the failing entry is still detectable.
     Returns identity -1 when nothing is attributable (no moved cell:
     not called after an actual failure). *)
 let failure rs =
@@ -194,7 +262,7 @@ let failure rs =
     let rec scan i =
       if i >= rs.rs_n then (-1, rs.rs_n)
       else if
-        Atomic.get (Array.unsafe_get rs.rs_cells i)
+        Atomic.get (Array.unsafe_get rs.rs_cells i) land lnot hold_mask
         <> Array.unsafe_get rs.rs_vers i
       then (Array.unsafe_get rs.rs_ids i, i)
       else scan (i + 1)
@@ -204,13 +272,25 @@ let failure rs =
 
 (** [true] iff no recorded cell's version moved: everything this
     transaction read is still current, so its result is a consistent
-    snapshot.  Allocation-free. *)
+    snapshot.  A hold taken since the observation is not a move (a
+    recorded word has a zero hold count).  Allocation-free. *)
 let rec validate_from rs i =
   i >= rs.rs_n
   || (Sched.point ~obj:(Sched.obj_ver (Array.unsafe_get rs.rs_ids i))
         ~write:false;
-      Atomic.get (Array.unsafe_get rs.rs_cells i)
+      Atomic.get (Array.unsafe_get rs.rs_cells i) land lnot hold_mask
       = Array.unsafe_get rs.rs_vers i
       && validate_from rs (i + 1))
 
 let validate rs = validate_from rs 0
+
+(** The cell most recently recorded in [rs] and its identity, if
+    any: after a section that descended to a leaf without observing
+    the leaf itself, the leaf's parent (or the root pointer cell).
+    Allocates; for the rare paths (leaf splits) only. *)
+let last_recorded rs =
+  if rs.rs_n = 0 then None
+  else
+    Some
+      ( Array.unsafe_get rs.rs_cells (rs.rs_n - 1),
+        Array.unsafe_get rs.rs_ids (rs.rs_n - 1) )

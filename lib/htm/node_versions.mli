@@ -15,9 +15,13 @@ val fresh : unit -> cell
 (** A new version cell (count 0, sequence 0). *)
 
 exception Conflict
-(** Raised by {!observe} when the node's version word is busy (a
-    writer is inside).  Constant constructor: raising it does not
-    allocate. *)
+(** Raised by {!observe} when the node's version word is still busy (a
+    writer is inside, or the node is held) after {!busy_wait_ns}.
+    Constant constructor: raising it does not allocate. *)
+
+val busy_wait_ns : int
+(** How long {!observe} waits for a busy word to become quiet before
+    it aborts (1 ms).  No wait under the model checker. *)
 
 val read : cell -> int
 val is_busy : int -> bool
@@ -37,6 +41,16 @@ val begin_write_id : cell -> int -> unit
 
 val end_write_id : cell -> int -> unit
 
+val begin_hold : cell -> unit
+(** Hold a cell: {!observe} treats it as busy (newcomers wait) until
+    the matching {!end_hold}, but {!validate} ignores holds, so readers
+    that recorded the cell earlier are not invalidated.  A hold does
+    not change the node and is not a schedule point.  The tree holds a
+    splitting leaf's parent so readers queue there instead of entering
+    the leaf whose routing is about to change. *)
+
+val end_hold : cell -> unit
+
 (** {1 Read sets} *)
 
 type readset
@@ -52,8 +66,9 @@ val scratch : unit -> readset
     one-caller-per-domain rule. *)
 
 val observe : readset -> cell -> unit
-(** Record a cell's current version into the read set.
-    @raise Conflict if the cell is busy. *)
+(** Record a cell's current version into the read set, first waiting
+    up to {!busy_wait_ns} for a busy cell to become quiet.
+    @raise Conflict if the cell is still busy. *)
 
 val observe_id : readset -> cell -> int -> unit
 (** [observe] plus a caller-chosen node identity stored alongside the
@@ -61,7 +76,7 @@ val observe_id : readset -> cell -> int -> unit
     offset, < 0 = DRAM inner-node id).  The identity is only read back
     by {!failure} when attributing an abort; on the success path it
     costs one extra array store.
-    @raise Conflict if the cell is busy. *)
+    @raise Conflict if the cell is still busy after the wait. *)
 
 val validate : readset -> bool
 (** [true] iff no recorded cell moved since it was observed.
@@ -81,3 +96,9 @@ val failure : readset -> int * int
     section: the busy cell {!observe_id} aborted on, or the first
     recorded cell whose version moved ({!validate} failure).  Identity
     -1 when nothing is attributable. *)
+
+val last_recorded : readset -> (cell * int) option
+(** The most recently recorded cell and its identity, if any.  After
+    a section that descended to a leaf without observing the leaf
+    itself, that is the leaf's parent (identity < 0) or the root
+    pointer cell (identity 0).  Allocates; used on leaf splits only. *)

@@ -149,6 +149,53 @@ let test_header_corrupt () =
     (List.mem "header-corrupt" (classes r));
   Alcotest.(check bool) "is an error" true (Fsck.errors r <> [])
 
+(* Hostile descriptor words in a saved image: each rewrite must make
+   recovery refuse before it sizes anything from the word (one such
+   image once registered 2^30 leaves per group; others ran out of
+   memory or failed on the first insert), and fsck must name the same
+   field as a header-corrupt error. *)
+let test_hostile_descriptor () =
+  let a, _t = build ~config:cfg_groups 1000 in
+  let path = Filename.temp_file "fsck_hostile" ".scm" in
+  Scm.Region.save (Pmem.Palloc.region a) path;
+  let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
+  let cases =
+    [ ("group_size = 2^30", Tree.meta_group_size, 1 lsl 30, "group size");
+      ("group_size = 0", Tree.meta_group_size, 0, "group size");
+      ("n_split = 2^40", Tree.meta_n_split, 1 lsl 40, "micro-log counts");
+      ("n_split = -1", Tree.meta_n_split, -1, "micro-log counts");
+      ("n_delete = 63", Tree.meta_n_delete, 63, "micro-log counts");
+      ("value_bytes = 2^40", Tree.meta_value_bytes, 1 lsl 40, "value width");
+      ("value_bytes = 2^22", Tree.meta_value_bytes, 1 lsl 22,
+       "leaf larger than the region");
+      ("unknown flag bit", Tree.meta_flags, 4 lor 16, "flags") ]
+  in
+  List.iter
+    (fun (what, off, v, field) ->
+      let t0 = Unix.gettimeofday () in
+      Scm.Registry.clear ();
+      let region = Scm.Region.load path in
+      Scm.Registry.register region;
+      Scm.Region.write_int64 region (meta + off) (Int64.of_int v);
+      Scm.Region.persist region (meta + off) 8;
+      let detail = "implausible descriptor field: " ^ field in
+      (match F.recover ~config:cfg_groups (Pmem.Palloc.of_region region) with
+      | _ -> Alcotest.failf "%s: recover accepted the descriptor" what
+      | exception Failure msg ->
+        Alcotest.(check string) (what ^ ": recover refuses")
+          ("Tree.recover: " ^ detail) msg);
+      let r = Fsck.check region in
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": fsck names the field")
+        [ ("header-corrupt", detail) ]
+        (List.map (fun f -> (f.Fsck.cls, f.Fsck.detail)) (Fsck.errors r));
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: refused promptly (%.2fs)" what dt)
+        true (dt < 5.))
+    cases;
+  Sys.remove path
+
 let test_groups_dangling_group_link () =
   let a, _t = build ~config:cfg_groups 200 in
   let region = Pmem.Palloc.region a in
@@ -172,6 +219,8 @@ let () =
           Alcotest.test_case "orphan and leak" `Quick test_orphan_and_leak;
           Alcotest.test_case "corrupt leaf (checksums)" `Quick test_leaf_corrupt;
           Alcotest.test_case "header corruption" `Quick test_header_corrupt;
+          Alcotest.test_case "hostile descriptor words" `Quick
+            test_hostile_descriptor;
           Alcotest.test_case "dangling group link" `Quick
             test_groups_dangling_group_link;
         ] );

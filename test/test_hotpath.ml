@@ -94,6 +94,39 @@ let test_find_no_alloc () =
     (Printf.sprintf "find_value allocates nothing (saw %.1f words)" dw)
     true (dw = 0.)
 
+(* A delete's only minor-heap cost is its decision: the descent's
+   (leaf, prev) pair, the predecessor's [Some] and the [Del_in_leaf]
+   cell (3 + 2 + 2 words), hit or miss.  The tree is at least two inner
+   levels deep (m = 8, inner_keys = 8), so a descent that allocates per level
+   shows up.  Every 16th key is deleted, so no leaf empties and every
+   hit stays an in-leaf delete. *)
+let test_delete_alloc () =
+  fast_mode ();
+  Scm.Registry.clear ();
+  let config =
+    { Fptree.Tree.fptree_config with
+      Fptree.Tree.m = 8; Fptree.Tree.inner_keys = 8 }
+  in
+  let t = F.create ~config (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ()) in
+  let n = 16_000 in
+  for i = 0 to n - 1 do
+    ignore (F.insert t (2 * i) i)
+  done;
+  Alcotest.(check bool) "inner height >= 2" true (F.height t >= 2);
+  ignore (F.delete t 1);
+  let words_per_op f =
+    let w0 = Gc.minor_words () in
+    for j = 1 to (n / 16) - 1 do
+      f (16 * j)
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int ((n / 16) - 1)
+  in
+  let hit = words_per_op (fun i -> assert (F.delete t (2 * i))) in
+  let miss = words_per_op (fun i -> assert (not (F.delete t ((2 * i) + 1)))) in
+  Alcotest.(check bool)
+    (Printf.sprintf "delete allocates <= 8 words (hit %.1f, miss %.1f)" hit miss)
+    true (hit <= 8. && miss <= 8.)
+
 (* A range scan allocates its result list and O(m) per-call scratch,
    nothing per leaf or per hit beyond the list: each returned pair is
    a cons cell plus a tuple (3 + 3 words).  The scratch is two m-slot
@@ -460,6 +493,8 @@ let () =
             test_find_no_alloc;
           Alcotest.test_case "range allocates its list plus O(m) scratch"
             `Quick test_range_alloc;
+          Alcotest.test_case "delete allocates only its decision" `Quick
+            test_delete_alloc;
         ] );
       ( "admission",
         [ Alcotest.test_case "watermark check is allocation-free" `Quick

@@ -234,6 +234,85 @@ let test_backoff_seed_determinism () =
   Alcotest.(check (list (pair int int))) "identical flight spin payloads"
     evs1 evs2
 
+(* A hold makes a word busy to newcomers but leaves earlier readers
+   valid; a word still busy after the bounded wait aborts the
+   observation (and is attributed to the busy node); a write phase
+   still fails validation. *)
+let test_hold_and_bounded_wait () =
+  let c = Nv.fresh () in
+  let rs = Nv.scratch () in
+  Nv.observe_id rs c (-7);
+  Alcotest.(check bool) "last recorded is the observed cell" true
+    (match Nv.last_recorded rs with
+     | Some (c', id) -> c' == c && id = -7
+     | None -> false);
+  Nv.begin_hold c;
+  Alcotest.(check bool) "a hold does not invalidate a recorded reader" true
+    (Nv.validate rs);
+  let rs = Nv.scratch () in
+  let t0 = Obs.Clock.now_ns () in
+  (match Nv.observe_id rs c (-7) with
+   | () -> Alcotest.fail "observed a held word"
+   | exception Nv.Conflict -> ());
+  Alcotest.(check bool) "aborts only after the bounded wait" true
+    (Obs.Clock.now_ns () - t0 >= Nv.busy_wait_ns);
+  Alcotest.(check (pair int int)) "abort attributed to the held node" (-7, 0)
+    (Nv.failure rs);
+  Nv.end_hold c;
+  let rs = Nv.scratch () in
+  Nv.observe_id rs c (-7);
+  Alcotest.(check bool) "observable once released" true (Nv.validate rs);
+  Nv.begin_write c;
+  Nv.end_write c;
+  Alcotest.(check bool) "a write phase still invalidates" false (Nv.validate rs)
+
+(* A reader that meets a word inside a write phase waits for the phase
+   to close and records the word it then sees, instead of aborting.
+   The writer domain closes its phase only once the reader has
+   started observing.  With one CPU the writer cannot run while the
+   reader spins, so there only termination is checked. *)
+let test_busy_word_awaited () =
+  let c = Nv.fresh () in
+  let trial () =
+    let opened = Atomic.make false and observing = Atomic.make false in
+    let w =
+      Domain.spawn (fun () ->
+          Nv.begin_write c;
+          Atomic.set opened true;
+          while not (Atomic.get observing) do
+            Domain.cpu_relax ()
+          done;
+          let t0 = Obs.Clock.now_ns () in
+          while Obs.Clock.now_ns () - t0 < 50_000 do
+            Domain.cpu_relax ()
+          done;
+          Nv.end_write c)
+    in
+    while not (Atomic.get opened) do
+      Domain.cpu_relax ()
+    done;
+    Atomic.set observing true;
+    let rs = Nv.scratch () in
+    let r =
+      match Nv.observe_id rs c 1 with
+      | () -> Some (Nv.validate rs)
+      | exception Nv.Conflict -> None
+    in
+    Domain.join w;
+    r
+  in
+  let rec go n =
+    match trial () with
+    | Some ok -> Some ok
+    | None -> if n > 1 then go (n - 1) else None
+  in
+  match go 10 with
+  | Some ok ->
+    Alcotest.(check bool) "recorded the closed phase's word" true ok
+  | None ->
+    if Domain.recommended_domain_count () > 1 then
+      Alcotest.fail "every trial aborted instead of waiting"
+
 let () =
   Alcotest.run "htm"
     [
@@ -251,5 +330,11 @@ let () =
           Alcotest.test_case "rollback accounting" `Quick test_on_rollback_called;
           Alcotest.test_case "counter under contention" `Quick test_counter_under_contention;
           QCheck_alcotest.to_alcotest qcheck_nested_write_consistency;
+        ] );
+      ( "node-versions",
+        [
+          Alcotest.test_case "hold and bounded wait" `Quick
+            test_hold_and_bounded_wait;
+          Alcotest.test_case "busy word awaited" `Quick test_busy_word_awaited;
         ] );
     ]

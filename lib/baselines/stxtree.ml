@@ -1,12 +1,3 @@
-(** STXTree: the transient main-memory B+-Tree reference baseline
-    (https://panthema.net/2007/stx-btree/, reimplemented).
-
-    A classical cache-conscious B+-Tree living entirely in DRAM: sorted
-    nodes, binary search, linked leaves.  It has no persistence — a
-    restart loses everything, which is exactly the gap the FPTree
-    closes (the paper measures its full-rebuild time as the recovery
-    baseline). *)
-
 module type KEY = sig
   type t
   val compare : t -> t -> int

@@ -1,10 +1,3 @@
-(** A fixed-width integer column resident in SCM — the "other database
-    data structures placed in SCM" that make the prototype database's
-    throughput latency-dependent beyond the index itself (Section 6.4).
-
-    Columns are carved out of a dedicated region by a bump pointer held
-    in the region header, so a restart re-attaches them by offset. *)
-
 module Region = Scm.Region
 
 type t = {
@@ -27,9 +20,6 @@ let carve region ~rows =
   Region.persist region 0 8;
   { region; off = bump; rows }
 
-(** Re-attach a column carved at a known offset after a restart. *)
-let attach region ~off ~rows = { region; off; rows }
-
 let get t i =
   if i < 0 || i >= t.rows then invalid_arg "Column.get";
   Int64.to_int (Region.read_int64 t.region (t.off + (i * 8)))
@@ -37,10 +27,6 @@ let get t i =
 let set t i v =
   if i < 0 || i >= t.rows then invalid_arg "Column.set";
   Region.write_int64 t.region (t.off + (i * 8)) (Int64.of_int v)
-
-let set_persist t i v =
-  set t i v;
-  Region.persist t.region (t.off + (i * 8)) 8
 
 (** Bulk sanity scan (recovery): fold over all rows. *)
 let fold t f acc =

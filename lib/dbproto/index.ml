@@ -1,8 +1,3 @@
-(** First-class fixed-key index handles for the prototype database:
-    the dictionary index of the columnar engine is "the tree under
-    test" (Section 6.4).  Each handle knows how to recover itself from
-    its SCM arena after a restart. *)
-
 type kind = FPTree | PTree | NVTree | WBTree | STXTree
 
 let kind_name = function
@@ -16,10 +11,8 @@ let all_kinds = [ FPTree; PTree; NVTree; WBTree; STXTree ]
 
 type t = {
   kind : kind;
-  alloc : Pmem.Palloc.t option; (* None for the transient STXTree *)
+  alloc : Pmem.Palloc.t option;
   insert : int -> int -> (bool, [ `Out_of_space ]) result;
-      (** [Error `Out_of_space] when the index arena refused the write
-          (watermark admission or exhaustion); the index is unchanged. *)
   find : int -> int option;
   update : int -> int -> (bool, [ `Out_of_space ]) result;
   delete : int -> bool;

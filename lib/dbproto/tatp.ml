@@ -1,23 +1,9 @@
-(** TATP (Telecom Application Transaction Processing) on the prototype
-    single-level database (Section 6.4, Figure 12).
-
-    The storage engine is dictionary-encoded and columnar: base data
-    lives in SCM columns, and each table's dictionary index — the tree
-    under test — maps a (composite) integer key to a row position.
-    Population generates Subscriber ids SEQUENTIALLY, the highly skewed
-    insertion pattern that forces the NV-Tree into repeated inner-node
-    rebuilds (handled there with its large-leaf DB configuration).
-
-    The benchmark runs the read-only TATP transactions with their
-    standard relative weights: GET_SUBSCRIBER_DATA (35), GET_NEW_
-    DESTINATION (10), GET_ACCESS_DATA (35), re-normalized to 100%. *)
-
 type db = {
   kind : Index.kind;
   subscribers : int;
   cols : Scm.Region.t;
   (* Subscriber *)
-  sub_index : Index.t; (* s_id -> row *)
+  sub_index : Index.t;
   sub_nbr : Column.t;
   sub_bits : Column.t;
   sub_vlr : Column.t;

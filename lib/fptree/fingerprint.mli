@@ -2,9 +2,6 @@
     in-leaf keys, plus the closed-form expected-probe counts that
     Figure 4 plots. *)
 
-(** Number of distinct fingerprint values (n = 256). *)
-val hash_values : int
-
 (** One-byte fingerprint of an integer key. *)
 val of_int : int -> int
 

@@ -2,8 +2,6 @@
 
 include Tree.Make (Keys.Fixed)
 
-let name = "FPTree"
-
 (** Single-threaded FPTree (selective persistence, fingerprints,
     amortized leaf-group allocations, unsorted leaves). *)
 let create_single ?(m = Tree.fptree_config.Tree.m) ?(value_bytes = 8)

@@ -178,10 +178,6 @@ let rec rightmost_leaf = function
   | Leaf l -> l
   | Inner n -> rightmost_leaf n.children.(n.nkeys)
 
-let rec leftmost_leaf = function
-  | Leaf l -> l
-  | Inner n -> leftmost_leaf n.children.(0)
-
 let rec rightmost_leaf_rs rs = function
   | Leaf l -> l
   | Inner n ->

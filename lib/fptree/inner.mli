@@ -61,9 +61,6 @@ val regression_root_ver_hole : bool ref
     swap.  Consulted only on the cold root-split path; armed by the
     mcheck regression mode to prove the checker finds the bug. *)
 
-(** First child index whose subtree may hold [key]. *)
-val child_index : ('k -> 'k -> int) -> 'k inner -> 'k -> int
-
 (** Descend to the leaf responsible for [key]. *)
 val find_leaf : ('k -> 'k -> int) -> 'k node -> 'k -> leaf_ref
 
@@ -82,13 +79,6 @@ val find_leaf_rs :
 val find_span_rs :
   Htm.Node_versions.readset ->
   ('k -> 'k -> int) -> 'k t -> 'k -> 'k -> leaf_ref * leaf_ref
-
-val rightmost_leaf : 'k node -> leaf_ref
-val leftmost_leaf : 'k node -> leaf_ref
-
-(** Sub-descent helper: the caller must already have observed the cell
-    guarding [node] (its parent's, or [root_ver] for the root). *)
-val rightmost_leaf_rs : Htm.Node_versions.readset -> 'k node -> leaf_ref
 
 (** The leaf for [key] plus the leaf immediately to its left in key
     order, if any (FindLeafAndPrevLeaf). *)

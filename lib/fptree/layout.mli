@@ -22,8 +22,6 @@ type t = {
   bytes : int;  (** total leaf footprint *)
 }
 
-val align8 : int -> int
-
 (** @raise Invalid_argument on m outside [2,64], value widths that are
     not positive multiples of 8, or key cells other than 8/16 bytes.
     The layout has no checksum cell; see {!with_checksums}. *)
@@ -101,12 +99,6 @@ type csum_status =
       (** Content does not hash to the stored checksum under a current
           snapshot (or the bitmap has bits outside the mask): torn or
           media-damaged leaf. *)
-
-(** Checksum of the committed content under bitmap [bm]: bitmap plus
-    fingerprint/key/value of every occupied slot.  Free slots and the
-    next pointer are excluded (pre-publish writes and micro-logged link
-    updates must not invalidate the cell). *)
-val compute_checksum : Scm.Region.t -> leaf:int -> t -> int -> int
 
 (** Recompute and persist the integrity cell against the current
     bitmap; no-op when the layout has no checksum cell. *)

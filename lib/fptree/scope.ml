@@ -1,23 +1,3 @@
-(** Attribution gateway: the one blessed caller of [Scm.Region.persist]
-    inside lib/fptree (lint-enforced — see tools/lint.ml).
-
-    Every persist the tree issues names the component being persisted,
-    so the [Obs.Attrib] (component × op) matrix can answer {e which
-    part of the structure caused the SCM traffic}: micro-log arms,
-    bitmap commits, fingerprint bytes, KV cells, out-of-line keys, meta
-    words.  Store-side byte attribution rides on the same ambient
-    scope, so call sites that store and then persist wrap the whole
-    sequence in {!enter}/{!leave} (nesting is fine: inner scopes
-    restore the outer component).
-
-    Cost discipline matches [Pmtrace]: with attribution off (fast
-    mode), {!enter}/{!leave} are one [bool ref] load and a branch;
-    enabled, two unsafe array accesses — never an allocation, so the
-    hot-path minor-words pins hold.  No closures, no [Fun.protect]: an
-    exception between {!enter} and {!leave} (crash injection) leaves
-    the component set until the next scope overwrites it, which can
-    misattribute a few post-crash charges but never lose one. *)
-
 let[@inline] enter comp = Obs.Attrib.set_component comp
 let[@inline] leave prev = Obs.Attrib.restore_component prev
 

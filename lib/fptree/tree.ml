@@ -21,24 +21,21 @@ module Sched = Htm.Sched
 module Region = Scm.Region
 module Pptr = Pmem.Pptr
 
-type config = {
-  m : int;               (** leaf capacity (2..64) *)
-  value_bytes : int;     (** persisted value footprint; >= 8, mult. of 8 *)
-  inner_keys : int;      (** max keys per DRAM inner node *)
+module D = Descriptor
+
+type config = D.config = {
+  m : int;
+  value_bytes : int;
+  inner_keys : int;
   fingerprints : bool;
-  split_arrays : bool;   (** PTree layout: keys and values in separate arrays *)
-  use_groups : bool;     (** amortized leaf-group allocation (single-threaded) *)
+  split_arrays : bool;
+  use_groups : bool;
   group_size : int;
   n_split_logs : int;
   n_delete_logs : int;
   htm_retries : int;
-  htm_backoff : int;     (** backoff ceiling between speculative retries *)
+  htm_backoff : int;
   checksums : bool;
-      (** Per-leaf integrity cell: every committed leaf mutation is
-          followed by a checksum refresh, and recovery quarantines
-          leaves that fail validation instead of trusting them.  Off by
-          default — the extra persists would skew the paper's Table 1 /
-          Fig. 11 counts. *)
 }
 
 (** Single-threaded FPTree defaults (Table 1: leaf 56).  The paper's
@@ -80,107 +77,10 @@ type stats = {
   mutable leaf_deletes : int;
 }
 
-(** Node of the volatile free-leaf pool: an intrusive circular
-    doubly-linked list with a sentinel, so that [free_group] can evict
-    one group's leaves in O(group_size) instead of filtering the whole
-    pool, while keeping the exact LIFO order of the original list. *)
-type free_node = {
-  fl_leaf : int;
-  mutable fl_prev : free_node;
-  mutable fl_next : free_node;
-}
-
-let free_sentinel () =
-  let rec s = { fl_leaf = -1; fl_prev = s; fl_next = s } in
-  s
-
-(* ---- persistent tree descriptor layout ----
-
-   Key-representation independent, and at the toplevel so offline tools
-   (the fsck subsystem) can parse a region without instantiating the
-   functor. *)
-
-let meta_status = 0
-let meta_m = 8
-let meta_value_bytes = 16
-let meta_key_kind = 24
-let meta_flags = 32
-let meta_n_split = 40
-let meta_n_delete = 48
-let meta_group_size = 56
-let meta_head = 64
-let meta_group_head = 80
-let meta_group_tail = 96
-let meta_logs = 128
-
-let meta_bytes cfg =
-  meta_logs + ((cfg.n_split_logs + cfg.n_delete_logs + 2) * Microlog.slot_bytes)
-
-let flags_of cfg =
-  (if cfg.fingerprints then 1 else 0)
-  lor (if cfg.split_arrays then 2 else 0)
-  lor (if cfg.use_groups then 4 else 0)
-  lor (if cfg.checksums then 8 else 0)
-
-(** Key-cell footprint for a persisted key-kind word (0 = inline 8-byte
-    keys, otherwise a 16-byte persistent pointer cell) — lets offline
-    tools reconstruct the leaf layout without the key functor. *)
-let key_cell_bytes_of_kind kind = if kind = 0 then 8 else Pmem.Pptr.size_bytes
-
-(** Leaf layout implied by a tree configuration. *)
-let layout_of ~key_cell_bytes cfg =
-  let l =
-    Layout.make ~m:cfg.m ~key_bytes:key_cell_bytes ~value_bytes:cfg.value_bytes
-      ~fingerprints:cfg.fingerprints ~split_arrays:cfg.split_arrays
-  in
-  if cfg.checksums then Layout.with_checksums l else l
-
-(** The configuration persisted in the descriptor at [meta], over
-    [base_cfg] for the fields that are not persisted.  Every word is
-    checked before anything is sized from it; [Error field] names the
-    first implausible one.  [avail] is the room the descriptor may
-    occupy (its allocator block, or the rest of the region).  The one
-    set of rules for {!Make.recover} and the fsck audit. *)
-let config_of_meta region meta ~avail base_cfg =
-  let w off = Int64.to_int (Scm.Region.read_int64 region (meta + off)) in
-  let kind = w meta_key_kind and flags = w meta_flags in
-  let cfg =
-    { base_cfg with
-      m = w meta_m;
-      value_bytes = w meta_value_bytes;
-      fingerprints = flags land 1 <> 0;
-      split_arrays = flags land 2 <> 0;
-      use_groups = flags land 4 <> 0;
-      checksums = flags land 8 <> 0;
-      n_split_logs = w meta_n_split;
-      n_delete_logs = w meta_n_delete;
-      group_size = w meta_group_size;
-    }
-  in
-  let size = Scm.Region.size region in
-  (* Microlog.Pool's slot range *)
-  let logs_ok n = n >= 1 && n <= 62 in
-  let leaf_span () =
-    let l = layout_of ~key_cell_bytes:(key_cell_bytes_of_kind kind) cfg in
-    Scm.Cacheline.align_up l.Layout.bytes 64
-  in
-  if cfg.m < 2 || cfg.m > 64 then Error "leaf capacity m"
-  else if cfg.value_bytes < 8 || cfg.value_bytes mod 8 <> 0
-          || cfg.value_bytes > size
-  then Error "value width"
-  else if kind <> 0 && kind <> 1 then Error "key kind"
-  else if flags land lnot 15 <> 0 then Error "flags"
-  else if not (logs_ok cfg.n_split_logs && logs_ok cfg.n_delete_logs) then
-    Error "micro-log counts"
-  else if meta_bytes cfg > avail then Error "descriptor larger than its block"
-  else if leaf_span () > size then Error "leaf larger than the region"
-  else if cfg.use_groups
-          && (cfg.group_size < 1 || cfg.group_size > (size - 64) / leaf_span ())
-  then Error "group size"
-  else Ok cfg
-
 module Make (K : Keys.KEY) = struct
   type key = K.t
+
+  let name = if K.inline then "FPTree" else "FPTreeVar"
 
   type t = {
     ctx : Keys.ctx;
@@ -191,14 +91,7 @@ module Make (K : Keys.KEY) = struct
     mutable inner : K.t Inner.t;
     split_logs : Microlog.Pool.t;
     delete_logs : Microlog.Pool.t;
-    getleaf_log : Microlog.t;
-    freeleaf_log : Microlog.t;
-    (* volatile leaf-group bookkeeping (single-threaded mode) *)
-    free_head : free_node;                  (* sentinel of the free-leaf pool *)
-    mutable n_free : int;                   (* pool size, maintained *)
-    free_nodes : (int, free_node) Hashtbl.t; (* leaf off -> pool node *)
-    leaf_group : (int, int) Hashtbl.t;      (* leaf off -> group off *)
-    group_free : (int, int ref) Hashtbl.t;  (* group off -> #free leaves *)
+    groups : Leaf_groups.t;
     (* scratch for find_split_key (single-threaded mode only: concurrent
        splits of distinct leaves may overlap, so they allocate fresh) *)
     scratch_keys : K.t array;
@@ -220,38 +113,8 @@ module Make (K : Keys.KEY) = struct
 
   let alloc t = t.ctx.Keys.alloc
 
-  (* (the descriptor-layout constants — [meta_status] .. [meta_logs],
-     [meta_bytes] — live at the toplevel, shared with offline tools) *)
-
-  let split_log_off t i = t.meta + meta_logs + (i * Microlog.slot_bytes)
-  let delete_log_off t i = split_log_off t (t.config.n_split_logs + i)
-  let getleaf_log_off t =
-    split_log_off t (t.config.n_split_logs + t.config.n_delete_logs)
-  let freeleaf_log_off t = getleaf_log_off t + Microlog.slot_bytes
-
-  let read_meta_word t off = Int64.to_int (Region.read_int64 (region t) (t.meta + off))
-
-  let write_meta_word t off v =
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Region.write_int64_atomic (region t) (t.meta + off) (Int64.of_int v);
-    Scope.persist_in_scope (region t) (t.meta + off) 8;
-    Scope.leave sc
-
-  let read_head t = Pptr.read (region t) (t.meta + meta_head)
-  let write_head t p =
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Pptr.write_committed (region t) (t.meta + meta_head) p;
-    Scope.leave sc
-  let read_group_head t = Pptr.read (region t) (t.meta + meta_group_head)
-  let write_group_head t p =
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Pptr.write_committed (region t) (t.meta + meta_group_head) p;
-    Scope.leave sc
-  let read_group_tail t = Pptr.read (region t) (t.meta + meta_group_tail)
-  let write_group_tail t p =
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Pptr.write_committed (region t) (t.meta + meta_group_tail) p;
-    Scope.leave sc
+  let read_head t = Pptr.read (region t) (t.meta + D.meta_head)
+  let write_head t p = D.write_anchor (region t) (t.meta + D.meta_head) p
 
   let pptr_of t off = Pptr.of_region (region t) ~off
 
@@ -403,225 +266,12 @@ module Make (K : Keys.KEY) = struct
       Layout.persist_fp r ~leaf t.layout slot
     end
 
-  (* ---- leaf locks (volatile; Selective Concurrency) ---- *)
+  (* ---- leaf locks and version phases ({!Leaf_lock}) ---- *)
 
-  (* The lock-transition trace events bracket the lock's critical
-     section from the analyzer's point of view: acquire is announced
-     after a successful CAS, release before the flag drops — so another
-     domain's acquire can never appear before our release in the trace
-     order. *)
-  let try_lock t (l : Inner.leaf_ref) =
-    (* Test-and-test-and-set: a contended attempt fails on the plain
-       load without dirtying the lock line.  This also keeps the model
-       checker's wake-ups tied to real lock-word transitions — a failed
-       CAS would count as a write and let contending fibers wake each
-       other forever. *)
-    let obj = Sched.obj_lock l.Inner.off in
-    let ok =
-      (not (Sched.get ~obj l.Inner.lock))
-      && Sched.cas ~obj l.Inner.lock false true
-    in
-    if ok && Scm.Pmtrace.enabled () then
-      Scm.Pmtrace.lock_acquire ~region:(Region.id (region t)) ~leaf:l.Inner.off;
-    ok
-
-  let unlock t (l : Inner.leaf_ref) =
-    if Scm.Pmtrace.enabled () then
-      Scm.Pmtrace.lock_release ~region:(Region.id (region t)) ~leaf:l.Inner.off;
-    Sched.set ~obj:(Sched.obj_lock l.Inner.off) l.Inner.lock false
-
-  let is_locked (l : Inner.leaf_ref) =
-    Sched.get ~obj:(Sched.obj_lock l.Inner.off) l.Inner.lock
-
-  (* ---- per-node version phases (precise conflict detection) ---- *)
-
-  (* A leaf's version word lives in its [Inner.leaf_ref] ([ver]),
-     right next to the lock the writer already holds.  A write phase on
-     it is the precise analogue of "this leaf's cache lines are in a
-     TSX writer's write set": concurrent optimistic readers that
-     observed the word abort, later ones abort on the busy count.  The
-     phases are count-encoded, so nesting (insert-into-nonfull inside
-     a split bracket) is safe.
-
-     The trace events sit inside the version phase — emitted after
-     [begin_write] and before [end_write] — so in the recorded history
-     every store to the leaf falls strictly between them and the
-     analyzer's unversioned-leaf-store check is exact. *)
-  let ver_begin t (l : Inner.leaf_ref) =
-    Nv.begin_write_id l.Inner.ver l.Inner.off;
-    if Scm.Pmtrace.enabled () then
-      Scm.Pmtrace.ver_begin ~region:(Region.id (region t)) ~leaf:l.Inner.off
-
-  let ver_end t (l : Inner.leaf_ref) =
-    if Scm.Pmtrace.enabled () then
-      Scm.Pmtrace.ver_end ~region:(Region.id (region t)) ~leaf:l.Inner.off;
-    Nv.end_write_id l.Inner.ver l.Inner.off
-
-  (* ---- leaf groups (Section 4.3 and Appendix B) ---- *)
-
-  let leaf_span t = Scm.Cacheline.align_up t.layout.Layout.bytes 64
-  let group_bytes t = 64 + (t.config.group_size * leaf_span t)
-  let group_leaf t g i = g + 64 + (i * leaf_span t)
-
-  let group_next t g = Pptr.read (region t) g
-  let write_group_next t g p =
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Pptr.write_committed (region t) g p;
-    Scope.leave sc
-
-  let register_group t g =
-    Hashtbl.replace t.group_free g (ref 0);
-    for i = t.config.group_size - 1 downto 0 do
-      let l = group_leaf t g i in
-      Hashtbl.replace t.leaf_group l g
-    done
-
-  (* Push at the head: same LIFO discipline as the original cons list. *)
-  let add_free_leaf t l =
-    let s = t.free_head in
-    let n = { fl_leaf = l; fl_prev = s; fl_next = s.fl_next } in
-    s.fl_next.fl_prev <- n;
-    s.fl_next <- n;
-    Hashtbl.replace t.free_nodes l n;
-    t.n_free <- t.n_free + 1;
-    incr (Hashtbl.find t.group_free (Hashtbl.find t.leaf_group l))
-
-  let unlink_free_node t n =
-    n.fl_prev.fl_next <- n.fl_next;
-    n.fl_next.fl_prev <- n.fl_prev;
-    Hashtbl.remove t.free_nodes n.fl_leaf;
-    t.n_free <- t.n_free - 1
-
-  let clear_free_pool t =
-    let s = t.free_head in
-    s.fl_next <- s;
-    s.fl_prev <- s;
-    Hashtbl.reset t.free_nodes;
-    t.n_free <- 0
-
-  (* Append group [g] to the persistent group list; idempotent so that
-     recovery can redo it. *)
-  let link_group t g =
-    let gp = pptr_of t g in
-    let tail = read_group_tail t in
-    if Pptr.is_null tail then write_group_head t gp
-    else write_group_next t tail.Pptr.off gp;
-    write_group_tail t gp
-
-  (** GetLeaf (Algorithm 10): take a free leaf, allocating and linking a
-      fresh group of [group_size] leaves when the pool is empty. *)
-  let get_leaf t =
-    if t.n_free = 0 then begin
-      let log = t.getleaf_log in
-      Pmem.Palloc.alloc (alloc t) ~into:(Microlog.fst_loc log) (group_bytes t);
-      let g = (Microlog.read_fst log).Pptr.off in
-      let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-      Pptr.reset_committed (region t) g; (* group.next = null *)
-      Scope.leave sc;
-      link_group t g;
-      Microlog.reset log;
-      register_group t g;
-      for i = 0 to t.config.group_size - 1 do
-        add_free_leaf t (group_leaf t g i)
-      done
-    end;
-    let n = t.free_head.fl_next in
-    assert (n != t.free_head);
-    unlink_free_node t n;
-    let l = n.fl_leaf in
-    decr (Hashtbl.find t.group_free (Hashtbl.find t.leaf_group l));
-    l
-
-  let recover_getleaf t =
-    let log = t.getleaf_log in
-    if not (Microlog.is_idle log) then begin
-      let g = (Microlog.read_fst log).Pptr.off in
-      let tail = read_group_tail t in
-      if Pptr.is_null tail || tail.Pptr.off <> g then begin
-        (* Crashed before the group was fully linked: redo. *)
-        let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-        Pptr.reset_committed (region t) g;
-        Scope.leave sc;
-        link_group t g
-      end;
-      Microlog.reset log
-    end
-
-  (* Recompute the persistent group-list tail by walking from the head
-     (recovery helper for group frees; idempotent). *)
-  let fix_group_tail t =
-    let rec last p =
-      if Pptr.is_null p then Pptr.null
-      else
-        let next = group_next t p.Pptr.off in
-        if Pptr.is_null next then p else last next
-    in
-    let tail = last (read_group_head t) in
-    if not (Pptr.equal (read_group_tail t) tail) then write_group_tail t tail
-
-  (* Unlink and deallocate a fully-free group (Algorithm 12). *)
-  let free_group t g =
-    (* Evict this group's leaves from the pool in O(group_size); unlinking
-       preserves the relative order of the survivors, exactly like the
-       List.filter this replaces. *)
-    for i = 0 to t.config.group_size - 1 do
-      let l = group_leaf t g i in
-      (match Hashtbl.find_opt t.free_nodes l with
-      | Some n -> unlink_free_node t n
-      | None -> ());
-      Hashtbl.remove t.leaf_group l
-    done;
-    Hashtbl.remove t.group_free g;
-    let log = t.freeleaf_log in
-    Microlog.set_fst log (pptr_of t g);
-    let head = read_group_head t in
-    (if head.Pptr.off = g then write_group_head t (group_next t g)
-     else begin
-       (* find the predecessor group *)
-       let rec pred p =
-         let next = group_next t p.Pptr.off in
-         if next.Pptr.off = g then p else pred next
-       in
-       let prev = pred head in
-       Microlog.set_snd log prev;
-       write_group_next t prev.Pptr.off (group_next t g)
-     end);
-    if (read_group_tail t).Pptr.off = g then fix_group_tail t;
-    Pmem.Palloc.free (alloc t) ~from:(Microlog.fst_loc log);
-    Microlog.reset log
-
-  let recover_freeleaf t =
-    let log = t.freeleaf_log in
-    if not (Microlog.is_idle log) then begin
-      let gp = Microlog.read_fst log in
-      let g = gp.Pptr.off in
-      let prev = Microlog.read_snd log in
-      let head = read_group_head t in
-      let finish () =
-        fix_group_tail t;
-        Pmem.Palloc.free (alloc t) ~from:(Microlog.fst_loc log);
-        Microlog.reset log
-      in
-      if not (Pptr.is_null prev) then begin
-        write_group_next t prev.Pptr.off (group_next t g);
-        finish ()
-      end
-      else if (not (Pptr.is_null head)) && head.Pptr.off = g then begin
-        write_group_head t (group_next t g);
-        finish ()
-      end
-      else if Pptr.equal (group_next t g) head then finish ()
-      else Microlog.reset log
-    end
-
-  (** FreeLeaf (Algorithm 12): return a leaf to the volatile pool and
-      deallocate its group once fully free. *)
-  let free_leaf t l =
-    if Scm.Pmtrace.enabled () then
-      Scm.Pmtrace.leaf_retired ~region:(Region.id (region t)) ~leaf:l;
-    add_free_leaf t l;
-    let g = Hashtbl.find t.leaf_group l in
-    if !(Hashtbl.find t.group_free g) = t.config.group_size then free_group t g
+  let try_lock t l = Leaf_lock.try_lock (region t) l
+  let unlock t l = Leaf_lock.unlock (region t) l
+  let ver_begin t l = Leaf_lock.ver_begin (region t) l
+  let ver_end t l = Leaf_lock.ver_end (region t) l
 
   (* ---- leaf split (Algorithm 3) ---- *)
 
@@ -745,7 +395,7 @@ module Make (K : Keys.KEY) = struct
     let fresh =
       match
         if t.config.use_groups then begin
-          let l = get_leaf t in
+          let l = Leaf_groups.get_leaf t.groups in
           Microlog.set_snd log (pptr_of t l);
           l
         end
@@ -843,7 +493,7 @@ module Make (K : Keys.KEY) = struct
           a second time afterwards, costing 4 redundant
           flush+fence+line-write sequences per whole-leaf delete. *)
        Microlog.reset log;
-       free_leaf t leaf.Inner.off
+       Leaf_groups.free_leaf t.groups leaf.Inner.off
      end
      else begin
        if Scm.Pmtrace.enabled () then
@@ -1438,7 +1088,8 @@ module Make (K : Keys.KEY) = struct
      completes. *)
   let insert_reserve t =
     let leaf_bytes =
-      if t.config.use_groups then group_bytes t else t.layout.Layout.bytes
+      if t.config.use_groups then D.group_bytes t.config t.layout
+      else t.layout.Layout.bytes
     in
     Pmem.Palloc.gross_bytes leaf_bytes
     + (if K.inline then 0
@@ -1449,14 +1100,7 @@ module Make (K : Keys.KEY) = struct
      the allocator to hand free tail blocks back to the arena.  Returns
      the bytes returned to the bump region. *)
   let reclaim_space_op t =
-    if t.config.use_groups then begin
-      let full =
-        Hashtbl.fold
-          (fun g n acc -> if !n = t.config.group_size then g :: acc else acc)
-          t.group_free []
-      in
-      List.iter (fun g -> free_group t g) full
-    end;
+    if t.config.use_groups then Leaf_groups.free_idle_groups t.groups;
     Pmem.Palloc.reclaim (alloc t)
 
   let reclaim_space t =
@@ -1531,24 +1175,6 @@ module Make (K : Keys.KEY) = struct
   let degraded t = t.degraded
   let bytes_free t = Pmem.Palloc.bytes_free (alloc t)
   let watermark_state t = Pmem.Palloc.watermark_state (alloc t)
-
-  (* ---- post-unwind invariant probes (exhaustion sweep tests) ---- *)
-
-  (* Every micro-log slot disarmed — a refused op must not leave one
-     armed (recovery would otherwise replay a phantom op). *)
-  let logs_idle t =
-    let ok = ref true in
-    let chk log = if not (Microlog.is_idle log) then ok := false in
-    Microlog.Pool.iter chk t.split_logs;
-    Microlog.Pool.iter chk t.delete_logs;
-    chk t.getleaf_log;
-    chk t.freeleaf_log;
-    !ok
-
-  (* The leaf currently covering [k] is not left locked by an unwound
-     op. *)
-  let leaf_locked_for t k =
-    is_locked (Inner.find_leaf K.compare t.inner.Inner.root k)
 
   (* Where a range scan starts and where it may stop: the leaf covering
      [lo], the leaf covering [hi], and that end leaf's version word as
@@ -1713,14 +1339,12 @@ module Make (K : Keys.KEY) = struct
       traversal. *)
   let dram_bytes t =
     Inner.dram_bytes t.inner ~key_bytes:(K.dram_bytes K.dummy)
-    + (t.n_free * 8)
-    + (Hashtbl.length t.leaf_group * 16)
+    + Leaf_groups.dram_bytes t.groups
 
   (** SCM footprint of the tree's arena (live allocated bytes). *)
   let scm_bytes t = Pmem.Palloc.live_bytes (alloc t)
 
   let stats t = t.stats
-  let spec_stats t = Spec.stats t.spec
 
   (** Abort-reason breakdown as an assoc list ({!Tree_intf.S}). *)
   let htm_stats t = Spec.stats_assoc t.spec
@@ -1735,37 +1359,17 @@ module Make (K : Keys.KEY) = struct
 
   (* ---- construction and recovery ---- *)
 
-  let make_logs t_region meta cfg =
-    let split =
-      Array.init cfg.n_split_logs (fun i ->
-          Microlog.make t_region (meta + meta_logs + (i * Microlog.slot_bytes)))
-    in
-    let del =
-      Array.init cfg.n_delete_logs (fun i ->
-          Microlog.make t_region
-            (meta + meta_logs + ((cfg.n_split_logs + i) * Microlog.slot_bytes)))
-    in
-    let getl =
-      Microlog.make t_region
-        (meta + meta_logs
-        + ((cfg.n_split_logs + cfg.n_delete_logs) * Microlog.slot_bytes))
-    in
-    let freel =
-      Microlog.make t_region
-        (meta + meta_logs
-        + ((cfg.n_split_logs + cfg.n_delete_logs + 1) * Microlog.slot_bytes))
-    in
-    (split, del, getl, freel)
-
   let fresh_stats () =
     { key_probes = 0; finds = 0; inserts = 0; updates = 0; deletes = 0;
       leaf_splits = 0; leaf_deletes = 0 }
 
-  let layout_of_config cfg ~key_cell_bytes = layout_of ~key_cell_bytes cfg
-
   let build_volatile ctx cfg meta =
-    let layout = layout_of_config cfg ~key_cell_bytes:K.cell_bytes in
-    let split, del, getl, freel = make_logs ctx.Keys.region meta cfg in
+    let layout = D.layout_of cfg ~key_cell_bytes:K.cell_bytes in
+    let logs n slot =
+      Microlog.Pool.create
+        (Array.init n (fun i ->
+             Microlog.make ctx.Keys.region (D.log_off cfg ~meta (slot i))))
+    in
     {
       ctx; layout; config = cfg; meta;
       spec =
@@ -1773,15 +1377,9 @@ module Make (K : Keys.KEY) = struct
           ~backoff_ceiling:cfg.htm_backoff ();
       inner = Inner.create ~fanout:(cfg.inner_keys + 1) ~dummy_key:K.dummy
                 (Inner.leaf_ref (-1));
-      split_logs = Microlog.Pool.create split;
-      delete_logs = Microlog.Pool.create del;
-      getleaf_log = getl;
-      freeleaf_log = freel;
-      free_head = free_sentinel ();
-      n_free = 0;
-      free_nodes = Hashtbl.create 64;
-      leaf_group = Hashtbl.create 64;
-      group_free = Hashtbl.create 16;
+      split_logs = logs cfg.n_split_logs (fun i -> D.Split i);
+      delete_logs = logs cfg.n_delete_logs (fun i -> D.Delete i);
+      groups = Leaf_groups.create ctx ~meta cfg layout;
       scratch_keys = Array.make layout.Layout.m K.dummy;
       scratch_slots = Array.make layout.Layout.m 0;
       stats = fresh_stats ();
@@ -1792,53 +1390,23 @@ module Make (K : Keys.KEY) = struct
   (* Finish initialization: runs both on first creation and on recovery
      from a crash that hit during creation (Algorithm 9, line 1–2). *)
   let complete_init t =
-    recover_getleaf t;
-    recover_freeleaf t;
+    Leaf_groups.recover t.groups;
     (if Pptr.is_null (read_head t) then
        if t.config.use_groups then begin
          (* Group membership must be rebuilt before get_leaf. *)
-         let rec scan p =
-           if not (Pptr.is_null p) then begin
-             register_group t p.Pptr.off;
-             for i = 0 to t.config.group_size - 1 do
-               add_free_leaf t (group_leaf t p.Pptr.off i)
-             done;
-             scan (group_next t p.Pptr.off)
-           end
-         in
-         scan (read_group_head t);
-         let l = get_leaf t in
+         Leaf_groups.rebuild t.groups ~in_use:(fun _ -> false);
+         let l = Leaf_groups.get_leaf t.groups in
          write_head t (pptr_of t l)
        end
        else
          Pmem.Palloc.alloc (alloc t)
-           ~into:(Pmem.Pptr.Loc.make (region t) (t.meta + meta_head))
+           ~into:(Pmem.Pptr.Loc.make (region t) (t.meta + D.meta_head))
            t.layout.Layout.bytes);
     (* (Re-)zero the first leaf: idempotent, and a crash may have hit
        between obtaining the leaf and zeroing it. *)
     Layout.zero_leaf (region t) ~leaf:(read_head t).Pptr.off t.layout;
     refresh_csum t (read_head t).Pptr.off;
-    write_meta_word t meta_status 1
-
-  (* The seven configuration words live in one contiguous span
-     ([meta_m, meta_group_size]) with no ordering constraints among
-     them — nothing reads them until [meta_status] (written last, with
-     its own persist) flips to 1.  Batching them under a single persist
-     replaces 7 flush+fence pairs with 1: a batchable-flush finding of
-     the pmcheck analyzer on the creation path. *)
-  let write_meta_config t cfg =
-    let r = region t in
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    let w off v = Region.write_int64_atomic r (t.meta + off) (Int64.of_int v) in
-    w meta_m cfg.m;
-    w meta_value_bytes cfg.value_bytes;
-    w meta_key_kind K.kind;
-    w meta_flags (flags_of cfg);
-    w meta_n_split cfg.n_split_logs;
-    w meta_n_delete cfg.n_delete_logs;
-    w meta_group_size cfg.group_size;
-    Scope.persist_in_scope r (t.meta + meta_m) (meta_group_size + 8 - meta_m);
-    Scope.leave sc
+    D.mark_initialized (region t) ~meta:t.meta
 
   (* pmcheck bootstrap: drop stale lock/leaf tracking (recovery writes
      without leaf locks by design) and announce the leaf extent size so
@@ -1856,17 +1424,18 @@ module Make (K : Keys.KEY) = struct
     let region = Pmem.Palloc.region alloc in
     if not (Pptr.is_null (Pmem.Palloc.root alloc)) then
       failwith "Tree.create: region already holds a tree (use recover)";
-    ignore (layout_of_config config ~key_cell_bytes:K.cell_bytes); (* validate *)
-    Pmem.Palloc.alloc alloc ~into:(Pmem.Palloc.root_loc alloc) (meta_bytes config);
+    ignore (D.layout_of config ~key_cell_bytes:K.cell_bytes); (* validate *)
+    Pmem.Palloc.alloc alloc ~into:(Pmem.Palloc.root_loc alloc)
+      (D.meta_bytes config);
     let meta = (Pmem.Palloc.root alloc).Pptr.off in
     let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Region.fill region meta (meta_bytes config) '\000';
-    Scope.persist_in_scope region meta (meta_bytes config);
+    Region.fill region meta (D.meta_bytes config) '\000';
+    Scope.persist_in_scope region meta (D.meta_bytes config);
     Scope.leave sc;
     let ctx = { Keys.region; alloc } in
     let t = build_volatile ctx config meta in
     trace_tree_layout t;
-    write_meta_config t config;
+    D.write_config region ~meta ~kind:K.kind config;
     complete_init t;
     let first = (read_head t).Pptr.off in
     t.inner <-
@@ -1924,27 +1493,12 @@ module Make (K : Keys.KEY) = struct
     let arr = Array.of_list (List.rev !leaves) in
     t.inner <-
       Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~dummy_key:K.dummy arr;
-    (* Rebuild the volatile free-leaf pool from the group list. *)
-    if t.config.use_groups then begin
-      clear_free_pool t;
-      Hashtbl.reset t.leaf_group;
-      Hashtbl.reset t.group_free;
-      let rec scan p =
-        if not (Pptr.is_null p) then begin
-          let g = p.Pptr.off in
-          register_group t g;
-          for i = 0 to t.config.group_size - 1 do
-            let l = group_leaf t g i in
-            (* Quarantined leaves are out of the list but must not be
-               recycled as free. *)
-            if not (Hashtbl.mem in_list l) && not (List.mem l t.quarantined)
-            then add_free_leaf t l
-          done;
-          scan (group_next t g)
-        end
-      in
-      scan (read_group_head t)
-    end
+    (* Rebuild the volatile free-leaf pool from the group list.
+       Quarantined leaves are out of the list but must not be recycled
+       as free. *)
+    if t.config.use_groups then
+      Leaf_groups.rebuild t.groups ~in_use:(fun l ->
+          Hashtbl.mem in_list l || List.mem l t.quarantined)
 
   (* ---- recovery checksum validation (quarantine pass) ---- *)
 
@@ -2026,25 +1580,21 @@ module Make (K : Keys.KEY) = struct
     let rootp = Pmem.Palloc.root alloc in
     if Pptr.is_null rootp then failwith "Tree.recover: no tree in region";
     let meta = rootp.Pptr.off in
-    let initialized =
-      Int64.to_int (Region.read_int64 region (meta + meta_status)) = 1
-    in
+    let initialized = D.initialized region ~meta in
     (* If creation never completed, the persisted config words may be
        missing: trust the caller's config and (re)write them. *)
     let cfg =
       if not initialized then config
       else
         match
-          config_of_meta region meta ~avail:(Region.size region - meta) config
+          D.config_of_meta region meta ~avail:(Region.size region - meta) config
         with
         | Ok cfg -> cfg
         | Error what ->
           failwith ("Tree.recover: implausible descriptor field: " ^ what)
     in
-    if initialized then begin
-      let kind = Int64.to_int (Region.read_int64 region (meta + meta_key_kind)) in
-      if kind <> K.kind then failwith "Tree.recover: key kind mismatch"
-    end;
+    if initialized && D.key_kind region ~meta <> K.kind then
+      failwith "Tree.recover: key kind mismatch";
     let ctx = { Keys.region; alloc } in
     let t = build_volatile ctx cfg meta in
     trace_tree_layout t;
@@ -2060,13 +1610,12 @@ module Make (K : Keys.KEY) = struct
     if not initialized then
       Obs.Flight.timed ~name:"fptree.recovery.init" Metrics.recovery_init_us
         (fun () ->
-          write_meta_config t cfg;
+          D.write_config region ~meta ~kind:K.kind cfg;
           complete_init t)
     else
       Obs.Flight.timed ~name:"fptree.recovery.log_replay"
         Metrics.recovery_log_replay_us (fun () ->
-          recover_getleaf t;
-          recover_freeleaf t;
+          Leaf_groups.recover t.groups;
           Microlog.Pool.iter (recover_split t) t.split_logs;
           Microlog.Pool.iter (recover_delete t) t.delete_logs);
     if initialized && t.layout.Layout.checksums then
@@ -2083,15 +1632,8 @@ module Make (K : Keys.KEY) = struct
       allocator leak audit. *)
   let reachable_blocks t =
     let acc = ref [ t.meta ] in
-    if t.config.use_groups then begin
-      let rec scan p =
-        if not (Pptr.is_null p) then begin
-          acc := p.Pptr.off :: !acc;
-          scan (group_next t p.Pptr.off)
-        end
-      in
-      scan (read_group_head t)
-    end
+    if t.config.use_groups then
+      Leaf_groups.iter_groups t.groups (fun g -> acc := g :: !acc)
     else begin
       iter_leaves t (fun leaf -> acc := leaf :: !acc);
       (* Quarantined leaves are off the list but still allocated. *)
@@ -2107,11 +1649,6 @@ module Make (K : Keys.KEY) = struct
               | _ -> ()
           done);
     !acc
-
-  (** Leaves quarantined by the last {!recover}'s checksum validation
-      (offsets, newest first); empty on clean recoveries and when
-      checksums are off. *)
-  let quarantined t = t.quarantined
 
   (** Structural invariant check (tests): leaves are in strictly
       increasing key order along the linked list, every key routes to
@@ -2147,6 +1684,31 @@ module Make (K : Keys.KEY) = struct
           let mx = List.fold_left (fun a k -> if K.compare k a > 0 then k else a)
               (List.hd ks) ks in
           prev_max := Some mx)
+
+  (* ---- probes for the tests ---- *)
+
+  module Testing = struct
+    (* Every micro-log slot disarmed — a refused op must not leave one
+       armed (recovery would otherwise replay a phantom op). *)
+    let logs_idle t =
+      let ok = ref (Leaf_groups.logs_idle t.groups) in
+      let chk log = if not (Microlog.is_idle log) then ok := false in
+      Microlog.Pool.iter chk t.split_logs;
+      Microlog.Pool.iter chk t.delete_logs;
+      !ok
+
+    (* The leaf currently covering [k] is not left locked by an unwound
+       op. *)
+    let leaf_locked_for t k =
+      Leaf_lock.is_locked (Inner.find_leaf K.compare t.inner.Inner.root k)
+
+    let spec_stats t = Spec.stats t.spec
+
+    (* Leaves quarantined by the last [recover]'s checksum validation
+       (offsets, newest first); empty on clean recoveries and when
+       checksums are off. *)
+    let quarantined t = t.quarantined
+  end
 end
 
 (** The one blessed adapter from the allocator's exhaustion exception

@@ -5,7 +5,11 @@
     and the database index ([Dbproto.Index]) are each built by one
     constructor from a first-class module
     [(module S with type t = a and type key = k)] and a tree value.
-    [Baselines.Conformance] ascribes all ten modules to it.
+    Each tree's own interface includes [S] (FPTree and PTree through
+    {!Tree.Make}), so the compiler checks every tree against it.
+
+    An interface-only unit: it declares signatures and has no
+    implementation.
 
     Values are 63-bit integers (the paper uses 8-byte integer values);
     payload-size experiments pad the persisted value footprint via each

@@ -3,8 +3,6 @@
 
 include Tree.Make (Keys.Var)
 
-let name = "FPTreeVar"
-
 let var_single_config =
   { Tree.fptree_config with Tree.inner_keys = 2048 } (* Table 1: FPTreeVar *)
 

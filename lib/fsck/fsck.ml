@@ -29,7 +29,7 @@
 module Region = Scm.Region
 module Pptr = Pmem.Pptr
 module Palloc = Pmem.Palloc
-module Tree = Fptree.Tree
+module D = Fptree.Descriptor
 module Layout = Fptree.Layout
 module Microlog = Fptree.Microlog
 
@@ -85,9 +85,6 @@ let reclaim ctx payload =
     note ctx Warning "unreclaimable" payload msg;
     false
 
-let meta_word ctx meta off =
-  Int64.to_int (Region.read_int64 ctx.region (meta + off))
-
 (* A followable chain pointer: null, or an 8-aligned in-region span. *)
 let plausible ctx ~span p =
   Pptr.is_null p
@@ -118,7 +115,7 @@ let rec audit ctx =
         "root pointer does not reference an allocated block";
       (0, 0)
     | Some meta_bytes_avail ->
-      if meta_word ctx meta Tree.meta_status <> 1 then begin
+      if not (D.initialized ctx.region ~meta) then begin
         note ctx Warning "uninitialized" meta
           "tree creation never completed (recovery will restart it)";
         (0, 0)
@@ -126,42 +123,41 @@ let rec audit ctx =
       else begin
         (* Parse and validate the descriptor before trusting anything. *)
         match
-          Tree.config_of_meta ctx.region meta ~avail:meta_bytes_avail
-            Tree.fptree_config
+          D.config_of_meta ctx.region meta ~avail:meta_bytes_avail
+            Fptree.Tree.fptree_config
         with
         | Error what ->
           note ctx Error "header-corrupt" meta
             (Printf.sprintf "implausible descriptor field: %s" what);
           (0, 0)
-        | Ok cfg -> audit_tree ctx meta cfg (meta_word ctx meta Tree.meta_key_kind)
+        | Ok cfg -> audit_tree ctx meta cfg (D.key_kind ctx.region ~meta)
       end
   end
 
 and audit_tree ctx meta cfg kind =
   let r = ctx.region in
   let layout =
-    Tree.layout_of ~key_cell_bytes:(Tree.key_cell_bytes_of_kind kind) cfg
+    D.layout_of ~key_cell_bytes:(D.key_cell_bytes_of_kind kind) cfg
   in
-  let leaf_span = Scm.Cacheline.align_up layout.Layout.bytes 64 in
-  let group_bytes = 64 + (cfg.Tree.group_size * leaf_span) in
+  let group_bytes = D.group_bytes cfg layout in
   (* referenced[payload]: every block the tree structure accounts for *)
   let referenced = Hashtbl.create 256 in
   Hashtbl.replace referenced meta ();
   (* Blocks parked in micro-logs are mid-operation, not orphans:
      recovery completes or rolls back the owning operation. *)
-  let n_logs = cfg.Tree.n_split_logs + cfg.Tree.n_delete_logs + 2 in
-  for i = 0 to n_logs - 1 do
-    let log = Microlog.make r (meta + Tree.meta_logs + (i * Microlog.slot_bytes)) in
-    List.iter
-      (fun p ->
-        if (not (Pptr.is_null p)) && Hashtbl.mem ctx.blocks p.Pptr.off then
-          Hashtbl.replace referenced p.Pptr.off ())
-      [ Microlog.read_fst log; Microlog.read_snd log ]
-  done;
+  List.iter
+    (fun slot ->
+      let log = Microlog.make r (D.log_off cfg ~meta slot) in
+      List.iter
+        (fun p ->
+          if (not (Pptr.is_null p)) && Hashtbl.mem ctx.blocks p.Pptr.off then
+            Hashtbl.replace referenced p.Pptr.off ())
+        [ Microlog.read_fst log; Microlog.read_snd log ])
+    (D.log_slots cfg);
   (* Group list (single-threaded mode): leaves live inside group
      blocks, so account the groups and learn the valid leaf slots. *)
   let leaf_slots = Hashtbl.create 256 in
-  if cfg.Tree.use_groups then begin
+  if cfg.D.use_groups then begin
     let seen = Hashtbl.create 64 in
     let rec scan prev p =
       if not (Pptr.is_null p) then
@@ -189,17 +185,17 @@ and audit_tree ctx meta cfg kind =
         else begin
           Hashtbl.replace seen g ();
           Hashtbl.replace referenced g ();
-          for i = 0 to cfg.Tree.group_size - 1 do
-            Hashtbl.replace leaf_slots (g + 64 + (i * leaf_span)) ()
+          for i = 0 to cfg.D.group_size - 1 do
+            Hashtbl.replace leaf_slots (D.group_leaf layout g i) ()
           done;
           scan g (Pptr.read r g)
         end
     in
-    scan (meta + Tree.meta_group_head) (Pptr.read r (meta + Tree.meta_group_head))
+    scan (meta + D.meta_group_head) (Pptr.read r (meta + D.meta_group_head))
   end;
   (* A leaf the chain may legally visit. *)
   let leaf_addressable off =
-    if cfg.Tree.use_groups then Hashtbl.mem leaf_slots off
+    if cfg.D.use_groups then Hashtbl.mem leaf_slots off
     else
       match Hashtbl.find_opt ctx.blocks off with
       | Some b -> b >= layout.Layout.bytes
@@ -230,7 +226,7 @@ and audit_tree ctx meta cfg kind =
         Hashtbl.replace chain leaf ();
         let next_cell = leaf + layout.Layout.next_off in
         match Layout.verify_checksum r ~leaf layout with
-        | Layout.Csum_corrupt when cfg.Tree.checksums ->
+        | Layout.Csum_corrupt when cfg.D.checksums ->
           let next = Layout.read_next r ~leaf layout in
           let next =
             if plausible ctx ~span:layout.Layout.bytes next then next
@@ -266,12 +262,12 @@ and audit_tree ctx meta cfg kind =
       end
     end
   in
-  walk (meta + Tree.meta_head) (Pptr.read r (meta + Tree.meta_head));
-  if (not cfg.Tree.use_groups) then
+  walk (meta + D.meta_head) (Pptr.read r (meta + D.meta_head));
+  if (not cfg.D.use_groups) then
     Hashtbl.iter (fun leaf () -> Hashtbl.replace referenced leaf ()) chain;
   (* Allocator cross-check: every allocated block must now be owned. *)
   let expected_orphan_bytes =
-    if cfg.Tree.use_groups then group_bytes else leaf_span
+    if cfg.D.use_groups then group_bytes else D.leaf_span layout
   in
   let unowned =
     Hashtbl.fold
@@ -286,7 +282,7 @@ and audit_tree ctx meta cfg kind =
       let cls, detail =
         if bytes = expected_orphan_bytes then
           ( "orphan",
-            if cfg.Tree.use_groups then "unlinked leaf group"
+            if cfg.D.use_groups then "unlinked leaf group"
             else "allocated leaf not reachable from the chain" )
         else ("leak", "allocated block referenced by no structure")
       in

@@ -122,6 +122,5 @@ module Opaque = struct
   let set = Atomic.set
   let cas = Atomic.compare_and_set
   let fetch_and_add = Atomic.fetch_and_add
-  let exchange = Atomic.exchange
   let incr = Atomic.incr
 end

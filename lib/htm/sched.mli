@@ -93,6 +93,5 @@ module Opaque : sig
   val set : 'a atom -> 'a -> unit
   val cas : 'a atom -> 'a -> 'a -> bool
   val fetch_and_add : int atom -> int -> int
-  val exchange : 'a atom -> 'a -> 'a
   val incr : int atom -> unit
 end

@@ -1,13 +1,3 @@
-(** A memcached-style key-value cache whose internal index is one of
-    the evaluated trees (Section 6.4, memcached experiments).
-
-    Like the paper's modified memcached: the hash table is replaced by
-    a tree, the full string key is stored in the index (not its hash,
-    to avoid collisions), and the bucket-lock scheme is replaced by
-    either the tree's own concurrency control (concurrent trees) or a
-    global lock (single-threaded trees).  Items (the values) stay in a
-    DRAM item store, as in memcached. *)
-
 (* Op latency histograms (microseconds), recorded only when the
    observability gate is on so the cache benches pay nothing by
    default. *)

@@ -21,10 +21,6 @@ type label =
       (** spin-wait; enabled once another thread has written [obj]
           since the await was registered *)
 
-val label_name : label -> string
-(** Human-readable rendering, decoding {!Htm.Sched} object ids
-    ([root-ver], [ver(leaf@off)], [lock(leaf@off)], ...). *)
-
 val conflict : label -> label -> bool
 (** Dependence relation: same object, at least one write. *)
 

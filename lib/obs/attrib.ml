@@ -130,9 +130,6 @@ let[@inline] restore_op prev =
 let[@inline] ambient_component () =
   Array.unsafe_get ambient (slot ())
 
-let[@inline] ambient_op () =
-  Array.unsafe_get ambient (slot () + 1)
-
 (* ---- charging (called by [Scm.Stats] on the instrumented path) ---- *)
 
 let[@inline] cell q =

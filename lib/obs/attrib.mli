@@ -48,8 +48,6 @@ val q_bytes : int
 val q_lines : int
 val q_flushes : int
 val q_persists : int
-val n_quants : int
-val quant_name : string array
 
 (** {1 Scopes}
 
@@ -63,7 +61,6 @@ val restore_component : int -> unit
 val set_op : int -> int
 val restore_op : int -> unit
 val ambient_component : unit -> int
-val ambient_op : unit -> int
 
 (** {1 Charging} — called by [Scm.Stats] on the instrumented path. *)
 

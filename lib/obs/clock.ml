@@ -1,31 +1,7 @@
-(** Time sources for the observability layer.
-
-    Two clocks with two jobs:
-
-    - {!now_ns}/{!now_us_int}/{!now_us}: a {e monotonic} clock
-      ([CLOCK_MONOTONIC], see clock_stubs.c) for span durations, op
-      latencies and flight-recorder event timestamps.  Wall-clock time
-      goes backwards under NTP steps, which silently corrupts
-      durations; the monotonic clock only ever advances.  The stub
-      returns a tagged int, so reading it does not allocate — the
-      flight recorder timestamps every event on its allocation-free
-      write path.
-
-    - {!wall_s}/{!wall_us}: wall-clock time, kept {e only} for dump
-      metadata ("this file was written at ...") where a human-readable
-      absolute date is the point.  Nothing should ever subtract two
-      wall-clock readings; the source lint forbids [Unix.gettimeofday]
-      outside this library. *)
-
 external monotonic_ns : unit -> int = "obs_monotonic_ns" [@@noalloc]
 
 external monotonic_us_fast : unit -> int = "obs_monotonic_us_fast"
   [@@noalloc]
-
-(** [false] only on platforms without [CLOCK_MONOTONIC]; every caller
-    below then falls back to wall time (deltas degrade to the seed's
-    behaviour, they do not break). *)
-let monotonic_available = monotonic_ns () >= 0
 
 (** Monotonic nanoseconds since an arbitrary epoch.  Allocation-free
     when the monotonic clock is available. *)
@@ -49,6 +25,3 @@ let now_s () = float_of_int (now_ns ()) *. 1e-9
 
 (** Wall-clock seconds since the Unix epoch — dump metadata only. *)
 let wall_s () = Unix.gettimeofday ()
-
-(** Wall-clock microseconds since the Unix epoch — dump metadata only. *)
-let wall_us () = Unix.gettimeofday () *. 1e6

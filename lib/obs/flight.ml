@@ -1,48 +1,3 @@
-(** Flight recorder: per-domain rings of fixed-size binary event
-    records, written allocation-free, drained without stopping the
-    writers, dumped at crash time.
-
-    {2 Ring memory model}
-
-    Each domain owns one ring: a preallocated [int array] of
-    {!capacity} slots x {!words_per_event} words plus a monotone event
-    counter.  The array lives in [Domain.DLS] (same pattern as
-    [Htm.Node_versions]'s read-set scratch), so the write path is
-    single-writer by construction and needs no mutex:
-
-    - {b write}: the owning domain fills slot [cursor mod capacity]
-      with plain stores, then publishes with [Atomic.set cursor
-      (cursor + 1)].  The atomic release-store orders the slot
-      contents before the cursor bump; the writer itself never
-      contends with anyone.  Six word stores, one atomic store, and at
-      most one monotonic-clock read ({!op_mark} reuses the ring's
-      cached last reading) — no allocation, no lock.
-
-    - {b drain} (seqlock-style epoch): a reader snapshots the cursor
-      ([c1]), copies the whole buffer with plain loads, then reads the
-      cursor again ([c2]).  Any slot the writer may have been touching
-      during the copy is discarded: slot contents are trusted only for
-      sequence numbers in [max(0, c2 + 1 - capacity) <= seq < c1].
-      The lower bound drops the oldest surviving entries that a
-      concurrent wrap may have been overwriting mid-copy (the writer
-      may already be writing event [c2] when we read [c2], which
-      recycles the slot of event [c2 - capacity]); the upper bound
-      drops slots published after the copy began.  No retry loop is
-      needed — a torn slot is simply outside the window.
-
-    Rings register themselves in a global mutex-protected list the
-    first time a domain emits.  Rings of finished domains stay
-    registered on purpose: a flight recorder wants the history of
-    domains that died, and a domain id reused by a later spawn simply
-    allocates a fresh ring (the DLS slot is per-instance, not per-id).
-
-    {2 Gating}
-
-    The recorder has no switch of its own: emission sites gate on
-    [Obs.Gate.enabled] (one test of the mode word).  The {!emit}
-    family itself never checks the gate — tests and cold paths may
-    emit unconditionally. *)
-
 (* ---- ring ---- *)
 
 let words_per_event = 6

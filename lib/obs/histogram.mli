@@ -10,8 +10,6 @@ val record : t -> int -> unit
 
 (** {1 Bucket geometry (exposed for tests)} *)
 
-val n_buckets : int
-
 (** Bucket index of a sample. *)
 val bucket_of : int -> int
 
@@ -33,5 +31,4 @@ val max_value : t -> int
 (** Non-empty buckets as [(lo, hi, count)], ascending. *)
 val nonzero_buckets : t -> (int * int * int) list
 
-val merged_buckets : t -> int array
 val reset : t -> unit

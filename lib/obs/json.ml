@@ -1,10 +1,3 @@
-(** Minimal self-contained JSON: enough to serialize the metrics
-    registry and parse its own dumps back (round-trip tests, the CLI's
-    [metrics] pretty-printer).  Not a general-purpose parser: it
-    accepts the standard grammar for objects, arrays, strings with the
-    usual backslash escapes, ints, floats, booleans and null —
-    everything the registry emits. *)
-
 type t =
   | Null
   | Bool of bool

@@ -1,17 +1,3 @@
-(** Global metrics registry: named counters, gauges and histograms
-    with Prometheus-style text exposition and a JSON dump that
-    round-trips through {!Json.parse}.
-
-    Naming scheme (see DESIGN.md section 8): [<domain>_<what>_<unit>],
-    where counters end in [_total], histograms carry their sample unit
-    ([_us] for microsecond latencies, bare for dimensionless counts),
-    and the domain prefix names the subsystem ([scm_], [htm_],
-    [fptree_], [pmem_], [kvstore_], [dbproto_]).
-
-    Metrics register once per name (re-registering returns the
-    existing instance); registration is mutex-protected, reads of
-    registered metrics are lock-free. *)
-
 type metric =
   | Counter of Counter.t
   | Gauge of (unit -> int)

@@ -45,5 +45,4 @@ val errors : finding list -> finding list
 val summary : finding list -> (string * int) list
 (** Count per class, sorted by class name. *)
 
-val severity_label : severity -> string
 val pp_finding : Format.formatter -> finding -> unit

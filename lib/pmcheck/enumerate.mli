@@ -53,9 +53,6 @@ type injection_report = {
       (** analyzer output on the uninjected trace of the same script *)
 }
 
-val is_missing_persist : Analyzer.finding -> bool
-(** Whether a finding is one of the two missing-persist classes. *)
-
 val sweep_missing_persist :
   ?arena_bytes:int ->
   config:Fptree.Tree.config ->

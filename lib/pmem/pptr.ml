@@ -109,5 +109,4 @@ module Loc = struct
   let read l = read l.region l.off
   let write l p = write l.region l.off p
   let write_persist l p = write_persist l.region l.off p
-  let to_pptr l = of_region l.region ~off:l.off
 end

@@ -67,5 +67,4 @@ module Loc : sig
   val read : loc -> t
   val write : loc -> t -> unit
   val write_persist : loc -> t -> unit
-  val to_pptr : loc -> t
 end

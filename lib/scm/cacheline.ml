@@ -12,7 +12,6 @@ let words_per_line = line_size / word_size
 let line_of_offset off = off / line_size
 let word_of_offset off = off / word_size
 let line_base off = off land lnot (line_size - 1)
-let word_base off = off land lnot (word_size - 1)
 
 let is_word_aligned off = off land (word_size - 1) = 0
 

@@ -7,7 +7,6 @@ val words_per_line : int
 val line_of_offset : int -> int
 val word_of_offset : int -> int
 val line_base : int -> int
-val word_base : int -> int
 val is_word_aligned : int -> bool
 
 (** [align_up off a] rounds [off] up to the next multiple of the

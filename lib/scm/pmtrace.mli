@@ -39,9 +39,6 @@ type event = {
 
 val enabled : unit -> bool
 
-(** Events recorded past this cap are dropped (and counted). *)
-val max_events : int
-
 val clear : unit -> unit
 val size : unit -> int
 val dropped : unit -> int

@@ -1,42 +1,17 @@
-(** Wear reporting over the attribution matrix and the spatial
-    heatmap: write amplification, line-write skew, hottest lines.
-
-    SCM media wear out per line; a production deployment cares not just
-    about how many lines were written ([Stats]) but whether the medium
-    wears evenly and which component is responsible (cf. NV-Tree's
-    write-amplification analysis, wBTree's per-structure persist
-    accounting).  This module turns the raw telemetry — the
-    [Obs.Attrib] (component × op) matrix plus a region's per-line
-    shadow counts — into that report:
-
-    - {b write amplification}: media bytes written
-      (64 × lines flushed) over payload bytes stored
-      ([scm_store_bytes_total]).  >1 because persists flush whole
-      lines; the micro-log and bitmap commits are the usual drivers.
-    - {b skew}: max/mean line-write counts and the Gini coefficient
-      over touched lines (0 = perfectly even wear, →1 = a few lines
-      absorb everything — the endurance hazard).
-    - {b hottest lines}: top-k by write count, each with the bitmask
-      of components that wrote it.
-
-    The heatmap may be sampled ([Config.heatmap_sample_shift]); counts
-    here are reported {e as recorded} (callers scale by [2^shift] when
-    they need absolute estimates), and the report carries the shift. *)
-
 type line_stat = { line : int; count : int; comps : int }
 
 type report = {
-  store_bytes : int;       (* payload bytes stored, instrumented paths *)
-  line_writes : int;       (* lines flushed (global counter) *)
+  store_bytes : int;
+  line_writes : int;
   flushes : int;
   persists : int;
-  write_amplification : float;  (* 64 * line_writes / store_bytes *)
-  lines_touched : int;     (* heatmap lines with a non-zero count *)
-  max_line_writes : int;   (* heatmap counts, as recorded (sampled) *)
+  write_amplification : float;
+  lines_touched : int;
+  max_line_writes : int;
   mean_line_writes : float;
-  gini : float;            (* skew over touched lines; 0 = even *)
-  sample_shift : int;      (* heatmap_sample_shift at report time *)
-  top : line_stat list;    (* hottest lines, descending count *)
+  gini : float;
+  sample_shift : int;
+  top : line_stat list;
 }
 
 let comp_names_of_mask mask =

@@ -1,18 +1,3 @@
-(** Key generators for the micro-benchmarks (Section 6.2: uniformly
-    distributed data; fixed keys are 8-byte integers, variable keys are
-    16-byte strings). *)
-
-type t = {
-  rng : Random.State.t;
-}
-
-let create ~seed = { rng = Random.State.make [| seed |] }
-
-let uniform_int t ~bound = Random.State.int t.rng bound
-
-(** A random positive 62-bit key. *)
-let random_key t = Random.State.int t.rng max_int
-
 (** A deterministic shuffled permutation of [0, n): every key exactly
     once, in random order — the standard warm-up stream. *)
 let permutation ~seed n =
@@ -35,7 +20,3 @@ let string_key ~len i =
   if len < 8 then invalid_arg "Keygen.string_key: len >= 8";
   let base = Printf.sprintf "%0*d" (len - 1) i in
   "k" ^ String.sub base (String.length base - (len - 1)) (len - 1)
-
-(** Sequentially increasing keys (the TATP subscriber-id population
-    pattern that defeats the NV-Tree, Section 6.4). *)
-let sequential n = Array.init n Fun.id

@@ -9,5 +9,3 @@ val create : ?theta:float -> n:int -> seed:int -> unit -> t
 (** Next item in [0, n). *)
 val next : t -> int
 
-(** Generalized harmonic number H_{n,theta} (exposed for tests). *)
-val zeta : int -> float -> float

@@ -390,8 +390,8 @@ let qcheck_wb =
   qcheck_model "wbtree model" Wb.insert Wb.find Wb.update Wb.delete Wb.count
     (fun () -> Wb.create ~leaf_m:4 ~inner_m:4 (fresh_alloc ()))
 
-(* Runtime counterpart of [Baselines.Conformance]'s compile-time
-   ascriptions: drive every tree, fixed- and variable-key, through the
+(* Runtime counterpart of the trees' interfaces, which each include
+   [Fptree.Tree_intf.S]: drive every tree, fixed- and variable-key, through the
    uniform [Fptree.Tree_intf.S] interface with one shared script, the
    way tree-agnostic benchmarks and integrations do.  Then fill a fresh
    1 MiB arena through [try_insert] until it refuses: no exception may

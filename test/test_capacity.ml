@@ -84,9 +84,9 @@ let check_unwound name a t m ~pre_digest ~byte_identical op =
   F.check_invariants t;
   Alcotest.(check bool)
     (name ^ ": tree oracle-equal after refusal") true (matches t m);
-  Alcotest.(check bool) (name ^ ": micro-logs idle") true (F.logs_idle t);
+  Alcotest.(check bool) (name ^ ": micro-logs idle") true (F.Testing.logs_idle t);
   Alcotest.(check bool)
-    (name ^ ": leaf lock released") false (F.leaf_locked_for t (op_key op));
+    (name ^ ": leaf lock released") false (F.Testing.leaf_locked_for t (op_key op));
   Alcotest.(check (list int))
     (name ^ ": no leaked blocks") []
     (Palloc.leaked_blocks a ~reachable:(F.reachable_blocks t));
@@ -182,10 +182,10 @@ let test_sweep_var () =
            V.check_invariants t;
            Alcotest.(check bool)
              "var: tree oracle-equal after refusal" true (vmatches t m);
-           Alcotest.(check bool) "var: micro-logs idle" true (V.logs_idle t);
+           Alcotest.(check bool) "var: micro-logs idle" true (V.Testing.logs_idle t);
            Alcotest.(check bool)
              "var: leaf lock released" false
-             (V.leaf_locked_for t (vkey (op_key op)));
+             (V.Testing.leaf_locked_for t (vkey (op_key op)));
            Alcotest.(check (list int))
              "var: no leaked blocks" []
              (Palloc.leaked_blocks a ~reachable:(V.reachable_blocks t));

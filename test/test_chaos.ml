@@ -164,7 +164,7 @@ let test_recover_quarantines_corrupt_leaf () =
   let a', t' = restart ~config a in
   F.check_invariants t';
   Alcotest.(check bool) "victim quarantined" true
-    (List.mem victim (F.quarantined t'));
+    (List.mem victim (F.Testing.quarantined t'));
   Alcotest.(check bool) "surviving keys intact and correct" true
     (let ok = ref true and found = ref 0 in
      for i = 1 to 40 do
@@ -205,7 +205,7 @@ let double_recovery ~config () =
   F.iter t2 (fun k v -> keys2 := (k, v) :: !keys2);
   Alcotest.(check bool) "identical key sets" true (!keys1 = !keys2);
   Alcotest.(check int) "identical leaf count" leaves1 (F.leaf_count t2);
-  Alcotest.(check bool) "nothing quarantined" true (F.quarantined t2 = [])
+  Alcotest.(check bool) "nothing quarantined" true (F.Testing.quarantined t2 = [])
 
 let test_double_recovery () = double_recovery ~config:cfg_small ()
 

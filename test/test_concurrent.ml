@@ -251,7 +251,7 @@ let test_spec_lock_statistics () =
       for i = 0 to 2000 - 1 do
         ignore (F.insert t ((i * n_domains) + d) i)
       done);
-  let s = F.spec_stats t in
+  let s = F.Testing.spec_stats t in
   (* with interleaved contention there must have been some speculation
      activity; this is a smoke check that the machinery is engaged *)
   Alcotest.(check bool) "stats are non-negative" true

@@ -7,6 +7,7 @@
 
 module F = Fptree.Fixed
 module Tree = Fptree.Tree
+module D = Fptree.Descriptor
 
 let arena = 16 * 1024 * 1024
 
@@ -142,8 +143,8 @@ let test_header_corrupt () =
   let a, _t = build ~config:cfg 50 in
   let region = Pmem.Palloc.region a in
   let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
-  Scm.Region.write_int64 region (meta + Tree.meta_m) 9999L;
-  Scm.Region.persist region (meta + Tree.meta_m) 8;
+  Scm.Region.write_int64 region (meta + D.meta_m) 9999L;
+  Scm.Region.persist region (meta + D.meta_m) 8;
   let r = Fsck.check region in
   Alcotest.(check bool) "header-corrupt detected" true
     (List.mem "header-corrupt" (classes r));
@@ -160,15 +161,15 @@ let test_hostile_descriptor () =
   Scm.Region.save (Pmem.Palloc.region a) path;
   let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
   let cases =
-    [ ("group_size = 2^30", Tree.meta_group_size, 1 lsl 30, "group size");
-      ("group_size = 0", Tree.meta_group_size, 0, "group size");
-      ("n_split = 2^40", Tree.meta_n_split, 1 lsl 40, "micro-log counts");
-      ("n_split = -1", Tree.meta_n_split, -1, "micro-log counts");
-      ("n_delete = 63", Tree.meta_n_delete, 63, "micro-log counts");
-      ("value_bytes = 2^40", Tree.meta_value_bytes, 1 lsl 40, "value width");
-      ("value_bytes = 2^22", Tree.meta_value_bytes, 1 lsl 22,
+    [ ("group_size = 2^30", D.meta_group_size, 1 lsl 30, "group size");
+      ("group_size = 0", D.meta_group_size, 0, "group size");
+      ("n_split = 2^40", D.meta_n_split, 1 lsl 40, "micro-log counts");
+      ("n_split = -1", D.meta_n_split, -1, "micro-log counts");
+      ("n_delete = 63", D.meta_n_delete, 63, "micro-log counts");
+      ("value_bytes = 2^40", D.meta_value_bytes, 1 lsl 40, "value width");
+      ("value_bytes = 2^22", D.meta_value_bytes, 1 lsl 22,
        "leaf larger than the region");
-      ("unknown flag bit", Tree.meta_flags, 4 lor 16, "flags") ]
+      ("unknown flag bit", D.meta_flags, 4 lor 16, "flags") ]
   in
   List.iter
     (fun (what, off, v, field) ->
@@ -201,12 +202,49 @@ let test_groups_dangling_group_link () =
   let region = Pmem.Palloc.region a in
   let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
   (* smash the group-list head: an implausible group pointer *)
-  Pmem.Pptr.write_committed region (meta + Tree.meta_group_head)
+  Pmem.Pptr.write_committed region (meta + D.meta_group_head)
     { Pmem.Pptr.region_id = Scm.Region.id region;
       off = Scm.Region.size region - 64 };
   let r = Fsck.check region in
   Alcotest.(check bool) "group dangling-link detected" true
     (List.mem "dangling-link" (classes r))
+
+(* A block parked in any micro-log slot belongs to an operation that
+   recovery will finish or roll back, so fsck must count it as owned —
+   in the last split and delete slots of a multi-log image and in the
+   leaf-group slots after them, where fsck and recovery must agree on
+   the slot offsets.  Once the slot is reset the same block is an
+   orphan. *)
+let test_parked_blocks_referenced () =
+  let module Microlog = Fptree.Microlog in
+  let concurrent = { cfg with Tree.n_split_logs = 3; Tree.n_delete_logs = 4 } in
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun (slot_name, slot) ->
+          let what = name ^ " " ^ slot_name in
+          let a, t = build ~config 100 in
+          let region = Pmem.Palloc.region a in
+          let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
+          let log = Microlog.make region (D.log_off config ~meta slot) in
+          let bytes =
+            if config.Tree.use_groups then D.group_bytes config t.F.layout
+            else t.F.layout.Fptree.Layout.bytes
+          in
+          Pmem.Palloc.alloc a ~into:(Microlog.fst_loc log) bytes;
+          let block = (Microlog.read_fst log).Pmem.Pptr.off in
+          ignore (check_clean ~msg:(what ^ ": parked block is owned") region);
+          Microlog.reset log;
+          let r = Fsck.check region in
+          Alcotest.(check (list (pair string int)))
+            (what ^ ": orphan once the slot is reset")
+            [ ("orphan", block) ]
+            (List.map (fun f -> (f.Fsck.cls, f.Fsck.off)) r.Fsck.findings))
+        [ ("last split slot", D.Split (config.Tree.n_split_logs - 1));
+          ("last delete slot", D.Delete (config.Tree.n_delete_logs - 1));
+          ("get-leaf slot", D.Get_leaf);
+          ("free-leaf slot", D.Free_leaf) ])
+    [ ("concurrent", concurrent); ("groups", cfg_groups) ]
 
 let () =
   Alcotest.run "fsck"
@@ -223,5 +261,8 @@ let () =
             test_hostile_descriptor;
           Alcotest.test_case "dangling group link" `Quick
             test_groups_dangling_group_link;
+          Alcotest.test_case
+            "blocks parked in every micro-log slot are referenced" `Quick
+            test_parked_blocks_referenced;
         ] );
     ]

@@ -34,7 +34,10 @@
      [crash_tracking], [delay_injection], [tracing], [model_check])
      outside lib/scm/config.ml: the [Scm.Config] setters are the only
      writers of [Obs.Gate]'s mode word, which the hot paths read, so a
-     direct write would leave the word stale without any error.
+     direct write would leave the word stale without any error;
+   - a [.ml] under lib/ without a sibling [.mli]: a module without an
+     interface exports everything it defines, so the compiler's
+     unused-value warning cannot flag what nothing calls.
 
    Comments and string/char literals are stripped first, so prose
    mentioning these identifiers is fine.  Usage:
@@ -225,6 +228,13 @@ let find_field_writes hay field f =
   done
 
 let check_file path =
+  if Filename.check_suffix path ".ml"
+     && List.mem "lib" (String.split_on_char '/' path)
+     && not (Sys.file_exists (path ^ "i"))
+  then
+    report path 1
+      "lib module without an interface: add a .mli that exports only \
+       what other modules use";
   let stripped = strip (read_file path) in
   let bad ?qualified needle msg =
     find_tokens ?qualified stripped needle (fun i ->

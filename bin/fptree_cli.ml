@@ -620,7 +620,13 @@ let pmcheck_cmd =
       | exception Pmcheck.Trace_io.Bad_trace msg ->
         Printf.eprintf "%s: bad trace (%s)\n" path msg;
         exit 1
-      | ev -> ev
+      | ev, 0 -> ev
+      | ev, dropped ->
+        (* the buffer cap discarded events: a clean analysis of the
+           rest would certify a run it never saw *)
+        Printf.printf "%d events, %d dropped: trace truncated, not analyzed\n"
+          (Array.length ev) dropped;
+        exit 1
     in
     let findings = Pmcheck.Analyzer.analyze events in
     let by_class = Pmcheck.Analyzer.summary findings in
@@ -648,7 +654,8 @@ let pmcheck_cmd =
        ~doc:
          "analyze a persistence trace for crash-consistency violations \
           (missing persists, unlogged link writes, lock races, redundant \
-          flushes); exits 2 if any error-severity finding is present")
+          flushes); exits 2 if any error-severity finding is present, 1 \
+          if the trace is truncated (events dropped)")
     Term.(const run $ trace_pos $ quiet)
 
 (* ---- fsck: offline structural audit / salvage ---- *)

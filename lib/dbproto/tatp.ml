@@ -147,42 +147,29 @@ let h_txn_us =
   Obs.Registry.histogram "dbproto_txn_us"
     ~help:"TATP transaction latency, microseconds"
 
+(* The transaction body for subscriber [s_id]: the rest of its
+   parameters are drawn here. *)
+let txn db rng sink s_id =
+  let dice = Random.State.int rng 80 in
+  let v =
+    if dice < 35 then get_subscriber_data db s_id
+    else if dice < 45 then
+      get_new_destination db s_id (1 + Random.State.int rng 4)
+        (Random.State.int rng 3)
+    else get_access_data db s_id (1 + Random.State.int rng 4)
+  in
+  sink := !sink + v
+
 (** One transaction of the read-only mix (35/10/35 re-normalized).
-    Latency is recorded only when the observability gate is on. *)
+    Latency is recorded only when the observability gate is on; the
+    op records carry the drawn subscriber as key fingerprint, so the
+    bracket opens after that first draw. *)
 let run_one db rng sink =
-  if not (Obs.Gate.enabled ()) then begin
-    let s_id = 1 + Random.State.int rng db.subscribers in
-    let dice = Random.State.int rng 80 in
-    let v =
-      if dice < 35 then get_subscriber_data db s_id
-      else if dice < 45 then
-        get_new_destination db s_id (1 + Random.State.int rng 4)
-          (Random.State.int rng 3)
-      else get_access_data db s_id (1 + Random.State.int rng 4)
-    in
-    sink := !sink + v
-  end
-  else begin
-    (* The begin event predates the parameter draw so the recorded
-       latency matches what the histogram always measured; the end
-       event carries the drawn subscriber as key fingerprint. *)
-    let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_txn ~key:0 in
-    let s_id = 1 + Random.State.int rng db.subscribers in
-    let dice = Random.State.int rng 80 in
-    let v =
-      if dice < 35 then get_subscriber_data db s_id
-      else if dice < 45 then
-        get_new_destination db s_id (1 + Random.State.int rng 4)
-          (Random.State.int rng 3)
-      else get_access_data db s_id (1 + Random.State.int rng 4)
-    in
-    sink := !sink + v;
-    let dur =
-      Obs.Flight.op_end ~op:Obs.Event.op_txn ~key:(s_id land 0xFFFF) ~t0
-        ~ok:true
-    in
-    Obs.Histogram.record h_txn_us dur
-  end
+  let s_id = 1 + Random.State.int rng db.subscribers in
+  if not (Obs.Gate.enabled ()) then txn db rng sink s_id
+  else
+    Obs.Flight.bracket ~op:Obs.Event.op_txn ~key:(s_id land 0xFFFF)
+      ~hist:h_txn_us ~ok:(fun () -> true) (fun () -> txn db rng sink s_id)
 
 (** Run [n_tx] transactions over [clients] parallel workers; returns
     transactions per second. *)

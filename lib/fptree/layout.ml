@@ -104,9 +104,8 @@ let commit_bitmap r ~leaf t bm =
   Scm.Region.write_word_atomic r (leaf + t.bitmap_off) bm;
   Scope.persist_in_scope r (leaf + t.bitmap_off) 8;
   Scope.leave c;
-  if Scm.Pmtrace.enabled () then
-    Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off:(leaf + t.bitmap_off)
-      ~len:8 "bitmap"
+  Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off:(leaf + t.bitmap_off)
+    ~len:8 "bitmap"
 
 let bitmap_count bm =
   let rec go bm acc = if bm = 0 then acc else go (bm lsr 1) (acc + (bm land 1)) in
@@ -165,9 +164,8 @@ let write_next_persist r ~leaf t p =
   Pmem.Pptr.write r (leaf + t.next_off) p;
   Scope.persist_in_scope r (leaf + t.next_off) Pmem.Pptr.size_bytes;
   Scope.leave c;
-  if Scm.Pmtrace.enabled () then
-    Scm.Pmtrace.link_write ~region:(Scm.Region.id r) ~off:(leaf + t.next_off)
-      ~len:Pmem.Pptr.size_bytes
+  Scm.Pmtrace.link_write ~region:(Scm.Region.id r) ~off:(leaf + t.next_off)
+    ~len:Pmem.Pptr.size_bytes
 
 (* ---- whole-leaf helpers ---- *)
 

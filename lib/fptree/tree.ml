@@ -496,9 +496,8 @@ module Make (K : Keys.KEY) = struct
        Leaf_groups.free_leaf t.groups leaf.Inner.off
      end
      else begin
-       if Scm.Pmtrace.enabled () then
-         Scm.Pmtrace.leaf_retired ~region:(Region.id (region t))
-           ~leaf:leaf.Inner.off;
+       Scm.Pmtrace.leaf_retired ~region:(Region.id (region t))
+         ~leaf:leaf.Inner.off;
        Pmem.Palloc.free (alloc t) ~from:(Microlog.fst_loc log);
        Microlog.reset log
      end);
@@ -636,20 +635,6 @@ module Make (K : Keys.KEY) = struct
         else raise Not_found
   end)
 
-  (* Bracket [f ()] (returning success as bool) with flight-recorder
-     op begin/end events.  Only reached with the gate on: the gate-off
-     entry points below stay direct calls, so the allocation-free hot
-     paths are untouched when the recorder is off. *)
-  let flight_op op key f =
-    let t0 = Obs.Flight.op_begin ~op ~key in
-    match f () with
-    | ok ->
-      ignore (Obs.Flight.op_end ~op ~key ~t0 ~ok);
-      ok
-    | exception e ->
-      ignore (Obs.Flight.op_end ~op ~key ~t0 ~ok:false);
-      raise e
-
   (* A monotonic-clock read costs ~23 ns on this host even on the TSC
      fast path, so the begin/end pair (two reads) cannot fit the find
      path's pinned 10% tracing budget.  The traced find therefore
@@ -743,19 +728,19 @@ module Make (K : Keys.KEY) = struct
     refresh_csum t leaf;
     ver_end t l
 
-  (* pmcheck scope: attribute trace events to the operation and bound
-     the analyzer's dirty-at-publication check.  The closure is built
-     only when tracing — the untraced entry points stay direct calls,
-     preserving the allocation-free hot paths. *)
-  let scoped name f =
-    Scm.Pmtrace.scope_begin name;
-    match f () with
-    | r ->
-      Scm.Pmtrace.scope_end name;
-      r
-    | exception e ->
-      Scm.Pmtrace.scope_end name;
-      raise e
+  (* The instrumented arm of insert/update/delete ([f] returns the
+     op's success): a pmcheck scope named after the op (it attributes
+     trace events and bounds the analyzer's dirty-at-publication
+     check) inside a flight-recorder bracket when the gate is on.
+     Entry points reach it only when [instrumented ()]; otherwise they
+     call the op directly and build no closure. *)
+  let[@inline] instrumented () = Obs.Gate.(any (observe lor tracing))
+
+  let instrument op k f =
+    if Obs.Gate.enabled () then
+      Obs.Flight.bracket ~op ~key:(K.fingerprint k) ~ok:Fun.id (fun () ->
+          Scm.Pmtrace.scoped ~op f)
+    else Scm.Pmtrace.scoped ~op f
 
   let insert_op t k v =
     if stats_on () then t.stats.inserts <- t.stats.inserts + 1;
@@ -823,17 +808,11 @@ module Make (K : Keys.KEY) = struct
     end
 
   let insert t k v =
-    let ko = Obs.Attrib.set_op Obs.Attrib.op_insert in
+    let ko = Obs.Attrib.set_op Obs.Event.op_insert in
     let r =
-      if not (Obs.Gate.enabled ()) then
-        if Scm.Pmtrace.enabled () then
-          scoped "insert" (fun () -> insert_op t k v)
-        else insert_op t k v
-      else
-        flight_op Obs.Event.op_insert (K.fingerprint k) (fun () ->
-            if Scm.Pmtrace.enabled () then
-              scoped "insert" (fun () -> insert_op t k v)
-            else insert_op t k v)
+      if instrumented () then
+        instrument Obs.Event.op_insert k (fun () -> insert_op t k v)
+      else insert_op t k v
     in
     Obs.Attrib.restore_op ko;
     r
@@ -918,17 +897,11 @@ module Make (K : Keys.KEY) = struct
     end
 
   let update t k v =
-    let ko = Obs.Attrib.set_op Obs.Attrib.op_update in
+    let ko = Obs.Attrib.set_op Obs.Event.op_update in
     let r =
-      if not (Obs.Gate.enabled ()) then
-        if Scm.Pmtrace.enabled () then
-          scoped "update" (fun () -> update_op t k v)
-        else update_op t k v
-      else
-        flight_op Obs.Event.op_update (K.fingerprint k) (fun () ->
-            if Scm.Pmtrace.enabled () then
-              scoped "update" (fun () -> update_op t k v)
-            else update_op t k v)
+      if instrumented () then
+        instrument Obs.Event.op_update k (fun () -> update_op t k v)
+      else update_op t k v
     in
     Obs.Attrib.restore_op ko;
     r
@@ -1055,17 +1028,11 @@ module Make (K : Keys.KEY) = struct
       true
 
   let delete t k =
-    let ko = Obs.Attrib.set_op Obs.Attrib.op_delete in
+    let ko = Obs.Attrib.set_op Obs.Event.op_delete in
     let r =
-      if not (Obs.Gate.enabled ()) then
-        if Scm.Pmtrace.enabled () then
-          scoped "delete" (fun () -> delete_op t k)
-        else delete_op t k
-      else
-        flight_op Obs.Event.op_delete (K.fingerprint k) (fun () ->
-            if Scm.Pmtrace.enabled () then
-              scoped "delete" (fun () -> delete_op t k)
-            else delete_op t k)
+      if instrumented () then
+        instrument Obs.Event.op_delete k (fun () -> delete_op t k)
+      else delete_op t k
     in
     Obs.Attrib.restore_op ko;
     r
@@ -1104,7 +1071,7 @@ module Make (K : Keys.KEY) = struct
     Pmem.Palloc.reclaim (alloc t)
 
   let reclaim_space t =
-    let ko = Obs.Attrib.set_op Obs.Attrib.op_reclaim in
+    let ko = Obs.Attrib.set_op Obs.Event.op_reclaim in
     let bytes = reclaim_space_op t in
     Obs.Attrib.restore_op ko;
     bytes
@@ -1292,17 +1259,9 @@ module Make (K : Keys.KEY) = struct
 
   let range t ~lo ~hi =
     if not (Obs.Gate.enabled ()) then range_op t ~lo ~hi
-    else begin
-      let key = K.fingerprint lo in
-      let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_range ~key in
-      match range_op t ~lo ~hi with
-      | r ->
-        ignore (Obs.Flight.op_end ~op:Obs.Event.op_range ~key ~t0 ~ok:true);
-        r
-      | exception e ->
-        ignore (Obs.Flight.op_end ~op:Obs.Event.op_range ~key ~t0 ~ok:false);
-        raise e
-    end
+    else
+      Obs.Flight.bracket ~op:Obs.Event.op_range ~key:(K.fingerprint lo)
+        ~ok:(fun _ -> true) (fun () -> range_op t ~lo ~hi)
 
   (* ---- iteration / introspection ---- *)
 
@@ -1412,11 +1371,9 @@ module Make (K : Keys.KEY) = struct
      without leaf locks by design) and announce the leaf extent size so
      the analyzer can map stores to leaves. *)
   let trace_tree_layout t =
-    if Scm.Pmtrace.enabled () then begin
-      let region = Region.id (region t) in
-      Scm.Pmtrace.track_reset ~region;
-      Scm.Pmtrace.leaf_layout ~region ~bytes:t.layout.Layout.bytes
-    end
+    let region = Region.id (region t) in
+    Scm.Pmtrace.track_reset ~region;
+    Scm.Pmtrace.leaf_layout ~region ~bytes:t.layout.Layout.bytes
 
   (** Create a fresh tree in [alloc]'s region.  The tree descriptor is
       anchored at the allocator root. *)
@@ -1444,11 +1401,10 @@ module Make (K : Keys.KEY) = struct
     t
 
   let create ?config alloc =
-    let ko = Obs.Attrib.set_op Obs.Attrib.op_create in
+    let ko = Obs.Attrib.set_op Obs.Event.op_create in
     let t =
-      if Scm.Pmtrace.enabled () then
-        scoped "create" (fun () -> create_op ?config alloc)
-      else create_op ?config alloc
+      Scm.Pmtrace.scoped ~op:Obs.Event.op_create (fun () ->
+          create_op ?config alloc)
     in
     Obs.Attrib.restore_op ko;
     t
@@ -1602,7 +1558,7 @@ module Make (K : Keys.KEY) = struct
        a tighter scope (log replay -> microlog, splices -> recovery,
        allocator fixups -> alloc_meta) is charged to (recovery,
        recover). *)
-    let ko = Obs.Attrib.set_op Obs.Attrib.op_recover in
+    let ko = Obs.Attrib.set_op Obs.Event.op_recover in
     let kc = Obs.Attrib.set_component Obs.Attrib.comp_recovery in
     (* Each recovery phase is timed into its histogram (Fig. 11: the
        paper's recovery-time claim is that log replay is O(logs) and

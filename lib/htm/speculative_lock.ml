@@ -181,14 +181,14 @@ let lock_fallback t =
   Obs.Counter.incr g_fallbacks;
   if Obs.Gate.enabled () then Obs.Flight.fallback_lock ();
   Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  if Scm.Pmtrace.enabled () then Scm.Pmtrace.fallback_lock ()
+  Scm.Pmtrace.fallback_lock ()
 
 let relock_fallback t =
   Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  if Scm.Pmtrace.enabled () then Scm.Pmtrace.fallback_lock ()
+  Scm.Pmtrace.fallback_lock ()
 
 let unlock_fallback t =
-  if Scm.Pmtrace.enabled () then Scm.Pmtrace.fallback_unlock ();
+  Scm.Pmtrace.fallback_unlock ();
   Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback
 
 exception Abort
@@ -294,10 +294,10 @@ end
     scalability of structure modifications, i.e. splits.) *)
 let with_write t f =
   Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  if Scm.Pmtrace.enabled () then Scm.Pmtrace.writer_begin ();
+  Scm.Pmtrace.writer_begin ();
   Fun.protect
     ~finally:(fun () ->
-      if Scm.Pmtrace.enabled () then Scm.Pmtrace.writer_end ();
+      Scm.Pmtrace.writer_end ();
       Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback)
     f
 

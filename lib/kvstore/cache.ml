@@ -63,38 +63,27 @@ let store_item t value =
   place ();
   id
 
-(* Index half of a SET: insert, falling back to update when the key is
-   already present.  A refusal from either leg surfaces as
-   [`Out_of_space]; the index itself is unchanged in that case. *)
-let set_index t key id =
-  match t.index.Tree_ops.insert key id with
-  | Ok true -> Ok ()
-  | Ok false -> (
-    match t.index.Tree_ops.update key id with
-    | Ok _ -> Ok ()
-    | Error _ as e -> e)
-  | Error _ as e -> e
+(* Store the item, then insert it into the index, falling back to
+   update when the key is already present.  A refusal from either leg
+   surfaces as [`Out_of_space]; the index itself is unchanged in that
+   case. *)
+let set_body t key value =
+  let id = store_item t value in
+  with_global t (fun () ->
+      match t.index.Tree_ops.insert key id with
+      | Ok true -> Ok ()
+      | Ok false -> Result.map ignore (t.index.Tree_ops.update key id)
+      | Error _ as e -> e)
 
 (** SET: insert or overwrite.  [Error `Out_of_space] when the index
     refused the write (its arena is past the watermark or exhausted);
     the cache keeps serving GETs and overwrites of existing keys may
     still succeed. *)
 let set t key value =
-  if not (Obs.Gate.enabled ()) then begin
-    let id = store_item t value in
-    with_global t (fun () -> set_index t key id)
-  end
-  else begin
-    let fp = key_fp key in
-    let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_set ~key:fp in
-    let id = store_item t value in
-    let r = with_global t (fun () -> set_index t key id) in
-    let dur =
-      Obs.Flight.op_end ~op:Obs.Event.op_set ~key:fp ~t0 ~ok:(r = Ok ())
-    in
-    Obs.Histogram.record h_set_us dur;
-    r
-  end
+  if not (Obs.Gate.enabled ()) then set_body t key value
+  else
+    Obs.Flight.bracket ~op:Obs.Event.op_set ~key:(key_fp key) ~hist:h_set_us
+      ~ok:Result.is_ok (fun () -> set_body t key value)
 
 (** [set] for callers that treat exhaustion as fatal (benches, tests
     on arenas sized to the workload). *)
@@ -103,50 +92,29 @@ let set_exn t key value =
   | Ok () -> ()
   | Error `Out_of_space -> failwith "Cache.set: index out of space"
 
+let get_body t key =
+  match with_global t (fun () -> t.index.Tree_ops.find key) with
+  | Some id ->
+    Atomic.incr t.hits;
+    Some (Atomic.get t.items).(id)
+  | None ->
+    Atomic.incr t.misses;
+    None
+
 (** GET. *)
 let get t key =
-  if not (Obs.Gate.enabled ()) then begin
-    match with_global t (fun () -> t.index.Tree_ops.find key) with
-    | Some id ->
-      Atomic.incr t.hits;
-      Some (Atomic.get t.items).(id)
-    | None ->
-      Atomic.incr t.misses;
-      None
-  end
-  else begin
-    let fp = key_fp key in
-    let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_get ~key:fp in
-    let r = with_global t (fun () -> t.index.Tree_ops.find key) in
-    let r =
-      match r with
-      | Some id ->
-        Atomic.incr t.hits;
-        Some (Atomic.get t.items).(id)
-      | None ->
-        Atomic.incr t.misses;
-        None
-    in
-    let dur =
-      Obs.Flight.op_end ~op:Obs.Event.op_get ~key:fp ~t0 ~ok:(r <> None)
-    in
-    Obs.Histogram.record h_get_us dur;
-    r
-  end
+  if not (Obs.Gate.enabled ()) then get_body t key
+  else
+    Obs.Flight.bracket ~op:Obs.Event.op_get ~key:(key_fp key) ~hist:h_get_us
+      ~ok:Option.is_some (fun () -> get_body t key)
+
+let delete_body t key = with_global t (fun () -> t.index.Tree_ops.delete key)
 
 let delete t key =
-  if not (Obs.Gate.enabled ()) then
-    with_global t (fun () -> t.index.Tree_ops.delete key)
-  else begin
-    let fp = key_fp key in
-    let t0 = Obs.Flight.op_begin ~op:Obs.Event.op_kv_delete ~key:fp in
-    let r = with_global t (fun () -> t.index.Tree_ops.delete key) in
-    let dur =
-      Obs.Flight.op_end ~op:Obs.Event.op_kv_delete ~key:fp ~t0 ~ok:r
-    in
-    Obs.Histogram.record h_delete_us dur;
-    r
-  end
+  if not (Obs.Gate.enabled ()) then delete_body t key
+  else
+    Obs.Flight.bracket ~op:Obs.Event.op_kv_delete ~key:(key_fp key)
+      ~hist:h_delete_us ~ok:Fun.id (fun () -> delete_body t key)
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

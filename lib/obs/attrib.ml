@@ -16,10 +16,10 @@
 
     - {b Exactness by construction.}  Every charge that increments a
       global [scm_*_total] counter also increments exactly one matrix
-      cell — unscoped traffic lands in ([other], [other]) rather than
-      being dropped — so per-cell sums equal the global counters
-      {e exactly}, on any number of domains (cells are striped per
-      domain like {!Counter} shards).  Tests and the bench_check [wear]
+      cell — unscoped traffic lands in ([other], [Event.op_other])
+      rather than being dropped — so per-cell sums equal the global
+      counters {e exactly}, on any number of domains (cells are
+      striped per domain like {!Counter} shards).  Tests and the bench_check [wear]
       stage enforce this equality.
     - {b Zero cost off, allocation-free on.}  With attribution disabled
       (fast mode), scope open/close is one test of the [Gate] mode
@@ -54,19 +54,9 @@ let comp_name =
   [| "other"; "microlog"; "bitmap"; "fingerprint"; "kv"; "ool_key";
      "alloc_meta"; "tree_meta"; "recovery"; "reclaim" |]
 
-let op_other = 0
-let op_insert = 1
-let op_update = 2
-let op_delete = 3
-let op_find = 4    (* in the taxonomy for completeness; finds never persist *)
-let op_create = 5
-let op_recover = 6
-let op_reclaim = 7
-let n_ops = 8
-
-let op_name =
-  [| "other"; "insert"; "update"; "delete"; "find"; "create"; "recover";
-     "reclaim" |]
+(* The op dimension is indexed by {!Event}'s op codes and labelled by
+   [Event.op_name]: a flight op record joins its cell by code. *)
+let n_ops = Event.n_ops
 
 (* quantities charged per cell *)
 let q_bytes = 0    (* payload bytes stored (instrumented store paths) *)
@@ -205,7 +195,7 @@ let () =
         (fun () ->
           List.map
             (fun (comp, op, v) ->
-              ( [ ("component", comp_name.(comp)); ("op", op_name.(op)) ],
+              ( [ ("component", comp_name.(comp)); ("op", Event.op_name op) ],
                 v ))
             (rows q)))
     quant_name

@@ -3,9 +3,11 @@
 
     Call sites in [lib/fptree] / [lib/pmem] open ambient, domain-local
     scopes naming the component being persisted and the operation in
-    progress; [Scm.Stats] charges every byte / line / flush / persist
-    it counts to the matrix cell the ambient scope names.  Unscoped
-    traffic lands in ([comp_other], [op_other]) rather than being
+    progress (an {!Event} op code: the matrix's op dimension is
+    indexed by those codes and labelled by [Event.op_name]);
+    [Scm.Stats] charges every byte / line / flush / persist it counts
+    to the matrix cell the ambient scope names.  Unscoped traffic
+    lands in ([comp_other], [Event.op_other]) rather than being
     dropped, so matrix sums equal the global [scm_*_total] counters
     exactly — the headline invariant, test- and bench-enforced.
 
@@ -28,19 +30,6 @@ val comp_recovery : int
 val comp_reclaim : int
 val n_comps : int
 val comp_name : string array
-
-(** {1 Op kinds} *)
-
-val op_other : int
-val op_insert : int
-val op_update : int
-val op_delete : int
-val op_find : int
-val op_create : int
-val op_recover : int
-val op_reclaim : int
-val n_ops : int
-val op_name : string array
 
 (** {1 Quantities} *)
 

@@ -30,33 +30,34 @@ let tag_name = function
   | 13 -> "degraded_leave"
   | t -> "tag_" ^ string_of_int t
 
-(* ---- op kinds (payload [a] of op_begin / op_end) ---- *)
+(* ---- op kinds: the one op vocabulary ----
 
+   Payload [a] of op_begin / op_end / space_refused, the op dimension
+   of the [Attrib] matrix and the pmtrace scope labels.  Codes are
+   wire-stable: saved flight dumps decode by them. *)
+
+let op_other = 0
 let op_find = 1
 let op_insert = 2
 let op_delete = 3
 let op_update = 4
 let op_range = 5
-
-(* kvstore cache ops *)
-let op_get = 6
+let op_get = 6        (* kvstore cache ops: 6-8 *)
 let op_set = 7
 let op_kv_delete = 8
+let op_txn = 9        (* one dbproto transaction (TATP mix) *)
+let op_create = 10    (* tree lifecycle: attribution scopes only *)
+let op_recover = 11
+let op_reclaim = 12
 
-(* one dbproto transaction (TATP mix) *)
-let op_txn = 9
+let op_names =
+  [| "other"; "find"; "insert"; "delete"; "update"; "range"; "cache.get";
+     "cache.set"; "cache.delete"; "tatp.txn"; "create"; "recover"; "reclaim" |]
 
-let op_name = function
-  | 1 -> "find"
-  | 2 -> "insert"
-  | 3 -> "delete"
-  | 4 -> "update"
-  | 5 -> "range"
-  | 6 -> "cache.get"
-  | 7 -> "cache.set"
-  | 8 -> "cache.delete"
-  | 9 -> "tatp.txn"
-  | k -> "op_" ^ string_of_int k
+let n_ops = Array.length op_names
+
+let op_name k =
+  if k >= 0 && k < n_ops then op_names.(k) else "op_" ^ string_of_int k
 
 (* ---- HTM abort reasons (payload [a] of htm_abort) ---- *)
 

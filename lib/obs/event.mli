@@ -57,9 +57,24 @@ val tag_name : int -> string
 
 (** {1 Op kinds}
 
-    Payload [a] of [op_begin] / [op_end]: the tree ops, the kvstore
-    cache ops, and one dbproto transaction (TATP mix). *)
+    The system's one op vocabulary: payload [a] of [op_begin] /
+    [op_end] / [space_refused], the op dimension of {!Attrib}'s matrix
+    (its [op] label is {!op_name}) and the pmtrace scope labels.  A
+    flight op record therefore joins its attribution cell by code.
 
+    - 0 [other]: no operation in progress (unscoped SCM traffic);
+    - 1–5: the tree ops [find], [insert], [delete], [update], [range];
+    - 6–8: the kvstore cache ops [cache.get], [cache.set],
+      [cache.delete];
+    - 9: one dbproto transaction ([tatp.txn], TATP mix);
+    - 10–12: the tree lifecycle [create], [recover], [reclaim] —
+      attribution scopes (and, for [create], a pmtrace scope), never
+      flight op records.
+
+    Codes 1–9 predate codes 0 and 10–12 and keep their values, so
+    saved flight dumps still decode. *)
+
+val op_other : int
 val op_find : int
 val op_insert : int
 val op_delete : int
@@ -69,6 +84,12 @@ val op_get : int
 val op_set : int
 val op_kv_delete : int
 val op_txn : int
+val op_create : int
+val op_recover : int
+val op_reclaim : int
+
+val n_ops : int
+(** One past the largest op code. *)
 
 val op_name : int -> string
 

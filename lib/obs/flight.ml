@@ -176,6 +176,19 @@ let timed ~name hist f =
       Histogram.record hist dur_us;
       if Gate.enabled () then span ~name ~start_us:t0 ~dur_us)
 
+(** The gated arm of an op entry point (see the interface): callers
+    test the gate first, so the gate-off arm stays a direct call. *)
+let bracket ~op ~key ?hist ~ok f =
+  let t0 = op_begin ~op ~key in
+  match f () with
+  | r ->
+    let dur = op_end ~op ~key ~t0 ~ok:(ok r) in
+    (match hist with Some h -> Histogram.record h dur | None -> ());
+    r
+  | exception e ->
+    ignore (op_end ~op ~key ~t0 ~ok:false);
+    raise e
+
 (* ---- drain ---- *)
 
 type event = {

@@ -88,6 +88,17 @@ val timed : name:string -> Histogram.t -> (unit -> 'a) -> 'a
     microseconds into the histogram, also when [f] raises.  With the
     gate on, the phase is also emitted as a {!span} named [name]. *)
 
+val bracket :
+  op:int -> key:int -> ?hist:Histogram.t -> ok:('a -> bool) ->
+  (unit -> 'a) -> 'a
+(** The gated arm of an op entry point: an [op_begin] record, [f ()],
+    then an [op_end] record whose ok flag is [ok r]; with [hist], the
+    op's duration in microseconds is recorded there too.  When [f]
+    raises, the [op_end] record carries ok = false, no histogram
+    sample is taken, and the exception propagates.  The caller tests
+    {!Gate.enabled} first and calls the op directly when it is off, so
+    no closure is built on the gate-off path. *)
+
 val name_table : unit -> string list
 (** The interned span names; a [span] event's [a] indexes it. *)
 

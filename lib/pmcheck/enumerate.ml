@@ -139,8 +139,9 @@ let traced_run ~arena_bytes ~config ~setup ~ops ~inject =
   in
   Scm.Config.cancel_persist_skip ();
   Scm.Config.set_tracing false;
-  let events = Scm.Pmtrace.events () in
+  let events = Scm.Pmtrace.events () and dropped = Scm.Pmtrace.dropped () in
   Scm.Pmtrace.clear ();
+  if dropped > 0 then failf "trace truncated: %d events dropped" dropped;
   (fired, events)
 
 let is_missing_persist (f : Analyzer.finding) =

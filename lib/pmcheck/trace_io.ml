@@ -109,4 +109,5 @@ let load path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  of_json (J.parse s)
+  let j = J.parse s in
+  (of_json j, dropped_of_json j)

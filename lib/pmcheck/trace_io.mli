@@ -24,6 +24,8 @@ val dropped_of_json : Obs.Json.t -> int
 val save : string -> ?dropped:int -> Scm.Pmtrace.event array -> unit
 (** Write an encoded history to a file. *)
 
-val load : string -> Scm.Pmtrace.event array
-(** Read a history back; raises {!Bad_trace} as {!of_json}, or
-    [Sys_error] on I/O failure. *)
+val load : string -> Scm.Pmtrace.event array * int
+(** Read a history back with its ["dropped"] count: a non-zero count
+    means the history is truncated, and no analysis of it can certify
+    the run.  Raises {!Bad_trace} as {!of_json}, or [Sys_error] on I/O
+    failure. *)

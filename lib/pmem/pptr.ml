@@ -83,8 +83,7 @@ let write_committed r off p =
   Scm.Region.persist r (off + 8) 8;
   Scm.Region.write_word_atomic r off p.region_id;
   Scm.Region.persist r off 8;
-  if Scm.Pmtrace.enabled () then
-    Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes "pptr"
+  Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes "pptr"
 
 (** Crash-atomic retraction: null the id word first. *)
 let reset_committed r off =
@@ -92,9 +91,8 @@ let reset_committed r off =
   Scm.Region.persist r off 8;
   Scm.Region.write_word_atomic r (off + 8) 0;
   Scm.Region.persist r (off + 8) 8;
-  if Scm.Pmtrace.enabled () then
-    Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes
-      "pptr-reset"
+  Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes
+    "pptr-reset"
 
 let pp ppf p =
   if is_null p then Format.fprintf ppf "<null>"

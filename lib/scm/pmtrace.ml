@@ -1,7 +1,8 @@
 (* Persistent-memory event trace: the recorder behind the pmcheck
    sanitizer (PMTest / Yat style).
 
-   When [Config.current.tracing] is on, the simulator and the tree code
+   When the [tracing] switch of [Obs.Gate]'s mode word is on, the
+   simulator and the tree code
    append one event per SCM store, flush, publication point, micro-log
    transition, and leaf-lock transition.  The recorder is deliberately
    dumb: a single mutex-protected growable array shared by all domains,
@@ -12,8 +13,9 @@
    instrumented slow path, so the hot path never sees the mutex.
 
    Call-site attribution: tree operations push a scope label
-   ([scope_begin "insert"] ... [scope_end]) per domain; every event
-   records the innermost label of its domain at append time.  The
+   ([scoped ~op:Obs.Event.op_insert], labelled by [Obs.Event.op_name])
+   per domain; every event records the innermost label of its domain
+   at append time.  The
    analyzer additionally uses scope boundaries to delimit the dirty-word
    lifetime checks. *)
 
@@ -64,7 +66,7 @@ type event = {
   kind : kind;
 }
 
-let enabled () = Config.current.tracing
+let[@inline] enabled () = Obs.Gate.any Obs.Gate.tracing
 
 (* Hard cap so a forgotten [set_tracing true] cannot OOM a long run;
    overflow is counted, not silently ignored. *)
@@ -126,50 +128,63 @@ let current_site did =
   | Some (s :: _) -> s
   | _ -> ""
 
+(* Every emitter tests the switch itself, inline, before it builds its
+   event: call sites need no guard, and with tracing off an emitter is
+   one mask test that allocates nothing. *)
 let record ~region kind =
-  if enabled () then begin
-    let did = (Domain.self () :> int) in
-    Mutex.lock lock;
-    push { domain = did; region; site = current_site did; kind };
-    Mutex.unlock lock
-  end
+  let did = (Domain.self () :> int) in
+  Mutex.lock lock;
+  push { domain = did; region; site = current_site did; kind };
+  Mutex.unlock lock
 
-let store ~region ~off ~len ~silent = record ~region (Store { off; len; silent })
-let flush ~region ~off ~len = record ~region (Flush { off; len })
-let fence ~region = record ~region Fence
-let publish ~region ~off ~len what = record ~region (Publish { off; len; what })
-let link_write ~region ~off ~len = record ~region (Link_write { off; len })
-let log_arm ~region ~log = record ~region (Log_arm { log })
-let log_reset ~region ~log = record ~region (Log_reset { log })
-let lock_acquire ~region ~leaf = record ~region (Lock_acquire { leaf })
-let lock_release ~region ~leaf = record ~region (Lock_release { leaf })
-let leaf_retired ~region ~leaf = record ~region (Leaf_retired { leaf })
-let leaf_layout ~region ~bytes = record ~region (Leaf_layout { bytes })
-let track_reset ~region = record ~region Track_reset
-let writer_begin () = record ~region:(-1) Writer_begin
-let writer_end () = record ~region:(-1) Writer_end
-let fallback_lock () = record ~region:(-1) Fallback_lock
-let fallback_unlock () = record ~region:(-1) Fallback_unlock
-let ver_begin ~region ~leaf = record ~region (Ver_begin { leaf })
-let ver_end ~region ~leaf = record ~region (Ver_end { leaf })
+let[@inline] store ~region ~off ~len ~silent =
+  if enabled () then record ~region (Store { off; len; silent })
+let[@inline] flush ~region ~off ~len =
+  if enabled () then record ~region (Flush { off; len })
+let[@inline] fence ~region = if enabled () then record ~region Fence
+let[@inline] publish ~region ~off ~len what =
+  if enabled () then record ~region (Publish { off; len; what })
+let[@inline] link_write ~region ~off ~len =
+  if enabled () then record ~region (Link_write { off; len })
+let[@inline] log_arm ~region ~log =
+  if enabled () then record ~region (Log_arm { log })
+let[@inline] log_reset ~region ~log =
+  if enabled () then record ~region (Log_reset { log })
+let[@inline] lock_acquire ~region ~leaf =
+  if enabled () then record ~region (Lock_acquire { leaf })
+let[@inline] lock_release ~region ~leaf =
+  if enabled () then record ~region (Lock_release { leaf })
+let[@inline] leaf_retired ~region ~leaf =
+  if enabled () then record ~region (Leaf_retired { leaf })
+let[@inline] leaf_layout ~region ~bytes =
+  if enabled () then record ~region (Leaf_layout { bytes })
+let[@inline] track_reset ~region = if enabled () then record ~region Track_reset
+let[@inline] writer_begin () = if enabled () then record ~region:(-1) Writer_begin
+let[@inline] writer_end () = if enabled () then record ~region:(-1) Writer_end
+let[@inline] fallback_lock () =
+  if enabled () then record ~region:(-1) Fallback_lock
+let[@inline] fallback_unlock () =
+  if enabled () then record ~region:(-1) Fallback_unlock
+let[@inline] ver_begin ~region ~leaf =
+  if enabled () then record ~region (Ver_begin { leaf })
+let[@inline] ver_end ~region ~leaf =
+  if enabled () then record ~region (Ver_end { leaf })
 
-let scope_begin op =
-  if enabled () then begin
-    let did = (Domain.self () :> int) in
-    Mutex.lock lock;
-    let stack = Option.value ~default:[] (Hashtbl.find_opt scopes did) in
-    Hashtbl.replace scopes did (op :: stack);
-    push { domain = did; region = -1; site = op; kind = Scope_begin { op } };
-    Mutex.unlock lock
-  end
+(* One scope edge: update the domain's label stack, then record [kind]
+   under the innermost label that remains. *)
+let scope_edge kind update =
+  let did = (Domain.self () :> int) in
+  Mutex.lock lock;
+  let stack = Option.value ~default:[] (Hashtbl.find_opt scopes did) in
+  Hashtbl.replace scopes did (update stack);
+  push { domain = did; region = -1; site = current_site did; kind };
+  Mutex.unlock lock
 
-let scope_end op =
-  if enabled () then begin
-    let did = (Domain.self () :> int) in
-    Mutex.lock lock;
-    (match Hashtbl.find_opt scopes did with
-    | Some (_ :: rest) -> Hashtbl.replace scopes did rest
-    | _ -> ());
-    push { domain = did; region = -1; site = current_site did; kind = Scope_end { op } };
-    Mutex.unlock lock
+let scoped ~op f =
+  if not (enabled ()) then f ()
+  else begin
+    let op = Obs.Event.op_name op in
+    scope_edge (Scope_begin { op }) (List.cons op);
+    Fun.protect f ~finally:(fun () ->
+        scope_edge (Scope_end { op }) (function _ :: tl -> tl | [] -> []))
   end

@@ -1,6 +1,7 @@
 (** Persistent-memory event trace — recorder for the pmcheck sanitizer.
 
-    Enabled via {!Config.set_tracing}; every SCM store, flush,
+    Enabled via {!Config.set_tracing} (the [tracing] bit of
+    [Obs.Gate]'s mode word); every SCM store, flush,
     publication point, micro-log transition, and leaf-lock transition is
     appended (mutex-protected, safe under domains) with call-site
     attribution via per-domain scope labels.  See [lib/pmcheck] for the
@@ -37,8 +38,6 @@ type event = {
   kind : kind;
 }
 
-val enabled : unit -> bool
-
 val clear : unit -> unit
 val size : unit -> int
 val dropped : unit -> int
@@ -46,9 +45,10 @@ val dropped : unit -> int
 (** Snapshot of the recorded history, in append order. *)
 val events : unit -> event array
 
-(** Emitters — no-ops unless tracing is enabled. *)
+(** Emitters — each tests the [tracing] bit inline before it builds
+    its event, so call sites need no guard and a disabled emitter
+    allocates nothing. *)
 
-val record : region:int -> kind -> unit
 val store : region:int -> off:int -> len:int -> silent:bool -> unit
 val flush : region:int -> off:int -> len:int -> unit
 val fence : region:int -> unit
@@ -67,5 +67,9 @@ val fallback_lock : unit -> unit
 val fallback_unlock : unit -> unit
 val ver_begin : region:int -> leaf:int -> unit
 val ver_end : region:int -> leaf:int -> unit
-val scope_begin : string -> unit
-val scope_end : string -> unit
+
+val scoped : op:int -> (unit -> 'a) -> 'a
+(** [scoped ~op f] runs [f] inside a scope labelled
+    [Obs.Event.op_name op] ([Scope_begin] / [Scope_end] events, also
+    when [f] raises); just [f ()] when tracing is off.  The analyzer
+    bounds its dirty-at-publication checks by these scopes. *)

@@ -208,7 +208,7 @@ let blit_to_bytes t off dst dst_off len =
    p-atomic aligned 8-byte store, which the torn-write injector must
    skip (and not count). *)
 
-let[@inline] tracing () = Config.current.tracing
+let[@inline] tracing () = Obs.Gate.any Obs.Gate.tracing
 
 let[@inline] tears ~tearable len = tearable && len > 1
 
@@ -365,7 +365,7 @@ let clear_heatmap t =
 
 let fence t =
   if Config.current.stats then Stats.incr_fences ();
-  if tracing () then Pmtrace.fence ~region:t.id
+  Pmtrace.fence ~region:t.id
 
 (** Flush the cache lines overlapping [off, off+len) and fence: the
     Persist() primitive of Section 2 (CLFLUSH wrapped in MFENCEs).  If a

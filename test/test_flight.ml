@@ -419,6 +419,150 @@ let test_sample_shift_knob () =
   Scm.Config.reset ();
   Obs.Gate.set_enabled false
 
+(* ---- recorder parity: what each entry point shows each recorder ---- *)
+
+(* Run [f] with the gate, tracing and stats on and report what each
+   recorder saw: the flight-recorder op records as (tag, op, ok), the
+   pmtrace scope labels, and the op labels of the attribution cells
+   charged (read through the registry's labeled export). *)
+let recorders f =
+  FL.reset ();
+  Scm.Pmtrace.clear ();
+  Scm.Stats.reset ();
+  Scm.Config.set_tracing true;
+  Obs.Gate.set_enabled true;
+  let finish () =
+    Obs.Gate.set_enabled false;
+    Scm.Config.set_tracing false
+  in
+  Fun.protect ~finally:finish f;
+  let ops =
+    List.filter_map
+      (fun e ->
+        if e.FL.tag = E.op_begin || e.FL.tag = E.op_end then
+          Some (E.tag_name e.FL.tag, E.op_name e.FL.a, e.FL.d)
+        else None)
+      (FL.drain ())
+  in
+  let scopes =
+    Array.to_list (Scm.Pmtrace.events ())
+    |> List.filter_map (fun ev ->
+           match ev.Scm.Pmtrace.kind with
+           | Scm.Pmtrace.Scope_begin { op } -> Some op
+           | _ -> None)
+  in
+  let charged =
+    List.concat_map
+      (fun q ->
+        match Obs.Registry.find (Printf.sprintf "scm_attrib_%s_total" q) with
+        | Some { Obs.Registry.metric = Obs.Registry.Labeled f; _ } ->
+          List.filter_map
+            (fun (labels, v) ->
+              if v > 0 then List.assoc_opt "op" labels else None)
+            (f ())
+        | _ -> Alcotest.failf "scm_attrib_%s_total not registered" q)
+      [ "store_bytes"; "line_writes"; "flushes"; "persists" ]
+    |> List.sort_uniq compare
+  in
+  Scm.Pmtrace.clear ();
+  (ops, scopes, charged)
+
+let op_records = Alcotest.(list (triple string string int))
+
+let check_recorders name f ~ops ~scopes ~charged =
+  let ops', scopes', charged' = recorders f in
+  Alcotest.check op_records (name ^ ": flight op records") ops ops';
+  Alcotest.(check (list string)) (name ^ ": pmtrace scopes") scopes scopes';
+  Alcotest.(check (list string)) (name ^ ": attribution ops") charged charged'
+
+let test_recorder_parity () =
+  Scm.Registry.clear ();
+  Scm.Config.reset ();
+  Scm.Config.set_stats true;
+  (* every find measured, so a find is always a begin/end pair *)
+  Scm.Config.current.Scm.Config.flight_sample_shift <- 0;
+  let pair op ok = [ ("op_begin", op, 0); ("op_end", op, ok) ] in
+  let within outer ok inner =
+    (("op_begin", outer, 0) :: inner) @ [ ("op_end", outer, ok) ]
+  in
+  let config =
+    { Fptree.Tree.fptree_config with
+      Fptree.Tree.m = 8; Fptree.Tree.use_groups = true;
+      Fptree.Tree.group_size = 4 }
+  in
+  let a = Pmem.Palloc.create ~size:(16 * 1024 * 1024) () in
+  let t = ref None in
+  check_recorders "create"
+    (fun () -> t := Some (F.create ~config a))
+    ~ops:[] ~scopes:[ "create" ] ~charged:[ "create" ];
+  let t = Option.get !t in
+  for i = 1 to 400 do ignore (F.insert t i i) done;
+  check_recorders "insert"
+    (fun () -> ignore (F.insert t 1000 1))
+    ~ops:(pair "insert" 1) ~scopes:[ "insert" ] ~charged:[ "insert" ];
+  check_recorders "update"
+    (fun () -> ignore (F.update t 1000 2))
+    ~ops:(pair "update" 1) ~scopes:[ "update" ] ~charged:[ "update" ];
+  check_recorders "delete"
+    (fun () -> ignore (F.delete t 1000))
+    ~ops:(pair "delete" 1) ~scopes:[ "delete" ] ~charged:[ "delete" ];
+  check_recorders "find hit"
+    (fun () -> ignore (F.find t 7))
+    ~ops:(pair "find" 1) ~scopes:[] ~charged:[];
+  check_recorders "find miss"
+    (fun () -> ignore (F.find t 1000))
+    ~ops:(pair "find" 0) ~scopes:[] ~charged:[];
+  check_recorders "range"
+    (fun () -> ignore (F.range t ~lo:10 ~hi:20))
+    ~ops:(pair "range" 1) ~scopes:[] ~charged:[];
+  (* free the heap's tail leaves (the head leaf stays) so reclamation
+     has a free tail to return to the arena *)
+  for i = 400 downto 1 do ignore (F.delete t i) done;
+  check_recorders "reclaim"
+    (fun () -> ignore (F.reclaim_space t))
+    ~ops:[] ~scopes:[] ~charged:[ "reclaim" ];
+  let a2 = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
+  check_recorders "recover"
+    (fun () -> ignore (F.recover ~config a2))
+    ~ops:[] ~scopes:[] ~charged:[ "recover" ];
+  (* kvstore: each cache op brackets the tree op it drives *)
+  let c =
+    Kvstore.Cache.create
+      (Kvstore.Tree_ops.of_fptree_concurrent
+         (Fptree.Var.create_concurrent
+            (Pmem.Palloc.create ~size:(16 * 1024 * 1024) ())))
+  in
+  check_recorders "cache set"
+    (fun () -> Kvstore.Cache.set_exn c "k" "v")
+    ~ops:(within "cache.set" 1 (pair "insert" 1))
+    ~scopes:[ "insert" ] ~charged:[ "insert" ];
+  check_recorders "cache get"
+    (fun () -> ignore (Kvstore.Cache.get c "k"))
+    ~ops:(within "cache.get" 1 (pair "find" 1)) ~scopes:[] ~charged:[];
+  check_recorders "cache delete"
+    (fun () -> ignore (Kvstore.Cache.delete c "k"))
+    ~ops:(within "cache.delete" 1 (pair "delete" 1))
+    ~scopes:[ "delete" ] ~charged:[ "delete" ];
+  (* one TATP transaction: only index finds inside its bracket *)
+  let db = Dbproto.Tatp.populate ~subscribers:100 Dbproto.Index.FPTree in
+  let ops, scopes, charged =
+    recorders (fun () ->
+        ignore (Dbproto.Tatp.run_benchmark ~clients:1 ~n_tx:1 db))
+  in
+  let n = List.length ops in
+  Alcotest.(check bool) "tatp: at least one index find" true (n >= 4);
+  Alcotest.check op_records "tatp: txn bracket"
+    (pair "tatp.txn" 1)
+    [ List.hd ops; List.nth ops (n - 1) ];
+  List.iteri
+    (fun i (_, op, _) ->
+      if i > 0 && i < n - 1 then
+        Alcotest.(check string) "tatp: inner ops are finds" "find" op)
+    ops;
+  Alcotest.(check (list string)) "tatp: pmtrace scopes" [] scopes;
+  Alcotest.(check (list string)) "tatp: attribution ops" [] charged;
+  Scm.Config.reset ()
+
 let () =
   Alcotest.run "flight"
     [
@@ -455,6 +599,11 @@ let () =
         [
           Alcotest.test_case "latency-sample ratio tracks config shift" `Quick
             test_sample_shift_knob;
+        ] );
+      ( "parity",
+        [
+          Alcotest.test_case "each entry point's records in every recorder"
+            `Quick test_recorder_parity;
         ] );
       ( "crash-dump",
         [

@@ -173,7 +173,7 @@ let test_scope_no_alloc () =
     let w0 = Gc.minor_words () in
     for _ = 1 to 10_000 do
       let c = Fptree.Scope.enter Obs.Attrib.comp_kv in
-      let o = Obs.Attrib.set_op Obs.Attrib.op_insert in
+      let o = Obs.Attrib.set_op Obs.Event.op_insert in
       Obs.Attrib.restore_op o;
       Fptree.Scope.leave c
     done;

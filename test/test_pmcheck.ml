@@ -298,6 +298,24 @@ let test_trace_roundtrip () =
   Alcotest.(check int) "dropped" 3 (Pmcheck.Trace_io.dropped_of_json j');
   Alcotest.(check bool) "events round-trip" true (trace = trace')
 
+(* ---- a truncated trace says so when loaded ---- *)
+
+let test_truncated_trace_load () =
+  let trace =
+    [| { T.domain = 0; region = 1; site = "insert";
+         kind = T.Store { off = 64; len = 8; silent = false } } |]
+  in
+  let path = Filename.temp_file "pmtrace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Pmcheck.Trace_io.save path trace;
+  let events, dropped = Pmcheck.Trace_io.load path in
+  Alcotest.(check int) "complete trace: nothing dropped" 0 dropped;
+  Alcotest.(check bool) "complete trace: events" true (events = trace);
+  Pmcheck.Trace_io.save path ~dropped:624501 trace;
+  let events, dropped = Pmcheck.Trace_io.load path in
+  Alcotest.(check int) "truncated trace: dropped count" 624501 dropped;
+  Alcotest.(check int) "truncated trace: kept events" 1 (Array.length events)
+
 (* ---- race detector over a contended multi-domain workload ---- *)
 
 let test_race_detector_concurrent () =
@@ -361,6 +379,8 @@ let () =
           Alcotest.test_case "missing persist" `Quick test_analyzer_missing_persist;
           Alcotest.test_case "flush classes" `Quick test_analyzer_flush_classes;
           Alcotest.test_case "trace JSON round-trip" `Quick test_trace_roundtrip;
+          Alcotest.test_case "truncated trace load" `Quick
+            test_truncated_trace_load;
         ] );
       ( "race-detector",
         [

@@ -64,11 +64,11 @@ let test_exactness_mixed () =
     (A.comp_total ~comp:A.comp_tree_meta A.q_persists > 0);
   (* op attribution: inserts and deletes each carried persists *)
   Alcotest.(check bool) "insert op column nonzero" true
-    (A.value ~comp:A.comp_bitmap ~op:A.op_insert A.q_persists > 0);
+    (A.value ~comp:A.comp_bitmap ~op:Obs.Event.op_insert A.q_persists > 0);
   Alcotest.(check bool) "delete op column nonzero" true
-    (A.value ~comp:A.comp_bitmap ~op:A.op_delete A.q_persists > 0);
+    (A.value ~comp:A.comp_bitmap ~op:Obs.Event.op_delete A.q_persists > 0);
   Alcotest.(check bool) "create op column nonzero" true
-    (A.value ~comp:A.comp_tree_meta ~op:A.op_create A.q_persists > 0)
+    (A.value ~comp:A.comp_tree_meta ~op:Obs.Event.op_create A.q_persists > 0)
 
 (* ---- recovery and out-of-line keys land in their rows ---- *)
 
@@ -94,7 +94,7 @@ let test_exactness_recovery_and_var () =
   Alcotest.(check bool) "recover op column nonzero" true
     (A.comp_total ~comp:A.comp_recovery A.q_bytes > 0
     || Obs.Attrib.rows A.q_persists
-       |> List.exists (fun (_, op, v) -> op = A.op_recover && v > 0));
+       |> List.exists (fun (_, op, v) -> op = Obs.Event.op_recover && v > 0));
   check_exact "after recovery"
 
 (* ---- unscoped traffic: charged to (other, other), never lost ---- *)
@@ -105,9 +105,9 @@ let test_unscoped_goes_to_other () =
   Scm.Region.write_word r 0 42;
   Scm.Region.persist r 0 8;
   Alcotest.(check int) "bytes to (other,other)" 8
-    (A.value ~comp:A.comp_other ~op:A.op_other A.q_bytes);
+    (A.value ~comp:A.comp_other ~op:Obs.Event.op_other A.q_bytes);
   Alcotest.(check bool) "persist to (other,other)" true
-    (A.value ~comp:A.comp_other ~op:A.op_other A.q_persists > 0);
+    (A.value ~comp:A.comp_other ~op:Obs.Event.op_other A.q_persists > 0);
   check_exact "raw region traffic"
 
 (* ---- 4-domain exactness ---- *)

@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 
 SCALE="${1:-0.05}"
 
+# Every image, dump and trace lives in one private directory, removed on
+# exit, so concurrent runs cannot collide.
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/bench_check.XXXXXX")
+trap 'rm -rf "$WORK"' EXIT
+trap 'exit 1' INT TERM
+
 echo "== build =="
 dune build
 
@@ -36,10 +42,9 @@ dune exec bench/main.exe -- --scale "$SCALE" hotpath
 
 echo "== observability smoke (instrumented pass + metrics dump) =="
 CLI=_build/default/bin/fptree_cli.exe
-IMG=/tmp/bench_check_tree.scm
-DUMP=/tmp/bench_check_metrics.json
-GDUMP=/tmp/bench_check_metrics_get.json
-rm -f "$IMG" "$DUMP" "$GDUMP"
+IMG="$WORK/tree.scm"
+DUMP="$WORK/metrics.json"
+GDUMP="$WORK/metrics_get.json"
 "$CLI" create "$IMG" > /dev/null
 "$CLI" fill "$IMG" 20000 --metrics "$DUMP" > /dev/null
 
@@ -97,7 +102,7 @@ fi
 # range over the reloaded image after deletes and puts in non-ascending
 # key order: exactly the keys stats counts, strictly ascending, each put
 # value in place and 10*k (fill's value) for every other key
-RANGE_OUT=/tmp/bench_check_range.txt
+RANGE_OUT="$WORK/range.txt"
 "$CLI" del "$IMG" 17777 > /dev/null
 "$CLI" put "$IMG" 9001 5 > /dev/null
 "$CLI" del "$IMG" 42 > /dev/null
@@ -138,16 +143,14 @@ awk 'NR == 1 { prev = $1 - 1 }
 echo "   range 8950..9050 (mid-chain): $nmid pairs, ascending, values match"
 
 echo "== flight smoke (--flight-dump + trace summarizer) =="
-FDUMP=/tmp/bench_check_flight.json
-rm -f "$FDUMP"
+FDUMP="$WORK/flight.json"
 "$CLI" fill "$IMG" 5000 --flight-dump "$FDUMP" > /dev/null 2>&1
 "$CLI" trace "$FDUMP" | grep -q 'insert' || {
   echo "FAIL: flight trace summary lacks the insert latency row"; exit 1; }
 "$CLI" trace "$FDUMP" | head -3 | sed 's/^/   /'
 
 echo "== pmcheck smoke (traced run + analyzer) =="
-TRACE=/tmp/bench_check_trace.json
-rm -f "$TRACE"
+TRACE="$WORK/trace.json"
 "$CLI" fill "$IMG" 500 --trace "$TRACE" > /dev/null 2>&1
 # the analyzer must parse the trace, see a non-trivial event count, and
 # report no error-severity findings on a clean run (exit 2 = errors)
@@ -181,8 +184,7 @@ echo "   regression root-ver hole caught (exit 2, as required)"
 # relies on (no direct Atomic in lib/fptree, no stray Domain.DLS).
 
 echo "== fsck smoke (corrupt -> detect -> repair -> clean) =="
-FSCK_IMG=/tmp/bench_check_fsck.scm
-rm -f "$FSCK_IMG"
+FSCK_IMG="$WORK/fsck.scm"
 "$CLI" create "$FSCK_IMG" --checksums > /dev/null
 "$CLI" fill "$FSCK_IMG" 2000 > /dev/null
 "$CLI" fsck "$FSCK_IMG" --summary
@@ -197,8 +199,7 @@ fi
 "$CLI" stats "$FSCK_IMG" > /dev/null
 
 echo "== capacity (watermark refusal -> degraded serving -> clean image) =="
-CAP_IMG=/tmp/bench_check_capacity.scm
-rm -f "$CAP_IMG"
+CAP_IMG="$WORK/capacity.scm"
 "$CLI" create "$CAP_IMG" --size-mb 1 > /dev/null
 # Overfill a 1 MiB arena: the fill must stop with exit 1 and a one-line
 # out-of-space error (never a backtrace), leaving the at-watermark
@@ -231,9 +232,8 @@ echo "   fsck clean at the watermark: every admitted key intact ($keys)"
 "$CLI" chaos --exhaustion --seed 8
 
 echo "== wear (attribution exactness + micro-log persist pricing) =="
-WEAR_IMG=/tmp/bench_check_wear.scm
-WEAR_HEAT=/tmp/bench_check_wear_heatmap.json
-rm -f "$WEAR_IMG" "$WEAR_HEAT"
+WEAR_IMG="$WORK/wear.scm"
+WEAR_HEAT="$WORK/wear_heatmap.json"
 "$CLI" create "$WEAR_IMG" --size-mb 8 > /dev/null
 "$CLI" fill "$WEAR_IMG" 1000 > /dev/null
 # The wear command itself exits 2 when any (component x op) matrix sum
@@ -267,7 +267,7 @@ echo "   micro-log persists $mlog within [$lo, $hi] for $splits splits, $ldel le
 [ -s "$WEAR_HEAT" ] || { echo "FAIL: heatmap dump missing"; exit 1; }
 grep -q '"sample_shift"' "$WEAR_HEAT" || {
   echo "FAIL: heatmap dump malformed"; exit 1; }
-echo "   heatmap dump -> $WEAR_HEAT"
+echo "   heatmap dump ok"
 
 echo "== perfbench selfcheck (BENCHMARK.json workloads at scale 0.01) =="
 # Every workload twice at a tiny scale through the benchmark driver:
@@ -276,4 +276,4 @@ echo "== perfbench selfcheck (BENCHMARK.json workloads at scale 0.01) =="
 # exactly (non-zero exit otherwise).
 python3 perfbench/run.py --selfcheck
 
-echo "== done: $DUMP, $TRACE =="
+echo "== done =="

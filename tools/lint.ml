@@ -38,6 +38,11 @@
    - a [.ml] under lib/ without a sibling [.mli]: a module without an
      interface exports everything it defines, so the compiler's
      unused-value warning cannot flag what nothing calls.
+   - [Flight.op_begin] / [Flight.op_end], however qualified, outside
+     lib/obs and the find sampler ([find_value_exn] in
+     lib/fptree/tree.ml): an op entry point brackets itself with
+     [Obs.Flight.bracket], so a hand-written begin/end pair is a copy
+     of the bracket.
 
    Comments and string/char literals are stripped first, so prose
    mentioning these identifiers is fine.  Usage:
@@ -227,6 +232,44 @@ let find_field_writes hay field f =
     end
   done
 
+(* The name of the definition enclosing offset [i]: the nearest
+   preceding [let] at the start of a line indented at most two spaces
+   (top level, or the body of a functor). *)
+let enclosing_let hay i =
+  let rec back j =
+    if j < 0 then ""
+    else if hay.[j] = '\n' then begin
+      let k = ref (j + 1) in
+      while !k < i && hay.[!k] = ' ' do incr k done;
+      if !k - (j + 1) <= 2 && !k + 4 <= i && String.sub hay !k 4 = "let "
+      then begin
+        let e = ref (!k + 4) in
+        while !e < i && is_ident_char hay.[!e] do incr e done;
+        String.sub hay (!k + 4) (!e - !k - 4)
+      end
+      else back (j - 1)
+    end
+    else back (j - 1)
+  in
+  back (i - 1)
+
+let check_op_records path stripped =
+  let sampler i =
+    in_lib "fptree" path
+    && Filename.basename path = "tree.ml"
+    && enclosing_let stripped i = "find_value_exn"
+  in
+  if not (in_obs path) then
+    List.iter
+      (fun needle ->
+        find_tokens ~qualified:true stripped needle (fun i ->
+            if not (sampler i) then
+              report path (line_of stripped i)
+                (needle ^ " outside lib/obs and the find sampler: wrap the \
+                  op in Obs.Flight.bracket instead of a hand-written \
+                  begin/end pair")))
+      [ "Flight.op_begin"; "Flight.op_end" ]
+
 let check_file path =
   if Filename.check_suffix path ".ml"
      && List.mem "lib" (String.split_on_char '/' path)
@@ -292,7 +335,8 @@ let check_file path =
     bad ~qualified:true "guard_space"
       "guard_space outside lib/fptree and lib/baselines: call the tree's \
        try_insert / try_update (Fptree.Tree_intf.S) instead of wrapping \
-       its ops again"
+       its ops again";
+  check_op_records path stripped
 
 let rec walk path =
   if Sys.is_directory path then

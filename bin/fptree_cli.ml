@@ -81,9 +81,10 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"PATH"
         ~doc:
-          "record the persistence event trace (SCM stores, flushes, \
-           publication points, lock transitions) of this command to $(docv) \
-           as JSON; analyze it with $(b,fptree_cli pmcheck)")
+          "record the ordered flight history of this command (op records \
+           plus SCM stores, flushes, publication points, lock transitions) \
+           to $(docv) as a JSON flight dump; analyze it with \
+           $(b,fptree_cli pmcheck), summarize it with $(b,fptree_cli trace)")
 
 let flight_arg =
   Arg.(
@@ -121,16 +122,16 @@ let with_metrics metrics format trace flight f =
   (match trace with
   | Some _ ->
     Scm.Config.set_tracing true;
-    Scm.Pmtrace.clear ()
+    Obs.Flight.reset ()
   | None -> ());
   let r = f () in
   (match metrics with Some p -> Obs.Registry.dump ~format p | None -> ());
   (match trace with
   | Some p ->
     Scm.Config.set_tracing false;
-    let events = Scm.Pmtrace.events () in
-    Pmcheck.Trace_io.save p ~dropped:(Scm.Pmtrace.dropped ()) events;
-    Printf.eprintf "trace: %d events -> %s\n" (Array.length events) p
+    Obs.Flight.dump ~history:true ~reason:"cli: traced command" p;
+    Printf.eprintf "trace: history -> %s (%d dropped)\n" p
+      (Obs.Flight.history_dropped ())
   | None -> ());
   r
 
@@ -329,7 +330,7 @@ let trace_cmd =
   let module E = Obs.Event in
   let module F = Obs.Flight in
   let run path =
-    let events, names, reason =
+    let { F.events; names; reason; dropped = _ } =
       match F.of_json (Obs.Json.parse (read_file path)) with
       | exception Obs.Json.Parse_error msg ->
         Printf.eprintf "%s: not a JSON flight dump (%s)\n" path msg;
@@ -617,8 +618,8 @@ let pmcheck_cmd =
       | exception Obs.Json.Parse_error msg ->
         Printf.eprintf "%s: not a JSON trace (%s)\n" path msg;
         exit 1
-      | exception Pmcheck.Trace_io.Bad_trace msg ->
-        Printf.eprintf "%s: bad trace (%s)\n" path msg;
+      | exception Failure msg ->
+        Printf.eprintf "%s: not a flight dump (%s)\n" path msg;
         exit 1
       | ev, 0 -> ev
       | ev, dropped ->
@@ -644,7 +645,7 @@ let pmcheck_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"TRACE" ~doc:"a JSON trace written by --trace")
+      & info [] ~docv:"TRACE" ~doc:"a JSON flight dump written by --trace")
   in
   let quiet =
     Arg.(value & flag & info [ "summary" ] ~doc:"print only per-class counts")

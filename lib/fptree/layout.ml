@@ -104,8 +104,8 @@ let commit_bitmap r ~leaf t bm =
   Scm.Region.write_word_atomic r (leaf + t.bitmap_off) bm;
   Scope.persist_in_scope r (leaf + t.bitmap_off) 8;
   Scope.leave c;
-  Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off:(leaf + t.bitmap_off)
-    ~len:8 "bitmap"
+  Obs.Flight.publish ~region:(Scm.Region.id r) ~off:(leaf + t.bitmap_off)
+    ~len:8 ~site:Obs.Event.publish_bitmap
 
 let bitmap_count bm =
   let rec go bm acc = if bm = 0 then acc else go (bm lsr 1) (acc + (bm land 1)) in
@@ -164,7 +164,7 @@ let write_next_persist r ~leaf t p =
   Pmem.Pptr.write r (leaf + t.next_off) p;
   Scope.persist_in_scope r (leaf + t.next_off) Pmem.Pptr.size_bytes;
   Scope.leave c;
-  Scm.Pmtrace.link_write ~region:(Scm.Region.id r) ~off:(leaf + t.next_off)
+  Obs.Flight.link_write ~region:(Scm.Region.id r) ~off:(leaf + t.next_off)
     ~len:Pmem.Pptr.size_bytes
 
 (* ---- whole-leaf helpers ---- *)

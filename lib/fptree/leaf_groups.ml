@@ -204,7 +204,7 @@ let recover t =
 (* FreeLeaf (Algorithm 12): return a leaf to the volatile pool and
    deallocate its group once fully free. *)
 let free_leaf t l =
-  Scm.Pmtrace.leaf_retired ~region:(Region.id t.region) ~leaf:l;
+  Obs.Flight.leaf_retired ~region:(Region.id t.region) ~leaf:l;
   add_free_leaf t l;
   let g = Hashtbl.find t.leaf_group l in
   if !(Hashtbl.find t.group_free g) = t.config.D.group_size then free_group t g

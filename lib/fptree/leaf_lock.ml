@@ -23,11 +23,11 @@ let try_lock r (l : Inner.leaf_ref) =
     && Sched.cas ~obj l.Inner.lock false true
   in
   if ok then
-    Scm.Pmtrace.lock_acquire ~region:(Scm.Region.id r) ~leaf:l.Inner.off;
+    Obs.Flight.lock_acquire ~region:(Scm.Region.id r) ~leaf:l.Inner.off;
   ok
 
 let unlock r (l : Inner.leaf_ref) =
-  Scm.Pmtrace.lock_release ~region:(Scm.Region.id r) ~leaf:l.Inner.off;
+  Obs.Flight.lock_release ~region:(Scm.Region.id r) ~leaf:l.Inner.off;
   Sched.set ~obj:(Sched.obj_lock l.Inner.off) l.Inner.lock false
 
 let is_locked (l : Inner.leaf_ref) =
@@ -45,8 +45,8 @@ let is_locked (l : Inner.leaf_ref) =
    analyzer's unversioned-leaf-store check is exact. *)
 let ver_begin r (l : Inner.leaf_ref) =
   Nv.begin_write_id l.Inner.ver l.Inner.off;
-  Scm.Pmtrace.ver_begin ~region:(Scm.Region.id r) ~leaf:l.Inner.off
+  Obs.Flight.ver_begin ~region:(Scm.Region.id r) ~leaf:l.Inner.off
 
 let ver_end r (l : Inner.leaf_ref) =
-  Scm.Pmtrace.ver_end ~region:(Scm.Region.id r) ~leaf:l.Inner.off;
+  Obs.Flight.ver_end ~region:(Scm.Region.id r) ~leaf:l.Inner.off;
   Nv.end_write_id l.Inner.ver l.Inner.off

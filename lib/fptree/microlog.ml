@@ -32,7 +32,7 @@ let set_fst t p =
   let c = Scope.enter Obs.Attrib.comp_microlog in
   Pmem.Pptr.write_committed t.region t.off p;
   Scope.leave c;
-  Scm.Pmtrace.log_arm ~region:(Scm.Region.id t.region) ~log:t.off
+  Obs.Flight.log_arm ~region:(Scm.Region.id t.region) ~log:t.off
 
 let set_snd t p =
   let c = Scope.enter Obs.Attrib.comp_microlog in
@@ -76,8 +76,9 @@ let zap_word t off =
 let reset t =
   reset_word t t.off;                              (* fst id: disarm *)
   let region = Scm.Region.id t.region in
-  Scm.Pmtrace.publish ~region ~off:t.off ~len:8 "log-reset";
-  Scm.Pmtrace.log_reset ~region ~log:t.off;
+  Obs.Flight.publish ~region ~off:t.off ~len:8
+    ~site:Obs.Event.publish_log_reset;
+  Obs.Flight.log_reset ~region ~log:t.off;
   let d1 = zap_word t (t.off + 8) in               (* fst off *)
   let d2 = zap_word t (t.off + 16) in              (* snd id *)
   let d3 = zap_word t (t.off + 24) in              (* snd off *)

@@ -10,8 +10,9 @@
     sequence in {!enter}/{!leave} (nesting is fine: inner scopes
     restore the outer component).
 
-    Cost discipline matches [Pmtrace]: with attribution off (fast
-    mode), {!enter}/{!leave} are one [bool ref] load and a branch;
+    Cost discipline matches [Obs.Flight]'s persistence emitters: with
+    attribution off (fast mode), {!enter}/{!leave} are one [bool ref]
+    load and a branch;
     enabled, two unsafe array accesses — never an allocation, so the
     hot-path minor-words pins hold.  No closures, no [Fun.protect]: an
     exception between {!enter} and {!leave} (crash injection) leaves

@@ -496,7 +496,7 @@ module Make (K : Keys.KEY) = struct
        Leaf_groups.free_leaf t.groups leaf.Inner.off
      end
      else begin
-       Scm.Pmtrace.leaf_retired ~region:(Region.id (region t))
+       Obs.Flight.leaf_retired ~region:(Region.id (region t))
          ~leaf:leaf.Inner.off;
        Pmem.Palloc.free (alloc t) ~from:(Microlog.fst_loc log);
        Microlog.reset log
@@ -728,19 +728,12 @@ module Make (K : Keys.KEY) = struct
     refresh_csum t leaf;
     ver_end t l
 
-  (* The instrumented arm of insert/update/delete ([f] returns the
-     op's success): a pmcheck scope named after the op (it attributes
-     trace events and bounds the analyzer's dirty-at-publication
-     check) inside a flight-recorder bracket when the gate is on.
-     Entry points reach it only when [instrumented ()]; otherwise they
-     call the op directly and build no closure. *)
+  (* Mutations and [create] are bracketed as flight op records while
+     the gate or tracing is on: in a traced run the op records are
+     pmcheck's scopes (they attribute persistence events and bound the
+     analyzer's dirty-at-publication check).  Otherwise an entry point
+     calls the op directly and builds no closure. *)
   let[@inline] instrumented () = Obs.Gate.(any (observe lor tracing))
-
-  let instrument op k f =
-    if Obs.Gate.enabled () then
-      Obs.Flight.bracket ~op ~key:(K.fingerprint k) ~ok:Fun.id (fun () ->
-          Scm.Pmtrace.scoped ~op f)
-    else Scm.Pmtrace.scoped ~op f
 
   let insert_op t k v =
     if stats_on () then t.stats.inserts <- t.stats.inserts + 1;
@@ -811,7 +804,8 @@ module Make (K : Keys.KEY) = struct
     let ko = Obs.Attrib.set_op Obs.Event.op_insert in
     let r =
       if instrumented () then
-        instrument Obs.Event.op_insert k (fun () -> insert_op t k v)
+        Obs.Flight.bracket ~op:Obs.Event.op_insert ~key:(K.fingerprint k)
+          ~ok:Fun.id (fun () -> insert_op t k v)
       else insert_op t k v
     in
     Obs.Attrib.restore_op ko;
@@ -900,7 +894,8 @@ module Make (K : Keys.KEY) = struct
     let ko = Obs.Attrib.set_op Obs.Event.op_update in
     let r =
       if instrumented () then
-        instrument Obs.Event.op_update k (fun () -> update_op t k v)
+        Obs.Flight.bracket ~op:Obs.Event.op_update ~key:(K.fingerprint k)
+          ~ok:Fun.id (fun () -> update_op t k v)
       else update_op t k v
     in
     Obs.Attrib.restore_op ko;
@@ -1031,7 +1026,8 @@ module Make (K : Keys.KEY) = struct
     let ko = Obs.Attrib.set_op Obs.Event.op_delete in
     let r =
       if instrumented () then
-        instrument Obs.Event.op_delete k (fun () -> delete_op t k)
+        Obs.Flight.bracket ~op:Obs.Event.op_delete ~key:(K.fingerprint k)
+          ~ok:Fun.id (fun () -> delete_op t k)
       else delete_op t k
     in
     Obs.Attrib.restore_op ko;
@@ -1372,8 +1368,8 @@ module Make (K : Keys.KEY) = struct
      the analyzer can map stores to leaves. *)
   let trace_tree_layout t =
     let region = Region.id (region t) in
-    Scm.Pmtrace.track_reset ~region;
-    Scm.Pmtrace.leaf_layout ~region ~bytes:t.layout.Layout.bytes
+    Obs.Flight.track_reset ~region;
+    Obs.Flight.leaf_layout ~region ~bytes:t.layout.Layout.bytes
 
   (** Create a fresh tree in [alloc]'s region.  The tree descriptor is
       anchored at the allocator root. *)
@@ -1403,8 +1399,10 @@ module Make (K : Keys.KEY) = struct
   let create ?config alloc =
     let ko = Obs.Attrib.set_op Obs.Event.op_create in
     let t =
-      Scm.Pmtrace.scoped ~op:Obs.Event.op_create (fun () ->
-          create_op ?config alloc)
+      if instrumented () then
+        Obs.Flight.bracket ~op:Obs.Event.op_create ~key:0
+          ~ok:(fun _ -> true) (fun () -> create_op ?config alloc)
+      else create_op ?config alloc
     in
     Obs.Attrib.restore_op ko;
     t

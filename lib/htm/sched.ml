@@ -12,8 +12,7 @@
     this library cannot depend on it, hence the hook record) and only
     performs the access when the scheduler resumes it.  When the gate
     is off, each operation costs one mask test over the raw [Atomic]
-    call — the same pattern [Scm.Pmtrace] uses for the
-    persistence instrumentation.
+    call — the same pattern [Obs.Flight]'s persistence emitters use.
 
     {b Object identity.}  The scheduler distinguishes accesses by an
     integer object id, encoded as [id * 4 + class] so the protocol's

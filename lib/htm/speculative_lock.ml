@@ -180,16 +180,9 @@ let lock_fallback t =
   Obs.Counter.incr t.fallbacks;
   Obs.Counter.incr g_fallbacks;
   if Obs.Gate.enabled () then Obs.Flight.fallback_lock ();
-  Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  Scm.Pmtrace.fallback_lock ()
+  Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback
 
-let relock_fallback t =
-  Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  Scm.Pmtrace.fallback_lock ()
-
-let unlock_fallback t =
-  Scm.Pmtrace.fallback_unlock ();
-  Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback
+let unlock_fallback t = Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback
 
 exception Abort
 exception Busy
@@ -237,7 +230,7 @@ module Section (S : SECTION) = struct
          its behaviour. *)
       if obj <> no_obj then Sched.await ~obj;
       cpu_relax ();
-      relock_fallback l;
+      Sched.mutex_lock ~obj:Sched.obj_mutex l.fallback;
       locked l ctx a b
     | exception e ->
       unlock_fallback l;
@@ -294,12 +287,7 @@ end
     scalability of structure modifications, i.e. splits.) *)
 let with_write t f =
   Sched.mutex_lock ~obj:Sched.obj_mutex t.fallback;
-  Scm.Pmtrace.writer_begin ();
-  Fun.protect
-    ~finally:(fun () ->
-      Scm.Pmtrace.writer_end ();
-      Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback)
-    f
+  Fun.protect ~finally:(fun () -> unlock_fallback t) f
 
 type stats = {
   aborts : int;

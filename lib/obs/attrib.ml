@@ -12,7 +12,7 @@
     bytes, flushed lines, flushes and persists to the matrix cell the
     ambient scope names.
 
-    Discipline (mirrors [Pmtrace] / [Sched] gating):
+    Discipline (mirrors [Flight] / [Sched] gating):
 
     - {b Exactness by construction.}  Every charge that increments a
       global [scm_*_total] counter also increments exactly one matrix

@@ -35,7 +35,19 @@
                     bytes free at refusal
     - [degraded_enter] / [degraded_leave]: a = arena bytes free at the
                     transition (enter: first refusal past the
-                    watermark; leave: an admission succeeded again) *)
+                    watermark; leave: an admission succeeded again)
+
+    The persistence tags (pmcheck's input, recorded only while the
+    [tracing] bit is on) all carry a = region id, then:
+
+    - [store] / [flush] / [publish] / [link_write]: b = offset,
+                    c = length; [store]: d = 1 if the bytes were
+                    already there (silent); [publish]: d = site code
+    - [log_arm] / [log_reset]: b = micro-log offset
+    - [lock_acquire] / [lock_release] / [leaf_retired] / [ver_begin] /
+      [ver_end]: b = leaf offset
+    - [leaf_layout]: b = leaf extent bytes of the region's tree
+    - [fence] / [track_reset]: nothing more *)
 
 (** {1 Record tags} *)
 
@@ -52,24 +64,52 @@ val persist_batch : int
 val space_refused : int
 val degraded_enter : int
 val degraded_leave : int
+val store : int
+val flush : int
+val fence : int
+val publish : int
+val link_write : int
+val log_arm : int
+val log_reset : int
+val lock_acquire : int
+val lock_release : int
+val leaf_retired : int
+val leaf_layout : int
+val track_reset : int
+val ver_begin : int
+val ver_end : int
 
 val tag_name : int -> string
+
+(** {1 Publish sites}
+
+    Payload [d] of [publish], the p-atomic commit made durable: a
+    leaf's validity bitmap, a committed persistent pointer installed
+    or retracted, a micro-log retired. *)
+
+val publish_bitmap : int
+val publish_pptr : int
+val publish_pptr_reset : int
+val publish_log_reset : int
+val publish_name : int -> string
 
 (** {1 Op kinds}
 
     The system's one op vocabulary: payload [a] of [op_begin] /
-    [op_end] / [space_refused], the op dimension of {!Attrib}'s matrix
-    (its [op] label is {!op_name}) and the pmtrace scope labels.  A
-    flight op record therefore joins its attribution cell by code.
+    [op_end] / [space_refused] and the op dimension of {!Attrib}'s
+    matrix (its [op] label is {!op_name}).  A flight op record
+    therefore joins its attribution cell by code, and pmcheck reads
+    the op records of a traced run as its operation scopes.
 
     - 0 [other]: no operation in progress (unscoped SCM traffic);
     - 1–5: the tree ops [find], [insert], [delete], [update], [range];
     - 6–8: the kvstore cache ops [cache.get], [cache.set],
       [cache.delete];
     - 9: one dbproto transaction ([tatp.txn], TATP mix);
-    - 10–12: the tree lifecycle [create], [recover], [reclaim] —
-      attribution scopes (and, for [create], a pmtrace scope), never
-      flight op records.
+    - 10–12: the tree lifecycle [create], [recover], [reclaim].
+      [create] is a flight op record; [recover] and [reclaim] are
+      attribution scopes only (pmcheck exempts recovery from its
+      protocol checks because no op record encloses it).
 
     Codes 1–9 predate codes 0 and 10–12 and keep their values, so
     saved flight dumps still decode. *)

@@ -49,6 +49,41 @@ let make_ring () =
 
 let ring_key = Domain.DLS.new_key make_ring
 
+(* ---- the ordered history: the second sink, on while tracing ----
+
+   One flat array of [dom; tag; t_us; a; b; c; d] records shared by
+   every domain and appended under a mutex, so its order is a legal
+   linearization of the recorded events (what pmcheck replays).  At
+   most [history_cap] records, so a forgotten [set_tracing true]
+   cannot exhaust memory; the rest are counted as lost. *)
+
+let history_words = 7
+let history_cap = 4_000_000
+let history_lock = Mutex.create ()
+let history_buf = ref [||]
+let history_len = ref 0
+let history_lost = ref 0
+
+let record dom t_us ~tag ~a ~b ~c ~d =
+  Mutex.lock history_lock;
+  let n = !history_len in
+  if n >= history_cap then incr history_lost
+  else begin
+    let base = n * history_words in
+    if base = Array.length !history_buf then begin
+      let grown = Array.make (max (1024 * history_words) (2 * base)) 0 in
+      Array.blit !history_buf 0 grown 0 base;
+      history_buf := grown
+    end;
+    let h = !history_buf in
+    h.(base) <- dom; h.(base + 1) <- tag; h.(base + 2) <- t_us;
+    h.(base + 3) <- a; h.(base + 4) <- b; h.(base + 5) <- c; h.(base + 6) <- d;
+    history_len := n + 1
+  end;
+  Mutex.unlock history_lock
+
+let history_dropped () = !history_lost
+
 (* ---- write path ---- *)
 
 let[@inline] emit_ring r t_us ~tag ~a ~b ~c ~d =
@@ -61,7 +96,8 @@ let[@inline] emit_ring r t_us ~tag ~a ~b ~c ~d =
   Array.unsafe_set buf (base + 3) b;
   Array.unsafe_set buf (base + 4) c;
   Array.unsafe_set buf (base + 5) d;
-  Atomic.set r.r_cursor (cur + 1)
+  Atomic.set r.r_cursor (cur + 1);
+  if Gate.any Gate.tracing then record r.r_dom t_us ~tag ~a ~b ~c ~d
 
 let[@inline] emit_at t_us ~tag ~a ~b ~c ~d =
   let r = Domain.DLS.get ring_key in
@@ -128,6 +164,44 @@ let persist_tick ~batch =
   let n = r.r_persist_run + 1 in
   r.r_persist_run <- n;
   if n mod batch = 0 then persist_batch ~batch ~total:n
+
+(* ---- persistence emitters (pmcheck's input; see Event) ----
+
+   Each tests the [tracing] bit inline, so call sites need no guard and
+   a disabled emitter is one mask test. *)
+
+let traced ~tag ~a ~b ~c ~d = emit ~tag ~a ~b ~c ~d
+
+let[@inline] on_region tag ~region ~b ~c ~d =
+  if Gate.any Gate.tracing then traced ~tag ~a:region ~b ~c ~d
+
+let[@inline] store ~region ~off ~len ~silent =
+  on_region Event.store ~region ~b:off ~c:len ~d:(Bool.to_int silent)
+let[@inline] flush ~region ~off ~len =
+  on_region Event.flush ~region ~b:off ~c:len ~d:0
+let[@inline] fence ~region = on_region Event.fence ~region ~b:0 ~c:0 ~d:0
+let[@inline] publish ~region ~off ~len ~site =
+  on_region Event.publish ~region ~b:off ~c:len ~d:site
+let[@inline] link_write ~region ~off ~len =
+  on_region Event.link_write ~region ~b:off ~c:len ~d:0
+let[@inline] log_arm ~region ~log =
+  on_region Event.log_arm ~region ~b:log ~c:0 ~d:0
+let[@inline] log_reset ~region ~log =
+  on_region Event.log_reset ~region ~b:log ~c:0 ~d:0
+let[@inline] lock_acquire ~region ~leaf =
+  on_region Event.lock_acquire ~region ~b:leaf ~c:0 ~d:0
+let[@inline] lock_release ~region ~leaf =
+  on_region Event.lock_release ~region ~b:leaf ~c:0 ~d:0
+let[@inline] leaf_retired ~region ~leaf =
+  on_region Event.leaf_retired ~region ~b:leaf ~c:0 ~d:0
+let[@inline] leaf_layout ~region ~bytes =
+  on_region Event.leaf_layout ~region ~b:bytes ~c:0 ~d:0
+let[@inline] track_reset ~region =
+  on_region Event.track_reset ~region ~b:0 ~c:0 ~d:0
+let[@inline] ver_begin ~region ~leaf =
+  on_region Event.ver_begin ~region ~b:leaf ~c:0 ~d:0
+let[@inline] ver_end ~region ~leaf =
+  on_region Event.ver_end ~region ~b:leaf ~c:0 ~d:0
 
 (* ---- span-name interning (cold path: recovery phases etc.) ---- *)
 
@@ -242,21 +316,55 @@ let drain () =
         if c <> 0 then c else compare x.seq y.seq)
     evs
 
-(** Zero every ring's cursor (stale slot contents become unreachable).
-    Only meaningful while no other domain is emitting. *)
+(* Events the rings have overwritten: below each ring's drain window. *)
+let ring_lost () =
+  Mutex.lock rings_lock;
+  let n =
+    List.fold_left
+      (fun n r -> n + max 0 (Atomic.get r.r_cursor + 1 - capacity)) 0 !rings
+  in
+  Mutex.unlock rings_lock;
+  n
+
+(** The ordered history in append order; [seq] is the position. *)
+let history () =
+  Mutex.lock history_lock;
+  let n = !history_len and h = !history_buf in
+  let evs =
+    List.init n (fun i ->
+        let base = i * history_words in
+        { dom = h.(base); seq = i; tag = h.(base + 1); t_us = h.(base + 2);
+          a = h.(base + 3); b = h.(base + 4); c = h.(base + 5);
+          d = h.(base + 6) })
+  in
+  Mutex.unlock history_lock;
+  evs
+
+(** Zero every ring's cursor (stale slot contents become unreachable)
+    and empty the history.  Only meaningful while no other domain is
+    emitting. *)
 let reset () =
   Mutex.lock rings_lock;
   List.iter (fun r -> Atomic.set r.r_cursor 0) !rings;
-  Mutex.unlock rings_lock
+  Mutex.unlock rings_lock;
+  Mutex.lock history_lock;
+  history_buf := [||];
+  history_len := 0;
+  history_lost := 0;
+  Mutex.unlock history_lock
 
 (* ---- exporters ---- *)
 
-(** Round-trippable dump: everything {!drain} knows, plus the interned
-    name table and metadata.  [written_at_unix_s] is the only
-    wall-clock field in the flight subsystem — dump metadata, never
-    subtracted from anything. *)
-let to_json ~reason () =
-  let evs = drain () in
+(** Round-trippable dump: the rings' events (or, with [history], the
+    ordered history's) and how many were lost, plus the interned name
+    table and metadata.  [written_at_unix_s] is the only wall-clock
+    field in the flight subsystem — dump metadata, never subtracted
+    from anything. *)
+let to_json ?history:(from_history = false) ~reason () =
+  let evs, dropped =
+    if from_history then (history (), history_dropped ())
+    else (drain (), ring_lost ())
+  in
   Json.Obj
     [
       ( "flight",
@@ -265,6 +373,7 @@ let to_json ~reason () =
             ("reason", Json.Str reason);
             ("written_at_unix_s", Json.Float (Clock.wall_s ()));
             ("capacity", Json.Int capacity);
+            ("dropped", Json.Int dropped);
             ("names", Json.Arr (List.map (fun s -> Json.Str s) (name_table ())));
             ( "events",
               Json.Arr
@@ -286,15 +395,22 @@ let to_json ~reason () =
           ] );
     ]
 
-(** Parse a {!to_json} dump back into events (the [fptree trace]
-    summarizer and round-trip tests).  Returns (events, name table,
-    reason).  Raises [Json.Parse_error] / [Failure] on malformed
-    input. *)
+type dump = {
+  events : event list;
+  names : string list;
+  reason : string;
+  dropped : int;
+}
+
+(** Parse a {!to_json} dump back (the [fptree trace] summarizer, the
+    pmcheck loader and round-trip tests).  Raises [Json.Parse_error] /
+    [Failure] on malformed input. *)
 let of_json j =
   let fl = Json.member "flight" j in
   let reason = Json.to_string_val (Json.member "reason" fl) in
   let names = List.map Json.to_string_val (Json.to_list (Json.member "names" fl)) in
-  let evs =
+  let dropped = Json.to_int (Json.member "dropped" fl) in
+  let events =
     List.map
       (fun e ->
         let f k = Json.to_int (Json.member k e) in
@@ -310,7 +426,7 @@ let of_json j =
         })
       (Json.to_list (Json.member "events" fl))
   in
-  (evs, names, reason)
+  { events; names; reason; dropped }
 
 (** Chrome [trace_event] export for chrome://tracing / Perfetto:
     op_end and span records become complete ("X") events, everything
@@ -370,9 +486,11 @@ let to_chrome () =
 
 (** Write a dump to [path] ('-' = stdout).  [`Json] is the
     round-trippable format; [`Chrome] loads in chrome://tracing. *)
-let dump ?(format = `Json) ~reason path =
+let dump ?(format = `Json) ?history ~reason path =
   let v =
-    match format with `Json -> to_json ~reason () | `Chrome -> to_chrome ()
+    match format with
+    | `Json -> to_json ?history ~reason ()
+    | `Chrome -> to_chrome ()
   in
   let s = Json.to_string v in
   if String.equal path "-" then print_string s

@@ -36,12 +36,22 @@
     domains that died, and a domain id reused by a later spawn simply
     allocates a fresh ring (the DLS slot is per-instance, not per-id).
 
+    {2 The ordered history}
+
+    While the [tracing] bit is on, every record emitted is also
+    appended, under a mutex, to one history shared by all domains, so
+    its order is a legal linearization of the recorded events (at
+    most 4M records; the rest are counted as dropped).  The history is
+    pmcheck's input ([--trace]); the rings are what a crash dump shows
+    ([--flight-dump]).  Both dump to the same JSON format.
+
     {2 Gating}
 
     The recorder has no switch of its own: emission sites gate on
-    [Obs.Gate.enabled] (one test of the mode word).  The {!emit}
-    family itself never checks the gate — tests and cold paths may
-    emit unconditionally. *)
+    [Obs.Gate.enabled] (one test of the mode word), the persistence
+    emitters on the [tracing] bit.  The {!emit} family itself never
+    checks the gate — tests and cold paths may emit
+    unconditionally. *)
 
 val capacity : int
 (** Events retained per domain (a power of two). *)
@@ -69,6 +79,30 @@ val fallback_lock : unit -> unit
 val backoff_wait : attempt:int -> spins:int -> unit
 val split : left:int -> right:int -> unit
 val merge : leaf:int -> prev:int -> unit
+
+(** {1 Persistence emitters}
+
+    The pmcheck sanitizer's input (payload layouts: {!Event}).  Each
+    tests the [tracing] bit inline, so call sites need no guard and a
+    disabled emitter is one mask test that allocates nothing. *)
+
+val store : region:int -> off:int -> len:int -> silent:bool -> unit
+val flush : region:int -> off:int -> len:int -> unit
+val fence : region:int -> unit
+
+val publish : region:int -> off:int -> len:int -> site:int -> unit
+(** [site] is an {!Event} publish-site code. *)
+
+val link_write : region:int -> off:int -> len:int -> unit
+val log_arm : region:int -> log:int -> unit
+val log_reset : region:int -> log:int -> unit
+val lock_acquire : region:int -> leaf:int -> unit
+val lock_release : region:int -> leaf:int -> unit
+val leaf_retired : region:int -> leaf:int -> unit
+val leaf_layout : region:int -> bytes:int -> unit
+val track_reset : region:int -> unit
+val ver_begin : region:int -> leaf:int -> unit
+val ver_end : region:int -> leaf:int -> unit
 
 val root_grow : int
 val root_collapse : int
@@ -119,23 +153,42 @@ val drain : unit -> event list
 (** Snapshot of every registered ring, merged and sorted by timestamp
     (ties by domain then sequence).  Writers keep running. *)
 
+val history : unit -> event list
+(** The ordered history, in append order; [seq] is the position. *)
+
+val history_dropped : unit -> int
+(** Records the full history discarded. *)
+
 val reset : unit -> unit
-(** Forget every ring's events.  Only meaningful while no other
-    domain is emitting. *)
+(** Forget every ring's events and empty the history.  Only
+    meaningful while no other domain is emitting. *)
 
-val to_json : reason:string -> unit -> Json.t
-(** Round-trippable dump: the drained events, the name table and
-    metadata. *)
+val to_json : ?history:bool -> reason:string -> unit -> Json.t
+(** Round-trippable dump: the drained events (with [history], the
+    ordered history's), how many were lost ([dropped]), the name table
+    and metadata. *)
 
-val of_json : Json.t -> event list * string list * string
-(** Parse a {!to_json} dump back into (events, name table, reason).
+type dump = {
+  events : event list;
+  names : string list;  (** the interned span names *)
+  reason : string;
+  dropped : int;
+      (** events the rings overwrote, or records the full history
+          discarded: non-zero means the dump is truncated *)
+}
+
+val of_json : Json.t -> dump
+(** Parse a {!to_json} dump back.
     @raise Json.Parse_error or [Failure] on malformed input. *)
 
 val to_chrome : unit -> Json.t
 (** Chrome [trace_event] export (chrome://tracing, Perfetto). *)
 
-val dump : ?format:[ `Json | `Chrome ] -> reason:string -> string -> unit
-(** Write a dump to a path (['-'] = stdout). *)
+val dump :
+  ?format:[ `Json | `Chrome ] -> ?history:bool -> reason:string -> string ->
+  unit
+(** Write a dump to a path (['-'] = stdout); [history] as in
+    {!to_json} (the Chrome export always shows the rings). *)
 
 (** {1 Crash-time dumping} *)
 

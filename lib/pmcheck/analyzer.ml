@@ -3,12 +3,14 @@
     The replay mirrors the simulator's persistence semantics exactly:
     stores dirty 8-byte words, [Region.persist] flushes every 64-byte
     line overlapping its range and cleans all words of those lines.
-    Scope labels ([Scope_begin]/[Scope_end]) delimit one tree operation
-    per domain; the protocol checks only fire inside a scope, because
-    create/recover legitimately write without locks and publish with
-    different ordering (they run before the tree is reachable). *)
+    Scope labels ([Scope_begin]/[Scope_end], decoded from the flight
+    recorder's op records) delimit one operation per domain; the
+    protocol checks only fire inside a scope, because recovery
+    legitimately writes without locks and publishes with different
+    ordering (it runs before the tree is reachable, under no op
+    record). *)
 
-module T = Scm.Pmtrace
+module T = Trace_io
 
 type severity = Info | Warn | Error
 
@@ -226,7 +228,6 @@ let analyze ?(leaf_bytes = 0) (events : T.event array) =
           | _ -> ())
     | T.Leaf_layout { bytes } -> (region_state ev.T.region).leaf_bytes <- bytes
     | T.Track_reset -> Hashtbl.reset (region_state ev.T.region).lines
-    | T.Writer_begin | T.Writer_end | T.Fallback_lock | T.Fallback_unlock -> ()
     | T.Ver_begin { leaf } ->
       let rs = region_state ev.T.region in
       (match Hashtbl.find_opt rs.lines (leaf lsr 6) with

@@ -1,5 +1,5 @@
-(** Offline crash-consistency analyzer over a {!Scm.Pmtrace} event
-    history (PMTest / Yat style).  Replays the trace through a model of
+(** Offline crash-consistency analyzer over a decoded flight history
+    ({!Trace_io}; PMTest / Yat style).  Replays the trace through a model of
     the simulator's persistence semantics (8-byte dirty words, 64-byte
     flush lines) and reports violations of the FPTree's persistence and
     locking protocol.  See DESIGN.md §9 for the checked properties and
@@ -37,7 +37,7 @@ type finding = {
       bytes).
     - ["batchable-flush"] (Info): three or more flushes of the same
       cache line within one operation scope. *)
-val analyze : ?leaf_bytes:int -> Scm.Pmtrace.event array -> finding list
+val analyze : ?leaf_bytes:int -> Trace_io.event array -> finding list
 
 val errors : finding list -> finding list
 (** Only the [Error]-severity findings. *)

@@ -125,7 +125,7 @@ let traced_run ~arena_bytes ~config ~setup ~ops ~inject =
   Scm.Registry.clear ();
   Scm.Config.reset ();
   Scm.Config.set_tracing true;
-  Scm.Pmtrace.clear ();
+  Obs.Flight.reset ();
   let a = Pmem.Palloc.create ~size:arena_bytes () in
   let t = F.create ~config a in
   let m = Hashtbl.create 64 in
@@ -139,10 +139,11 @@ let traced_run ~arena_bytes ~config ~setup ~ops ~inject =
   in
   Scm.Config.cancel_persist_skip ();
   Scm.Config.set_tracing false;
-  let events = Scm.Pmtrace.events () and dropped = Scm.Pmtrace.dropped () in
-  Scm.Pmtrace.clear ();
+  let records = Obs.Flight.history () in
+  let dropped = Obs.Flight.history_dropped () in
+  Obs.Flight.reset ();
   if dropped > 0 then failf "trace truncated: %d events dropped" dropped;
-  (fired, events)
+  (fired, Trace_io.decode records)
 
 let is_missing_persist (f : Analyzer.finding) =
   f.Analyzer.cls = "missing-persist" || f.Analyzer.cls = "missing-persist-at-end"

@@ -1,106 +1,72 @@
-(** JSON round-trip for {!Scm.Pmtrace} histories, so a traced CLI run
-    can be analyzed offline ([fptree_cli --trace] / [fptree_cli
-    pmcheck]).  Format: [{"version":1,"dropped":N,"events":[...]}],
-    one flat object per event with a ["k"] kind tag. *)
+(* Decoder from flight records to the analyzer's events.  Scope labels
+   are rebuilt offline from each domain's open op records. *)
 
-module J = Obs.Json
-module T = Scm.Pmtrace
+module E = Obs.Event
+module F = Obs.Flight
 
-let version = 1
+type kind =
+  | Store of { off : int; len : int; silent : bool }
+  | Flush of { off : int; len : int }
+  | Fence
+  | Publish of { off : int; len : int; what : string }
+  | Link_write of { off : int; len : int }
+  | Log_arm of { log : int }
+  | Log_reset of { log : int }
+  | Lock_acquire of { leaf : int }
+  | Lock_release of { leaf : int }
+  | Leaf_retired of { leaf : int }
+  | Leaf_layout of { bytes : int }
+  | Track_reset
+  | Ver_begin of { leaf : int }
+  | Ver_end of { leaf : int }
+  | Scope_begin of { op : string }
+  | Scope_end of { op : string }
 
-let kind_fields = function
-  | T.Store { off; len; silent } ->
-    ("store", [ ("off", J.Int off); ("len", J.Int len); ("silent", J.Bool silent) ])
-  | T.Flush { off; len } -> ("flush", [ ("off", J.Int off); ("len", J.Int len) ])
-  | T.Fence -> ("fence", [])
-  | T.Publish { off; len; what } ->
-    ("publish", [ ("off", J.Int off); ("len", J.Int len); ("what", J.Str what) ])
-  | T.Link_write { off; len } ->
-    ("link", [ ("off", J.Int off); ("len", J.Int len) ])
-  | T.Log_arm { log } -> ("log-arm", [ ("log", J.Int log) ])
-  | T.Log_reset { log } -> ("log-reset", [ ("log", J.Int log) ])
-  | T.Lock_acquire { leaf } -> ("lock-acquire", [ ("leaf", J.Int leaf) ])
-  | T.Lock_release { leaf } -> ("lock-release", [ ("leaf", J.Int leaf) ])
-  | T.Leaf_retired { leaf } -> ("leaf-retired", [ ("leaf", J.Int leaf) ])
-  | T.Leaf_layout { bytes } -> ("leaf-layout", [ ("bytes", J.Int bytes) ])
-  | T.Track_reset -> ("track-reset", [])
-  | T.Writer_begin -> ("writer-begin", [])
-  | T.Writer_end -> ("writer-end", [])
-  | T.Fallback_lock -> ("fallback-lock", [])
-  | T.Fallback_unlock -> ("fallback-unlock", [])
-  | T.Ver_begin { leaf } -> ("ver-begin", [ ("leaf", J.Int leaf) ])
-  | T.Ver_end { leaf } -> ("ver-end", [ ("leaf", J.Int leaf) ])
-  | T.Scope_begin { op } -> ("scope-begin", [ ("op", J.Str op) ])
-  | T.Scope_end { op } -> ("scope-end", [ ("op", J.Str op) ])
+type event = { domain : int; region : int; site : string; kind : kind }
 
-let event_to_json (e : T.event) =
-  let k, fields = kind_fields e.T.kind in
-  J.Obj
-    ([ ("d", J.Int e.T.domain); ("r", J.Int e.T.region);
-       ("s", J.Str e.T.site); ("k", J.Str k) ]
-    @ fields)
+let persistence_kind (e : F.event) =
+  let t = e.F.tag and off = e.F.b and len = e.F.c in
+  if t = E.store then Some (Store { off; len; silent = e.F.d <> 0 })
+  else if t = E.flush then Some (Flush { off; len })
+  else if t = E.fence then Some Fence
+  else if t = E.publish then
+    Some (Publish { off; len; what = E.publish_name e.F.d })
+  else if t = E.link_write then Some (Link_write { off; len })
+  else if t = E.log_arm then Some (Log_arm { log = off })
+  else if t = E.log_reset then Some (Log_reset { log = off })
+  else if t = E.lock_acquire then Some (Lock_acquire { leaf = off })
+  else if t = E.lock_release then Some (Lock_release { leaf = off })
+  else if t = E.leaf_retired then Some (Leaf_retired { leaf = off })
+  else if t = E.leaf_layout then Some (Leaf_layout { bytes = off })
+  else if t = E.track_reset then Some Track_reset
+  else if t = E.ver_begin then Some (Ver_begin { leaf = off })
+  else if t = E.ver_end then Some (Ver_end { leaf = off })
+  else None
 
-exception Bad_trace of string
-
-let geti j k = J.to_int (J.member k j)
-let gets j k = J.to_string_val (J.member k j)
-
-let getb j k =
-  match J.member k j with
-  | J.Bool b -> b
-  | _ -> raise (Bad_trace (Printf.sprintf "expected bool %S" k))
-
-let kind_of_json j =
-  match gets j "k" with
-  | "store" ->
-    T.Store { off = geti j "off"; len = geti j "len"; silent = getb j "silent" }
-  | "flush" -> T.Flush { off = geti j "off"; len = geti j "len" }
-  | "fence" -> T.Fence
-  | "publish" ->
-    T.Publish { off = geti j "off"; len = geti j "len"; what = gets j "what" }
-  | "link" -> T.Link_write { off = geti j "off"; len = geti j "len" }
-  | "log-arm" -> T.Log_arm { log = geti j "log" }
-  | "log-reset" -> T.Log_reset { log = geti j "log" }
-  | "lock-acquire" -> T.Lock_acquire { leaf = geti j "leaf" }
-  | "lock-release" -> T.Lock_release { leaf = geti j "leaf" }
-  | "leaf-retired" -> T.Leaf_retired { leaf = geti j "leaf" }
-  | "leaf-layout" -> T.Leaf_layout { bytes = geti j "bytes" }
-  | "track-reset" -> T.Track_reset
-  | "writer-begin" -> T.Writer_begin
-  | "writer-end" -> T.Writer_end
-  | "fallback-lock" -> T.Fallback_lock
-  | "fallback-unlock" -> T.Fallback_unlock
-  | "ver-begin" -> T.Ver_begin { leaf = geti j "leaf" }
-  | "ver-end" -> T.Ver_end { leaf = geti j "leaf" }
-  | "scope-begin" -> T.Scope_begin { op = gets j "op" }
-  | "scope-end" -> T.Scope_end { op = gets j "op" }
-  | k -> raise (Bad_trace (Printf.sprintf "unknown event kind %S" k))
-
-let event_of_json j =
-  { T.domain = geti j "d"; region = geti j "r"; site = gets j "s";
-    kind = kind_of_json j }
-
-let to_json ?(dropped = 0) (events : T.event array) =
-  J.Obj
-    [ ("version", J.Int version);
-      ("dropped", J.Int dropped);
-      ("events", J.Arr (Array.to_list (Array.map event_to_json events))) ]
-
-let of_json j =
-  (match J.member "version" j with
-  | J.Int v when v = version -> ()
-  | J.Int v -> raise (Bad_trace (Printf.sprintf "unsupported trace version %d" v))
-  | _ -> raise (Bad_trace "missing trace version"));
-  J.to_list (J.member "events" j) |> List.map event_of_json |> Array.of_list
-
-let dropped_of_json j =
-  match J.member "dropped" j with J.Int n -> n | _ -> 0
-
-let save path ?dropped events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (J.to_string ~indent:false (to_json ?dropped events)))
+let decode (records : F.event list) =
+  let scopes : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+  let stack dom = Option.value ~default:[] (Hashtbl.find_opt scopes dom) in
+  let site dom = match stack dom with s :: _ -> s | [] -> "" in
+  let edge (e : F.event) update kind =
+    Hashtbl.replace scopes e.F.dom (update (stack e.F.dom));
+    Some { domain = e.F.dom; region = -1; site = site e.F.dom; kind }
+  in
+  List.filter_map
+    (fun (e : F.event) ->
+      if e.F.tag = E.op_begin then
+        let op = E.op_name e.F.a in
+        edge e (List.cons op) (Scope_begin { op })
+      else if e.F.tag = E.op_end && e.F.c >= 0 then
+        edge e
+          (function _ :: tl -> tl | [] -> [])
+          (Scope_end { op = E.op_name e.F.a })
+      else
+        Option.map
+          (fun kind ->
+            { domain = e.F.dom; region = e.F.a; site = site e.F.dom; kind })
+          (persistence_kind e))
+    records
+  |> Array.of_list
 
 let load path =
   let ic = open_in_bin path in
@@ -109,5 +75,5 @@ let load path =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let j = J.parse s in
-  (of_json j, dropped_of_json j)
+  let d = F.of_json (Obs.Json.parse s) in
+  (decode d.F.events, d.F.dropped)

@@ -83,7 +83,8 @@ let write_committed r off p =
   Scm.Region.persist r (off + 8) 8;
   Scm.Region.write_word_atomic r off p.region_id;
   Scm.Region.persist r off 8;
-  Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes "pptr"
+  Obs.Flight.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes
+    ~site:Obs.Event.publish_pptr
 
 (** Crash-atomic retraction: null the id word first. *)
 let reset_committed r off =
@@ -91,8 +92,8 @@ let reset_committed r off =
   Scm.Region.persist r off 8;
   Scm.Region.write_word_atomic r (off + 8) 0;
   Scm.Region.persist r (off + 8) 8;
-  Scm.Pmtrace.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes
-    "pptr-reset"
+  Obs.Flight.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes
+    ~site:Obs.Event.publish_pptr_reset
 
 let pp ppf p =
   if is_null p then Format.fprintf ppf "<null>"

@@ -35,7 +35,8 @@ type t = {
           miss, so wall-clock time directly reflects the latency knob. *)
   mutable tracing : bool;
       (** Record every SCM store, flush and persistence annotation in
-          {!Pmtrace} (the pmcheck sanitizer's input). *)
+          [Obs.Flight]'s ordered history (the pmcheck sanitizer's
+          input). *)
   mutable crash_after_persists : int option;
       (** [Some n]: the n-th subsequent persist raises {!Crash_injected}
           (1-based; [Some 1] fails the very next persist). *)

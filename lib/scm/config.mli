@@ -76,7 +76,8 @@ val set_stats : bool -> unit
 val set_crash_tracking : bool -> unit
 val set_delay_injection : bool -> unit
 
-(** Enable {!Pmtrace} event recording (pmcheck sanitizer input). *)
+(** Record the flight recorder's persistence events and its ordered
+    history ([Obs.Flight]; the pmcheck sanitizer's input). *)
 val set_tracing : bool -> unit
 
 (** Route the concurrency protocol's shared-memory accesses (version

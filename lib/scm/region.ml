@@ -247,7 +247,7 @@ let store_end ~tearable t off len pre =
     raise Config.Crash_injected
   end;
   if tracing () then
-    Pmtrace.store ~region:t.id ~off ~len
+    Obs.Flight.store ~region:t.id ~off ~len
       ~silent:(Bytes.equal pre (Bytes.sub t.buf off len))
 
 let write_u8 t off v =
@@ -365,7 +365,7 @@ let clear_heatmap t =
 
 let fence t =
   if Config.current.stats then Stats.incr_fences ();
-  Pmtrace.fence ~region:t.id
+  Obs.Flight.fence ~region:t.id
 
 (** Flush the cache lines overlapping [off, off+len) and fence: the
     Persist() primitive of Section 2 (CLFLUSH wrapped in MFENCEs).  If a
@@ -417,7 +417,7 @@ let persist_effective t off len =
           done
       done
     end;
-    if tracing () && len > 0 then Pmtrace.flush ~region:t.id ~off ~len
+    if tracing () && len > 0 then Obs.Flight.flush ~region:t.id ~off ~len
   end
 
 let persist t off len =

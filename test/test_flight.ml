@@ -203,8 +203,11 @@ let test_json_roundtrip () =
   FL.htm_abort ~reason:E.abort_precise ~node:(-7) ~depth:2;
   FL.span ~name:"test.phase" ~start_us:t0 ~dur_us:5;
   let j = FL.to_json ~reason:"unit test" () in
-  let evs, names, reason = FL.of_json (Obs.Json.parse (Obs.Json.to_string j)) in
+  let { FL.events = evs; names; reason; dropped } =
+    FL.of_json (Obs.Json.parse (Obs.Json.to_string j))
+  in
   Alcotest.(check string) "reason round-trips" "unit test" reason;
+  Alcotest.(check int) "no ring overwrote an event" 0 dropped;
   Alcotest.(check bool) "name table round-trips" true
     (List.mem "test.phase" names);
   let dom = self_dom () in
@@ -336,7 +339,7 @@ let test_chaos_crash_dump () =
       let r = Pmcheck.Chaos.run ~seed:1 ~iterations:20 () in
       Alcotest.(check bool) "crashes fired" true
         (r.Pmcheck.Chaos.crashes + r.Pmcheck.Chaos.torn > 0);
-      let _, _, reason = FL.of_json (Obs.Json.parse (read_file path)) in
+      let { FL.reason; _ } = FL.of_json (Obs.Json.parse (read_file path)) in
       Alcotest.(check bool)
         (Printf.sprintf "dump reason names the injected crash (%s)" reason)
         true
@@ -375,7 +378,7 @@ let test_fsck_error_dump () =
       let report = Fsck.check region in
       Alcotest.(check bool) "fsck sees the error" true
         (Fsck.errors report <> []);
-      let _, _, reason = FL.of_json (Obs.Json.parse (read_file path)) in
+      let { FL.reason; _ } = FL.of_json (Obs.Json.parse (read_file path)) in
       Alcotest.(check bool)
         (Printf.sprintf "dump reason names fsck (%s)" reason)
         true (contains reason "fsck"));
@@ -422,12 +425,12 @@ let test_sample_shift_knob () =
 (* ---- recorder parity: what each entry point shows each recorder ---- *)
 
 (* Run [f] with the gate, tracing and stats on and report what each
-   recorder saw: the flight-recorder op records as (tag, op, ok), the
-   pmtrace scope labels, and the op labels of the attribution cells
-   charged (read through the registry's labeled export). *)
+   recorder saw: the rings' op records as (tag, op, ok), the scopes
+   the ordered history opens (its op_begin records), and the op
+   labels of the attribution cells charged (read through the
+   registry's labeled export). *)
 let recorders f =
   FL.reset ();
-  Scm.Pmtrace.clear ();
   Scm.Stats.reset ();
   Scm.Config.set_tracing true;
   Obs.Gate.set_enabled true;
@@ -445,11 +448,9 @@ let recorders f =
       (FL.drain ())
   in
   let scopes =
-    Array.to_list (Scm.Pmtrace.events ())
-    |> List.filter_map (fun ev ->
-           match ev.Scm.Pmtrace.kind with
-           | Scm.Pmtrace.Scope_begin { op } -> Some op
-           | _ -> None)
+    List.filter_map
+      (fun e -> if e.FL.tag = E.op_begin then Some (E.op_name e.FL.a) else None)
+      (FL.history ())
   in
   let charged =
     List.concat_map
@@ -464,7 +465,7 @@ let recorders f =
       [ "store_bytes"; "line_writes"; "flushes"; "persists" ]
     |> List.sort_uniq compare
   in
-  Scm.Pmtrace.clear ();
+  FL.reset ();
   (ops, scopes, charged)
 
 let op_records = Alcotest.(list (triple string string int))
@@ -472,7 +473,7 @@ let op_records = Alcotest.(list (triple string string int))
 let check_recorders name f ~ops ~scopes ~charged =
   let ops', scopes', charged' = recorders f in
   Alcotest.check op_records (name ^ ": flight op records") ops ops';
-  Alcotest.(check (list string)) (name ^ ": pmtrace scopes") scopes scopes';
+  Alcotest.(check (list string)) (name ^ ": history scopes") scopes scopes';
   Alcotest.(check (list string)) (name ^ ": attribution ops") charged charged'
 
 let test_recorder_parity () =
@@ -494,7 +495,7 @@ let test_recorder_parity () =
   let t = ref None in
   check_recorders "create"
     (fun () -> t := Some (F.create ~config a))
-    ~ops:[] ~scopes:[ "create" ] ~charged:[ "create" ];
+    ~ops:(pair "create" 1) ~scopes:[ "create" ] ~charged:[ "create" ];
   let t = Option.get !t in
   for i = 1 to 400 do ignore (F.insert t i i) done;
   check_recorders "insert"
@@ -508,13 +509,13 @@ let test_recorder_parity () =
     ~ops:(pair "delete" 1) ~scopes:[ "delete" ] ~charged:[ "delete" ];
   check_recorders "find hit"
     (fun () -> ignore (F.find t 7))
-    ~ops:(pair "find" 1) ~scopes:[] ~charged:[];
+    ~ops:(pair "find" 1) ~scopes:[ "find" ] ~charged:[];
   check_recorders "find miss"
     (fun () -> ignore (F.find t 1000))
-    ~ops:(pair "find" 0) ~scopes:[] ~charged:[];
+    ~ops:(pair "find" 0) ~scopes:[ "find" ] ~charged:[];
   check_recorders "range"
     (fun () -> ignore (F.range t ~lo:10 ~hi:20))
-    ~ops:(pair "range" 1) ~scopes:[] ~charged:[];
+    ~ops:(pair "range" 1) ~scopes:[ "range" ] ~charged:[];
   (* free the heap's tail leaves (the head leaf stays) so reclamation
      has a free tail to return to the arena *)
   for i = 400 downto 1 do ignore (F.delete t i) done;
@@ -535,14 +536,15 @@ let test_recorder_parity () =
   check_recorders "cache set"
     (fun () -> Kvstore.Cache.set_exn c "k" "v")
     ~ops:(within "cache.set" 1 (pair "insert" 1))
-    ~scopes:[ "insert" ] ~charged:[ "insert" ];
+    ~scopes:[ "cache.set"; "insert" ] ~charged:[ "insert" ];
   check_recorders "cache get"
     (fun () -> ignore (Kvstore.Cache.get c "k"))
-    ~ops:(within "cache.get" 1 (pair "find" 1)) ~scopes:[] ~charged:[];
+    ~ops:(within "cache.get" 1 (pair "find" 1))
+    ~scopes:[ "cache.get"; "find" ] ~charged:[];
   check_recorders "cache delete"
     (fun () -> ignore (Kvstore.Cache.delete c "k"))
     ~ops:(within "cache.delete" 1 (pair "delete" 1))
-    ~scopes:[ "delete" ] ~charged:[ "delete" ];
+    ~scopes:[ "cache.delete"; "delete" ] ~charged:[ "delete" ];
   (* one TATP transaction: only index finds inside its bracket *)
   let db = Dbproto.Tatp.populate ~subscribers:100 Dbproto.Index.FPTree in
   let ops, scopes, charged =
@@ -559,7 +561,10 @@ let test_recorder_parity () =
       if i > 0 && i < n - 1 then
         Alcotest.(check string) "tatp: inner ops are finds" "find" op)
     ops;
-  Alcotest.(check (list string)) "tatp: pmtrace scopes" [] scopes;
+  Alcotest.(check (list string)) "tatp: history scopes"
+    (List.map (fun (_, op, _) -> op)
+       (List.filter (fun (tag, _, _) -> tag = "op_begin") ops))
+    scopes;
   Alcotest.(check (list string)) "tatp: attribution ops" [] charged;
   Scm.Config.reset ()
 

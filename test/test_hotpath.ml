@@ -303,7 +303,7 @@ let test_config_lattice () =
     Scm.Config.reset ();
     List.iteri (fun i (_, set) -> set (bits land (1 lsl i) <> 0)) switches;
     Scm.Config.set_latency ~read_ns:Scm.Config.current.dram_read_ns ();
-    Scm.Pmtrace.clear ();
+    Obs.Flight.reset ();
     Scm.Registry.clear ();
     Scm.Stats.reset ();
     let a = Pmem.Palloc.create ~size:(16 * 1024 * 1024) () in
@@ -312,7 +312,7 @@ let test_config_lattice () =
     let c = contents t in
     let s = Scm.Stats.snapshot () in
     let dirty = Scm.Region.dirty_word_count (Pmem.Palloc.region a) in
-    Scm.Pmtrace.clear ();
+    Obs.Flight.reset ();
     fast_mode ();
     (r, c, s, dirty)
   in

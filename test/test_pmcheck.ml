@@ -7,14 +7,18 @@
 
    Static side: the analyzer's finding classes on hand-built traces
    (race, unlogged link write, redundant flush, missing persist), the
-   JSON trace round-trip, and the persistent-layer race detector over a
-   contended multi-domain workload. *)
+   decoder from flight records to analyzer events, one traced run seen
+   through the in-memory history and its saved dump, and the
+   persistent-layer race detector over a contended multi-domain
+   workload. *)
 
 module F = Fptree.Fixed
 module Tree = Fptree.Tree
 module E = Pmcheck.Enumerate
 module A = Pmcheck.Analyzer
-module T = Scm.Pmtrace
+module T = Pmcheck.Trace_io
+module FL = Obs.Flight
+module Ev = Obs.Event
 
 let cfg =
   { Tree.fptree_config with Tree.m = 8; Tree.inner_keys = 8; Tree.use_groups = false }
@@ -266,53 +270,151 @@ let test_analyzer_flush_classes () =
   Alcotest.(check bool) "batchable flagged" true
     (List.mem "batchable-flush" (classes (A.analyze batchable)))
 
-let test_trace_roundtrip () =
-  let trace =
-    [|
-      ev ~site:"insert" (T.Scope_begin { op = "insert" });
-      ev ~site:"insert" (T.Store { off = 96; len = 16; silent = false });
-      ev ~site:"insert" (T.Flush { off = 96; len = 16 });
-      ev (T.Fence);
-      ev ~site:"insert" (T.Publish { off = 8; len = 8; what = "bitmap" });
-      ev (T.Link_write { off = 24; len = 16 });
-      ev (T.Log_arm { log = 128 });
-      ev (T.Log_reset { log = 128 });
-      ev (T.Lock_acquire { leaf = 256 });
-      ev (T.Ver_begin { leaf = 256 });
-      ev (T.Ver_end { leaf = 256 });
-      ev (T.Lock_release { leaf = 256 });
-      ev (T.Leaf_retired { leaf = 256 });
-      ev (T.Leaf_layout { bytes = 128 });
-      ev (T.Track_reset);
-      ev ~region:(-1) T.Writer_begin;
-      ev ~region:(-1) T.Writer_end;
-      ev ~region:(-1) T.Fallback_lock;
-      ev ~region:(-1) T.Fallback_unlock;
-      ev ~site:"insert" (T.Scope_end { op = "insert" });
-    |]
+(* ---- the decoder: op records become scopes ---- *)
+
+let record ?(dom = 1) ?(c = 0) ?(d = 0) tag a b =
+  { FL.dom; seq = 0; t_us = 0; tag; a; b; c; d }
+
+let test_decoder_scopes () =
+  let op_begin op = record Ev.op_begin op 0 in
+  let op_end op = record ~c:3 ~d:1 Ev.op_end op 0 in
+  let store off = record Ev.store 1 off ~c:8 in
+  let events =
+    T.decode
+      [
+        op_begin Ev.op_set;
+        op_begin Ev.op_insert;
+        store 64;
+        op_end Ev.op_insert;
+        op_end Ev.op_set;
+        op_begin Ev.op_txn;
+        (* an unsampled find: its marker is an op_end with c = -1 *)
+        record ~c:(-1) ~d:1 Ev.op_end Ev.op_find 0;
+        store 128;
+        op_end Ev.op_txn;
+        record Ev.split 64 128;
+      ]
   in
-  let j = Pmcheck.Trace_io.to_json ~dropped:3 trace in
-  let s = Obs.Json.to_string j in
-  let j' = Obs.Json.parse s in
-  let trace' = Pmcheck.Trace_io.of_json j' in
-  Alcotest.(check int) "dropped" 3 (Pmcheck.Trace_io.dropped_of_json j');
-  Alcotest.(check bool) "events round-trip" true (trace = trace')
+  let sites =
+    List.map
+      (fun e ->
+        match e.T.kind with
+        | T.Scope_begin { op } -> "begin " ^ op ^ " @" ^ e.T.site
+        | T.Scope_end { op } -> "end " ^ op ^ " @" ^ e.T.site
+        | T.Store { off; _ } -> Printf.sprintf "store %d @%s" off e.T.site
+        | _ -> "other")
+      (Array.to_list events)
+  in
+  Alcotest.(check (list string)) "decoded scopes and sites"
+    [ "begin cache.set @cache.set"; "begin insert @insert"; "store 64 @insert";
+      "end insert @cache.set"; "end cache.set @"; "begin tatp.txn @tatp.txn";
+      "store 128 @tatp.txn"; "end tatp.txn @" ]
+    sites
+
+(* ---- one stream: the history in memory and its saved dump agree ---- *)
+
+let persistence_tags =
+  Ev.[ store; flush; fence; publish; link_write; log_arm; log_reset;
+       lock_acquire; lock_release; leaf_retired; leaf_layout; track_reset;
+       ver_begin; ver_end ]
+
+let with_temp f =
+  let path = Filename.temp_file "history" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let findings fs =
+  List.sort compare
+    (List.map (fun f -> (f.A.cls, f.A.severity, f.A.domain, f.A.site, f.A.detail)) fs)
+
+let test_one_stream () =
+  Scm.Registry.clear ();
+  Scm.Config.reset ();
+  Scm.Config.set_tracing true;
+  FL.reset ();
+  let a = Pmem.Palloc.create ~size:E.default_arena () in
+  let t = F.create ~config:cfg a in
+  (* the "split" then the "merge" script of [scripts] *)
+  let ops =
+    List.init 9 (fun i -> E.Ins ((i + 1) * 10, i))
+    @ [ E.Upd (20, 99); E.Del 90; E.Del 80; E.Del 70; E.Del 60; E.Del 50 ]
+  in
+  List.iter (E.apply_tree t) ops;
+  (* the tree never fences on its own; one standalone fence completes
+     the tag set *)
+  Scm.Region.fence (Pmem.Palloc.region a);
+  Scm.Config.set_tracing false;
+  let records = FL.history () in
+  Alcotest.(check bool) "the rings (a crash dump) carry the stores too" true
+    (List.exists (fun e -> e.FL.tag = Ev.store) (FL.drain ()));
+  with_temp @@ fun path ->
+  FL.dump ~history:true ~reason:"pmcheck test" path;
+  FL.reset ();
+  let loaded, dropped = T.load path in
+  Alcotest.(check int) "nothing dropped" 0 dropped;
+  let decoded = T.decode records in
+  Alcotest.(check bool) "loaded dump decodes to the in-memory history" true
+    (decoded = loaded);
+  let in_memory = findings (A.analyze decoded) in
+  Alcotest.(check bool) "identical findings" true
+    (in_memory = findings (A.analyze loaded));
+  Alcotest.(check bool) "clean script, no errors" true
+    (not (List.exists (fun (_, sev, _, _, _) -> sev = A.Error) in_memory));
+  let ic = open_in_bin path in
+  let dump =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        FL.of_json (Obs.Json.parse (really_input_string ic (in_channel_length ic))))
+  in
+  Alcotest.(check bool) "records round-trip" true (dump.FL.events = records);
+  List.iter
+    (fun tag ->
+      Alcotest.(check bool) (Ev.tag_name tag ^ " in the dump") true
+        (List.exists (fun e -> e.FL.tag = tag) dump.FL.events))
+    persistence_tags;
+  let ends op =
+    List.length
+      (List.filter
+         (fun e -> e.FL.tag = Ev.op_end && e.FL.a = op && e.FL.c >= 0)
+         dump.FL.events)
+  in
+  Alcotest.(check int) "insert op records" 9 (ends Ev.op_insert);
+  Alcotest.(check int) "delete op records" 5 (ends Ev.op_delete)
 
 (* ---- a truncated trace says so when loaded ---- *)
 
 let test_truncated_trace_load () =
-  let trace =
-    [| { T.domain = 0; region = 1; site = "insert";
-         kind = T.Store { off = 64; len = 8; silent = false } } |]
+  Scm.Config.reset ();
+  Scm.Config.set_tracing true;
+  FL.reset ();
+  FL.store ~region:1 ~off:64 ~len:8 ~silent:false;
+  Scm.Config.set_tracing false;
+  with_temp @@ fun path ->
+  let save dropped =
+    let j =
+      match FL.to_json ~history:true ~reason:"pmcheck test" () with
+      | Obs.Json.Obj [ ("flight", Obs.Json.Obj fields) ] ->
+        Obs.Json.Obj
+          [ ( "flight",
+              Obs.Json.Obj
+                (List.map
+                   (fun (k, v) ->
+                     if k = "dropped" then (k, Obs.Json.Int dropped) else (k, v))
+                   fields) ) ]
+      | _ -> Alcotest.fail "unexpected dump shape"
+    in
+    let oc = open_out path in
+    output_string oc (Obs.Json.to_string j);
+    close_out oc
   in
-  let path = Filename.temp_file "pmtrace" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Pmcheck.Trace_io.save path trace;
-  let events, dropped = Pmcheck.Trace_io.load path in
+  save 0;
+  let events, dropped = T.load path in
   Alcotest.(check int) "complete trace: nothing dropped" 0 dropped;
-  Alcotest.(check bool) "complete trace: events" true (events = trace);
-  Pmcheck.Trace_io.save path ~dropped:624501 trace;
-  let events, dropped = Pmcheck.Trace_io.load path in
+  Alcotest.(check bool) "complete trace: events" true
+    (events
+    = [| { T.domain = (Domain.self () :> int); region = 1; site = "";
+           kind = T.Store { off = 64; len = 8; silent = false } } |]);
+  save 624501;
+  FL.reset ();
+  let events, dropped = T.load path in
   Alcotest.(check int) "truncated trace: dropped count" 624501 dropped;
   Alcotest.(check int) "truncated trace: kept events" 1 (Array.length events)
 
@@ -323,7 +425,7 @@ let test_race_detector_concurrent () =
   Scm.Config.reset ();
   Scm.Config.set_crash_tracking false;
   Scm.Config.set_tracing true;
-  Scm.Pmtrace.clear ();
+  FL.reset ();
   let a = Pmem.Palloc.create ~size:(64 * 1024 * 1024) () in
   let t = F.create_concurrent ~m:8 a in
   let n_domains = 4 and per = 400 in
@@ -340,9 +442,9 @@ let test_race_detector_concurrent () =
   in
   List.iter Domain.join ds;
   Scm.Config.set_tracing false;
-  let events = T.events () in
-  let dropped = T.dropped () in
-  Scm.Pmtrace.clear ();
+  let events = T.decode (FL.history ()) in
+  let dropped = FL.history_dropped () in
+  FL.reset ();
   Alcotest.(check int) "no dropped events" 0 dropped;
   F.check_invariants t;
   let findings = A.analyze events in
@@ -378,7 +480,9 @@ let () =
           Alcotest.test_case "unlogged link write" `Quick test_analyzer_unlogged_link;
           Alcotest.test_case "missing persist" `Quick test_analyzer_missing_persist;
           Alcotest.test_case "flush classes" `Quick test_analyzer_flush_classes;
-          Alcotest.test_case "trace JSON round-trip" `Quick test_trace_roundtrip;
+          Alcotest.test_case "decoder: op records are scopes" `Quick
+            test_decoder_scopes;
+          Alcotest.test_case "one stream, end to end" `Quick test_one_stream;
           Alcotest.test_case "truncated trace load" `Quick
             test_truncated_trace_load;
         ] );

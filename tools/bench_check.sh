@@ -37,8 +37,13 @@ echo "== hotpath microbench + perf gates (scale $SCALE) =="
 # thread-CPU seconds, so it holds on single-core hosts too; below it the
 # per-node validation protocol costs more than it buys) and the flight
 # recorder's gate-on/gate-off find throughput ratio >= 0.9 (DESIGN.md
-# §12: tracing may cost at most 10%).
-dune exec bench/main.exe -- --scale "$SCALE" hotpath
+# §12: tracing may cost at most 10%).  The gates time the machine code
+# that ships: a release build (cross-module inlining, no -opaque), made
+# as perfbench/run.py makes its own, in a build directory of its own so
+# the later stages keep the dev build.
+HOT_BUILD=.hotpath_build
+dune build --root . --build-dir "$HOT_BUILD" --profile release ./bench/main.exe
+"$HOT_BUILD/default/bench/main.exe" --scale "$SCALE" hotpath
 
 echo "== observability smoke (instrumented pass + metrics dump) =="
 CLI=_build/default/bin/fptree_cli.exe
@@ -164,6 +169,9 @@ fi
 if echo "$pmout" | grep -q 'missing-persist'; then
   echo "FAIL: missing-persist findings on a clean run"; exit 1
 fi
+# the trace is a flight dump: the summarizer reads the same file
+"$CLI" trace "$TRACE" | grep -q 'insert' || {
+  echo "FAIL: trace summary of the pmcheck trace lacks the insert row"; exit 1; }
 
 echo "== chaos smoke (fixed-seed crash-recover-verify loop) =="
 # exit 2 = divergence from the in-DRAM oracle; set -e aborts the check

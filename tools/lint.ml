@@ -2,7 +2,8 @@
 
    The simulator's whole value rests on every persistent byte moving
    through [Scm.Region] accessors — that is where dirty-word tracking,
-   crash injection, latency accounting and the pmtrace recorder live.
+   crash injection, latency accounting and the persistence events of
+   the flight recorder live.
    A single raw [Bytes] poke (or an [Obj.magic] around the API) makes
    every crash-consistency result unsound, so this tool rejects:
 
@@ -19,9 +20,10 @@
    - [Atomic.] inside lib/fptree and lib/baselines: every shared-state
      access of the concurrency protocol must go through the [Htm.Sched]
      shim, or the model checker cannot see (or schedule around) it;
-   - [Domain.DLS.new_key] outside lib/htm and lib/obs: hidden
-     per-domain cells are invisible state that breaks the checker's
-     deterministic replay;
+   - [Domain.DLS.new_key] or [Domain.self] outside lib/htm and
+     lib/obs: hidden per-domain cells, and tables keyed by domain id,
+     are invisible state that breaks the checker's deterministic
+     replay;
    - [Out_of_scm], however qualified, outside lib/pmem and
      lib/fptree: allocator exhaustion crosses into application layers
      only as the typed [`Out_of_space] result ([Tree.guard_space] is
@@ -301,10 +303,15 @@ let check_file path =
     bad "Atomic."
       "direct Atomic on tree shared state: route through Htm.Sched so \
        the model checker can interpose on every shared access";
-  if not (in_lib "htm" path || in_obs path) then
+  if not (in_lib "htm" path || in_obs path) then begin
     bad "Domain.DLS.new_key"
       "per-domain state outside lib/htm and lib/obs: hidden DLS cells \
        escape the model checker's deterministic replay";
+    bad "Domain.self"
+      "domain identity outside lib/htm and lib/obs: state keyed by \
+       domain id is hidden per-domain state (record per-domain history \
+       through Obs.Flight)"
+  end;
   if in_lib "fptree" path && Filename.basename path <> "scope.ml" then begin
     (* Both spellings: the preceding-'.' boundary means the short form
        does not match inside the qualified one. *)

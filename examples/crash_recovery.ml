@@ -21,10 +21,9 @@ let () =
     in
     let model = Hashtbl.create 256 in
     let crash_at = 1 + Random.int 2000 in
-    Scm.Config.schedule_crash_after crash_at;
     let pending = ref None in
     let crashed =
-      try
+      Scm.Fault.inject Persist_crash crash_at (fun () ->
         for i = 1 to 2000 do
           let k = Random.int 500 in
           let op = Random.int 10 in
@@ -40,11 +39,8 @@ let () =
           end
           else ignore (F.find tree k);
           pending := None
-        done;
-        false
-      with Scm.Config.Crash_injected -> true
+        done)
     in
-    Scm.Config.disarm_crash ();
     if crashed then begin
       if !pending <> None then incr mid_op;
       (* the power failure drops all unflushed cache lines *)

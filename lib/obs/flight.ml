@@ -64,23 +64,31 @@ let history_buf = ref [||]
 let history_len = ref 0
 let history_lost = ref 0
 
+(* The lock is released on every exit, the growth's exceptions
+   included, with a handler rather than [Mutex.protect]: no closure is
+   built per record. *)
 let record dom t_us ~tag ~a ~b ~c ~d =
   Mutex.lock history_lock;
-  let n = !history_len in
-  if n >= history_cap then incr history_lost
-  else begin
-    let base = n * history_words in
-    if base = Array.length !history_buf then begin
-      let grown = Array.make (max (1024 * history_words) (2 * base)) 0 in
-      Array.blit !history_buf 0 grown 0 base;
-      history_buf := grown
-    end;
-    let h = !history_buf in
-    h.(base) <- dom; h.(base + 1) <- tag; h.(base + 2) <- t_us;
-    h.(base + 3) <- a; h.(base + 4) <- b; h.(base + 5) <- c; h.(base + 6) <- d;
-    history_len := n + 1
-  end;
-  Mutex.unlock history_lock
+  match
+    let n = !history_len in
+    if n >= history_cap then incr history_lost
+    else begin
+      let base = n * history_words in
+      if base = Array.length !history_buf then begin
+        let grown = Array.make (max (1024 * history_words) (2 * base)) 0 in
+        Array.blit !history_buf 0 grown 0 base;
+        history_buf := grown
+      end;
+      let h = !history_buf in
+      h.(base) <- dom; h.(base + 1) <- tag; h.(base + 2) <- t_us;
+      h.(base + 3) <- a; h.(base + 4) <- b; h.(base + 5) <- c; h.(base + 6) <- d;
+      history_len := n + 1
+    end
+  with
+  | () -> Mutex.unlock history_lock
+  | exception e ->
+    Mutex.unlock history_lock;
+    raise e
 
 let history_dropped () = !history_lost
 
@@ -328,17 +336,13 @@ let ring_lost () =
 
 (** The ordered history in append order; [seq] is the position. *)
 let history () =
-  Mutex.lock history_lock;
+  Mutex.protect history_lock @@ fun () ->
   let n = !history_len and h = !history_buf in
-  let evs =
-    List.init n (fun i ->
-        let base = i * history_words in
-        { dom = h.(base); seq = i; tag = h.(base + 1); t_us = h.(base + 2);
-          a = h.(base + 3); b = h.(base + 4); c = h.(base + 5);
-          d = h.(base + 6) })
-  in
-  Mutex.unlock history_lock;
-  evs
+  List.init n (fun i ->
+      let base = i * history_words in
+      { dom = h.(base); seq = i; tag = h.(base + 1); t_us = h.(base + 2);
+        a = h.(base + 3); b = h.(base + 4); c = h.(base + 5);
+        d = h.(base + 6) })
 
 (** Zero every ring's cursor (stale slot contents become unreachable)
     and empty the history.  Only meaningful while no other domain is
@@ -347,11 +351,10 @@ let reset () =
   Mutex.lock rings_lock;
   List.iter (fun r -> Atomic.set r.r_cursor 0) !rings;
   Mutex.unlock rings_lock;
-  Mutex.lock history_lock;
+  Mutex.protect history_lock @@ fun () ->
   history_buf := [||];
   history_len := 0;
-  history_lost := 0;
-  Mutex.unlock history_lock
+  history_lost := 0
 
 (* ---- exporters ---- *)
 

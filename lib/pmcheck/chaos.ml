@@ -71,12 +71,6 @@ let matches t model =
   F.count t = Hashtbl.length model
   && Hashtbl.fold (fun k v ok -> ok && F.find t k = Some v) model true
 
-let disarm_all () =
-  Scm.Config.disarm_crash ();
-  Scm.Config.cancel_torn_store ();
-  Pmem.Palloc.cancel_alloc_failure ();
-  Pmem.Palloc.cancel_out_of_scm ()
-
 let probe_key = key_space + 1_000_000
 
 (* Post-restart verification: invariants, oracle equality (resolving
@@ -121,8 +115,8 @@ let run ?(arena_bytes = Enumerate.default_arena)
   let alloc_failures = ref 0 in
   for iter = 1 to iterations do
     let where = Printf.sprintf "chaos seed=%d iter=%d" seed iter in
-    (* Arm this iteration's fault (injectors are process-wide and
-       self-disarming; anything that did not fire is cancelled). *)
+    (* Arm this iteration's fault (the sites are process-wide and
+       self-disarming; one that did not fire is reset after the batch). *)
     let fault = Random.State.int rng 4 in
     (* Thresholds sized so each armed fault usually fires inside the
        batch (a ~40-op batch crosses a few hundred persists and torn
@@ -130,15 +124,13 @@ let run ?(arena_bytes = Enumerate.default_arena)
     (match fault with
     | 0 -> ()
     | 1 ->
-      Scm.Config.schedule_crash_after
-        (1 + Random.State.int rng (ops_per_iter * 4))
+      Scm.Fault.arm Persist_crash (1 + Random.State.int rng (ops_per_iter * 4))
     | 2 ->
-      Scm.Config.schedule_torn_store
-        ~seed:(Random.State.bits rng)
+      Scm.Fault.arm ~seed:(Random.State.bits rng) Torn_store
         (1 + Random.State.int rng (ops_per_iter * 2))
-    | _ -> Pmem.Palloc.schedule_alloc_failure (1 + Random.State.int rng 3));
+    | _ -> Scm.Fault.arm Alloc_crash (1 + Random.State.int rng 3));
     let pending = ref None in
-    let fired = ref `None in
+    let fired = ref false in
     let window_lo = iter * ops_per_iter / 4 in
     (try
        for _ = 1 to ops_per_iter do
@@ -149,38 +141,30 @@ let run ?(arena_bytes = Enumerate.default_arena)
          Enumerate.apply_model oracle op;
          pending := None
        done
-     with
-    | Scm.Config.Crash_injected ->
-      fired := if fault = 2 then `Torn else `Crash;
-      ignore
-        (Obs.Flight.crash_dump
-           ~reason:
-             (Printf.sprintf "%s: %s" where
-                (if fault = 2 then "torn-store crash injected"
-                 else "crash injected")))
-    | Pmem.Palloc.Alloc_injected ->
-      fired := `Alloc;
-      ignore
-        (Obs.Flight.crash_dump
-           ~reason:(where ^ ": allocation failure injected")));
-    disarm_all ();
+     with Scm.Fault.Crash_injected ->
+       fired := true;
+       (* The armed site tells the fault apart. *)
+       ignore
+         (Obs.Flight.crash_dump
+            ~reason:
+              (Printf.sprintf "%s: %s" where
+                 (match fault with
+                 | 1 -> "crash injected"
+                 | 2 -> "torn-store crash injected"
+                 | _ -> "allocation failure injected"))));
+    Scm.Fault.reset ();
     let region = Pmem.Palloc.region !alloc in
-    (match !fired with
-    | `None ->
+    if not !fired then begin
       (* Fault armed but never reached (or none armed): clean restart. *)
       incr clean;
       pending := None
-    | `Crash ->
-      incr crashes;
-      Scm.Region.crash ~mode region
-    | `Torn ->
-      incr torn;
-      Scm.Region.crash ~mode region
-    | `Alloc ->
-      (* The aborted operation may hold leaf locks and armed micro-logs;
+    end
+    else begin
+      incr (match fault with 1 -> crashes | 2 -> torn | _ -> alloc_failures);
+      (* An aborted operation may hold leaf locks and armed micro-logs;
          restart as if the process died at that point. *)
-      incr alloc_failures;
-      Scm.Region.crash ~mode region);
+      Scm.Region.crash ~mode region
+    end;
     alloc := Pmem.Palloc.of_region region;
     t := F.recover ~config !alloc;
     verify_restart ~where !t !alloc oracle !pending
@@ -211,21 +195,11 @@ let build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at =
   let a = Pmem.Palloc.create ~size:arena_bytes () in
   let t = F.create ~config a in
   let m = Hashtbl.create 64 in
-  List.iter (fun op -> Enumerate.apply_tree t op; Enumerate.apply_model m op) setup;
-  Scm.Config.schedule_crash_after crash_at;
   let pending = ref None in
-  let crashed = ref false in
-  (try
-     List.iter
-       (fun op ->
-         pending := Some op;
-         Enumerate.apply_tree t op;
-         Enumerate.apply_model m op;
-         pending := None)
-       ops
-   with Scm.Config.Crash_injected -> crashed := true);
-  Scm.Config.disarm_crash ();
-  if not !crashed then invalid_arg "sweep_recovery_crashes: crash_at beyond script";
+  Enumerate.replay t m pending setup;
+  if not (Scm.Fault.inject Persist_crash crash_at (fun () ->
+              Enumerate.replay t m pending ops))
+  then invalid_arg "sweep_recovery_crashes: crash_at beyond script";
   Scm.Region.crash ~mode (Pmem.Palloc.region a);
   (a, m, !pending)
 
@@ -236,34 +210,32 @@ let build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at =
 let sweep_recovery_crashes ?(mode = Scm.Config.Revert_all_dirty)
     ?(arena_bytes = Enumerate.default_arena)
     ?(config = Fptree.Tree.fptree_config) ~setup ~ops ~crash_at () =
-  let k = ref 1 in
-  let exhausted = ref false in
-  while not !exhausted do
-    let a, m, pending =
-      build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at
-    in
-    let region = Pmem.Palloc.region a in
-    Scm.Config.schedule_crash_after !k;
-    (match F.recover ~config (Pmem.Palloc.of_region region) with
-    | t ->
-      (* Recovery finished before its k-th persist: verify and stop. *)
-      Scm.Config.disarm_crash ();
-      exhausted := true;
-      verify_restart
-        ~where:(Printf.sprintf "recovery-sweep crash_at=%d k=%d (clean)"
-                  crash_at !k)
-        t (Pmem.Palloc.of_region region) m pending
-    | exception Scm.Config.Crash_injected ->
-      Scm.Config.disarm_crash ();
-      Scm.Region.crash ~mode region;
-      let a2 = Pmem.Palloc.of_region region in
-      let t2 = F.recover ~config a2 in
-      verify_restart
-        ~where:(Printf.sprintf "recovery-sweep crash_at=%d k=%d" crash_at !k)
-        t2 a2 m pending;
-      incr k)
-  done;
-  { recovery_crash_points = !k - 1 }
+  let recovery_crash_points =
+    Scm.Fault.sweep Persist_crash (fun k inject ->
+        let a, m, pending =
+          build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at
+        in
+        let region = Pmem.Palloc.region a in
+        let recovered = ref None in
+        if inject (fun () ->
+               recovered := Some (F.recover ~config (Pmem.Palloc.of_region region)))
+        then begin
+          Scm.Region.crash ~mode region;
+          let a2 = Pmem.Palloc.of_region region in
+          let t2 = F.recover ~config a2 in
+          verify_restart
+            ~where:(Printf.sprintf "recovery-sweep crash_at=%d k=%d" crash_at k)
+            t2 a2 m pending
+        end
+        else
+          (* Recovery finished before its k-th persist: verify; the
+             sweep stops here. *)
+          verify_restart
+            ~where:(Printf.sprintf "recovery-sweep crash_at=%d k=%d (clean)"
+                      crash_at k)
+            (Option.get !recovered) (Pmem.Palloc.of_region region) m pending)
+  in
+  { recovery_crash_points }
 
 (* ---- capacity-exhaustion scenario ---- *)
 
@@ -388,38 +360,35 @@ let run_exhaustion ?(arena_bytes = 192 * 1024)
   if not (matches t oracle) then
     failf "%s: tree diverged from oracle at the boundary" where;
   (* 4. crash at the watermark, mid-hammering *)
-  Scm.Config.schedule_crash_after (1 + Random.State.int rng 64);
   let pending = ref None in
-  let crashed = ref false in
-  (try
-     while not !crashed do
-       incr boundary_ops;
-       (* Half the ops land in the live key range: at the watermark an
-          insert of a fresh key is usually refused (no persists), so
-          only updates/deletes of existing keys keep the persist
-          counter moving toward the scheduled crash. *)
-       let window_lo = if Random.State.bool rng then 0 else !next_key in
-       let op = gen_op rng ~window_lo in
-       pending := Some op;
-       (match op with
-       | Enumerate.Ins (k, v) -> (
-         match F.try_insert t k v with
-         | Ok true -> Hashtbl.replace oracle k v
-         | Ok false -> ()
-         | Error `Out_of_space -> incr refusals)
-       | Enumerate.Upd (k, v) -> (
-         match F.try_update t k v with
-         | Ok true -> Hashtbl.replace oracle k v
-         | Ok false -> ()
-         | Error `Out_of_space -> incr refusals)
-       | Enumerate.Del k ->
-         (match F.try_delete t k with
-         | Ok true -> Hashtbl.remove oracle k
-         | Ok _ | Error _ -> ()));
-       pending := None
-     done
-   with Scm.Config.Crash_injected -> crashed := true);
-  disarm_all ();
+  ignore
+    (Scm.Fault.inject Persist_crash (1 + Random.State.int rng 64) (fun () ->
+         while true do
+           incr boundary_ops;
+           (* Half the ops land in the live key range: at the watermark an
+              insert of a fresh key is usually refused (no persists), so
+              only updates/deletes of existing keys keep the persist
+              counter moving toward the scheduled crash. *)
+           let window_lo = if Random.State.bool rng then 0 else !next_key in
+           let op = gen_op rng ~window_lo in
+           pending := Some op;
+           (match op with
+           | Enumerate.Ins (k, v) -> (
+             match F.try_insert t k v with
+             | Ok true -> Hashtbl.replace oracle k v
+             | Ok false -> ()
+             | Error `Out_of_space -> incr refusals)
+           | Enumerate.Upd (k, v) -> (
+             match F.try_update t k v with
+             | Ok true -> Hashtbl.replace oracle k v
+             | Ok false -> ()
+             | Error `Out_of_space -> incr refusals)
+           | Enumerate.Del k ->
+             (match F.try_delete t k with
+             | Ok true -> Hashtbl.remove oracle k
+             | Ok _ | Error _ -> ()));
+           pending := None
+         done));
   let region = Pmem.Palloc.region a in
   Scm.Region.crash ~mode region;
   let a' = Pmem.Palloc.of_region region in

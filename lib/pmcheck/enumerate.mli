@@ -22,6 +22,13 @@ val apply_model : (int, int) Hashtbl.t -> op -> unit
     semantics (insert is no-op on a present key, update on an absent
     one). *)
 
+val replay :
+  Fptree.Fixed.t -> (int, int) Hashtbl.t -> op option ref -> op list -> unit
+(** [replay t m pending ops] applies [ops] to the tree and the model in
+    order; [pending] holds the operation in flight, so after an
+    injected crash it names the op that may or may not have
+    committed. *)
+
 val consistent_with : Fptree.Fixed.t -> (int, int) Hashtbl.t -> op option -> bool
 (** [consistent_with t m pending] holds when [t] equals the model [m],
     or [m] with the in-flight operation [pending] applied — operation
@@ -33,7 +40,7 @@ val default_arena : int
 type crash_report = { crash_points : int (** persist boundaries crashed into *) }
 
 val sweep_crash_states :
-  ?mode:Scm.Config.crash_mode ->
+  ?mode:(int -> Scm.Config.crash_mode) ->
   ?arena_bytes:int ->
   ?stride:int ->
   config:Fptree.Tree.config ->
@@ -41,10 +48,11 @@ val sweep_crash_states :
   op list ->
   crash_report
 (** Crash at persist n = 1, 1 + stride, ... of the measured operations
-    until the script completes without reaching the next boundary.
-    [stride] (default 1 = exhaustive) samples every stride-th boundary
-    to keep big-leaf sweeps inside a time budget.  Raises
-    {!Check_failed} on a verification failure. *)
+    until the script completes without reaching the next boundary;
+    [mode n] (default: all dirty words reverted) is the crash mode of
+    point [n].  [stride] (default 1 = exhaustive) samples every
+    stride-th boundary to keep big-leaf sweeps inside a time budget.
+    Raises {!Check_failed} on a verification failure. *)
 
 type injection_report = {
   injected : int;  (** runs in which the scheduled skip actually fired *)
@@ -60,6 +68,6 @@ val sweep_missing_persist :
   op list ->
   injection_report
 (** Re-run the script once per persist site with that single persist
-    silently suppressed ({!Scm.Config.schedule_persist_skip}) and
+    silently suppressed (the [Scm.Fault.Persist_skip] site) and
     count how many injections {!Analyzer.analyze} reports as a
     missing-persist violation. *)

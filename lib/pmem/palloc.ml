@@ -204,70 +204,14 @@ let create ?(size = 64 * 1024 * 1024) () =
 
 exception Out_of_scm
 
-(* ---- allocation-failure injection ---- *)
-
-exception Alloc_injected
-
-(* Process-wide (like the Scm.Config injectors): the n-th [alloc] from
-   now raises {!Alloc_injected} before any persistent mutation —
-   allocation exhaustion mid-operation, exercising callers'
-   no-leak abort paths. *)
-let alloc_fail_nth = ref None
-let alloc_fail_count = ref 0
-
-let schedule_alloc_failure n =
-  alloc_fail_count := 0;
-  alloc_fail_nth := Some n
-
-let cancel_alloc_failure () = alloc_fail_nth := None
-
-let alloc_fires () =
-  match !alloc_fail_nth with
-  | None -> false
-  | Some n ->
-    incr alloc_fail_count;
-    if !alloc_fail_count >= n then begin
-      alloc_fail_nth := None;
-      true
-    end
-    else false
-
-(* ---- exhaustion injection ---- *)
-
-(* Same shape as the crash injector above, but raises {!Out_of_scm} —
-   the *recoverable* refusal every caller must unwind from cleanly
-   (Alloc_injected models a crash; Out_of_scm models a full arena the
-   process must survive).  Fires before any persistent mutation, like
-   the real bump-pointer check. *)
-let out_of_scm_nth = ref None
-let out_of_scm_count = ref 0
-
-let schedule_out_of_scm n =
-  out_of_scm_count := 0;
-  out_of_scm_nth := Some n
-
-let cancel_out_of_scm () = out_of_scm_nth := None
-let out_of_scm_armed () = !out_of_scm_nth <> None
-
-let out_of_scm_fires () =
-  match !out_of_scm_nth with
-  | None -> false
-  | Some n ->
-    incr out_of_scm_count;
-    if !out_of_scm_count >= n then begin
-      out_of_scm_nth := None;
-      true
-    end
-    else false
-
 (* ---- allocation ---- *)
 
 let alloc t ~(into : Pptr.Loc.loc) size =
   if size <= 0 then invalid_arg "Palloc.alloc: size must be positive";
   let units = (size + unit_size - 1) / unit_size in
   if units > max_units then invalid_arg "Palloc.alloc: size too large";
-  if alloc_fires () then raise Alloc_injected;
-  if out_of_scm_fires () then raise Out_of_scm;
+  if Scm.Fault.fires Alloc_crash then raise Scm.Fault.Crash_injected;
+  if Scm.Fault.fires Alloc_full then raise Out_of_scm;
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) @@ fun () ->
   let sc = Obs.Attrib.set_component Obs.Attrib.comp_alloc_meta in

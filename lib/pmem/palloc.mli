@@ -27,7 +27,10 @@ exception Out_of_scm
 (** [alloc t ~into size] carves a block of at least [size] bytes (the
     payload is 64-byte aligned) and persistently publishes its address
     into [into].  Thread-safe.
-    @raise Out_of_scm when the arena is exhausted.
+    @raise Out_of_scm when the arena is exhausted, or at an armed
+    [Scm.Fault.Alloc_full] site.
+    @raise Scm.Fault.Crash_injected at an armed [Scm.Fault.Alloc_crash]
+    site.  Both faults fire before any persistent mutation.
     @raise Invalid_argument on non-positive or oversized requests. *)
 val alloc : t -> into:Pptr.Loc.loc -> int -> unit
 
@@ -46,33 +49,6 @@ val free : t -> from:Pptr.Loc.loc -> unit
     @raise Invalid_argument if [payload] is not an allocated block's
     payload offset. *)
 val free_orphan : t -> payload:int -> unit
-
-(** {1 Allocation-failure injection}
-
-    Chaos-testing hook, process-wide like the [Scm.Config] injectors:
-    after [schedule_alloc_failure n], the [n]-th {!alloc} from now
-    (1-based) raises {!Alloc_injected} before any persistent mutation —
-    modeling allocation exhaustion mid-operation.  The injector disarms
-    itself after firing. *)
-
-exception Alloc_injected
-
-val schedule_alloc_failure : int -> unit
-val cancel_alloc_failure : unit -> unit
-
-(** {1 Exhaustion injection}
-
-    Same shape as {!schedule_alloc_failure}, but the armed {!alloc}
-    raises {!Out_of_scm} — the recoverable refusal callers must unwind
-    from with the tree intact (where [Alloc_injected] models a crash).
-    Fires before any persistent mutation; self-disarming. *)
-
-val schedule_out_of_scm : int -> unit
-val cancel_out_of_scm : unit -> unit
-
-(** [true] while the exhaustion injector is armed (lets sweep tests
-    detect that a site count ran past the last allocation). *)
-val out_of_scm_armed : unit -> bool
 
 (** {1 Application root anchor} *)
 

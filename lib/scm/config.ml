@@ -6,13 +6,10 @@
 
     - latency model used to convert access counts into modeled time;
     - crash-simulation mode (how unflushed words behave at a crash);
-    - crash injection (fail at the n-th persistence point), used by the
-      recovery property tests;
-    - optional busy-wait delay injection for end-to-end runs. *)
+    - optional busy-wait delay injection for end-to-end runs.
 
-(** Raised by [Region.persist] when a scheduled crash point is reached.
-    The persist that raises did NOT reach the persistence domain. *)
-exception Crash_injected
+    Fault injection (crash points, dropped persists, torn stores,
+    allocation faults) is {!Fault}'s. *)
 
 type crash_mode =
   | Revert_all_dirty
@@ -37,27 +34,6 @@ type t = {
       (** Record every SCM store, flush and persistence annotation in
           [Obs.Flight]'s ordered history (the pmcheck sanitizer's
           input). *)
-  mutable crash_after_persists : int option;
-      (** [Some n]: the n-th subsequent persist raises {!Crash_injected}
-          (1-based; [Some 1] fails the very next persist). *)
-  mutable persist_count : int;
-  mutable skip_nth_persist : int option;
-      (** Fault injection for pmcheck: [Some n] silently turns the n-th
-          subsequent persist into a no-op — the "forgotten Persist()"
-          mutation the trace analyzer must catch. *)
-  mutable skip_count : int;
-  mutable torn_nth_store : int option;
-      (** Torn-write injection: [Some n] makes the n-th subsequent
-          tearable store (any non-p-atomic multi-byte store on the
-          instrumented path) crash mid-store — a prefix of its bytes
-          reaches the persistence domain, the rest does not, and
-          {!Crash_injected} is raised.  P-atomic aligned 8-byte stores
-          ([Region.write_int64_atomic] / [write_word_atomic]) never
-          tear, matching Section 2's "Partial writes" contract. *)
-  mutable torn_count : int;
-  mutable torn_seed : int;
-      (** Decides, deterministically, how many bytes of the torn store
-          survive. *)
   mutable model_check : bool;
       (** Route every shared-memory access of the concurrency protocol
           (version cells, leaf-lock words, fallback mutex, root swap)
@@ -106,13 +82,6 @@ let default () = {
   stats = true;
   delay_injection = false;
   tracing = false;
-  crash_after_persists = None;
-  persist_count = 0;
-  skip_nth_persist = None;
-  skip_count = 0;
-  torn_nth_store = None;
-  torn_count = 0;
-  torn_seed = 0;
   model_check = false;
   backoff_seed = None;
   soft_watermark = 0.9;
@@ -162,82 +131,8 @@ let reset () =
   current.flight_sample_shift <- d.flight_sample_shift;
   current.wear_heatmap <- d.wear_heatmap;
   current.heatmap_sample_shift <- d.heatmap_sample_shift;
-  current.crash_after_persists <- d.crash_after_persists;
-  current.persist_count <- d.persist_count;
-  current.skip_nth_persist <- d.skip_nth_persist;
-  current.skip_count <- d.skip_count;
-  current.torn_nth_store <- d.torn_nth_store;
-  current.torn_count <- d.torn_count;
-  current.torn_seed <- d.torn_seed
+  Fault.reset ()
 
 let set_latency ?write_ns ~read_ns () =
   current.scm_read_ns <- read_ns;
   current.scm_write_ns <- (match write_ns with Some w -> w | None -> read_ns)
-
-(** Arm the crash injector: the [n]-th persist from now raises. *)
-let schedule_crash_after n =
-  current.persist_count <- 0;
-  current.crash_after_persists <- Some n
-
-let disarm_crash () = current.crash_after_persists <- None
-
-(** Arm the missing-persist injector: the [n]-th persist from now is
-    silently dropped (no flush, no trace event, no crash-point). *)
-let schedule_persist_skip n =
-  current.skip_count <- 0;
-  current.skip_nth_persist <- Some n
-
-let cancel_persist_skip () = current.skip_nth_persist <- None
-
-(** Called by [Region.persist] before anything else; [true] means this
-    persist must be dropped entirely. *)
-let persist_skipped () =
-  match current.skip_nth_persist with
-  | None -> false
-  | Some n ->
-    current.skip_count <- current.skip_count + 1;
-    if current.skip_count = n then begin
-      current.skip_nth_persist <- None;
-      true
-    end
-    else false
-
-(** Arm the torn-store injector: the [n]-th tearable store from now
-    (1-based) tears — its byte prefix becomes durable, the rest is
-    lost, and {!Crash_injected} is raised mid-store.  [seed] decides
-    the tear point. *)
-let schedule_torn_store ?(seed = 0) n =
-  current.torn_count <- 0;
-  current.torn_seed <- seed;
-  current.torn_nth_store <- Some n
-
-let cancel_torn_store () = current.torn_nth_store <- None
-
-(** [true] while a torn store is scheduled: regions consult this before
-    paying for the per-store countdown. *)
-let[@inline] torn_armed () = current.torn_nth_store <> None
-
-(** Called by [Region] on each tearable store while armed; [true] means
-    this store is the one that must tear (the injector disarms). *)
-let torn_fires () =
-  match current.torn_nth_store with
-  | None -> false
-  | Some n ->
-    current.torn_count <- current.torn_count + 1;
-    if current.torn_count >= n then begin
-      current.torn_nth_store <- None;
-      true
-    end
-    else false
-
-(** Called by [Region.persist]; raises {!Crash_injected} at the armed
-    persistence point. *)
-let on_persist () =
-  match current.crash_after_persists with
-  | None -> ()
-  | Some n ->
-    current.persist_count <- current.persist_count + 1;
-    if current.persist_count >= n then begin
-      current.crash_after_persists <- None;
-      raise Crash_injected
-    end

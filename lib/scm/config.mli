@@ -1,11 +1,7 @@
 (** Global configuration of the SCM simulator: the latency model,
-    crash-simulation mode, crash-point injection, and the optional
-    busy-wait delay injection — the knobs of the paper's evaluation
-    platform. *)
-
-(** Raised by [Region.persist] when a scheduled crash point is reached;
-    the raising persist did NOT reach the persistence domain. *)
-exception Crash_injected
+    crash-simulation mode and the optional busy-wait delay injection —
+    the knobs of the paper's evaluation platform.  Fault injection is
+    {!Fault}'s. *)
 
 type crash_mode =
   | Revert_all_dirty
@@ -22,13 +18,6 @@ type t = {
   mutable stats : bool;
   mutable delay_injection : bool;
   mutable tracing : bool;
-  mutable crash_after_persists : int option;
-  mutable persist_count : int;
-  mutable skip_nth_persist : int option;
-  mutable skip_count : int;
-  mutable torn_nth_store : int option;
-  mutable torn_count : int;
-  mutable torn_seed : int;
   mutable model_check : bool;
   mutable backoff_seed : int option;
       (** [Some s] pins [Speculative_lock] backoff jitter to a pure
@@ -87,47 +76,6 @@ val set_tracing : bool -> unit
     per shared access, nothing else changes. *)
 val set_model_check : bool -> unit
 
+(** Restore the defaults and disarm every {!Fault} site. *)
 val reset : unit -> unit
 val set_latency : ?write_ns:float -> read_ns:float -> unit -> unit
-
-(** Arm the crash injector: the [n]-th persist from now raises
-    {!Crash_injected} (1-based). *)
-val schedule_crash_after : int -> unit
-
-val disarm_crash : unit -> unit
-
-(** Called by [Region.persist] at each persistence point. *)
-val on_persist : unit -> unit
-
-(** Arm the missing-persist fault injector: the [n]-th persist from now
-    (1-based) is silently dropped — no flush, no trace event, no crash
-    point.  Used by [Pmcheck.Enumerate] to prove the analyzer catches a
-    forgotten [Persist()] in every operation. *)
-val schedule_persist_skip : int -> unit
-
-val cancel_persist_skip : unit -> unit
-
-(** Called by [Region.persist] before anything else; [true] means the
-    current persist must be dropped entirely. *)
-val persist_skipped : unit -> bool
-
-(** {1 Torn-write injection}
-
-    Models hardware without the aligned-8-byte p-atomicity guarantee
-    the paper assumes (Section 2, "Partial writes"): the [n]-th
-    tearable store (any non-p-atomic multi-byte store on the
-    instrumented path) crashes mid-store — a deterministic byte prefix
-    reaches the persistence domain, the suffix does not — and
-    {!Crash_injected} is raised.  [Region.write_int64_atomic] /
-    [write_word_atomic] never tear. *)
-
-val schedule_torn_store : ?seed:int -> int -> unit
-val cancel_torn_store : unit -> unit
-
-(** [true] while a torn store is scheduled (cheap pre-check for
-    regions). *)
-val torn_armed : unit -> bool
-
-(** Count one tearable store; [true] when it is the armed one (the
-    injector disarms itself). *)
-val torn_fires : unit -> bool

@@ -223,28 +223,26 @@ let store_begin ~tearable t off len =
   touch_lines t off len;
   mark_dirty t off len;
   if Config.current.stats then Stats.add_store_bytes len;
-  if tracing () || (tears ~tearable len && Config.torn_armed ()) then
+  if tracing () || (tears ~tearable len && Fault.armed Torn_store) then
     Bytes.sub t.buf off len
   else Bytes.empty
 
-(* If the armed injector picks this store, tear it: restore the
+(* If the armed [Torn_store] site picks this store, tear it: restore the
    unwritten suffix bytes (they never left the store buffer), make the
    written prefix durable — the cache line was evicted mid-store, so for
    every word the prefix overlaps the crash pre-image becomes the
    current (torn) value — then crash.  Otherwise record the store for
    pmcheck; it is silent when the span's bytes did not change. *)
 let store_end ~tearable t off len pre =
-  if tears ~tearable len && Config.torn_fires () then begin
-    let cut =
-      1 + (Hashtbl.hash (Config.current.torn_seed, off, len) mod (len - 1))
-    in
+  if tears ~tearable len && Fault.fires Torn_store then begin
+    let cut = 1 + (Hashtbl.hash (Fault.seed Torn_store, off, len) mod (len - 1)) in
     Bytes.blit pre cut t.buf (off + cut) (len - cut);
     if Config.current.crash_tracking then
       for w = Cacheline.word_of_offset off
           to Cacheline.word_of_offset (off + cut - 1) do
         Hashtbl.replace t.dirty w (word_value t w)
       done;
-    raise Config.Crash_injected
+    raise Fault.Crash_injected
   end;
   if tracing () then
     Obs.Flight.store ~region:t.id ~off ~len
@@ -367,15 +365,9 @@ let fence t =
   if Config.current.stats then Stats.incr_fences ();
   Obs.Flight.fence ~region:t.id
 
-(** Flush the cache lines overlapping [off, off+len) and fence: the
-    Persist() primitive of Section 2 (CLFLUSH wrapped in MFENCEs).  If a
-    crash is scheduled at this persistence point, {!Config.Crash_injected}
-    is raised and nothing reaches the persistence domain.  A persist
-    dropped by {!Config.schedule_persist_skip} returns before any effect
-    (including crash-point accounting and trace recording) — the
-    injected "forgotten Persist()" the pmcheck analyzer must catch. *)
+(* Flush the cache lines overlapping [off, off+len) and fence, once the
+   fault sites have let the persist through. *)
 let persist_effective t off len =
-  Config.on_persist ();
   if fast_mode () then begin
     (* No stats, no delay injection, no dirty words to retire.  The
        simulated cache is still invalidated so that a later
@@ -420,9 +412,17 @@ let persist_effective t off len =
     if tracing () && len > 0 then Obs.Flight.flush ~region:t.id ~off ~len
   end
 
+(** The Persist() primitive of Section 2 (CLFLUSH wrapped in MFENCEs).
+    A persist dropped by the [Persist_skip] site returns before any
+    effect (crash-point accounting and trace recording included) — the
+    injected "forgotten Persist()" the pmcheck analyzer must catch.  At
+    an armed [Persist_crash] point {!Fault.Crash_injected} is raised
+    and nothing reaches the persistence domain. *)
 let persist t off len =
   check t off (max len 0);
-  if not (Config.persist_skipped ()) then persist_effective t off len
+  if Fault.fires Persist_skip then ()
+  else if Fault.fires Persist_crash then raise Fault.Crash_injected
+  else persist_effective t off len
 
 (** Flush the whole region (used by recovery sanity checks and [save]). *)
 let persist_all t = persist t 0 t.size

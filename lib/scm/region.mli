@@ -77,9 +77,10 @@ val fence : t -> unit
 
 (** [persist t off len] flushes the cache lines overlapping
     [off, off+len) and fences — the paper's [Persist] primitive
-    (CLFLUSH wrapped in MFENCEs).  Raises {!Scm__Config.Crash_injected}
-    via {!Config.on_persist} when a crash is scheduled at this
-    persistence point (nothing reaches the persistence domain then). *)
+    (CLFLUSH wrapped in MFENCEs).  An armed [Fault.Persist_skip]
+    drops it without effect; an armed [Fault.Persist_crash] raises
+    {!Fault.Crash_injected} and nothing reaches the persistence
+    domain. *)
 val persist : t -> int -> int -> unit
 
 (** Flush the whole region. *)
@@ -115,12 +116,12 @@ val dirty_word_count : t -> int
 
 (** {1 Fault injection}
 
-    Torn-write injection is armed via {!Config.schedule_torn_store};
-    when armed, the n-th tearable store (any multi-byte store except
-    the p-atomic {!write_int64_atomic} / {!write_word_atomic}) on the
-    instrumented path persists only a deterministic byte prefix of its
-    span and raises {!Config.Crash_injected} mid-store.  Fast-mode runs
-    never tear. *)
+    Torn-write injection is the [Fault.Torn_store] site: when armed,
+    the n-th tearable store (any multi-byte store except the p-atomic
+    {!write_int64_atomic} / {!write_word_atomic}) on the instrumented
+    path persists only a deterministic byte prefix of its span and
+    raises {!Fault.Crash_injected} mid-store.  Fast-mode runs never
+    tear. *)
 
 (** [corrupt t ~off ~len ~bits ~seed] flips [bits] seeded pseudo-random
     bits inside [off, off+len) in the {e committed} image: the volatile

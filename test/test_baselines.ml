@@ -250,46 +250,37 @@ let test_wb_slot_repair () =
      is a repairable cache).  Structural (split) crash windows are out
      of scope: the original wBTree has no sound recovery there, which
      is exactly the critique the FPTree paper makes. *)
-  let n = ref 1 in
-  let continue = ref true in
-  while !continue do
-    Scm.Registry.clear ();
-    Scm.Config.reset ();
-    let a = fresh_alloc () in
-    (* big leaves + few keys: no split can occur *)
-    let t = Wb.create ~leaf_m:32 ~inner_m:8 a in
-    for i = 1 to 10 do
-      ignore (Wb.insert t i i)
-    done;
-    Scm.Config.schedule_crash_after !n;
-    let crashed =
-      try
-        ignore (Wb.insert t 100 100);
-        ignore (Wb.delete t 5);
-        false
-      with Scm.Config.Crash_injected -> true
-    in
-    Scm.Config.disarm_crash ();
-    if crashed then begin
-      Scm.Region.crash (Pmem.Palloc.region a);
-      let t2 = Wb.recover ~leaf_m:32 ~inner_m:8
-          (Pmem.Palloc.of_region (Pmem.Palloc.region a)) in
-      Wb.verify_and_repair t2;
-      (* all previously committed keys are intact; key 5 is present
-         unless its delete committed; key 100 present only if its
-         insert committed *)
-      for i = 1 to 10 do
-        if i <> 5 && Wb.find t2 i <> Some i then
-          Alcotest.failf "crash@%d lost key %d" !n i
-      done;
-      (match Wb.find t2 100 with
-      | Some v when v <> 100 -> Alcotest.failf "crash@%d torn insert" !n
-      | _ -> ());
-      incr n
-    end
-    else continue := false
-  done;
-  Alcotest.(check bool) "swept insert/delete crash points" true (!n > 4)
+  let points =
+    Scm.Fault.sweep Persist_crash (fun n inject ->
+        Scm.Registry.clear ();
+        Scm.Config.reset ();
+        let a = fresh_alloc () in
+        (* big leaves + few keys: no split can occur *)
+        let t = Wb.create ~leaf_m:32 ~inner_m:8 a in
+        for i = 1 to 10 do
+          ignore (Wb.insert t i i)
+        done;
+        if inject (fun () ->
+               ignore (Wb.insert t 100 100);
+               ignore (Wb.delete t 5))
+        then begin
+          Scm.Region.crash (Pmem.Palloc.region a);
+          let t2 = Wb.recover ~leaf_m:32 ~inner_m:8
+              (Pmem.Palloc.of_region (Pmem.Palloc.region a)) in
+          Wb.verify_and_repair t2;
+          (* all previously committed keys are intact; key 5 is present
+             unless its delete committed; key 100 present only if its
+             insert committed *)
+          for i = 1 to 10 do
+            if i <> 5 && Wb.find t2 i <> Some i then
+              Alcotest.failf "crash@%d lost key %d" n i
+          done;
+          match Wb.find t2 100 with
+          | Some v when v <> 100 -> Alcotest.failf "crash@%d torn insert" n
+          | _ -> ()
+        end)
+  in
+  Alcotest.(check bool) "swept insert/delete crash points" true (points > 3)
 
 let test_wb_empty_root_leaf_keeps_list () =
   (* regression: emptying the last key when the tree has shrunk to a

@@ -143,10 +143,9 @@ let test_bitmap_commit_is_atomic () =
       ~split_arrays:false
   in
   Fptree.Layout.commit_bitmap r ~leaf:0 l 0b1010;
-  Scm.Config.schedule_crash_after 1;
-  (try Fptree.Layout.commit_bitmap r ~leaf:0 l 0b1111
-   with Scm.Config.Crash_injected -> ());
-  Scm.Config.disarm_crash ();
+  ignore
+    (Scm.Fault.inject Persist_crash 1 (fun () ->
+         Fptree.Layout.commit_bitmap r ~leaf:0 l 0b1111));
   Scm.Region.crash r;
   Alcotest.(check int) "crashed commit fully reverted" 0b1010
     (Fptree.Layout.read_bitmap r ~leaf:0 l)
@@ -177,21 +176,22 @@ let test_microlog_alignment_enforced () =
 let test_microlog_crash_atomicity () =
   (* at any crash point, the armed flag (fst) is null or a valid ptr *)
   let p_off = 4096 in
-  for n = 1 to 4 do
-    let r = fresh_region () in
-    let log = Fptree.Microlog.make r 0 in
-    Scm.Config.schedule_crash_after n;
-    (try
-       Fptree.Microlog.set_fst log (Pmem.Pptr.of_region r ~off:p_off);
-       Fptree.Microlog.set_snd log (Pmem.Pptr.of_region r ~off:(p_off * 2))
-     with Scm.Config.Crash_injected -> ());
-    Scm.Config.disarm_crash ();
-    Scm.Region.crash r;
-    let f = Fptree.Microlog.read_fst log in
-    if not (Pmem.Pptr.is_null f) then
-      Alcotest.(check int) (Printf.sprintf "crash@%d: fst valid" n) p_off
-        f.Pmem.Pptr.off
-  done
+  let points =
+    Scm.Fault.sweep Persist_crash (fun n inject ->
+        let r = fresh_region () in
+        let log = Fptree.Microlog.make r 0 in
+        ignore
+          (inject (fun () ->
+               Fptree.Microlog.set_fst log (Pmem.Pptr.of_region r ~off:p_off);
+               Fptree.Microlog.set_snd log
+                 (Pmem.Pptr.of_region r ~off:(p_off * 2))));
+        Scm.Region.crash r;
+        let f = Fptree.Microlog.read_fst log in
+        if not (Pmem.Pptr.is_null f) then
+          Alcotest.(check int) (Printf.sprintf "crash@%d: fst valid" n) p_off
+            f.Pmem.Pptr.off)
+  in
+  Alcotest.(check int) "crash points" 4 points
 
 let test_microlog_pool () =
   let r = fresh_region () in

@@ -51,7 +51,9 @@ let single_suite ~mode n =
       Array.iter (fun k -> ignore (F.find t ((2 * k) + 1))) probe);
   record ~mode ~domains:1 ~op:"update" ~ops:n (fun () ->
       Array.iter (fun k -> ignore (F.update t (2 * k) (k + 1))) probe);
-  let scans = max 100 (n / 1000) in
+  (* a fixed count, so that both range rows time over 50 ms at any
+     scale: a 200-key scan takes 12-19 us at --scale 0.05 *)
+  let scans = 5000 in
   let span = 200 in
   record ~mode ~domains:1 ~op:"range" ~ops:scans (fun () ->
       let rng = Random.State.make [| 103 |] in

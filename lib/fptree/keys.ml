@@ -18,6 +18,11 @@ type ctx = {
 
 let max_var_key_len = 4096
 
+(* [gather]'s scratch arrays must hold [m] elements: every hit index is
+   then below their length, and the passes use unchecked access. *)
+let check_scratch m nk nv =
+  if nk < m || nv < m then invalid_arg "Keys.gather: scratch shorter than m"
+
 module type KEY = sig
   type t
 
@@ -36,8 +41,9 @@ module type KEY = sig
     ctx -> Layout.t -> leaf:int -> bm:int -> floor:t -> strict:bool ->
     hi:t -> t array -> int array -> int
   (** One range-scan pass over an unsorted leaf: the hits of the slots
-      in [bm], in key order in the scratch prefix, and their count (or
-      -1 when no key is [<= hi]).  See keys.mli. *)
+      in [bm], collected in slot order and then sorted by key in the
+      scratch prefix, and their count (or -1 when no key is [<= hi]).
+      See keys.mli. *)
 
   val fingerprint : t -> int
   val dram_bytes : t -> int
@@ -86,42 +92,30 @@ module Fixed : KEY with type t = int = struct
   let dummy = min_int
   let compare = Int.compare
 
-  (* Every compare is an inline int test: one predictable branch per
-     shifted hit and no call at all. *)
+  (* Collect, sort, then drop repeats.  The collect pass appends each
+     hit unsorted, so it reads what a slot-by-slot loop reads, in that
+     order; the sort and the repeat pass touch only the hit prefix,
+     whose indices are below [n <= m], the scratch length checked on
+     entry.  Every compare is an inline int test. *)
   let gather ctx (l : Layout.t) ~leaf ~bm ~floor ~strict ~hi (ks : int array)
       (vs : int array) =
+    let m = l.Layout.m in
+    check_scratch m (Array.length ks) (Array.length vs);
     let r = ctx.region in
     let kst = Layout.key_stride l and vst = Layout.value_stride l in
     let ko = ref (Layout.key_off l ~leaf ~slot:0) in
     let vo = ref (Layout.value_off l ~leaf ~slot:0) in
     let n = ref 0 and le_hi = ref false in
     let b = ref bm and s = ref 0 in
-    while !b <> 0 && !s < l.Layout.m do
+    while !b <> 0 && !s < m do
       if !b land 1 <> 0 then begin
         let k = Scm.Region.read_word r !ko in
         if k <= hi then begin
           le_hi := true;
           if k > floor || (k = floor && not strict) then begin
-            let v = Scm.Region.read_word r !vo in
-            let j = ref (!n - 1) in
-            while !j >= 0 && ks.(!j) > k do
-              ks.(!j + 1) <- ks.(!j);
-              vs.(!j + 1) <- vs.(!j);
-              decr j
-            done;
-            let j = !j in
-            if j >= 0 && ks.(j) = k then
-              (* the key again, from a second slot: close the gap and
-                 keep the first slot's pair *)
-              for i = j + 1 to !n - 1 do
-                ks.(i) <- ks.(i + 1);
-                vs.(i) <- vs.(i + 1)
-              done
-            else begin
-              ks.(j + 1) <- k;
-              vs.(j + 1) <- v;
-              incr n
-            end
+            Array.unsafe_set ks !n k;
+            Array.unsafe_set vs !n (Scm.Region.read_word r !vo);
+            incr n
           end
         end
       end;
@@ -130,7 +124,33 @@ module Fixed : KEY with type t = int = struct
       ko := !ko + kst;
       vo := !vo + vst
     done;
-    if !le_hi then !n else -1
+    let n = !n in
+    (* stable insertion sort: equal keys keep their slot order *)
+    for i = 1 to n - 1 do
+      let k = Array.unsafe_get ks i in
+      if Array.unsafe_get ks (i - 1) > k then begin
+        let v = Array.unsafe_get vs i in
+        let j = ref (i - 1) in
+        while !j >= 0 && Array.unsafe_get ks !j > k do
+          Array.unsafe_set ks (!j + 1) (Array.unsafe_get ks !j);
+          Array.unsafe_set vs (!j + 1) (Array.unsafe_get vs !j);
+          decr j
+        done;
+        Array.unsafe_set ks (!j + 1) k;
+        Array.unsafe_set vs (!j + 1) v
+      end
+    done;
+    (* a key met again in a later slot: keep the first slot's pair *)
+    let w = ref (min n 1) in
+    for i = 1 to n - 1 do
+      let k = Array.unsafe_get ks i in
+      if k <> Array.unsafe_get ks (!w - 1) then begin
+        Array.unsafe_set ks !w k;
+        Array.unsafe_set vs !w (Array.unsafe_get vs i);
+        incr w
+      end
+    done;
+    if !le_hi then !w else -1
 
   let fingerprint = Fingerprint.of_int
   let dram_bytes _ = 8
@@ -174,41 +194,28 @@ module Var : KEY with type t = string = struct
         then ""
         else Scm.Region.read_string ctx.region (base + 8) len
 
-  (* The same pass as [Fixed.gather], comparing with [String.compare]
-     called directly. *)
+  (* The same three steps as [Fixed.gather], comparing with
+     [String.compare] called directly. *)
   let gather ctx (l : Layout.t) ~leaf ~bm ~floor ~strict ~hi
       (ks : string array) (vs : int array) =
+    let m = l.Layout.m in
+    check_scratch m (Array.length ks) (Array.length vs);
     let r = ctx.region in
     let kst = Layout.key_stride l and vst = Layout.value_stride l in
     let ko = ref (Layout.key_off l ~leaf ~slot:0) in
     let vo = ref (Layout.value_off l ~leaf ~slot:0) in
     let n = ref 0 and le_hi = ref false in
     let b = ref bm and s = ref 0 in
-    while !b <> 0 && !s < l.Layout.m do
+    while !b <> 0 && !s < m do
       if !b land 1 <> 0 then begin
         let k = read ctx ~off:!ko in
         if String.compare k hi <= 0 then begin
           le_hi := true;
           let c = String.compare k floor in
           if c > 0 || (c = 0 && not strict) then begin
-            let v = Scm.Region.read_word r !vo in
-            let j = ref (!n - 1) in
-            while !j >= 0 && String.compare ks.(!j) k > 0 do
-              ks.(!j + 1) <- ks.(!j);
-              vs.(!j + 1) <- vs.(!j);
-              decr j
-            done;
-            let j = !j in
-            if j >= 0 && String.equal ks.(j) k then
-              for i = j + 1 to !n - 1 do
-                ks.(i) <- ks.(i + 1);
-                vs.(i) <- vs.(i + 1)
-              done
-            else begin
-              ks.(j + 1) <- k;
-              vs.(j + 1) <- v;
-              incr n
-            end
+            Array.unsafe_set ks !n k;
+            Array.unsafe_set vs !n (Scm.Region.read_word r !vo);
+            incr n
           end
         end
       end;
@@ -217,7 +224,31 @@ module Var : KEY with type t = string = struct
       ko := !ko + kst;
       vo := !vo + vst
     done;
-    if !le_hi then !n else -1
+    let n = !n in
+    for i = 1 to n - 1 do
+      let k = Array.unsafe_get ks i in
+      if String.compare (Array.unsafe_get ks (i - 1)) k > 0 then begin
+        let v = Array.unsafe_get vs i in
+        let j = ref (i - 1) in
+        while !j >= 0 && String.compare (Array.unsafe_get ks !j) k > 0 do
+          Array.unsafe_set ks (!j + 1) (Array.unsafe_get ks !j);
+          Array.unsafe_set vs (!j + 1) (Array.unsafe_get vs !j);
+          decr j
+        done;
+        Array.unsafe_set ks (!j + 1) k;
+        Array.unsafe_set vs (!j + 1) v
+      end
+    done;
+    let w = ref (min n 1) in
+    for i = 1 to n - 1 do
+      let k = Array.unsafe_get ks i in
+      if not (String.equal k (Array.unsafe_get ks (!w - 1))) then begin
+        Array.unsafe_set ks !w k;
+        Array.unsafe_set vs !w (Array.unsafe_get vs i);
+        incr w
+      end
+    done;
+    if !le_hi then !w else -1
 
   let write ctx ~off k =
     let len = String.length k in

@@ -33,16 +33,17 @@ module type KEY = sig
       reads each one's key and, only for a hit, its value: the same
       SCM reads in the same order as reading slot by slot with {!read}
       and [Layout.value_off].  A hit is a key [<= hi] and above [floor]
-      ([>= floor] when [strict] is false).  Hits are insertion-sorted
-      in place into [ks.(0) .. ks.(n-1)], values alongside in [vs],
-      ascending by key; a key met again in a later slot (a dirty read
-      across a delete and re-insert) is dropped, keeping the first
-      slot's pair, so the prefix is strictly ascending.  The result is
-      [n], or [-1] when no visited slot holds a key [<= hi] (so always
-      for [bm = 0]).  [ks] and [vs] must hold [l.m] elements.
-      Specialised per representation: compares are direct (an inline
-      int test, or [String.compare]), and nothing is allocated beyond
-      the keys read. *)
+      ([>= floor] when [strict] is false).  Hits are appended in slot
+      order to [ks.(0) .. ks.(n-1)], values alongside in [vs], then
+      stably insertion-sorted by key; a key met again in a later slot
+      (a dirty read across a delete and re-insert) is dropped, keeping
+      the first slot's pair, so the prefix is strictly ascending.  The
+      result is [n], or [-1] when no visited slot holds a key [<= hi]
+      (so always for [bm = 0]).  [ks] and [vs] must hold [l.m]
+      elements ([Invalid_argument] otherwise); the sort and the repeat
+      pass then index them unchecked.  Specialised per representation:
+      compares are direct (an inline int test, or [String.compare]),
+      and nothing is allocated beyond the keys read. *)
 
   val fingerprint : t -> int
   val dram_bytes : t -> int

@@ -1183,10 +1183,10 @@ module Make (K : Keys.KEY) = struct
   (** Inclusive range scan via the leaf linked list.  Reads are dirty
       (no leaf locks taken); the result is sorted.  The leaf chain is
       in key order but each leaf is unsorted: [K.gather] makes one pass
-      over a leaf's slots, in slot order, and leaves its hits sorted by
-      key in two m-sized per-call scratch arrays ([lk]/[lv]), from
-      which they are consed onto the result before the next leaf is
-      read.  [walk]/[emit] build the list front to back in constant
+      over a leaf's slots, in slot order, appending its hits to two
+      m-sized per-call scratch arrays ([lk]/[lv]), then sorts them by
+      key there; they are consed onto the result before the next leaf
+      is read.  [walk]/[emit] build the list front to back in constant
       stack ([tail_mod_cons]), so a call allocates its result (a cons
       and a pair per hit) plus the two scratch arrays.
 

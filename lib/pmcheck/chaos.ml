@@ -95,7 +95,9 @@ let verify_restart ~where t a oracle pending =
   if F.find t probe_key <> Some 1 then failf "%s: tree unusable" where;
   ignore (F.delete t probe_key)
 
-let run ?(arena_bytes = Enumerate.default_arena)
+(* Not [Enumerate.default_arena]: the loop's tree grows with
+   [iterations], where a sweep replays one short script. *)
+let run ?(arena_bytes = 32 * 1024 * 1024)
     ?(mode = Scm.Config.Revert_all_dirty)
     ?(config = Fptree.Tree.fptree_config) ?(ops_per_iter = 40) ~seed
     ~iterations () =

@@ -37,8 +37,9 @@ val run :
   iterations:int ->
   unit ->
   report
-(** Run [iterations] crash–recover–verify rounds from [seed].  Two
-    calls with equal arguments behave identically.  Raises
+(** Run [iterations] crash–recover–verify rounds from [seed] in an
+    [arena_bytes] arena (default 32 MiB).  Two calls with equal
+    arguments behave identically.  Raises
     {!Divergence} on the first verification failure. *)
 
 type recovery_sweep = {

@@ -60,7 +60,9 @@ let consistent_with t m pending =
     apply_model m' op;
     matches m'
 
-let default_arena = 32 * 1024 * 1024
+(* A sweep replays one short script in a fresh arena per crash point,
+   and zero-filling that arena is the sweep's main fixed cost. *)
+let default_arena = 2 * 1024 * 1024
 
 (* ---- crash-state enumeration ---- *)
 

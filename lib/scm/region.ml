@@ -106,23 +106,39 @@ let[@inline] set_64_le b off v =
 
    The tag check runs whenever a miss has a consumer: the line counter
    ([stats]) or the injected read delay ([delay_injection]).  An empty
-   span touches no line. *)
+   span touches no line.  A span inside one line (every word, half-word
+   and aligned cell access) is one inlined tag compare; the miss
+   bookkeeping stays out of line, and only a span that crosses a line
+   boundary runs the loop. *)
 
 let cache_model = Obs.Gate.(stats lor delay_injection)
 
-let touch_lines t off len =
-  if len > 0 && Obs.Gate.any cache_model then begin
-    let first = Cacheline.line_of_offset off in
-    let last = Cacheline.line_of_offset (off + len - 1) in
-    for line = first to last do
-      let slot = line mod cache_slots in
-      if t.cache_tags.(slot) <> line then begin
-        t.cache_tags.(slot) <- line;
-        if Config.current.stats then Stats.incr_line_reads ();
-        Latency.on_scm_read_miss ()
-      end
-    done
-  end
+(* [cache_slots] is a power of two, so for a line [>= 0] this is
+   [line mod cache_slots]; it is always a valid [cache_tags] index. *)
+let[@inline] slot_of_line line = line land (cache_slots - 1)
+
+let[@inline never] cache_miss t slot line =
+  Array.unsafe_set t.cache_tags slot line;
+  if Config.current.stats then Stats.incr_line_reads ();
+  Latency.on_scm_read_miss ()
+
+let[@inline] probe_line t line =
+  let slot = slot_of_line line in
+  if Array.unsafe_get t.cache_tags slot <> line then cache_miss t slot line
+
+let[@inline never] probe_lines t off len =
+  for line = Cacheline.line_of_offset off
+      to Cacheline.line_of_offset (off + len - 1) do
+    probe_line t line
+  done
+
+(* [off, off+len) must have passed [check]. *)
+let[@inline] touch_lines t off len =
+  if Obs.Gate.any cache_model then
+    if off land (Cacheline.line_size - 1) + len <= Cacheline.line_size then begin
+      if len > 0 then probe_line t (Cacheline.line_of_offset off)
+    end
+    else probe_lines t off len
 
 (* ---- dirty-word tracking ---- *)
 
@@ -377,7 +393,7 @@ let persist_effective t off len =
       let first = Cacheline.line_of_offset off in
       let last = Cacheline.line_of_offset (off + len - 1) in
       for line = first to last do
-        let slot = line mod cache_slots in
+        let slot = slot_of_line line in
         if Array.unsafe_get t.cache_tags slot = line then
           Array.unsafe_set t.cache_tags slot (-1)
       done
@@ -399,8 +415,9 @@ let persist_effective t off len =
         end;
         Latency.on_scm_write_back ();
         (* CLFLUSH evicts the line from the simulated cache. *)
-        let slot = line mod cache_slots in
-        if t.cache_tags.(slot) = line then t.cache_tags.(slot) <- -1;
+        let slot = slot_of_line line in
+        if Array.unsafe_get t.cache_tags slot = line then
+          Array.unsafe_set t.cache_tags slot (-1);
         if Config.current.crash_tracking then
           (* Every word of the line is now durable. *)
           for w = line * Cacheline.words_per_line

@@ -72,7 +72,7 @@ let test_sweep_var_keys () =
     Scm.Fault.sweep Persist_crash (fun n inject ->
         Scm.Registry.clear ();
         Scm.Config.reset ();
-        let a = Pmem.Palloc.create ~size:(32 * 1024 * 1024) () in
+        let a = Pmem.Palloc.create ~size:E.default_arena () in
         let t = V.create ~config a in
         let m = Hashtbl.create 64 in
         let pending = ref None in
@@ -119,7 +119,7 @@ let test_crash_during_create () =
     Scm.Fault.sweep Persist_crash (fun n inject ->
         Scm.Registry.clear ();
         Scm.Config.reset ();
-        let a = Pmem.Palloc.create ~size:(32 * 1024 * 1024) () in
+        let a = Pmem.Palloc.create ~size:E.default_arena () in
         if inject (fun () -> ignore (F.create ~config a)) then begin
           Scm.Region.crash (Pmem.Palloc.region a);
           let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
@@ -144,7 +144,7 @@ let test_crash_during_recovery () =
   (* First crash mid-split. *)
   Scm.Registry.clear ();
   Scm.Config.reset ();
-  let a = Pmem.Palloc.create ~size:(32 * 1024 * 1024) () in
+  let a = Pmem.Palloc.create ~size:E.default_arena () in
   let t = F.create ~config a in
   let m = Hashtbl.create 16 in
   ignore

@@ -109,6 +109,69 @@ let test_stats_counts_line_misses () =
   let s = Scm.Stats.snapshot () in
   Alcotest.(check int) "new line, new miss" 2 s.Scm.Stats.line_reads
 
+(* The simulated cache against a direct-mapped reference written here:
+   8192 slots of one 64-byte line each, a line in slot [line mod 8192],
+   every read and every store probing each line its span overlaps (an
+   empty span none), and a persist evicting each line it flushes.  A
+   seeded trace mixes every accessor width, lengths 0 to past a line,
+   spans that start at byte 57 of a line and so cross it (or end
+   exactly at its boundary), and lines 8192 apart that alias one slot;
+   [line_reads] must equal the reference's misses after every step. *)
+let test_cache_reference_model () =
+  let slots = 8192 and line = Scm.Cacheline.line_size in
+  let r = fresh ~size:((slots + 8) * line) () in
+  let tags = Array.make slots (-1) and misses = ref 0 in
+  let lines off len f =
+    if len > 0 then for l = off / line to (off + len - 1) / line do f l done
+  in
+  let touch off len =
+    lines off len (fun l ->
+        if tags.(l mod slots) <> l then begin
+          tags.(l mod slots) <- l;
+          incr misses
+        end)
+  in
+  let evict off len =
+    lines off len (fun l -> if tags.(l mod slots) = l then tags.(l mod slots) <- -1)
+  in
+  let rng = Random.State.make [| 7 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let base = [| 0; 1; 2; slots; slots + 1; slots + 2 |] in
+  let span () =
+    let off = (pick base * line) + pick [| 0; 1; 8; 56; 57; 60; 63 |] in
+    (off, pick [| 0; 1; 4; 7; 8; 64; 65; 130 |])
+  in
+  for step = 1 to 4000 do
+    let off, len = span () in
+    let what, len =
+      match Random.State.int rng 9 with
+      | 0 -> ignore (Region.read_word r off); touch off 8; ("read_word", 8)
+      | 1 -> ignore (Region.read_u32 r off); touch off 4; ("read_u32", 4)
+      | 2 -> ignore (Region.read_u8 r off); touch off 1; ("read_u8", 1)
+      | 3 ->
+        ignore (Region.read_string r off len);
+        touch off len;
+        ("read_string", len)
+      | 4 -> Region.write_word r off step; touch off 8; ("write_word", 8)
+      | 5 -> Region.write_u8 r off step; touch off 1; ("write_u8", 1)
+      | 6 ->
+        Region.write_string r off (String.make len 'x');
+        touch off len;
+        ("write_string", len)
+      | 7 ->
+        let dst, _ = span () in
+        Region.blit_internal r ~src:off ~dst ~len;
+        touch off len;
+        touch dst len;
+        ("blit_internal", len)
+      | _ -> Region.persist r off len; evict off len; ("persist", len)
+    in
+    let got = (Scm.Stats.snapshot ()).Scm.Stats.line_reads in
+    if got <> !misses then
+      Alcotest.failf "step %d (%s off=%d len=%d): line_reads %d, reference %d"
+        step what off len got !misses
+  done
+
 let test_stats_flush_counts () =
   let r = fresh () in
   Scm.Stats.reset ();
@@ -367,6 +430,8 @@ let () =
         [
           Alcotest.test_case "line miss counting" `Quick test_stats_counts_line_misses;
           Alcotest.test_case "flush counting" `Quick test_stats_flush_counts;
+          Alcotest.test_case "simulated cache matches a reference model" `Quick
+            test_cache_reference_model;
           Alcotest.test_case "modeled time" `Quick test_modeled_time;
           Alcotest.test_case "read delay without counting" `Quick
             test_read_delay_without_stats;

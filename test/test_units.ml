@@ -366,26 +366,34 @@ struct
         ("split arrays m=32", 32, false, true);
         ("m=64", 64, true, false) ]
 
-  (* A fresh region holding one leaf of layout [l] whose slots carry
-     [(slot, key index)] entries, each with value [1000 + index];
-     returns the gather arguments that stay fixed. *)
-  let leaf l entries =
+  (* A fresh region holding one leaf of layout [l] with the given
+     [(slot, key, value)] cells.  The cells are written with counting
+     off, so the simulated cache holds none of the leaf's lines. *)
+  let build l cells =
     Scm.Registry.clear ();
     Scm.Config.reset ();
+    Scm.Config.set_stats false;
     let a = Pmem.Palloc.create ~size:(1024 * 1024) () in
     Pmem.Palloc.alloc a ~into:(Pmem.Palloc.root_loc a) l.Fptree.Layout.bytes;
     let ctx = { Fptree.Keys.region = Pmem.Palloc.region a; alloc = a } in
     let leaf = (Pmem.Palloc.root a).Pmem.Pptr.off in
-    let bm =
-      List.fold_left
-        (fun bm (slot, i) ->
-          K.write ctx ~off:(Fptree.Layout.key_off l ~leaf ~slot) (S.key i);
-          Scm.Region.write_word ctx.Fptree.Keys.region
-            (Fptree.Layout.value_off l ~leaf ~slot) (1000 + i);
-          bm lor (1 lsl slot))
-        0 entries
+    List.iter
+      (fun (slot, k, v) ->
+        K.write ctx ~off:(Fptree.Layout.key_off l ~leaf ~slot) k;
+        Scm.Region.write_word ctx.Fptree.Keys.region
+          (Fptree.Layout.value_off l ~leaf ~slot) v)
+      cells;
+    Scm.Config.set_stats true;
+    (ctx, leaf)
+
+  (* One leaf whose slots carry [(slot, key index)] entries, each with
+     value [1000 + index]; returns the gather arguments that stay
+     fixed. *)
+  let leaf l entries =
+    let ctx, leaf =
+      build l (List.map (fun (slot, i) -> (slot, S.key i, 1000 + i)) entries)
     in
-    (ctx, leaf, bm)
+    (ctx, leaf, List.fold_left (fun bm (slot, _) -> bm lor (1 lsl slot)) 0 entries)
 
   (* Run one gather; the result is the count (or -1) and the sorted
      hit prefix as (key, value) pairs. *)
@@ -445,6 +453,86 @@ struct
           (Printf.sprintf "%s %s: one key in two slots" S.name name)
           (6, hits [ 10; 20; 30; 40; 50; 60 ])
           (gather l lf ~floor:0 ~strict:false ~hi:99 ()))
+      layouts
+
+  (* Random leaves against a reference: the occupied slots below [m]
+     filtered in slot order, stably sorted by key, the first slot's
+     pair kept for a key met twice; the count is -1 when no visited key
+     is [<= hi].  Each call starts from a cold simulated cache, so its
+     counted [line_reads] must be the number of distinct lines the
+     slot-by-slot loop reads: the key cell (and a var key's block) of
+     every occupied slot, and the value cell of every hit. *)
+  let test_differential () =
+    let rng = Random.State.make [| 7 |] in
+    let line = Scm.Cacheline.line_size in
+    List.iter
+      (fun (name, l) ->
+        let m = l.Fptree.Layout.m in
+        let top = top l in
+        for trial = 1 to 150 do
+          (* keys drawn from as many values as slots: repeats are common *)
+          let keys = Array.init (top + 1) (fun _ -> Random.State.int rng (top + 1)) in
+          let ctx, leaf =
+            build l (List.init (top + 1) (fun s -> (s, S.key keys.(s), 1000 + s)))
+          in
+          let density = [| 0; 10; 50; 90; 100 |].(Random.State.int rng 5) in
+          let bm = ref 0 in
+          for s = 0 to top do
+            if Random.State.int rng 100 < density then bm := !bm lor (1 lsl s)
+          done;
+          (* a bit at or above [m] names no slot and must be ignored *)
+          if m < 63 && Random.State.bool rng then
+            bm := !bm lor (1 lsl (m + Random.State.int rng (63 - m)));
+          let floor = Random.State.int rng (top + 3) - 1 in
+          let hi = Random.State.int rng (top + 3) - 1 in
+          let strict = Random.State.bool rng in
+          let occupied = List.filter (fun s -> !bm land (1 lsl s) <> 0) (List.init m Fun.id) in
+          let hit s =
+            let k = keys.(s) in
+            k <= hi && (k > floor || (k = floor && not strict))
+          in
+          let rec first_wins = function
+            | (k, v) :: (k', _) :: rest when k = k' -> first_wins ((k, v) :: rest)
+            | p :: rest -> p :: first_wins rest
+            | [] -> []
+          in
+          let pairs =
+            List.filter hit occupied
+            |> List.map (fun s -> (keys.(s), 1000 + s))
+            |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+            |> first_wins
+          in
+          let expect =
+            ( (if List.exists (fun s -> keys.(s) <= hi) occupied then List.length pairs
+               else -1),
+              List.map (fun (k, v) -> (S.key k, v)) pairs )
+          in
+          let touched = Hashtbl.create 64 in
+          let span off len =
+            for ln = off / line to (off + len - 1) / line do
+              Hashtbl.replace touched ln ()
+            done
+          in
+          Scm.Config.set_stats false;
+          List.iter
+            (fun s ->
+              let ko = Fptree.Layout.key_off l ~leaf ~slot:s in
+              span ko K.cell_bytes;
+              (match K.cell_ref ctx ~off:ko with
+              | Some p ->
+                let base = p.Pmem.Pptr.off in
+                span base (8 + Scm.Region.read_word ctx.Fptree.Keys.region base)
+              | None -> ());
+              if hit s then span (Fptree.Layout.value_off l ~leaf ~slot:s) 8)
+            occupied;
+          Scm.Config.set_stats true;
+          Scm.Stats.reset ();
+          let got = gather l (ctx, leaf, !bm) ~floor ~strict ~hi () in
+          let what = Printf.sprintf "%s %s trial %d" S.name name trial in
+          Alcotest.check result what expect got;
+          Alcotest.(check int) (what ^ ": line reads") (Hashtbl.length touched)
+            (Scm.Stats.snapshot ()).Scm.Stats.line_reads
+        done)
       layouts
 end
 
@@ -512,5 +600,7 @@ let () =
           Alcotest.test_case "fixed duplicate key" `Quick Gather_fixed.test_duplicate;
           Alcotest.test_case "var filters and order" `Quick Gather_var.test_filters;
           Alcotest.test_case "var duplicate key" `Quick Gather_var.test_duplicate;
+          Alcotest.test_case "fixed random leaves" `Quick Gather_fixed.test_differential;
+          Alcotest.test_case "var random leaves" `Quick Gather_var.test_differential;
         ] );
     ]

@@ -68,12 +68,12 @@ let () =
     "FPTree reproduction benchmark harness (scale %.2f, %d cores)\n"
     !Env.scale
     (Workloads.Domain_pool.available_domains ());
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_s () in
   List.iter
     (fun (id, _, f) ->
-      let s0 = Unix.gettimeofday () in
+      let s0 = Obs.Clock.now_s () in
       f ();
-      Printf.printf "\n[%s done in %.1fs]\n" id (Unix.gettimeofday () -. s0);
+      Printf.printf "\n[%s done in %.1fs]\n" id (Obs.Clock.now_s () -. s0);
       flush stdout)
     to_run;
-  Printf.printf "\nAll experiments done in %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nAll experiments done in %.1fs\n" (Obs.Clock.now_s () -. t0)

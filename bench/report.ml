@@ -40,9 +40,9 @@ let note fmt = Printf.ksprintf (fun s -> Printf.printf "  (%s)\n" s) fmt
 let measure_modeled ~latencies_ns ~n f =
   Scm.Stats.reset ();
   let before = Scm.Stats.snapshot () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_s () in
   f ();
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Obs.Clock.now_s () -. t0 in
   let s = Scm.Stats.diff before (Scm.Stats.snapshot ()) in
   let per_op lat =
     let extra_ns = Scm.Stats.modeled_extra_ns ~read_ns:lat s in

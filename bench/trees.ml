@@ -24,9 +24,9 @@ let var_names = [ "FPTreeVar"; "PTreeVar"; "NV-TreeVar"; "wBTreeVar"; "STXTreeVa
 let arena ?(mb = 256) () = Pmem.Palloc.create ~size:(mb * 1024 * 1024) ()
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_s () in
   let x = f () in
-  (x, Unix.gettimeofday () -. t0)
+  (x, Obs.Clock.now_s () -. t0)
 
 (** [handle ~name (module T) ~create ~recover] puts the tree
     [create ()] behind a handle.  A restart calls [recover tr] untimed

@@ -9,9 +9,9 @@
 let profile name n f =
   Scm.Stats.reset ();
   let before = Scm.Stats.snapshot () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_s () in
   f ();
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Obs.Clock.now_s () -. t0 in
   let d = Scm.Stats.diff before (Scm.Stats.snapshot ()) in
   let fn = float_of_int n in
   Printf.printf

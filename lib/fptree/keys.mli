@@ -25,23 +25,23 @@ module type KEY = sig
   val compare : t -> t -> int
 
   val gather :
-    ctx -> Layout.t -> leaf:int -> bm:int -> floor:t -> strict:bool ->
-    hi:t -> t array -> int array -> int
-  (** [gather ctx l ~leaf ~bm ~floor ~strict ~hi ks vs] is a range
-      scan's pass over one unsorted leaf of layout [l].  It visits the
-      slots set in [bm] (those below [l.m]) in ascending slot order and
-      reads each one's key and, only for a hit, its value: the same
-      SCM reads in the same order as reading slot by slot with {!read}
-      and [Layout.value_off].  A hit is a key [<= hi] and above [floor]
-      ([>= floor] when [strict] is false).  Hits are appended in slot
-      order to [ks.(0) .. ks.(n-1)], values alongside in [vs], then
-      stably insertion-sorted by key; a key met again in a later slot
-      (a dirty read across a delete and re-insert) is dropped, keeping
-      the first slot's pair, so the prefix is strictly ascending.  The
-      result is [n], or [-1] when no visited slot holds a key [<= hi]
-      (so always for [bm = 0]).  [ks] and [vs] must hold [l.m]
-      elements ([Invalid_argument] otherwise); the sort and the repeat
-      pass then index them unchecked.  Specialised per representation:
+    ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->
+    int array -> int
+  (** [gather ctx l ~leaf ~bm ~lo ~hi ks vs] is a range scan's pass over
+      one unsorted leaf of layout [l].  It visits the slots set in [bm]
+      (those below [l.m]) in ascending slot order and reads each one's
+      key and, only for a hit, its value: the same SCM reads in the
+      same order as reading slot by slot with {!read} and
+      [Layout.value_off].  A hit is a key [k] with [lo <= k <= hi].
+      Hits are appended in slot order to [ks.(0) .. ks.(n-1)], values
+      alongside in [vs], then stably insertion-sorted by key; the
+      result is [n].  A leaf read under its version word holds each key
+      once, so the prefix is then strictly ascending; a torn read may
+      repeat a key, which the caller's failed validation discards.
+      Under the model checker each value read is a read-only schedule
+      point on the leaf's version object.  [ks] and [vs] must hold
+      [l.m] elements ([Invalid_argument] otherwise); the sort then
+      indexes them unchecked.  Specialised per representation:
       compares are direct (an inline int test, or [String.compare]),
       and nothing is allocated beyond the keys read. *)
 

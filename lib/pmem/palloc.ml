@@ -492,13 +492,15 @@ let bytes_live t =
     allocation — the quantum callers use to size hard reserves. *)
 let gross_bytes sz = gross_span ((sz + unit_size - 1) / unit_size)
 
+(* The soft watermark: the fraction of the usable bytes past which
+   allocating operations are refused. *)
+let soft_watermark = 0.9
+
 (* Bytes that must stay free for the arena to count as below the soft
    watermark: usable * (1 - soft_watermark). *)
 let slack_bytes t =
   let usable = usable_bytes t in
-  usable
-  - truncate (Scm.Config.current.Scm.Config.soft_watermark
-              *. float_of_int usable)
+  usable - truncate (soft_watermark *. float_of_int usable)
 
 (** Admission check for an allocating operation: [true] iff the arena
     is below the soft watermark AND at least [reserve] bytes are free

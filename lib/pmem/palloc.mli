@@ -102,8 +102,9 @@ val bytes_live : t -> int
     the quantum for sizing hard reserves. *)
 val gross_bytes : int -> int
 
-(** [admit t ~reserve] is [true] iff the arena is below the
-    [Scm.Config] soft watermark and at least [reserve] bytes are free.
+(** [admit t ~reserve] is [true] iff the arena is below the soft
+    watermark (90% of the usable bytes in use) and at least [reserve]
+    bytes are free.
     Callers size [reserve] to their worst-case allocation footprint so
     every admitted operation can complete.  Allocation-free. *)
 val admit : t -> reserve:int -> bool

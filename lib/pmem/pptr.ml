@@ -53,13 +53,6 @@ let read r off =
   let o = Scm.Region.read_word r (off + 8) in
   { region_id; off = o }
 
-(** Non-allocating null probe: just the id word, no {!t} record. *)
-let is_null_at r off = Scm.Region.read_word r off = 0
-
-(** Non-allocating offset read (valid only when the pointer is not
-    null; the region id is not checked). *)
-let off_at r off = Scm.Region.read_word r (off + 8)
-
 (** Store [p] at [off] (volatile until persisted).  A 16-byte store is
     not p-atomic; callers needing atomicity must protect it with a
     micro-log, exactly as the paper's algorithms do. *)

@@ -34,14 +34,6 @@ val resolve : t -> Scm.Region.t * int
 
 val read : Scm.Region.t -> int -> t
 
-(** [is_null_at r off] probes the id word of the pointer stored at
-    [off] without materializing a {!t} record (hot paths). *)
-val is_null_at : Scm.Region.t -> int -> bool
-
-(** [off_at r off] reads just the offset word of the pointer stored at
-    [off]; meaningful only when [not (is_null_at r off)]. *)
-val off_at : Scm.Region.t -> int -> int
-
 (** Plain 16-byte store — NOT p-atomic; callers needing crash atomicity
     must protect it with a micro-log or use {!write_committed}. *)
 val write : Scm.Region.t -> int -> t -> unit

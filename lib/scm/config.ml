@@ -19,10 +19,13 @@ type crash_mode =
           with probability 1/2, drawn from the seeded generator.  Models
           arbitrary cache evictions before the crash. *)
 
+(** Baseline DRAM latency in ns (the paper's 90): the share of an SCM
+    access that costs nothing extra. *)
+let dram_read_ns = 90.
+
 type t = {
   mutable scm_read_ns : float;      (** SCM load latency (paper: 90–650). *)
   mutable scm_write_ns : float;     (** SCM store/flush latency. *)
-  mutable dram_read_ns : float;     (** Baseline DRAM latency (paper: 90). *)
   mutable crash_tracking : bool;
       (** Track dirty words for crash simulation.  Off for concurrent
           benches (the tracking table is not synchronized). *)
@@ -47,13 +50,6 @@ type t = {
           seed produce identical [backoff_waits].  Pinned by the chaos
           and mcheck harnesses; [None] (default) keeps the
           cross-acquisition drift that de-synchronizes real domains. *)
-  mutable soft_watermark : float;
-      (** Capacity admission threshold as a fraction of the arena's
-          usable bytes: once live+bump usage passes this fraction,
-          allocating operations (inserts, splitting updates) are
-          refused with [`Out_of_space] while reads, in-place updates
-          and deletes keep running.  Plain field (gates no region
-          accessor, so not in the mode word); default 0.9. *)
   mutable flight_sample_shift : int;
       (** Flight-recorder latency sampling: every [2^shift]-th find
           records a measured begin/end pair with clock reads, the rest
@@ -77,14 +73,12 @@ type t = {
 let default () = {
   scm_read_ns = 90.;
   scm_write_ns = 90.;
-  dram_read_ns = 90.;
   crash_tracking = true;
   stats = true;
   delay_injection = false;
   tracing = false;
   model_check = false;
   backoff_seed = None;
-  soft_watermark = 0.9;
   flight_sample_shift = 4;
   wear_heatmap = false;
   heatmap_sample_shift = 0;
@@ -120,14 +114,12 @@ let reset () =
   let d = default () in
   current.scm_read_ns <- d.scm_read_ns;
   current.scm_write_ns <- d.scm_write_ns;
-  current.dram_read_ns <- d.dram_read_ns;
   set_crash_tracking d.crash_tracking;
   set_stats d.stats;
   set_delay_injection d.delay_injection;
   set_tracing d.tracing;
   set_model_check d.model_check;
   current.backoff_seed <- d.backoff_seed;
-  current.soft_watermark <- d.soft_watermark;
   current.flight_sample_shift <- d.flight_sample_shift;
   current.wear_heatmap <- d.wear_heatmap;
   current.heatmap_sample_shift <- d.heatmap_sample_shift;

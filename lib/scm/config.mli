@@ -10,10 +10,14 @@ type crash_mode =
       (** Eviction-adversarial: each dirty word independently survives
           with probability 1/2 (seeded). *)
 
+(** Baseline DRAM latency in ns (the paper's 90): {!Latency}'s delay
+    injection and [Stats.modeled_extra_ns] charge SCM traffic only
+    above it. *)
+val dram_read_ns : float
+
 type t = {
   mutable scm_read_ns : float;
   mutable scm_write_ns : float;
-  mutable dram_read_ns : float;
   mutable crash_tracking : bool;
   mutable stats : bool;
   mutable delay_injection : bool;
@@ -25,13 +29,6 @@ type t = {
           report identical [backoff_waits]; [None] (default) keeps the
           free-running per-domain Weyl sequence.  Set by direct field
           assignment (no hot path caches it). *)
-  mutable soft_watermark : float;
-      (** Capacity admission threshold as a fraction of the arena's
-          usable bytes (default 0.9): past it, allocating operations
-          are refused with [`Out_of_space] while reads, in-place
-          updates and deletes keep serving.  Plain field — it gates no
-          region accessor, so it is not in the mode word; set by
-          direct assignment. *)
   mutable flight_sample_shift : int;
       (** Flight-recorder latency sampling: every [2^shift]-th find
           records a measured begin/end pair, the rest a marker-only

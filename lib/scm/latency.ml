@@ -72,9 +72,9 @@ let busy_wait_ns ns =
 (** Injected on each SCM read miss. *)
 let on_scm_read_miss () =
   let c = Config.current in
-  if c.delay_injection then busy_wait_ns (c.scm_read_ns -. c.dram_read_ns)
+  if c.delay_injection then busy_wait_ns (c.scm_read_ns -. Config.dram_read_ns)
 
 (** Injected on each SCM line write-back. *)
 let on_scm_write_back () =
   let c = Config.current in
-  if c.delay_injection then busy_wait_ns (c.scm_write_ns -. c.dram_read_ns)
+  if c.delay_injection then busy_wait_ns (c.scm_write_ns -. Config.dram_read_ns)

@@ -127,7 +127,7 @@ let add a b = {
     latency: modeled = wall + misses*(scm - dram). *)
 let modeled_extra_ns ?(write_ns = nan) ~read_ns s =
   let write_ns = if Float.is_nan write_ns then read_ns else write_ns in
-  let dram = Config.current.dram_read_ns in
+  let dram = Config.dram_read_ns in
   float_of_int s.line_reads *. Float.max 0. (read_ns -. dram)
   +. float_of_int s.line_writes *. Float.max 0. (write_ns -. dram)
 

@@ -131,8 +131,7 @@ let test_delete_alloc () =
    nothing per leaf or per hit beyond the list: each returned pair is
    a cons cell plus a tuple (3 + 3 words).  The scratch is two m-slot
    arrays (keys and values, m + 1 words each, sorted in place), and the
-   64 covers the walk closure, the start section's bounds record and
-   the span descent's leaf pair.  Keys go in permuted so every leaf is
+   64 covers the walk closure, the scan record and its bound record.  Keys go in permuted so every leaf is
    unsorted and the in-leaf ordering does real work; a leaf holds at
    most m keys, so H > 2m hits span at least three leaves. *)
 let test_range_alloc () =
@@ -302,7 +301,7 @@ let test_config_lattice () =
   let run bits =
     Scm.Config.reset ();
     List.iteri (fun i (_, set) -> set (bits land (1 lsl i) <> 0)) switches;
-    Scm.Config.set_latency ~read_ns:Scm.Config.current.dram_read_ns ();
+    Scm.Config.set_latency ~read_ns:Scm.Config.dram_read_ns ();
     Obs.Flight.reset ();
     Scm.Registry.clear ();
     Scm.Stats.reset ();

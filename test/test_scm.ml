@@ -339,7 +339,7 @@ let test_read_delay_without_stats () =
   done;
   let elapsed_ns = float_of_int (Obs.Clock.now_ns () - t0) in
   let floor =
-    float_of_int lines *. (Config.current.scm_read_ns -. Config.current.dram_read_ns)
+    float_of_int lines *. (Config.current.scm_read_ns -. Config.dram_read_ns)
   in
   Config.reset ();
   Alcotest.(check bool)

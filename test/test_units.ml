@@ -395,15 +395,13 @@ struct
     in
     (ctx, leaf, List.fold_left (fun bm (slot, _) -> bm lor (1 lsl slot)) 0 entries)
 
-  (* Run one gather; the result is the count (or -1) and the sorted
-     hit prefix as (key, value) pairs. *)
-  let gather l (ctx, leaf, bm) ?(bm = bm) ~floor ~strict ~hi () =
+  (* Run one gather; the result is the count and the sorted hit prefix
+     as (key, value) pairs. *)
+  let gather l (ctx, leaf, bm) ?(bm = bm) ~lo ~hi () =
     let ks = Array.make l.Fptree.Layout.m K.dummy in
     let vs = Array.make l.Fptree.Layout.m 0 in
-    let n =
-      K.gather ctx l ~leaf ~bm ~floor:(S.key floor) ~strict ~hi:(S.key hi) ks vs
-    in
-    (n, List.init (max n 0) (fun i -> (ks.(i), vs.(i))))
+    let n = K.gather ctx l ~leaf ~bm ~lo:(S.key lo) ~hi:(S.key hi) ks vs in
+    (n, List.init n (fun i -> (ks.(i), vs.(i))))
 
   let hits is = List.map (fun i -> (S.key i, 1000 + i)) is
   let result = Alcotest.(pair int (list (pair S.key_t int)))
@@ -423,42 +421,20 @@ struct
         in
         chk "ascending from a permuted leaf"
           (6, hits [ 10; 20; 30; 40; 50; 60 ])
-          (gather l lf ~floor:0 ~strict:false ~hi:99 ());
+          (gather l lf ~lo:0 ~hi:99 ());
         chk "hi is inclusive" (4, hits [ 10; 20; 30; 40 ])
-          (gather l lf ~floor:0 ~strict:false ~hi:40 ());
-        chk "non-strict floor keeps the floor key"
-          (5, hits [ 20; 30; 40; 50; 60 ])
-          (gather l lf ~floor:20 ~strict:false ~hi:99 ());
-        chk "strict floor drops it" (4, hits [ 30; 40; 50; 60 ])
-          (gather l lf ~floor:20 ~strict:true ~hi:99 ());
-        chk "keys <= hi but none above the floor" (0, [])
-          (gather l lf ~floor:60 ~strict:true ~hi:99 ());
-        chk "every key above hi" (-1, [])
-          (gather l lf ~floor:0 ~strict:false ~hi:5 ());
-        chk "empty bitmap" (-1, [])
-          (gather l lf ~bm:0 ~floor:0 ~strict:false ~hi:99 ()))
-      layouts
-
-  (* A dirty read across a delete and a re-insert into another slot can
-     see one key in two slots: it is returned once, with the pair from
-     the lower slot. *)
-  let test_duplicate () =
-    List.iter
-      (fun (name, l) ->
-        let lf = leaf l (entries l @ [ (25, 40) ]) in
-        let ctx, leaf, _ = lf in
-        Scm.Region.write_word ctx.Fptree.Keys.region
-          (Fptree.Layout.value_off l ~leaf ~slot:25) 9999;
-        Alcotest.check result
-          (Printf.sprintf "%s %s: one key in two slots" S.name name)
-          (6, hits [ 10; 20; 30; 40; 50; 60 ])
-          (gather l lf ~floor:0 ~strict:false ~hi:99 ()))
+          (gather l lf ~lo:0 ~hi:40 ());
+        chk "lo is inclusive" (5, hits [ 20; 30; 40; 50; 60 ])
+          (gather l lf ~lo:20 ~hi:99 ());
+        chk "every key below lo" (0, []) (gather l lf ~lo:61 ~hi:99 ());
+        chk "every key above hi" (0, []) (gather l lf ~lo:0 ~hi:5 ());
+        chk "empty bitmap" (0, []) (gather l lf ~bm:0 ~lo:0 ~hi:99 ()))
       layouts
 
   (* Random leaves against a reference: the occupied slots below [m]
-     filtered in slot order, stably sorted by key, the first slot's
-     pair kept for a key met twice; the count is -1 when no visited key
-     is [<= hi].  Each call starts from a cold simulated cache, so its
+     filtered in slot order and sorted by key.  A leaf read under its
+     version word holds each key once, so each leaf draws distinct
+     keys.  Each call starts from a cold simulated cache, so its
      counted [line_reads] must be the number of distinct lines the
      slot-by-slot loop reads: the key cell (and a var key's block) of
      every occupied slot, and the value cell of every hit. *)
@@ -470,8 +446,14 @@ struct
         let m = l.Fptree.Layout.m in
         let top = top l in
         for trial = 1 to 150 do
-          (* keys drawn from as many values as slots: repeats are common *)
-          let keys = Array.init (top + 1) (fun _ -> Random.State.int rng (top + 1)) in
+          (* a random permutation of 0 .. top: one key per slot *)
+          let keys = Array.init (top + 1) Fun.id in
+          for i = top downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let k = keys.(i) in
+            keys.(i) <- keys.(j);
+            keys.(j) <- k
+          done;
           let ctx, leaf =
             build l (List.init (top + 1) (fun s -> (s, S.key keys.(s), 1000 + s)))
           in
@@ -483,30 +465,16 @@ struct
           (* a bit at or above [m] names no slot and must be ignored *)
           if m < 63 && Random.State.bool rng then
             bm := !bm lor (1 lsl (m + Random.State.int rng (63 - m)));
-          let floor = Random.State.int rng (top + 3) - 1 in
+          let lo = Random.State.int rng (top + 3) - 1 in
           let hi = Random.State.int rng (top + 3) - 1 in
-          let strict = Random.State.bool rng in
           let occupied = List.filter (fun s -> !bm land (1 lsl s) <> 0) (List.init m Fun.id) in
-          let hit s =
-            let k = keys.(s) in
-            k <= hi && (k > floor || (k = floor && not strict))
-          in
-          let rec first_wins = function
-            | (k, v) :: (k', _) :: rest when k = k' -> first_wins ((k, v) :: rest)
-            | p :: rest -> p :: first_wins rest
-            | [] -> []
-          in
+          let hit s = keys.(s) >= lo && keys.(s) <= hi in
           let pairs =
             List.filter hit occupied
             |> List.map (fun s -> (keys.(s), 1000 + s))
-            |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-            |> first_wins
+            |> List.sort compare
           in
-          let expect =
-            ( (if List.exists (fun s -> keys.(s) <= hi) occupied then List.length pairs
-               else -1),
-              List.map (fun (k, v) -> (S.key k, v)) pairs )
-          in
+          let expect = (List.length pairs, List.map (fun (k, v) -> (S.key k, v)) pairs) in
           let touched = Hashtbl.create 64 in
           let span off len =
             for ln = off / line to (off + len - 1) / line do
@@ -527,7 +495,7 @@ struct
             occupied;
           Scm.Config.set_stats true;
           Scm.Stats.reset ();
-          let got = gather l (ctx, leaf, !bm) ~floor ~strict ~hi () in
+          let got = gather l (ctx, leaf, !bm) ~lo ~hi () in
           let what = Printf.sprintf "%s %s trial %d" S.name name trial in
           Alcotest.check result what expect got;
           Alcotest.(check int) (what ^ ": line reads") (Hashtbl.length touched)
@@ -597,9 +565,7 @@ let () =
         ] );
       ( "gather",
         [ Alcotest.test_case "fixed filters and order" `Quick Gather_fixed.test_filters;
-          Alcotest.test_case "fixed duplicate key" `Quick Gather_fixed.test_duplicate;
           Alcotest.test_case "var filters and order" `Quick Gather_var.test_filters;
-          Alcotest.test_case "var duplicate key" `Quick Gather_var.test_duplicate;
           Alcotest.test_case "fixed random leaves" `Quick Gather_fixed.test_differential;
           Alcotest.test_case "var random leaves" `Quick Gather_var.test_differential;
         ] );

@@ -47,7 +47,8 @@
      of the bracket.
 
    Comments and string/char literals are stripped first, so prose
-   mentioning these identifiers is fine.  Usage:
+   mentioning these identifiers is fine.  [dune build @lint] scans
+   lib, bin, bench and examples.  Usage:
 
      lint.exe DIR...     # scans *.ml / *.mli recursively, exits 1 on
                          # any violation                                *)

@@ -269,17 +269,39 @@ let test_hold_and_bounded_wait () =
 (* A reader that meets a word inside a write phase waits for the phase
    to close and records the word it then sees, instead of aborting.
    The writer domain closes its phase only once the reader has
-   started observing.  With one CPU the writer cannot run while the
-   reader spins, so there only termination is checked. *)
+   started observing.  The wait only helps if the writer runs while
+   the reader spins, and a freshly spawned domain may share the
+   reader's CPU (or its virtual CPU may be descheduled) for longer
+   than {!Nv.busy_wait_ns}.  So before each trial the two domains
+   ping-pong on [turn] until 100 round trips take under 200 us, which
+   they only do on two CPUs at once, for at most 20 s in all.  With
+   one CPU the writer cannot run while the reader spins, so there
+   only termination is checked. *)
 let test_busy_word_awaited () =
   let c = Nv.fresh () in
+  let parallel = Domain.recommended_domain_count () > 1 in
+  let deadline = Obs.Clock.now_ns () + 20_000_000_000 in
+  let rec side_by_side turn =
+    let t0 = Obs.Clock.now_ns () in
+    for i = 0 to 99 do
+      Atomic.set turn ((2 * i) + 1);
+      while Atomic.get turn <> (2 * i) + 2 do
+        Domain.cpu_relax ()
+      done
+    done;
+    let t1 = Obs.Clock.now_ns () in
+    t1 - t0 < 200_000 || (t1 < deadline && side_by_side turn)
+  in
   let trial () =
     let opened = Atomic.make false and observing = Atomic.make false in
+    let turn = Atomic.make 0 in
     let w =
       Domain.spawn (fun () ->
           Nv.begin_write c;
           Atomic.set opened true;
           while not (Atomic.get observing) do
+            let t = Atomic.get turn in
+            if t land 1 = 1 then Atomic.set turn (t + 1);
             Domain.cpu_relax ()
           done;
           let t0 = Obs.Clock.now_ns () in
@@ -291,27 +313,30 @@ let test_busy_word_awaited () =
     while not (Atomic.get opened) do
       Domain.cpu_relax ()
     done;
+    let together = (not parallel) || side_by_side turn in
     Atomic.set observing true;
-    let rs = Nv.scratch () in
     let r =
-      match Nv.observe_id rs c 1 with
-      | () -> Some (Nv.validate rs)
-      | exception Nv.Conflict -> None
+      if not together then `Apart
+      else
+        let rs = Nv.scratch () in
+        match Nv.observe_id rs c 1 with
+        | () -> `Waited (Nv.validate rs)
+        | exception Nv.Conflict -> `Aborted
     in
     Domain.join w;
     r
   in
   let rec go n =
     match trial () with
-    | Some ok -> Some ok
-    | None -> if n > 1 then go (n - 1) else None
+    | `Aborted when n > 1 -> go (n - 1)
+    | r -> r
   in
   match go 10 with
-  | Some ok ->
+  | `Waited ok ->
     Alcotest.(check bool) "recorded the closed phase's word" true ok
-  | None ->
-    if Domain.recommended_domain_count () > 1 then
-      Alcotest.fail "every trial aborted instead of waiting"
+  | `Aborted ->
+    if parallel then Alcotest.fail "every trial aborted instead of waiting"
+  | `Apart -> Alcotest.fail "the two domains never ran side by side"
 
 let () =
   Alcotest.run "htm"

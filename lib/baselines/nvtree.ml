@@ -310,11 +310,12 @@ module Make (K : Fptree.Keys.KEY) = struct
   let try_lock l = Htm.Sched.Opaque.cas l.lock false true
   let unlock l = Htm.Sched.Opaque.set l.lock false
 
-  (* Optimistic sections read the directory with [dir] in the read
-     set and take leaf locks (or observe them free) inside it; the
-     fallback mutex excludes the structural writer, so locked bodies
-     need only wait out leaf locks.  The leaf locks are opaque to the
-     model checker, hence [Spec.retry] rather than [Spec.busy]. *)
+  (* Sections read the directory with [dir] in the read set and take
+     leaf locks (or observe them free) inside it.  Under the fallback
+     mutex the structural writer is excluded, so a run there fails
+     only on a held leaf lock.  The leaf locks are opaque to the model
+     checker, so a held one is a plain [Spec.Abort], naming nothing to
+     park on. *)
   module Find_section = Spec.Section (struct
     type ctx = t
     type arg = K.t
@@ -332,13 +333,10 @@ module Make (K : Fptree.Keys.KEY) = struct
       if Htm.Sched.Opaque.get leaf.lock then raise Spec.Abort;
       match r with Some (v, true) -> Some v | _ -> None
 
-    let optimistic t k () rs =
+    let body t k () rs =
       Nv.observe rs t.dir;
       let r = probe t k in
       if Nv.validate rs then r else raise Nv.Conflict
-
-    let locked t k () =
-      match probe t k with r -> r | exception Spec.Abort -> Spec.retry t.spec
   end)
 
   let find t k = Find_section.run t k ()
@@ -352,7 +350,7 @@ module Make (K : Fptree.Keys.KEY) = struct
     let lock t = t.spec
     let committed _ = ()
 
-    let optimistic t k () rs =
+    let body t k () rs =
       Nv.observe rs t.dir;
       let (_, _, leaf) as r = find_leaf t k in
       if not (try_lock leaf) then raise Spec.Abort;
@@ -361,10 +359,6 @@ module Make (K : Fptree.Keys.KEY) = struct
         unlock leaf;
         raise Nv.Conflict
       end
-
-    let locked t k () =
-      let (_, _, leaf) as r = find_leaf t k in
-      if try_lock leaf then r else Spec.retry t.spec
   end)
 
   let lock_leaf_for t k = Lock_section.run t k ()
@@ -378,14 +372,10 @@ module Make (K : Fptree.Keys.KEY) = struct
     let lock t = t.spec
     let committed _ = ()
 
-    let optimistic t lo () rs =
+    let body t lo () rs =
       Nv.observe rs t.dir;
       let _, _, leaf = find_leaf t lo in
       if Nv.validate rs then leaf else raise Nv.Conflict
-
-    let locked t lo () =
-      let _, _, leaf = find_leaf t lo in
-      leaf
   end)
 
   (* Append [mk_entry] to the leaf holding [k], splitting first if the

@@ -17,7 +17,6 @@ type config = {
   n_split_logs : int;
   n_delete_logs : int;
   htm_retries : int;
-  htm_backoff : int;
   checksums : bool;
 }
 

@@ -18,7 +18,6 @@ type config = {
   n_split_logs : int;
   n_delete_logs : int;
   htm_retries : int;
-  htm_backoff : int;     (** backoff ceiling between speculative retries *)
   checksums : bool;
       (** Per-leaf integrity cell: every committed leaf mutation is
           followed by a checksum refresh, and recovery quarantines

@@ -8,7 +8,8 @@
 
     {b Conflict granularity.}  Every node — inner node and leaf
     reference alike — embeds its own {!Htm.Node_versions.cell} version
-    word.  Optimistic readers use the [_rs] traversals, which
+    word.  Speculative sections descend with the [_rs] traversals —
+    optimistically or under the fallback mutex alike — which
     {e observe} each node's version before touching its fields
     (recording it into the caller's read set); structural writers
     ([update_parents], [remove_leaf]) bracket the mutation of each
@@ -143,7 +144,7 @@ let rec find_node_rs rs cmp node key =
     Nv.observe_id rs n.ver n.id;
     find_node_rs rs cmp n.children.(child_index cmp n key) key
 
-(** {!find_leaf} for optimistic readers: observes [t.root_ver] before
+(** {!find_leaf} for speculative sections: observes [t.root_ver] before
     dereferencing the root pointer, then each inner node's version
     {e before} reading its fields, so commit-time validation fails iff
     a writer modified a node on this path — or swapped the root out
@@ -178,12 +179,6 @@ let upper_index cmp node n key above u =
   u.parent <- node;
   i
 
-let rec upper_node cmp node key above u =
-  match node with
-  | Leaf l -> l
-  | Inner n ->
-    upper_node cmp n.children.(upper_index cmp node n key above u) key above u
-
 let rec upper_node_rs rs cmp node key above u =
   match node with
   | Leaf l -> l
@@ -191,10 +186,6 @@ let rec upper_node_rs rs cmp node key above u =
     Nv.observe_id rs n.ver n.id;
     upper_node_rs rs cmp n.children.(upper_index cmp node n key above u) key
       above u
-
-let find_leaf_upper cmp t key ~above u =
-  u.bounded <- false;
-  upper_node cmp t.root key above u
 
 (* The leaf just above [key] through the parent [u] recorded, when
    [key] is one of that parent's separators and not its last: the next
@@ -221,36 +212,20 @@ let find_leaf_upper_rs rs cmp t key ~above u =
     upper_node_rs rs cmp t.root key above u
   end
 
-let rec rightmost_leaf = function
-  | Leaf l -> l
-  | Inner n -> rightmost_leaf n.children.(n.nkeys)
-
 let rec rightmost_leaf_rs rs = function
   | Leaf l -> l
   | Inner n ->
     Nv.observe_id rs n.ver n.id;
     rightmost_leaf_rs rs n.children.(n.nkeys)
 
-(* Descent for {!find_leaf_and_prev}: [left] is the nearest subtree to
-   the left of the path so far, meaningful only when [has_left].  Top
-   level over plain arguments (see {!bsearch}): a local [let rec], a
-   [Some] per level or an [Option.map] partial application would each
-   allocate on every delete. *)
-let rec leaf_and_prev cmp node key left has_left =
-  match node with
-  | Leaf l -> (l, if has_left then Some (rightmost_leaf left) else None)
-  | Inner n ->
-    let i = child_index cmp n key in
-    if i > 0 then leaf_and_prev cmp n.children.(i) key n.children.(i - 1) true
-    else leaf_and_prev cmp n.children.(i) key left has_left
-
-(** Descend to the leaf for [key] and also return the leaf immediately
-    to its left in key order, if any (FindLeafAndPrevLeaf). *)
-let find_leaf_and_prev cmp root key = leaf_and_prev cmp root key root false
-
-(* {!leaf_and_prev} with read-set recording: each inner node on the
-   path is observed before it is read, then the left subtree's
-   rightmost path. *)
+(* The leaf for [key] and the leaf immediately to its left in key
+   order, if any (FindLeafAndPrevLeaf): each inner node on the path is
+   observed before it is read, then the left subtree's rightmost path.
+   [left] is the nearest subtree to the left of the path so far,
+   meaningful only when [has_left].  Top level over plain arguments
+   (see {!bsearch}): a local [let rec], a [Some] per level or an
+   [Option.map] partial application would each allocate on every
+   delete. *)
 let rec leaf_and_prev_rs rs cmp node key left has_left =
   match node with
   | Leaf l -> (l, if has_left then Some (rightmost_leaf_rs rs left) else None)
@@ -261,8 +236,6 @@ let rec leaf_and_prev_rs rs cmp node key left has_left =
       leaf_and_prev_rs rs cmp n.children.(i) key n.children.(i - 1) true
     else leaf_and_prev_rs rs cmp n.children.(i) key left has_left
 
-(** {!find_leaf_and_prev} with read-set recording (root pointer and
-    both descents). *)
 let find_leaf_and_prev_rs rs cmp t key =
   Nv.observe_id rs t.root_ver 0;
   let root = t.root in

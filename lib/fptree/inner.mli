@@ -5,11 +5,14 @@
     the key type; comparisons are passed explicitly.
 
     Each node (inner node and leaf reference) embeds its own
-    {!Htm.Node_versions.cell} version word: optimistic readers use the
-    [_rs] traversals to record the versions of the nodes they touch,
-    and structural writers bump only the nodes they modify — per-node
-    conflict detection modeling TSX read-set granularity, with the
-    version word co-located with the node it protects. *)
+    {!Htm.Node_versions.cell} version word: every speculative section
+    descends with the [_rs] traversals, which record the versions of
+    the nodes they touch (whether the section runs optimistically or
+    under the fallback mutex), and structural writers bump only the
+    nodes they modify — per-node conflict detection modeling TSX
+    read-set granularity, with the version word co-located with the
+    node it protects.  The one unrecorded descent, {!find_leaf}, is
+    for callers with no concurrent writer. *)
 
 type leaf_ref = {
   off : int;             (** leaf payload offset inside the tree's region *)
@@ -61,10 +64,11 @@ val regression_root_ver_hole : bool ref
     swap.  Consulted only on the cold root-split path; armed by the
     mcheck regression mode to prove the checker finds the bug. *)
 
-(** Descend to the leaf responsible for [key]. *)
+(** Descend to the leaf responsible for [key], recording nothing
+    (invariant checks, tests, single-threaded harnesses). *)
 val find_leaf : ('k -> 'k -> int) -> 'k node -> 'k -> leaf_ref
 
-(** {!find_leaf} for optimistic readers: observes [root_ver] before
+(** {!find_leaf} for speculative sections: observes [root_ver] before
     dereferencing the root pointer, then each traversed inner node's
     version into the read set before reading its fields.
     Allocation-free.
@@ -84,31 +88,24 @@ type 'k upper = {
 (** A record holding [key], unbounded, with no parent yet. *)
 val upper : 'k -> 'k upper
 
-(** [find_leaf_upper cmp t key ~above u] descends to the leaf for [key]
-    ([above = false]), or to the leaf holding the keys just above [key]
-    ([above = true]), and leaves in [u] that leaf's upper bound (the
+(** [find_leaf_upper_rs rs cmp t key ~above u] descends to the leaf
+    for [key] ([above = false]), or to the leaf holding the keys just
+    above [key] ([above = true]), recording the path as
+    {!find_leaf_rs}, and leaves in [u] that leaf's upper bound (the
     key of the nearest ancestor entry the path took below its [nkeys])
-    and its parent position.  Allocation-free. *)
-val find_leaf_upper :
-  ('k -> 'k -> int) -> 'k t -> 'k -> above:bool -> 'k upper -> leaf_ref
-
-(** {!find_leaf_upper} with read-set recording, as {!find_leaf_rs}.
-    With [above], when the parent [u] recorded holds [key] as a
-    separator with another after it, the leaf is that parent's next
-    child, reached by observing the parent alone; otherwise the
-    descent starts at the root.
+    and its parent position.  With [above], when the parent [u]
+    recorded holds [key] as a separator with another after it, the
+    leaf is that parent's next child, reached by observing the parent
+    alone; otherwise the descent starts at the root.  Allocation-free.
     @raise Htm.Node_versions.Conflict if a writer is inside a node. *)
 val find_leaf_upper_rs :
   Htm.Node_versions.readset -> ('k -> 'k -> int) -> 'k t -> 'k -> above:bool ->
   'k upper -> leaf_ref
 
 (** The leaf for [key] plus the leaf immediately to its left in key
-    order, if any (FindLeafAndPrevLeaf). *)
-val find_leaf_and_prev :
-  ('k -> 'k -> int) -> 'k node -> 'k -> leaf_ref * leaf_ref option
-
-(** {!find_leaf_and_prev} with read-set recording on the root pointer
-    and both descents. *)
+    order, if any (FindLeafAndPrevLeaf), recording the root pointer
+    and both descents as {!find_leaf_rs}.
+    @raise Htm.Node_versions.Conflict if a writer is inside a node. *)
 val find_leaf_and_prev_rs :
   Htm.Node_versions.readset ->
   ('k -> 'k -> int) -> 'k t -> 'k -> leaf_ref * leaf_ref option

@@ -34,7 +34,6 @@ type config = D.config = {
   n_split_logs : int;
   n_delete_logs : int;
   htm_retries : int;
-  htm_backoff : int;
   checksums : bool;
 }
 
@@ -51,8 +50,7 @@ type config = D.config = {
 let fptree_config =
   { m = 56; value_bytes = 8; inner_keys = 512; fingerprints = true;
     split_arrays = false; use_groups = true; group_size = 8;
-    n_split_logs = 1; n_delete_logs = 1; htm_retries = 8;
-    htm_backoff = 1024; checksums = false }
+    n_split_logs = 1; n_delete_logs = 1; htm_retries = 8; checksums = false }
 
 (** Concurrent FPTree defaults (Table 1: leaf 64, inner 128; no leaf
     groups — they are a central synchronization point). *)
@@ -539,9 +537,9 @@ module Make (K : Keys.KEY) = struct
      [try_lock] is kept only if none of them moved — i.e. only a
      writer that modified a node {e on this key's path} forces a
      retry, not any writer anywhere (TSX read-set granularity).  A
-     failed [try_lock] is an explicit abort; after the retry threshold
-     the real mutex is taken, with a busy leaf lock releasing and
-     reacquiring it (Algorithm 1).
+     failed [try_lock] is an explicit abort naming the lock; after the
+     retry threshold the body runs under the real mutex, which a busy
+     leaf lock releases and reacquires (Algorithm 1).
 
      Path validation alone pins the leaf's identity: once [try_lock]
      succeeds no writer is inside the leaf, and any split or removal
@@ -555,19 +553,15 @@ module Make (K : Keys.KEY) = struct
     let lock t = t.spec
     let committed _ = ()
 
-    let optimistic t k () rs =
+    let body t k () rs =
       let leaf = Inner.find_leaf_rs rs K.compare t.inner k in
-      if not (try_lock t leaf) then raise Spec.Abort;
+      if not (try_lock t leaf) then
+        Spec.abort rs ~obj:(Sched.obj_lock leaf.Inner.off);
       if Nv.validate rs then leaf
       else begin
         unlock t leaf;
         raise Nv.Conflict
       end
-
-    let locked t k () =
-      let leaf = Inner.find_leaf K.compare t.inner.Inner.root k in
-      if try_lock t leaf then leaf
-      else Spec.busy t.spec ~obj:(Sched.obj_lock leaf.Inner.off)
   end)
 
   let lock_leaf_for t k = Lock_section.run t k ()
@@ -595,7 +589,7 @@ module Make (K : Keys.KEY) = struct
     let committed attempts =
       if stats_on () then Obs.Histogram.record Metrics.find_retries attempts
 
-    let optimistic t k h rs =
+    let body t k h rs =
       let leaf = Inner.find_leaf_rs rs K.compare t.inner k in
       (* The leaf's version word stands in for its content lines: a
          writer opens a phase before its first store, so a quiescent
@@ -608,30 +602,6 @@ module Make (K : Keys.KEY) = struct
       if s < 0 then raise Not_found;
       let v = read_value t leaf.Inner.off s in
       if Nv.validate rs then v else raise Nv.Conflict
-
-    (* Under the real mutex: structural writers serialize on the same
-       mutex ([Spec.with_write]), but optimistic leaf writers do not —
-       they only hold the leaf lock and its version phase.  So the
-       probe checks the leaf's version word around the read, releasing
-       the mutex between retries as in the paper's Algorithm 1 (a leaf
-       writer waiting on the mutex for its structure update can then
-       make progress — no deadlock). *)
-    let locked t k h =
-      let leaf = Inner.find_leaf K.compare t.inner.Inner.root k in
-      let obj = Sched.obj_ver leaf.Inner.off in
-      Sched.point ~obj ~write:false;
-      let v0 = Nv.read leaf.Inner.ver in
-      if Nv.is_busy v0 then Spec.busy t.spec ~obj;
-      match find_slot t leaf.Inner.off k h with
-      | exception e ->
-        Sched.point ~obj ~write:false;
-        if Nv.read leaf.Inner.ver = v0 then raise e else Spec.retry t.spec
-      | s ->
-        let v = if s >= 0 then read_value t leaf.Inner.off s else 0 in
-        Sched.point ~obj ~write:false;
-        if Nv.read leaf.Inner.ver <> v0 then Spec.retry t.spec
-        else if s >= 0 then v
-        else raise Not_found
   end)
 
   (* A monotonic-clock read costs ~23 ns on this host even on the TSC
@@ -693,12 +663,9 @@ module Make (K : Keys.KEY) = struct
      split until the parents reference the new sibling: the last inner
      node the caller's lock section recorded, i.e. the leaf's parent.
      Readers arriving there wait instead of descending into the leaf
-     and failing validation when the parent changes.  If the section
-     committed under the fallback mutex the record is from an earlier
-     attempt and may name another node, which only delays its readers.
-     No hold under the model checker (it cannot affect safety and
-     would only enlarge the schedule space) or when the leaf is the
-     root. *)
+     and failing validation when the parent changes.  No hold under
+     the model checker (it cannot affect safety and would only enlarge
+     the schedule space) or when the leaf is the root. *)
   let split_hold () =
     if Sched.on () then None
     else
@@ -932,9 +899,10 @@ module Make (K : Keys.KEY) = struct
       let sole = prev = None && Pptr.is_null (leaf_next t leaf.Inner.off) in
       single && not sole
 
-    let optimistic t k h rs =
+    let body t k h rs =
       let leaf, prev = Inner.find_leaf_and_prev_rs rs K.compare t.inner k in
-      if not (try_lock t leaf) then raise Spec.Abort;
+      if not (try_lock t leaf) then
+        Spec.abort rs ~obj:(Sched.obj_lock leaf.Inner.off);
       if not (Nv.validate rs) then begin
         unlock t leaf;
         raise Nv.Conflict
@@ -946,32 +914,13 @@ module Make (K : Keys.KEY) = struct
         | Some p ->
           if not (try_lock t p) then begin
             unlock t leaf;
-            raise Spec.Abort
+            Spec.abort rs ~obj:(Sched.obj_lock p.Inner.off)
           end
           else if Nv.validate rs then Del_whole_leaf (leaf, Some p)
           else begin
             unlock t p;
             unlock t leaf;
             raise Nv.Conflict
-          end
-
-    (* Under the real mutex structural updates are excluded, so the
-       path and the predecessor are stable; leaf locks are still taken
-       by optimistic writers, so a busy lock releases the mutex and
-       retries (Algorithm 1). *)
-    let locked t k h =
-      let leaf, prev = Inner.find_leaf_and_prev K.compare t.inner.Inner.root k in
-      if not (try_lock t leaf) then
-        Spec.busy t.spec ~obj:(Sched.obj_lock leaf.Inner.off);
-      if not (whole_leaf t k h leaf prev) then Del_in_leaf leaf
-      else
-        match prev with
-        | None -> Del_whole_leaf (leaf, None)
-        | Some p ->
-          if try_lock t p then Del_whole_leaf (leaf, Some p)
-          else begin
-            unlock t leaf;
-            Spec.busy t.spec ~obj:(Sched.obj_lock p.Inner.off)
           end
   end)
 
@@ -1168,29 +1117,13 @@ module Make (K : Keys.KEY) = struct
       K.gather t.ctx t.layout ~leaf:leaf.Inner.off
         ~bm:(leaf_bitmap t leaf.Inner.off) ~lo ~hi:s.hi s.lk s.lv
 
-    let optimistic s key above rs =
+    let body s key above rs =
       let leaf =
         Inner.find_leaf_upper_rs rs K.compare s.tree.inner key ~above s.upper
       in
       Nv.observe_id rs leaf.Inner.ver leaf.Inner.off;
       let n = gather s leaf key in
       if Nv.validate rs then n else raise Nv.Conflict
-
-    (* Under the real mutex, as [Find_section.locked]: the path is
-       stable, leaf writers are not, so the leaf's version word is
-       checked around the gather. *)
-    let locked s key above =
-      let t = s.tree in
-      let leaf =
-        Inner.find_leaf_upper K.compare t.inner key ~above s.upper
-      in
-      let obj = Sched.obj_ver leaf.Inner.off in
-      Sched.point ~obj ~write:false;
-      let v0 = Nv.read leaf.Inner.ver in
-      if Nv.is_busy v0 then Spec.busy t.spec ~obj;
-      let n = gather s leaf key in
-      Sched.point ~obj ~write:false;
-      if Nv.read leaf.Inner.ver <> v0 then Spec.retry t.spec else n
   end)
 
   (** Inclusive range scan, one validated section per leaf.  The first
@@ -1309,9 +1242,7 @@ module Make (K : Keys.KEY) = struct
     in
     {
       ctx; layout; config = cfg; meta;
-      spec =
-        Spec.create ~retry_threshold:cfg.htm_retries
-          ~backoff_ceiling:cfg.htm_backoff ();
+      spec = Spec.create ~retry_threshold:cfg.htm_retries ();
       inner = Inner.create ~fanout:(cfg.inner_keys + 1) ~dummy_key:K.dummy
                 (Inner.leaf_ref (-1));
       split_logs = logs cfg.n_split_logs (fun i -> D.Split i);

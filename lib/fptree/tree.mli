@@ -27,7 +27,6 @@ type config = Descriptor.config = {
   n_split_logs : int;
   n_delete_logs : int;
   htm_retries : int;
-  htm_backoff : int;
   checksums : bool;
 }
 (** The fields are documented at {!Descriptor.config}. *)

@@ -83,10 +83,8 @@ exception Conflict
 let hold_one = 1 lsl 8
 let seq_one = 1 lsl 16
 let hold_mask = 0xFF00
+let writer_mask = 0xFF
 let count_mask = 0xFFFF
-
-let[@inline] is_busy v = v land count_mask <> 0
-let[@inline] read (c : cell) = Atomic.get c
 
 (** Open a write phase on [c]: increments the writer count and the
     sequence number.  Phases on the same cell may nest (same writer) or
@@ -133,7 +131,16 @@ type readset = {
           finding a busy cell (identity in [rs_busy_id]); false when
           it came from a failed {!validate} (identity recovered by
           scanning, see {!failure}) *)
+  mutable rs_fallback : bool;
+      (** fallback mode ({!fallback}): set and cleared by the driver,
+          read only on {!observe_id}'s busy branch *)
+  mutable rs_park : int;
+      (** the busy object a section named ({!name_busy}); [no_obj]
+          until then, read only by a failed fallback attempt *)
 }
+
+(* [rs_park] when no object is named. *)
+let no_obj = min_int
 
 (* Shared inert filler for unused capacity; never observed. *)
 let dummy_cell : cell = Atomic.make 0
@@ -149,6 +156,8 @@ let fresh_readset () =
     rs_n = 0;
     rs_busy_id = 0;
     rs_busy = false;
+    rs_fallback = false;
+    rs_park = no_obj;
   }
 
 let rs_key = Domain.DLS.new_key fresh_readset
@@ -183,6 +192,27 @@ let scratch () =
     {!scratch} wipes the evidence.  Same one-section-per-domain
     constraint as {!scratch}. *)
 let current () = if Sched.on () then mc_readset () else Domain.DLS.get rs_key
+
+(** {!scratch} for an attempt under the fallback mutex: the buffer in
+    fallback mode, with no object named.  The mode outlives [scratch]
+    (which never touches it) until {!end_fallback}. *)
+let fallback () =
+  let rs = scratch () in
+  rs.rs_fallback <- true;
+  rs.rs_park <- no_obj;
+  rs
+
+let end_fallback rs = rs.rs_fallback <- false
+
+let name_busy rs obj = rs.rs_park <- obj
+
+(** Park a failed fallback attempt under the model checker: until
+    another thread writes the version word {!observe_id} found a
+    writer inside, else the object given to {!name_busy}.  Nothing to
+    wait for after a failed validation. *)
+let await_busy rs =
+  if rs.rs_busy then Sched.await ~obj:(Sched.obj_ver rs.rs_busy_id)
+  else if rs.rs_park <> no_obj then Sched.await ~obj:rs.rs_park
 
 let grow rs =
   let n = Array.length rs.rs_cells in
@@ -220,10 +250,15 @@ let rec spin_until_quiet (c : cell) deadline i =
   end
 
 (* The busy branch of {!observe_id}, out of line so the quiet path
-   stays a load, a test and the record. *)
+   stays a load, a test and the record.  In fallback mode nothing is
+   waited for: a word that is only held is recorded without its hold
+   bits (the holder may be queued on the fallback mutex), and a word
+   with a writer inside fails at once. *)
 let observe_busy rs (c : cell) id v =
   let v =
-    if Sched.on () then v
+    if rs.rs_fallback then
+      if v land writer_mask = 0 then v land lnot hold_mask else v
+    else if Sched.on () then v
     else spin_until_quiet c (Obs.Clock.now_ns () + busy_wait_ns) 1
   in
   if v land count_mask <> 0 then begin

@@ -23,9 +23,6 @@ val busy_wait_ns : int
 (** How long {!observe} waits for a busy word to become quiet before
     it aborts (1 ms).  No wait under the model checker. *)
 
-val read : cell -> int
-val is_busy : int -> bool
-
 val begin_write : cell -> unit
 (** Open a write phase on a cell: readers observing it abort, and the
     sequence bump fails any reader that observed it earlier.  Phases
@@ -67,7 +64,10 @@ val scratch : unit -> readset
 
 val observe : readset -> cell -> unit
 (** Record a cell's current version into the read set, first waiting
-    up to {!busy_wait_ns} for a busy cell to become quiet.
+    up to {!busy_wait_ns} for a busy cell to become quiet.  In
+    fallback mode ({!fallback}) it does not wait: a held cell is
+    recorded as if the hold were not there, and a cell with a writer
+    inside raises at once.
     @raise Conflict if the cell is still busy. *)
 
 val observe_id : readset -> cell -> int -> unit
@@ -81,6 +81,29 @@ val observe_id : readset -> cell -> int -> unit
 val validate : readset -> bool
 (** [true] iff no recorded cell moved since it was observed.
     Allocation-free. *)
+
+(** {1 Fallback mode}
+
+    Used by {!Speculative_lock}'s driver to run a section's one body
+    under the fallback mutex. *)
+
+val fallback : unit -> readset
+(** {!scratch} in fallback mode, with no busy object named.  The mode
+    stays on (later [scratch] calls do not clear it) until
+    {!end_fallback}. *)
+
+val end_fallback : readset -> unit
+
+val name_busy : readset -> int -> unit
+(** Name the object ({!Sched.obj_lock}, {!Sched.obj_ver}) whose
+    busy state fails the running section. *)
+
+val await_busy : readset -> unit
+(** After a failed fallback attempt, block under the model checker
+    ({!Sched.await}) until another thread writes the version word
+    {!observe_id} found a writer inside, else the object given to
+    {!name_busy}; no wait after a failed validation.  A no-op in
+    production. *)
 
 (** {1 Abort attribution (flight recorder)} *)
 

@@ -10,14 +10,15 @@
       version cell, optimistic readers record the cells they traverse
       and validate them at commit, and writers bump only the cells of
       the nodes they modify (cache-line-granular conflict detection);
-    - this module is the elided lock: the {!Section} driver runs an
-      optimistic body against a fresh read set, retries it with
-      bounded backoff, and after [retry_threshold] aborts runs the
-      caller's locked body under the real fallback mutex — releasing
-      the mutex whenever that body finds a leaf lock busy, as in the
-      paper's Algorithm 1, so a thread holding a leaf lock can still
-      enter its structure-updating writer section (no deadlock).
-      Structural writers serialize on the same mutex ({!with_write}).
+    - this module is the elided lock: the {!Section} driver runs a
+      section's one body optimistically against a fresh read set,
+      retries it with bounded backoff, and after [retry_threshold]
+      aborts runs the same body under the real fallback mutex —
+      releasing the mutex whenever that run finds a leaf lock or
+      version word busy, as in the paper's Algorithm 1, so a thread
+      holding a leaf lock can still enter its structure-updating
+      writer section (no deadlock).  Structural writers serialize on
+      the same mutex ({!with_write}).
 
     This preserves the property the FPTree design depends on: read-only
     traversals of the DRAM part run lock-free and scale, while
@@ -65,17 +66,14 @@ let g_backoff_waits =
 let jitter_shards = 64
 let jitter_stride = 8
 
-(* [awaiting] value of {!retry}: re-run the locked body without parking. *)
-let no_obj = min_int
+(* Ceiling of the exponential backoff between speculative retries
+   (relax-loop iterations per wait). *)
+let backoff_ceiling = 1024
 
 type t = {
   fallback : Mutex.t;
   retry_threshold : int;
-  backoff_ceiling : int;
   jitter : int Atomic.t array;
-  mutable awaiting : int;
-      (* object a locked body found busy ({!busy}); written and read
-         only while the fallback mutex is held *)
   (* per-lock sharded statistics (exact under domains) *)
   aborts : Obs.Counter.t;
   precise_conflicts : Obs.Counter.t;
@@ -84,15 +82,11 @@ type t = {
   backoff_waits : Obs.Counter.t;
 }
 
-let create ?(retry_threshold = 8) ?(backoff_ceiling = 1024) () =
-  if backoff_ceiling < 1 then
-    invalid_arg "Speculative_lock.create: backoff_ceiling must be >= 1";
+let create ?(retry_threshold = 8) () =
   {
     fallback = Mutex.create ();
     retry_threshold;
-    backoff_ceiling;
     jitter = Array.init (jitter_shards * jitter_stride) (fun _ -> Atomic.make 0);
-    awaiting = no_obj;
     aborts = Obs.Counter.make ();
     precise_conflicts = Obs.Counter.make ();
     explicit_aborts = Obs.Counter.make ();
@@ -129,9 +123,9 @@ let[@inline] count_explicit t =
 let cpu_relax () = Domain.cpu_relax ()
 
 (** Bounded exponential backoff before retry [attempt] (0-based: the
-    first retry waits ~2 relax iterations, doubling up to the lock's
-    ceiling).  The jitter term comes from a per-domain Weyl-sequence
-    PRNG cell that advances on {e every} wait, so each lock
+    first retry waits ~2 relax iterations, doubling up to
+    {!backoff_ceiling}).  The jitter term comes from a per-domain
+    Weyl-sequence PRNG cell that advances on {e every} wait, so each lock
     acquisition sees a fresh jitter sequence: domains that abort on
     the same conflict twice do not replay identical wait schedules and
     re-collide in lockstep (the old jitter was a pure function of
@@ -150,7 +144,7 @@ let backoff t attempt =
   Obs.Counter.incr t.backoff_waits;
   Obs.Counter.incr g_backoff_waits;
   if not (Sched.on ()) then begin
-    let spins = min t.backoff_ceiling (1 lsl min (attempt + 1) 20) in
+    let spins = min backoff_ceiling (1 lsl min (attempt + 1) 20) in
     let d = (Domain.self () :> int) land (jitter_shards - 1) in
     let s =
       match Scm.Config.current.backoff_seed with
@@ -185,15 +179,12 @@ let lock_fallback t =
 let unlock_fallback t = Sched.mutex_unlock ~obj:Sched.obj_mutex t.fallback
 
 exception Abort
-exception Busy
 
-let busy t ~obj =
-  t.awaiting <- obj;
-  raise Busy
+let abort rs ~obj =
+  Node_versions.name_busy rs obj;
+  raise Abort
 
-let retry t = busy t ~obj:no_obj
-
-(* ---- the optimistic-section driver ---- *)
+(* ---- the section driver ---- *)
 
 module type SECTION = sig
   type ctx
@@ -202,8 +193,7 @@ module type SECTION = sig
   type res
 
   val lock : ctx -> t
-  val optimistic : ctx -> arg -> aux -> Node_versions.readset -> res
-  val locked : ctx -> arg -> aux -> res
+  val body : ctx -> arg -> aux -> Node_versions.readset -> res
   val committed : int -> unit
 end
 
@@ -214,43 +204,46 @@ end
    allocation — and the per-call arguments travel as plain
    parameters. *)
 module Section (S : SECTION) = struct
-  (* Algorithm 1 under the global lock: a busy lock releases the mutex
-     and the loop reacquires it. *)
+  (* Algorithm 1 under the global lock: the body runs in fallback mode
+     ([Node_versions.fallback]), and an attempt that fails releases
+     the mutex, relaxes and relocks.  Structural writers are excluded,
+     so only a leaf writer can fail it.  Under the model checker the
+     attempt first parks on the busy object it named: a spinning fiber
+     would make the schedule space unbounded. *)
   let rec locked l ctx a b =
-    match S.locked ctx a b with
+    let rs = Node_versions.fallback () in
+    match S.body ctx a b rs with
     | r ->
-      unlock_fallback l;
+      leave l rs;
       r
-    | exception Busy ->
-      let obj = l.awaiting in
-      unlock_fallback l;
-      (* Model checker: park until the holder writes the object (a
-         spinning fiber would otherwise make the schedule space
-         unbounded); no-op in production, where the relax spin keeps
-         its behaviour. *)
-      if obj <> no_obj then Sched.await ~obj;
-      cpu_relax ();
-      Sched.mutex_lock ~obj:Sched.obj_mutex l.fallback;
-      locked l ctx a b
+    | exception (Node_versions.Conflict | Abort) -> relock l ctx a b rs
     | exception e ->
-      unlock_fallback l;
-      raise e
+      if Node_versions.validate rs then begin
+        leave l rs;
+        raise e
+      end
+      else relock l ctx a b rs
 
-  let fallback l ctx a b =
-    lock_fallback l;
-    match locked l ctx a b with
-    | r ->
-      S.committed l.retry_threshold;
-      r
-    | exception e ->
-      S.committed l.retry_threshold;
-      raise e
+  and relock l ctx a b rs =
+    unlock_fallback l;
+    Node_versions.await_busy rs;
+    cpu_relax ();
+    Sched.mutex_lock ~obj:Sched.obj_mutex l.fallback;
+    locked l ctx a b
+
+  and leave l rs =
+    Node_versions.end_fallback rs;
+    unlock_fallback l;
+    S.committed l.retry_threshold
 
   let rec attempt l ctx a b n =
-    if n >= l.retry_threshold then fallback l ctx a b
+    if n >= l.retry_threshold then begin
+      lock_fallback l;
+      locked l ctx a b
+    end
     else
       let rs = Node_versions.scratch () in
-      match S.optimistic ctx a b rs with
+      match S.body ctx a b rs with
       | r ->
         S.committed n;
         r

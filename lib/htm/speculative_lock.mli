@@ -2,44 +2,48 @@
     mutex), the substrate of Selective Concurrency (Section 4.4,
     Algorithm 1).
 
-    One protocol, driven by {!Section}: an optimistic body runs
+    One protocol, driven by {!Section}: a section's one body runs
     lock-free against a per-node read set ({!Node_versions}); a moved
     or busy node version is a precise conflict, a held lock an
     explicit abort; after [retry_threshold] aborts the fallback mutex
-    is taken for real and a locked body runs under it, releasing the
-    mutex whenever that body finds a lock busy (Algorithm 1's explicit
-    abort under the global lock).  Structural writers serialize on the
-    same mutex ({!with_write}) and bump the version cells of the nodes
-    they modify.  The retry loop, backoff, fallback mutex and abort
+    is taken for real and the same body runs under it, in the read
+    set's fallback mode, releasing the mutex whenever that run finds
+    a lock or version word busy (Algorithm 1's explicit abort under
+    the global lock).  Structural writers serialize on the same mutex
+    ({!with_write}) and bump the version cells of the nodes they
+    modify.  The retry loop, backoff, fallback mutex and abort
     accounting are private to this module: callers supply only the
-    two bodies. *)
+    body. *)
 
 type t
 
-(** [backoff_ceiling] bounds the exponential backoff between
-    speculative retries (maximum relax-loop iterations per wait,
-    default 1024; must be >= 1).
-    @raise Invalid_argument on a ceiling < 1. *)
-val create : ?retry_threshold:int -> ?backoff_ceiling:int -> unit -> t
+val create : ?retry_threshold:int -> unit -> t
 
-(** {1 Optimistic sections} *)
+(** {1 Sections} *)
 
 exception Abort
-(** Raised by an optimistic body when a lock it needs is held (an
-    explicit XABORT).  The driver counts it as an explicit abort if
-    the read set still validates, else as a precise conflict.
-    Constant constructor: raising it does not allocate. *)
+(** Raised by a body when a lock it needs is held (an explicit
+    XABORT).  The driver counts it as an explicit abort if the read
+    set still validates, else as a precise conflict; under the
+    fallback mutex it reruns the body.  Constant constructor: raising
+    it does not allocate. *)
 
-(** What a call site supplies.  [optimistic ctx a b rs] runs the
-    speculative body against the emptied read set [rs]: it must
+val abort : Node_versions.readset -> obj:int -> 'a
+(** [raise Abort], naming the busy lock word or version cell [obj]
+    ({!Sched.obj_lock} / {!Sched.obj_ver}): a run under the fallback
+    mutex that fails this way parks on [obj] under the model checker
+    before it relocks. *)
+
+(** What a call site supplies.  [body ctx a b rs] runs the section
+    against the emptied read set [rs], optimistically or under the
+    fallback mutex (the driver decides; the body cannot tell): it must
     validate [rs] itself before returning a result (undoing any lock
     it took and raising {!Node_versions.Conflict} when validation
-    fails), may raise {!Abort}, and may raise any other exception,
-    which the driver trusts only if [rs] still validates.
-    [locked ctx a b] runs under the fallback mutex; when it finds a
-    leaf lock or version busy it calls {!busy} or {!retry}.
-    [committed n] is told how many aborts preceded a committed result
-    or trusted exception ([retry_threshold] after a fallback). *)
+    fails), may raise {!Abort} (or call {!abort}), and may raise any
+    other exception, which the driver trusts only if [rs] still
+    validates.  [committed n] is told how many aborts preceded a
+    committed result or trusted exception ([retry_threshold] after a
+    fallback). *)
 module type SECTION = sig
   type ctx
   type arg
@@ -47,31 +51,18 @@ module type SECTION = sig
   type res
 
   val lock : ctx -> t
-  val optimistic : ctx -> arg -> aux -> Node_versions.readset -> res
-  val locked : ctx -> arg -> aux -> res
+  val body : ctx -> arg -> aux -> Node_versions.readset -> res
   val committed : int -> unit
 end
 
-(** The one optimistic-section driver: retry budget, read-set scratch,
-    exception trust, precise/explicit abort accounting with flight
-    attribution, backoff, and the Algorithm 1 fallback loop.
-    Allocation-free with the flight recorder off (the gate-on abort
-    attribution builds a pair). *)
+(** The one section driver: retry budget, read-set scratch, exception
+    trust, precise/explicit abort accounting with flight attribution,
+    backoff, and the Algorithm 1 fallback loop.  Allocation-free with
+    the flight recorder off (the gate-on abort attribution builds a
+    pair). *)
 module Section (S : SECTION) : sig
   val run : S.ctx -> S.arg -> S.aux -> S.res
 end
-
-val busy : t -> obj:int -> 'a
-(** Called by a locked body that found the lock word or version cell
-    [obj] ({!Sched.obj_lock} / {!Sched.obj_ver}) busy: the driver
-    releases the fallback mutex, parks on [obj] under the model
-    checker ({!Sched.await}), relaxes, relocks and re-runs the body.
-    Only valid inside a locked body. *)
-
-val retry : t -> 'a
-(** {!busy} without parking: for a locked body that saw an object
-    move after it was read (the writer may already be gone), or that
-    waits on a lock the model checker does not see. *)
 
 (** Run [f] as a writing transaction: mutual exclusion against other
     writers and fallback holders.  Optimistic readers are invalidated

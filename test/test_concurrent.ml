@@ -12,14 +12,21 @@ module Tree = Fptree.Tree
 
 let n_domains = max 2 (min 8 (Domain.recommended_domain_count () - 1))
 
-let setup () =
+let default_retries = Tree.fptree_concurrent_config.Tree.htm_retries
+
+let setup ?(htm_retries = default_retries) () =
   Scm.Registry.clear ();
   Scm.Config.reset ();
   Scm.Stats.reset ();
   Scm.Config.set_crash_tracking false;
   Scm.Config.set_stats false;
   let a = Pmem.Palloc.create ~size:(256 * 1024 * 1024) () in
-  (a, F.create_concurrent ~m:8 a)
+  (a, F.create ~config:{ Tree.fptree_concurrent_config with m = 8; htm_retries } a)
+
+(* Run a test with the default retry budget, then with none: every
+   section then runs its body under the fallback mutex. *)
+let with_and_without_speculation f () =
+  List.iter (fun htm_retries -> f ~htm_retries) [ default_retries; 0 ]
 
 let spawn_all f =
   let ds = List.init n_domains (fun d -> Domain.spawn (fun () -> f d)) in
@@ -96,11 +103,11 @@ let test_readers_never_see_garbage () =
   List.iter Domain.join readers;
   Alcotest.(check int) "no torn reads" 0 (Atomic.get bad)
 
-let test_mixed_workload_per_owner () =
+let test_mixed_workload_per_owner ~htm_retries =
   (* Each domain owns keys k with k mod n_domains = d and runs a
      deterministic insert/update/delete script on them; the final state
      is exactly predictable per key. *)
-  let _, t = setup () in
+  let _, t = setup ~htm_retries () in
   let per = 2000 in
   spawn_all (fun d ->
       for i = 0 to per - 1 do
@@ -178,8 +185,8 @@ let test_range_during_writes_is_sane () =
    preloaded pair and with each odd key carrying its inserted value.
    Windows of ~60 keys end mid-chain, so the scans stop at a leaf
    whose routing bound moves when it splits. *)
-let test_range_during_splits_is_ascending () =
-  let _, t = setup () in
+let test_range_during_splits_is_ascending ~htm_retries =
+  let _, t = setup ~htm_retries () in
   let w_lo = 10_000 and w_hi = 50_000 in
   for i = 0 to w_hi / 2 do
     ignore (F.insert t (2 * i) i)
@@ -332,12 +339,13 @@ let () =
         [
           Alcotest.test_case "readers never see garbage" `Quick
             test_readers_never_see_garbage;
-          Alcotest.test_case "mixed workload" `Quick test_mixed_workload_per_owner;
+          Alcotest.test_case "mixed workload" `Quick
+            (with_and_without_speculation test_mixed_workload_per_owner);
           Alcotest.test_case "concurrent whole-leaf deletes" `Quick
             test_concurrent_whole_leaf_deletes;
           Alcotest.test_case "range during writes" `Quick test_range_during_writes_is_sane;
           Alcotest.test_case "range during splits" `Quick
-            test_range_during_splits_is_ascending;
+            (with_and_without_speculation test_range_during_splits_is_ascending);
           Alcotest.test_case "range during delete and re-insert" `Quick
             test_range_during_delete_reinsert;
         ] );

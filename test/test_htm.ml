@@ -5,32 +5,27 @@
 module Spec = Htm.Speculative_lock
 module Nv = Htm.Node_versions
 
-(* A section whose two bodies are closures: enough to drive the
-   protocol from tests (the tree's sections are closure-free). *)
-type body = { opt : Nv.readset -> int; under_lock : unit -> int }
-
+(* A section whose body is a closure: enough to drive the protocol
+   from tests (the tree's sections are closure-free). *)
 module Run = Spec.Section (struct
   type ctx = Spec.t
-  type arg = body
+  type arg = Nv.readset -> int
   type aux = unit
   type res = int
 
   let lock l = l
-  let optimistic _ b () rs = b.opt rs
-  let locked _ b () = b.under_lock ()
+  let body _ f () rs = f rs
   let committed _ = ()
 end)
 
-let run l ~opt ~under_lock = Run.run l { opt; under_lock } ()
+let run l body = Run.run l body ()
 
-(* Read [f ()] optimistically under the version cell [c]. *)
+(* Read [f ()] under the version cell [c]. *)
 let read_under l c f =
-  run l
-    ~opt:(fun rs ->
+  run l (fun rs ->
       Nv.observe rs c;
       let v = f () in
       if Nv.validate rs then v else raise Nv.Conflict)
-    ~under_lock:f
 
 (* A writer section that invalidates readers of [c]. *)
 let write_under l c f =
@@ -41,7 +36,7 @@ let write_under l c f =
 
 let test_read_commit () =
   let l = Spec.create () in
-  let v = run l ~opt:(fun _ -> 42) ~under_lock:(fun () -> assert false) in
+  let v = run l (fun _ -> 42) in
   Alcotest.(check int) "commits value" 42 v;
   let s = Spec.stats l in
   Alcotest.(check int) "no aborts" 0 s.Spec.aborts
@@ -50,15 +45,11 @@ let test_abort_then_fallback () =
   let l = Spec.create ~retry_threshold:3 () in
   let attempts = ref 0 in
   let v =
-    run l
-      ~opt:(fun _ ->
+    run l (fun _ ->
+        (* three optimistic aborts, then Algorithm 1: a busy lock under
+           the fallback releases the mutex and the body runs again *)
         incr attempts;
-        raise Spec.Abort)
-      ~under_lock:(fun () ->
-        (* Algorithm 1: a busy lock under the fallback releases the
-           mutex and the body runs again *)
-        incr attempts;
-        if !attempts < 5 then Spec.retry l else !attempts)
+        if !attempts < 5 then raise Spec.Abort else !attempts)
   in
   Alcotest.(check int) "eventually commits (under fallback)" 5 v;
   let s = Spec.stats l in
@@ -112,8 +103,7 @@ let test_on_rollback_called () =
   in
   for _ = 1 to 20000 do
     let v =
-      run l
-        ~opt:(fun rs ->
+      run l (fun rs ->
           Nv.observe rs c;
           let v = take () in
           if Nv.validate rs then v
@@ -122,7 +112,6 @@ let test_on_rollback_called () =
             incr rolled_back;
             raise Nv.Conflict
           end)
-        ~under_lock:(fun () -> if Atomic.get word then Spec.retry l else take ())
     in
     committed := !committed + v;
     Atomic.set word false
@@ -162,11 +151,44 @@ let test_counter_under_contention () =
   Alcotest.(check int) "exact count" (n_domains * per) !c;
   Alcotest.(check bool) "reads monotone" true !readers_saw_monotone
 
+(* A section that falls back while a cell it observes is held (a
+   splitting leaf holds its parent, then queues on the fallback mutex
+   to update it) commits on its first run under the mutex: fallback
+   mode records a held word instead of waiting for the hold to end.
+   A second run stops the test rather than retrying while the hold
+   stands. *)
+let test_fallback_over_held_node () =
+  let l = Spec.create ~retry_threshold:0 () in
+  let c = Nv.fresh () in
+  Nv.begin_hold c;
+  let runs = ref 0 in
+  let v =
+    run l (fun rs ->
+        incr runs;
+        if !runs > 1 then failwith "the held cell failed the first fallback run";
+        Nv.observe rs c;
+        if Nv.validate rs then 1 else raise Nv.Conflict)
+  in
+  Nv.end_hold c;
+  Alcotest.(check int) "committed" 1 v;
+  Alcotest.(check int) "one fallback entry" 1 (Spec.stats l).Spec.fallbacks;
+  (* fallback mode ended with the section: an optimistic observation
+     waits on a held word again *)
+  Nv.begin_hold c;
+  let rs = Nv.scratch () in
+  let t0 = Obs.Clock.now_ns () in
+  (match Nv.observe rs c with
+   | () -> Alcotest.fail "an optimistic observation recorded a held word"
+   | exception Nv.Conflict -> ());
+  Alcotest.(check bool) "after the bounded wait" true
+    (Obs.Clock.now_ns () - t0 >= Nv.busy_wait_ns);
+  Nv.end_hold c
+
 let test_exception_passthrough () =
   let l = Spec.create () in
   Alcotest.check_raises "exceptions propagate when state is stable"
     (Failure "boom") (fun () ->
-      ignore (run l ~opt:(fun _ -> failwith "boom") ~under_lock:(fun () -> 0)))
+      ignore (run l (fun _ -> failwith "boom")))
 
 let qcheck_nested_write_consistency =
   QCheck.Test.make ~name:"writer sections are serializable" ~count:20
@@ -217,9 +239,14 @@ let test_backoff_seed_determinism () =
   in
   let one_run () =
     let baseline = dom_seq () in
-    let t = Spec.create ~retry_threshold:8 ~backoff_ceiling:64 () in
-    (* eight explicit aborts, one backoff wait before each retry *)
-    ignore (run t ~opt:(fun _ -> raise Spec.Abort) ~under_lock:(fun () -> 0));
+    let t = Spec.create ~retry_threshold:8 () in
+    (* eight explicit aborts, one backoff wait before each retry, then
+       the fallback run commits *)
+    let attempts = ref 0 in
+    ignore
+      (run t (fun _ ->
+           incr attempts;
+           if !attempts <= 8 then raise Spec.Abort else 0));
     ((Spec.stats t).Spec.backoff_waits, backoff_events baseline)
   in
   Scm.Config.reset ();
@@ -346,6 +373,8 @@ let () =
           Alcotest.test_case "read commit" `Quick test_read_commit;
           Alcotest.test_case "abort then fallback" `Quick test_abort_then_fallback;
           Alcotest.test_case "exception passthrough" `Quick test_exception_passthrough;
+          Alcotest.test_case "fallback over a held node" `Quick
+            test_fallback_over_held_node;
           Alcotest.test_case "pinned backoff seed is deterministic" `Quick
             test_backoff_seed_determinism;
         ] );

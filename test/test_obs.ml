@@ -274,14 +274,13 @@ let test_htm_per_domain_shards () =
     let lock l = l
 
     (* abort explicitly once, then commit *)
-    let optimistic _ aborted () _ =
+    let body _ aborted () _ =
       if !aborted then 7
       else begin
         aborted := true;
         raise Spec.Abort
       end
 
-    let locked _ _ () = 7
     let committed _ = ()
   end) in
   let l = Spec.create () in

@@ -270,12 +270,13 @@ let test_inner_update_parents_splits () =
 let test_inner_find_leaf_and_prev () =
   let leaves = mk_leaves 10 in
   let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int leaves in
-  let l, prev = Fptree.Inner.find_leaf_and_prev Int.compare t.Fptree.Inner.root 35 in
+  let find k = Fptree.Inner.find_leaf_and_prev_rs (Htm.Node_versions.scratch ()) Int.compare t k in
+  let l, prev = find 35 in
   Alcotest.(check int) "leaf for 35" 3 l.Fptree.Inner.off;
   (match prev with
   | Some p -> Alcotest.(check int) "prev leaf" 2 p.Fptree.Inner.off
   | None -> Alcotest.fail "expected a previous leaf");
-  let _, prev0 = Fptree.Inner.find_leaf_and_prev Int.compare t.Fptree.Inner.root 1 in
+  let _, prev0 = find 1 in
   Alcotest.(check bool) "leftmost has no prev" true (prev0 = None)
 
 let test_inner_remove_leaf () =

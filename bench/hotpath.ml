@@ -2,8 +2,9 @@
     allocation-free tree operations.
 
     Measures throughput of insert / find / update / delete / range on
-    the single-threaded FPTree at [scale * 1M] keys, in two simulator
-    modes:
+    the single-threaded FPTree at [scale * 1M] keys, and of the
+    var-key lookups behind the kvstore's GET (memcached-style keys on
+    the concurrent FPTreeVar), in two simulator modes:
 
     - [fast]: stats, crash tracking and delay injection all off — the
       configuration of the paper's throughput experiments (Figs 7-10);
@@ -65,6 +66,27 @@ let single_suite ~mode n =
       for i = 0 to (n / 2) - 1 do
         ignore (F.delete t (2 * ins.(i)))
       done)
+
+(* ---- var-key lookups: the kvstore's GET path ---- *)
+
+(* A [Kvstore.Cache] over the concurrent FPTreeVar, SET with [n]
+   memcached-style keys ("memc-%012d", as the mc-benchmark and the
+   layered kv-zipf workload use); then [var_find] times the tree's
+   [find_value] and [kv_get] a cache GET, both hitting every key once
+   in a permuted order.  Probe keys are built before timing. *)
+let var_suite ~mode n =
+  let a = Pmem.Palloc.create ~size:(256 * 1024 * 1024) () in
+  let t = Fptree.Var.create_concurrent a in
+  let cache = Kvstore.Cache.create (Kvstore.Tree_ops.of_fptree_concurrent t) in
+  let key i = Printf.sprintf "memc-%012d" i in
+  Array.iter
+    (fun i -> Kvstore.Cache.set_exn cache (key i) "value")
+    (Workloads.Keygen.permutation ~seed:104 n);
+  let probe = Array.map key (Workloads.Keygen.permutation ~seed:105 n) in
+  record ~mode ~domains:1 ~op:"var_find" ~ops:n (fun () ->
+      Array.iter (fun k -> ignore (Fptree.Var.find_value t ~default:(-1) k)) probe);
+  record ~mode ~domains:1 ~op:"kv_get" ~ops:n (fun () ->
+      Array.iter (fun k -> ignore (Kvstore.Cache.get cache k)) probe)
 
 (* ---- concurrent suite (find and 50/50 mixed on 1, 2 and 4 domains) ---- *)
 
@@ -206,9 +228,11 @@ let run () =
   (* fast mode: the paper's throughput configuration (Figs 7-10) *)
   Env.parallel ~latency_ns:90. ();
   single_suite ~mode:"fast" n;
+  var_suite ~mode:"fast" n;
   (* instrumented mode: access counting on (modeled-time runs) *)
   Env.single ();
   single_suite ~mode:"instrumented" n;
+  var_suite ~mode:"instrumented" n;
   (* concurrency: wall-clock mode, 1 and N domains *)
   Env.parallel ~latency_ns:90. ();
   let conc = concurrent_suite (max 100_000 (n / 2)) in

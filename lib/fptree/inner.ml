@@ -34,8 +34,12 @@
     [root] just before the swap could validate against the detached
     pre-split root and miss every key above the new separator.
 
-    The structure is parametric in the key type; all functions take the
-    comparison explicitly. *)
+    The structure is parametric in the key type.  The tree's descents
+    and structural updates take the key representation's [search]
+    ({!Keys.KEY.search}: one indirect call per level, its compares
+    inline); a comparison is passed only where one pair is compared,
+    and by the generic {!find_leaf}/{!find_leaf_rs} walk kept for
+    callers that hold nothing else. *)
 
 module Nv = Htm.Node_versions
 module Sched = Htm.Sched
@@ -114,11 +118,16 @@ let create ~fanout ~dummy_key first_leaf =
   t.root <- Inner root;
   t
 
-(** First index i in [0, nkeys) with key <= keys.(i); nkeys if none:
-    the child to descend into.  (A top-level recursive function over
-    plain arguments: this runs on every level of every operation, and
-    without flambda a local [let rec] capturing [cmp]/[n]/[key] — or a
-    [ref]-based loop — would be a minor-heap allocation per call.) *)
+(* [search keys n key]: the first index i in [0, n) with
+   key <= keys.(i), n if none ([Keys.KEY.search]). *)
+type 'k search = 'k array -> int -> 'k -> int
+
+(** The child to descend into: the first index i in [0, nkeys) with
+    key <= keys.(i), nkeys if none, found through [cmp] — the generic
+    form of [search n.keys n.nkeys key], and its reference.  (A
+    top-level recursive function over plain arguments: without flambda
+    a local [let rec] capturing [cmp]/[n]/[key] would be a minor-heap
+    allocation per call.) *)
 let rec bsearch cmp (n : 'k inner) key lo hi =
   if lo >= hi then lo
   else
@@ -129,14 +138,37 @@ let rec bsearch cmp (n : 'k inner) key lo hi =
 let child_index cmp (n : 'k inner) key = bsearch cmp n key 0 n.nkeys
 
 (** Descend to the leaf responsible for [key]. *)
+let rec descend search node key =
+  match node with
+  | Leaf l -> l
+  | Inner n -> descend search n.children.(search n.keys n.nkeys key) key
+
+(* Node-level descent shared by the [_rs] entry points below; the
+   caller must already have observed the cell guarding [node] (the
+   parent's cell, or [root_ver] for the root). *)
+let rec descend_node_rs rs search node key =
+  match node with
+  | Leaf l -> l
+  | Inner n ->
+    Nv.observe_id rs n.ver n.id;
+    descend_node_rs rs search n.children.(search n.keys n.nkeys key) key
+
+(** {!descend} for speculative sections: observes [t.root_ver] before
+    dereferencing the root pointer, then each inner node's version
+    {e before} reading its fields, so commit-time validation fails iff
+    a writer modified a node on this path — or swapped the root out
+    from under it.  Allocation-free.
+    @raise Nv.Conflict when a writer is inside a node on the path. *)
+let descend_rs rs search t key =
+  Nv.observe_id rs t.root_ver 0;
+  descend_node_rs rs search t.root key
+
+(* The same two descents choosing children through [cmp]. *)
 let rec find_leaf cmp node key =
   match node with
   | Leaf l -> l
   | Inner n -> find_leaf cmp n.children.(child_index cmp n key) key
 
-(* Node-level descent shared by the [_rs] entry points below; the
-   caller must already have observed the cell guarding [node] (the
-   parent's cell, or [root_ver] for the root). *)
 let rec find_node_rs rs cmp node key =
   match node with
   | Leaf l -> l
@@ -144,12 +176,6 @@ let rec find_node_rs rs cmp node key =
     Nv.observe_id rs n.ver n.id;
     find_node_rs rs cmp n.children.(child_index cmp n key) key
 
-(** {!find_leaf} for speculative sections: observes [t.root_ver] before
-    dereferencing the root pointer, then each inner node's version
-    {e before} reading its fields, so commit-time validation fails iff
-    a writer modified a node on this path — or swapped the root out
-    from under it.  Allocation-free.
-    @raise Nv.Conflict when a writer is inside a node on the path. *)
 let find_leaf_rs rs cmp t key =
   Nv.observe_id rs t.root_ver 0;
   find_node_rs rs cmp t.root key
@@ -169,8 +195,8 @@ let upper key = { key; bounded = false; parent = Leaf no_leaf }
    with [node] recorded as the leaf's parent and the child's key as
    the upper bound when there is one.  The deepest level gives the
    tightest bound and the parent, so each level overwrites the last. *)
-let upper_index cmp node n key above u =
-  let i = child_index cmp n key in
+let upper_index search cmp node n key above u =
+  let i = search n.keys n.nkeys key in
   let i = if above && i < n.nkeys && cmp key n.keys.(i) = 0 then i + 1 else i in
   if i < n.nkeys then begin
     u.key <- n.keys.(i);
@@ -179,13 +205,13 @@ let upper_index cmp node n key above u =
   u.parent <- node;
   i
 
-let rec upper_node_rs rs cmp node key above u =
+let rec upper_node_rs rs search cmp node key above u =
   match node with
   | Leaf l -> l
   | Inner n ->
     Nv.observe_id rs n.ver n.id;
-    upper_node_rs rs cmp n.children.(upper_index cmp node n key above u) key
-      above u
+    upper_node_rs rs search cmp
+      n.children.(upper_index search cmp node n key above u) key above u
 
 (* The leaf just above [key] through the parent [u] recorded, when
    [key] is one of that parent's separators and not its last: the next
@@ -194,22 +220,22 @@ let rec upper_node_rs rs cmp node key above u =
    failed attempt's torn descent may record any node).  A node holding
    keys is attached (only an emptied node is unlinked) and its keys lie
    inside its routing range.  [no_leaf] otherwise. *)
-let sibling_rs rs cmp key u =
+let sibling_rs rs search cmp key u =
   match u.parent with
   | Leaf _ -> no_leaf
   | Inner n as node -> (
     Nv.observe_id rs n.ver n.id;
-    let i = upper_index cmp node n key true u in
+    let i = upper_index search cmp node n key true u in
     if i = 0 || i >= n.nkeys || cmp key n.keys.(i - 1) <> 0 then no_leaf
     else match n.children.(i) with Leaf l -> l | Inner _ -> no_leaf)
 
-let find_leaf_upper_rs rs cmp t key ~above u =
-  let l = if above then sibling_rs rs cmp key u else no_leaf in
+let find_leaf_upper_rs rs search cmp t key ~above u =
+  let l = if above then sibling_rs rs search cmp key u else no_leaf in
   if l != no_leaf then l
   else begin
     Nv.observe_id rs t.root_ver 0;
     u.bounded <- false;
-    upper_node_rs rs cmp t.root key above u
+    upper_node_rs rs search cmp t.root key above u
   end
 
 let rec rightmost_leaf_rs rs = function
@@ -226,20 +252,20 @@ let rec rightmost_leaf_rs rs = function
    (see {!bsearch}): a local [let rec], a [Some] per level or an
    [Option.map] partial application would each allocate on every
    delete. *)
-let rec leaf_and_prev_rs rs cmp node key left has_left =
+let rec leaf_and_prev_rs rs search node key left has_left =
   match node with
   | Leaf l -> (l, if has_left then Some (rightmost_leaf_rs rs left) else None)
   | Inner n ->
     Nv.observe_id rs n.ver n.id;
-    let i = child_index cmp n key in
+    let i = search n.keys n.nkeys key in
     if i > 0 then
-      leaf_and_prev_rs rs cmp n.children.(i) key n.children.(i - 1) true
-    else leaf_and_prev_rs rs cmp n.children.(i) key left has_left
+      leaf_and_prev_rs rs search n.children.(i) key n.children.(i - 1) true
+    else leaf_and_prev_rs rs search n.children.(i) key left has_left
 
-let find_leaf_and_prev_rs rs cmp t key =
+let find_leaf_and_prev_rs rs search t key =
   Nv.observe_id rs t.root_ver 0;
   let root = t.root in
-  leaf_and_prev_rs rs cmp root key root false
+  leaf_and_prev_rs rs search root key root false
 
 (* ---- structural updates (run under the writer lock) ---- *)
 
@@ -279,7 +305,7 @@ let split_inner t n =
     under the writer lock; each modified node's version is bumped, and
     a node that splits stays in its write phase until its parent holds
     the new separator (see the module header). *)
-let update_parents t cmp ~sep ~right =
+let update_parents t search ~sep ~right =
   let right_node = Leaf right in
   let rec go node =
     (* Returns Some (n, sep', right') if [node = Inner n] split; [n]'s
@@ -288,7 +314,7 @@ let update_parents t cmp ~sep ~right =
     match node with
     | Leaf _ -> assert false
     | Inner n -> (
-      let i = child_index cmp n sep in
+      let i = search n.keys n.nkeys sep in
       match n.children.(i) with
       | Leaf _ ->
         Nv.begin_write_id n.ver n.id;
@@ -353,13 +379,13 @@ let remove_at n pos =
     the writer lock; the single modified ancestor's version is
     bumped — every root→leaf path to the dying subtree passes through
     it, so any reader still holding a reference is invalidated. *)
-let remove_leaf t cmp key =
+let remove_leaf t search key =
   let rec go node =
     (* Returns true if [node] ended up with zero children. *)
     match node with
     | Leaf _ -> assert false
     | Inner n -> (
-      let i = child_index cmp n key in
+      let i = search n.keys n.nkeys key in
       match n.children.(i) with
       | Leaf _ ->
         if n.nkeys = 0 then (* single-child node: removing empties it *)

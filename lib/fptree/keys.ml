@@ -37,6 +37,11 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
+  val search : t array -> int -> t -> int
+  (** [search keys n k]: the first [i < n] with [k <= keys.(i)], or [n]
+      when there is none, [n] clamped to the array's length: an inner
+      node's child choice.  See keys.mli. *)
+
   val gather :
     ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->
     int array -> int
@@ -91,6 +96,16 @@ module Fixed : KEY with type t = int = struct
   let inline = true
   let dummy = min_int
   let compare = Int.compare
+
+  (* Binary search with the compare inline on an [int array]; the
+     clamp keeps every load inside the array, so it can be unchecked. *)
+  let search (keys : int array) n (k : int) =
+    let lo = ref 0 and hi = ref (min n (Array.length keys)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if k <= Array.unsafe_get keys mid then hi := mid else lo := mid + 1
+    done;
+    !lo
 
   (* Collect, then sort.  The collect pass appends each hit unsorted,
      so it reads what a slot-by-slot loop reads, in that order; the sort
@@ -166,25 +181,49 @@ module Var : KEY with type t = string = struct
   let dummy = ""
   let compare = String.compare
 
+  (* [Fixed.search] with [String.compare] called directly. *)
+  let search (keys : string array) n (k : string) =
+    let lo = ref 0 and hi = ref (min n (Array.length keys)) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if String.compare k (Array.unsafe_get keys mid) <= 0 then hi := mid
+      else lo := mid + 1
+    done;
+    !lo
+
   let fingerprint = Fingerprint.of_string
   let dram_bytes s = String.length s + 24 (* OCaml string header etc. *)
 
   (* Defensive read: a concurrent dirty read can chase a pointer into a
      block that was freed and reused; clamp and bounds-check so the
-     worst outcome is a key that matches nothing. *)
+     worst outcome is a key that matches nothing.  [block] reads the
+     cell's two pointer words (region id, then offset) and gives the
+     block's offset, or -1 for a null pointer, another region's or one
+     outside this region; [key_len] reads the block's length word and
+     gives the length, or -1 when it is implausible.  Plain ints, so
+     neither allocates. *)
+  let block ctx ~off =
+    let r = ctx.region in
+    let id = Scm.Region.read_word r off in
+    let base = Scm.Region.read_word r (off + 8) in
+    if id = 0 || id <> Scm.Region.id r || base < 0
+       || base + 8 > Scm.Region.size r
+    then -1
+    else base
+
+  let key_len ctx base =
+    let len = Scm.Region.read_word ctx.region base in
+    if len <= 0 || len > max_var_key_len
+       || base + 8 + len > Scm.Region.size ctx.region
+    then -1
+    else len
+
   let read ctx ~off =
-    let p = Pmem.Pptr.read ctx.region off in
-    if Pmem.Pptr.is_null p || p.Pmem.Pptr.region_id <> Scm.Region.id ctx.region
-    then ""
+    let base = block ctx ~off in
+    if base < 0 then ""
     else
-      let base = p.Pmem.Pptr.off in
-      if base < 0 || base + 8 > Scm.Region.size ctx.region then ""
-      else
-        let len = Int64.to_int (Scm.Region.read_int64 ctx.region base) in
-        if len <= 0 || len > max_var_key_len
-           || base + 8 + len > Scm.Region.size ctx.region
-        then ""
-        else Scm.Region.read_string ctx.region (base + 8) len
+      let len = key_len ctx base in
+      if len < 0 then "" else Scm.Region.read_string ctx.region (base + 8) len
 
   (* The same two steps as [Fixed.gather], comparing with
      [String.compare] called directly. *)
@@ -245,7 +284,16 @@ module Var : KEY with type t = string = struct
     Scope.persist_in_scope ctx.region base (8 + len);
     Scope.leave c
 
-  let matches ctx ~off k = String.equal (read ctx ~off) k
+  (* [String.equal (read ctx ~off) k], comparing the key bytes in
+     place: the same words and span are read, and nothing is copied.
+     A cell [read] gives [""] for matches only the empty probe. *)
+  let matches ctx ~off k =
+    let base = block ctx ~off in
+    if base < 0 then String.length k = 0
+    else
+      let len = key_len ctx base in
+      if len < 0 then String.length k = 0
+      else Scm.Region.equal_string ctx.region (base + 8) len k
   let cell_ref ctx ~off = Some (Pmem.Pptr.read ctx.region off)
 
   let move ctx ~src ~dst =

@@ -1,6 +1,13 @@
 (** Key representations for the tree functor: {!Fixed} integer keys
     inline in the leaf cell, {!Var} string keys as persistent pointers
-    to separately allocated key blocks (Appendix C). *)
+    to separately allocated key blocks (Appendix C).
+
+    Each representation carries the loops that compare many keys at
+    once, specialised to its key type: {!KEY.search} picks an inner
+    node's child on every level of every descent, {!KEY.gather} scans
+    a leaf for a range.  {!Inner} takes [search] as an argument rather
+    than a comparison, so a level costs one indirect call and its
+    compares are inline; {!KEY.compare} remains for single pairs. *)
 
 type ctx = {
   region : Scm.Region.t;
@@ -23,6 +30,16 @@ module type KEY = sig
 
   val dummy : t
   val compare : t -> t -> int
+
+  val search : t array -> int -> t -> int
+  (** [search keys n k] is the first [i < n] with [k <= keys.(i)], or
+      [n] when there is none, where [n] is first clamped to
+      [Array.length keys] (a negative [n] gives 0): an inner node's
+      child choice, [Inner.child_index compare] without a call per
+      comparison.  The clamp keeps a torn [nkeys] from reading past
+      the array, so the loads are unchecked.  [Fixed] compares ints
+      inline, [Var] calls [String.compare] directly; nothing is
+      allocated. *)
 
   val gather :
     ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->
@@ -58,6 +75,10 @@ module type KEY = sig
       persist the content; fixed keys just write the cell. *)
 
   val matches : ctx -> off:int -> t -> bool
+  (** [matches ctx ~off k] is [read ctx ~off = k], reading the same
+      words in the same order.  [Var] compares the key bytes in place
+      ({!Scm.Region.equal_string}) instead of copying them, so neither
+      representation allocates. *)
 
   val cell_ref : ctx -> off:int -> Pmem.Pptr.t option
   (** [Some p] for out-of-line keys — drives the recovery leak audit. *)

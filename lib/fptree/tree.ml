@@ -554,7 +554,7 @@ module Make (K : Keys.KEY) = struct
     let committed _ = ()
 
     let body t k () rs =
-      let leaf = Inner.find_leaf_rs rs K.compare t.inner k in
+      let leaf = Inner.descend_rs rs K.search t.inner k in
       if not (try_lock t leaf) then
         Spec.abort rs ~obj:(Sched.obj_lock leaf.Inner.off);
       if Nv.validate rs then leaf
@@ -590,7 +590,7 @@ module Make (K : Keys.KEY) = struct
       if stats_on () then Obs.Histogram.record Metrics.find_retries attempts
 
     let body t k h rs =
-      let leaf = Inner.find_leaf_rs rs K.compare t.inner k in
+      let leaf = Inner.descend_rs rs K.search t.inner k in
       (* The leaf's version word stands in for its content lines: a
          writer opens a phase before its first store, so a quiescent
          observation here plus validation after the probe brackets
@@ -741,13 +741,13 @@ module Make (K : Keys.KEY) = struct
                stands), but oracle-equivalent: the key set is
                unchanged. *)
             Spec.with_write t.spec (fun () ->
-                Inner.update_parents t.inner K.compare ~sep ~right);
+                Inner.update_parents t.inner K.search ~sep ~right);
             ver_end t leaf;
             Option.iter Nv.end_hold hold;
             unlock t leaf;
             raise e);
           Spec.with_write t.spec (fun () ->
-              Inner.update_parents t.inner K.compare ~sep ~right);
+              Inner.update_parents t.inner K.search ~sep ~right);
           ver_end t leaf;
           Option.iter Nv.end_hold hold;
           unlock t leaf;
@@ -848,7 +848,7 @@ module Make (K : Keys.KEY) = struct
       (match sep_right with
       | Some (sep, right) when did_split ->
         Spec.with_write t.spec (fun () ->
-            Inner.update_parents t.inner K.compare ~sep ~right)
+            Inner.update_parents t.inner K.search ~sep ~right)
       | _ -> ());
       ver_end t leaf;
       Option.iter Nv.end_hold hold;
@@ -900,7 +900,7 @@ module Make (K : Keys.KEY) = struct
       single && not sole
 
     let body t k h rs =
-      let leaf, prev = Inner.find_leaf_and_prev_rs rs K.compare t.inner k in
+      let leaf, prev = Inner.find_leaf_and_prev_rs rs K.search t.inner k in
       if not (try_lock t leaf) then
         Spec.abort rs ~obj:(Sched.obj_lock leaf.Inner.off);
       if not (Nv.validate rs) then begin
@@ -963,7 +963,7 @@ module Make (K : Keys.KEY) = struct
          refresh_csum t leaf.Inner.off;
          K.dealloc t.ctx ~off:(key_cell t leaf.Inner.off slot)
        end);
-      Spec.with_write t.spec (fun () -> Inner.remove_leaf t.inner K.compare k);
+      Spec.with_write t.spec (fun () -> Inner.remove_leaf t.inner K.search k);
       delete_leaf t leaf prev;
       (match prev with Some p -> ver_end t p | None -> ());
       ver_end t leaf;
@@ -1119,7 +1119,8 @@ module Make (K : Keys.KEY) = struct
 
     let body s key above rs =
       let leaf =
-        Inner.find_leaf_upper_rs rs K.compare s.tree.inner key ~above s.upper
+        Inner.find_leaf_upper_rs rs K.search K.compare s.tree.inner key ~above
+          s.upper
       in
       Nv.observe_id rs leaf.Inner.ver leaf.Inner.off;
       let n = gather s leaf key in
@@ -1533,7 +1534,7 @@ module Make (K : Keys.KEY) = struct
               let fp = Layout.read_fp (region t) ~leaf t.layout s in
               if fp <> K.fingerprint k then failwith "invariant: bad fingerprint"
             end;
-            let routed = Inner.find_leaf K.compare t.inner.Inner.root k in
+            let routed = Inner.descend K.search t.inner.Inner.root k in
             if routed.Inner.off <> leaf then
               failwith "invariant: inner nodes route key to wrong leaf"
           end
@@ -1567,7 +1568,7 @@ module Make (K : Keys.KEY) = struct
     (* The leaf currently covering [k] is not left locked by an unwound
        op. *)
     let leaf_locked_for t k =
-      Leaf_lock.is_locked (Inner.find_leaf K.compare t.inner.Inner.root k)
+      Leaf_lock.is_locked (Inner.descend K.search t.inner.Inner.root k)
 
     let spec_stats t = Spec.stats t.spec
 

@@ -17,8 +17,8 @@ type t = {
   next_item : int Atomic.t;
   grow_lock : Mutex.t;
   global_lock : Mutex.t option; (* Some for non-concurrent indexes *)
-  hits : int Atomic.t;
-  misses : int Atomic.t;
+  hits : Obs.Counter.t;  (* sharded: client domains do not share a line *)
+  misses : Obs.Counter.t;
 }
 
 let create index =
@@ -28,8 +28,8 @@ let create index =
     next_item = Atomic.make 0;
     grow_lock = Mutex.create ();
     global_lock = (if index.Tree_ops.concurrent then None else Some (Mutex.create ()));
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
+    hits = Obs.Counter.make ();
+    misses = Obs.Counter.make ();
   }
 
 (* Key fingerprint for flight-recorder events: any stable small hash
@@ -92,13 +92,20 @@ let set_exn t key value =
   | Ok () -> ()
   | Error `Out_of_space -> failwith "Cache.set: index out of space"
 
+(* A concurrent index is called directly: no closure for
+   [with_global], so a hit allocates only the two options. *)
 let get_body t key =
-  match with_global t (fun () -> t.index.Tree_ops.find key) with
+  let found =
+    match t.global_lock with
+    | None -> t.index.Tree_ops.find key
+    | Some _ -> with_global t (fun () -> t.index.Tree_ops.find key)
+  in
+  match found with
   | Some id ->
-    Atomic.incr t.hits;
+    Obs.Counter.incr t.hits;
     Some (Atomic.get t.items).(id)
   | None ->
-    Atomic.incr t.misses;
+    Obs.Counter.incr t.misses;
     None
 
 (** GET. *)
@@ -116,5 +123,5 @@ let delete t key =
     Obs.Flight.bracket ~op:Obs.Event.op_kv_delete ~key:(key_fp key)
       ~hist:h_delete_us ~ok:Fun.id (fun () -> delete_body t key)
 
-let hits t = Atomic.get t.hits
-let misses t = Atomic.get t.misses
+let hits t = Obs.Counter.value t.hits
+let misses t = Obs.Counter.value t.misses

@@ -187,10 +187,9 @@ type recovery_sweep = {
   recovery_crash_points : int;  (** recovery persists crashed into *)
 }
 
-(* Rebuild the same crashed image deterministically: fresh arena, the
-   setup prefix crash-free, then ops with a crash at persist
-   [crash_at].  Returns the arena and the model (with the op in flight
-   at the crash, if any). *)
+(* Build the crashed image: fresh arena, the setup prefix crash-free,
+   then ops with a crash at persist [crash_at].  Returns the arena and
+   the model (with the op in flight at the crash, if any). *)
 let build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at =
   Scm.Registry.clear ();
   Scm.Config.reset ();
@@ -208,16 +207,21 @@ let build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at =
 (* Recovery must be re-entrant: whatever prefix of recovery's own
    persists survives a second crash, running recovery again from that
    state converges to a consistent tree.  Sweeps k = 1, 2, ... until a
-   recovery completes without reaching its k-th persist. *)
+   recovery completes without reaching its k-th persist.  The crashed
+   image is built once; each k restores it and copies the model (the
+   verification may resolve the in-flight op into it). *)
 let sweep_recovery_crashes ?(mode = Scm.Config.Revert_all_dirty)
     ?(arena_bytes = Enumerate.default_arena)
     ?(config = Fptree.Tree.fptree_config) ~setup ~ops ~crash_at () =
+  let a, model, pending =
+    build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at
+  in
+  let region = Pmem.Palloc.region a in
+  let crashed = Scm.Region.image region in
   let recovery_crash_points =
     Scm.Fault.sweep Persist_crash (fun k inject ->
-        let a, m, pending =
-          build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at
-        in
-        let region = Pmem.Palloc.region a in
+        Scm.Region.restore region crashed;
+        let m = Hashtbl.copy model in
         let recovered = ref None in
         if inject (fun () ->
                recovered := Some (F.recover ~config (Pmem.Palloc.of_region region)))

@@ -211,6 +211,27 @@ let read_string t off len =
   load t off len;
   Bytes.sub_string t.buf off len
 
+external unsafe_string_get_64 : string -> int -> int64 = "%caml_string_get64u"
+
+(* [buf.[off + i ..]] against [s.[i ..]] up to [len]: eight bytes per
+   compare, then the tail byte by byte.  Both loads are raw (equality
+   does not depend on byte order) and compared unboxed. *)
+let rec equal_from buf off s i len =
+  if i + 8 <= len then
+    unsafe_get_64 buf (off + i) = unsafe_string_get_64 s i
+    && equal_from buf off s (i + 8) len
+  else if i < len then
+    Bytes.unsafe_get buf (off + i) = String.unsafe_get s i
+    && equal_from buf off s (i + 1) len
+  else true
+
+(** [equal_string t off len s] is [String.equal (read_string t off len) s]
+    without the copy: the same span is loaded (and probed) whether or
+    not [len] is the length of [s]. *)
+let equal_string t off len s =
+  load t off len;
+  len = String.length s && equal_from t.buf off s 0 len
+
 let blit_to_bytes t off dst dst_off len =
   load t off len;
   if dst_off < 0 || dst_off + len > Bytes.length dst then
@@ -463,16 +484,35 @@ let crash ?(mode = Config.Revert_all_dirty) t =
   Hashtbl.reset t.dirty;
   Array.fill t.cache_tags 0 cache_slots (-1)
 
+(* ---- in-memory images ---- *)
+
+type image = Bytes.t
+
+(** A copy of the persistent image: the volatile view with every dirty
+    word reverted. *)
+let image t =
+  let img = Bytes.copy t.buf in
+  Hashtbl.iter
+    (fun w old -> Bytes.set_int64_le img (w * Cacheline.word_size) old)
+    t.dirty;
+  img
+
+(** Make [img] the region's contents as after a {!crash}: no dirty
+    word, a cold simulated cache. *)
+let restore t img =
+  if Bytes.length img <> t.size then
+    invalid_arg "Region.restore: image of a region of another size";
+  Bytes.blit img 0 t.buf 0 t.size;
+  Hashtbl.reset t.dirty;
+  Array.fill t.cache_tags 0 cache_slots (-1)
+
 (* ---- durability across processes ---- *)
 
 let magic = "FPTSCM01"
 
 (** Write the persistent image (dirty words reverted) to [path]. *)
 let save t path =
-  let img = Bytes.copy t.buf in
-  Hashtbl.iter
-    (fun w old -> Bytes.set_int64_le img (w * Cacheline.word_size) old)
-    t.dirty;
+  let img = image t in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)

@@ -42,6 +42,12 @@ val read_word : t -> int -> int
 val read_u32 : t -> int -> int
 
 val read_string : t -> int -> int -> string
+
+(** [equal_string t off len s] is
+    [String.equal (read_string t off len) s] without copying: it loads
+    the same span [off, off+len) as {!read_string}, also when [len] is
+    not the length of [s], so the counted line reads are the same. *)
+val equal_string : t -> int -> int -> string -> bool
 val blit_to_bytes : t -> int -> bytes -> int -> int -> unit
 
 (** {1 Writes}
@@ -132,6 +138,22 @@ val dirty_word_count : t -> int
     @raise Invalid_argument on an empty span, [bits <= 0], or
     out-of-bounds access. *)
 val corrupt : t -> off:int -> len:int -> bits:int -> seed:int -> unit
+
+(** {1 In-memory images} *)
+
+type image
+
+(** [image t] copies [t]'s persistent image (dirty words reverted):
+    what {!save} writes, kept in memory. *)
+val image : t -> image
+
+(** [restore t img] makes [img] both the volatile view and the
+    persistent image of [t], as after a {!crash}: no word is dirty and
+    the simulated cache is cold.  Crash sweeps restore one crashed
+    image before each recovery run instead of rebuilding it.
+    @raise Invalid_argument when [img] was taken of a region of
+    another size. *)
+val restore : t -> image -> unit
 
 (** {1 Durability across processes} *)
 

@@ -5,7 +5,9 @@
      instrumented mode must produce identical tree contents for the
      same randomized operation trace — the fast accessors are a perf
      overlay, never a semantic one;
-   - [find_value] must not allocate on the minor heap in fast mode;
+   - [find_value] must not allocate on the minor heap in fast mode,
+     for fixed and for var keys, and a kvstore GET hit allocates only
+     its two options;
    - every combination of the instrumentation switches gives the same
      op results, contents and (where counted) line and persist counts;
    - two fixed op traces pin the counted-mode SCM counters exactly;
@@ -93,6 +95,54 @@ let test_find_no_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "find_value allocates nothing (saw %.1f words)" dw)
     true (dw = 0.)
+
+(* The var-key lookup path of the kvstore (memcached-style keys, the
+   concurrent var tree): a [find_value] allocates nothing, hit or miss
+   — the descent compares strings in the node's array and each key
+   probe compares the stored bytes in place — and a [Cache.get] hit
+   allocates only its two options (the index's [Some id] and the
+   item's).  The tree is at least two inner levels deep. *)
+let memc_key i = Printf.sprintf "memc-%012d" i
+
+let var_tree n =
+  fast_mode ();
+  Scm.Registry.clear ();
+  let t =
+    Fptree.Var.create_concurrent ~inner_keys:16
+      (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ())
+  in
+  let hits = Array.init n (fun i -> memc_key (2 * i)) in
+  Array.iteri (fun i k -> ignore (Fptree.Var.insert t k i)) hits;
+  Alcotest.(check bool) "inner height >= 2" true (Fptree.Var.height t >= 2);
+  (t, hits, Array.init n (fun i -> memc_key ((2 * i) + 1)))
+
+let words_per_key keys f =
+  let w0 = Gc.minor_words () in
+  Array.iter f keys;
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length keys)
+
+let test_var_find_no_alloc () =
+  let t, hits, misses = var_tree 10_000 in
+  let find k = ignore (Fptree.Var.find_value t ~default:(-1) k) in
+  Array.iter find (Array.sub hits 0 100);
+  let hit = words_per_key hits find and miss = words_per_key misses find in
+  Alcotest.(check bool)
+    (Printf.sprintf "var find_value allocates nothing (hit %.1f, miss %.1f)"
+       hit miss)
+    true (hit = 0. && miss = 0.)
+
+let test_kv_get_alloc () =
+  let t, hits, _ = var_tree 2_000 in
+  let c = Kvstore.Cache.create (Kvstore.Tree_ops.of_fptree_concurrent t) in
+  Array.iter (fun k -> Kvstore.Cache.set_exn c k k) hits;
+  let get k = ignore (Kvstore.Cache.get c k) in
+  Array.iter get (Array.sub hits 0 100);
+  let w = words_per_key hits get in
+  Alcotest.(check int) "every get hit" (Array.length hits + 100)
+    (Kvstore.Cache.hits c);
+  Alcotest.(check bool)
+    (Printf.sprintf "Cache.get hit allocates <= 4 words (saw %.1f)" w)
+    true (w <= 4.)
 
 (* A delete's only minor-heap cost is its decision: the descent's
    (leaf, prev) pair, the predecessor's [Some] and the [Del_in_leaf]
@@ -494,6 +544,10 @@ let () =
             `Quick test_range_alloc;
           Alcotest.test_case "delete allocates only its decision" `Quick
             test_delete_alloc;
+          Alcotest.test_case "var find_value is allocation-free" `Quick
+            test_var_find_no_alloc;
+          Alcotest.test_case "kvstore get hit allocates its options only"
+            `Quick test_kv_get_alloc;
         ] );
       ( "admission",
         [ Alcotest.test_case "watermark check is allocation-free" `Quick

@@ -256,7 +256,7 @@ let test_inner_update_parents_splits () =
   in
   (* register right siblings 1..20 with separators 10,20,... *)
   for i = 1 to 20 do
-    Fptree.Inner.update_parents t Int.compare ~sep:(i * 10)
+    Fptree.Inner.update_parents t Fptree.Keys.Fixed.search ~sep:(i * 10)
       ~right:(Fptree.Inner.leaf_ref i)
   done;
   (* routing: key 95 -> leaf 9 (covers (90,100]); key 5 -> leaf 0 *)
@@ -270,7 +270,7 @@ let test_inner_update_parents_splits () =
 let test_inner_find_leaf_and_prev () =
   let leaves = mk_leaves 10 in
   let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int leaves in
-  let find k = Fptree.Inner.find_leaf_and_prev_rs (Htm.Node_versions.scratch ()) Int.compare t k in
+  let find k = Fptree.Inner.find_leaf_and_prev_rs (Htm.Node_versions.scratch ()) Fptree.Keys.Fixed.search t k in
   let l, prev = find 35 in
   Alcotest.(check int) "leaf for 35" 3 l.Fptree.Inner.off;
   (match prev with
@@ -282,13 +282,13 @@ let test_inner_find_leaf_and_prev () =
 let test_inner_remove_leaf () =
   let leaves = mk_leaves 10 in
   let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int leaves in
-  Fptree.Inner.remove_leaf t Int.compare 35;
+  Fptree.Inner.remove_leaf t Fptree.Keys.Fixed.search 35;
   (* leaf 3 is gone; 35 now routes to leaf 4 (max 40) *)
   let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root 35 in
   Alcotest.(check int) "routes to successor" 4 l.Fptree.Inner.off;
   (* removing everything but one leaf keeps a routable structure *)
   List.iter
-    (fun k -> Fptree.Inner.remove_leaf t Int.compare k)
+    (fun k -> Fptree.Inner.remove_leaf t Fptree.Keys.Fixed.search k)
     [ 5; 15; 25; 45; 55; 65; 75; 85 ];
   let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root 1 in
   Alcotest.(check int) "last leaf still reachable" 9 l.Fptree.Inner.off
@@ -342,6 +342,164 @@ let test_var_key_defensive_read () =
        ~off:(1024 * 1024 - 8));
   Alcotest.(check string) "out-of-range block reads empty" ""
     (Fptree.Keys.Var.read ctx ~off:scratch)
+
+(* ---- inner-node search ---- *)
+
+(* [K.search] against [Inner.child_index K.compare] on nodes of every
+   fill [n = 0 .. cap]: sorted unique keys below [n], junk above (the
+   dummy or a stale key, as splits and removals leave them), and
+   probes below, equal to, between and above every key.  An [n] past
+   the array (or below 0) must act as the clamped node: with unchecked
+   loads, anything else reads outside the array. *)
+module Search_tests (K : Fptree.Keys.KEY) (S : sig
+  val name : string
+  val pool : K.t array  (* sorted, unique *)
+  val probes : K.t array -> K.t list  (* for a node's keys *)
+end) =
+struct
+  let node keys n =
+    { Fptree.Inner.nkeys = n; keys; children = [||];
+      ver = Htm.Node_versions.fresh (); id = -1 }
+
+  let test () =
+    let rng = Random.State.make [| 29 |] in
+    let np = Array.length S.pool in
+    List.iter
+      (fun cap ->
+        for n = 0 to cap do
+          for _trial = 1 to 20 do
+            (* [n] distinct pool indices, ascending *)
+            let idx = Array.init np Fun.id in
+            for i = np - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let x = idx.(i) in
+              idx.(i) <- idx.(j);
+              idx.(j) <- x
+            done;
+            let live = Array.sub idx 0 n in
+            Array.sort compare live;
+            let keys =
+              Array.init cap (fun i ->
+                  if i < n then S.pool.(live.(i))
+                  else if Random.State.bool rng then K.dummy
+                  else S.pool.(Random.State.int rng np))
+            in
+            let probes = S.probes (Array.sub keys 0 n) in
+            List.iter
+              (fun nk ->
+                let clamped = max 0 (min nk cap) in
+                List.iter
+                  (fun k ->
+                    let expect =
+                      Fptree.Inner.child_index K.compare (node keys clamped) k
+                    in
+                    let got = K.search keys nk k in
+                    if got <> expect then
+                      Alcotest.failf "%s cap %d n %d nkeys %d: search %d, child_index %d"
+                        S.name cap n nk got expect)
+                  probes)
+              (if n = cap then [ n; n + 1; n + 7; max_int; -1 ] else [ n ])
+          done
+        done)
+      [ 1; 2; 7; 8; 63 ]
+end
+
+module Search_fixed =
+  Search_tests
+    (Fptree.Keys.Fixed)
+    (struct
+      let name = "fixed"
+      let pool = Array.init 200 (fun i -> (3 * i) - 300)
+      let probes keys =
+        [ min_int; max_int ]
+        @ List.concat_map (fun k -> [ k - 1; k; k + 1 ]) (Array.to_list keys)
+    end)
+
+(* Var keys: every string over "ab" of length 1 .. 6, so keys share
+   prefixes and differ in length ("a" < "aa" < "ab" < "b"). *)
+module Search_var =
+  Search_tests
+    (Fptree.Keys.Var)
+    (struct
+      let name = "var"
+      let pool =
+        let rec words l =
+          if l = 0 then [ "" ]
+          else List.concat_map (fun w -> [ w ^ "a"; w ^ "b" ]) (words (l - 1))
+        in
+        List.concat_map words [ 1; 2; 3; 4; 5; 6 ]
+        |> List.sort_uniq String.compare |> Array.of_list
+      let probes keys =
+        [ ""; "\000"; "c"; "\255\255" ]
+        @ Array.to_list pool
+        @ List.concat_map (fun k -> [ k ^ "\000"; k ^ "z" ]) (Array.to_list keys)
+    end)
+
+(* [Var.matches] reads what [String.equal (Var.read ...) k] reads: the
+   cell's two pointer words, then (for a pointer into this region) the
+   block's length word, then (for a plausible length) the key span,
+   whether or not its length is the probe's.  Each case starts from a
+   cold simulated cache, so its counted line reads are the distinct
+   lines of those spans. *)
+let test_var_matches_line_reads () =
+  let line = Scm.Cacheline.line_size in
+  let key n c = String.init n (fun i -> if i = n - 1 then c else Char.chr (97 + (i mod 26))) in
+  let stored_70 = key 70 'x' and stored_130 = key 130 'x' in
+  (* (name, how the cell is set up, probe) *)
+  let cases =
+    [ ("hit", `Key stored_70, stored_70);
+      ("hit, short", `Key "k1", "k1");
+      ("equal-length miss, last byte", `Key stored_70, key 70 'y');
+      ("equal-length miss, first byte", `Key stored_130, "Z" ^ String.sub stored_130 1 129);
+      ("stored longer", `Key stored_130, key 20 'x');
+      ("stored shorter", `Key stored_70, stored_130);
+      ("stored shorter, short", `Key "k1", "k12");
+      ("null cell", `Null, stored_70);
+      ("null cell, empty probe", `Null, "");
+      ("foreign region", `Foreign, stored_70);
+      ("implausible length", `Bad_len, stored_70) ]
+  in
+  List.iter
+    (fun (name, cell, probe) ->
+      Scm.Registry.clear ();
+      Scm.Config.reset ();
+      Scm.Config.set_stats false;
+      let a = Pmem.Palloc.create ~size:(1024 * 1024) () in
+      let r = Pmem.Palloc.region a in
+      let ctx = { Fptree.Keys.region = r; alloc = a } in
+      let off = scratch_cells a in
+      let stored = match cell with `Key k -> k | _ -> stored_130 in
+      Fptree.Keys.Var.write ctx ~off stored;
+      let base = (Pmem.Pptr.read r off).Pmem.Pptr.off in
+      (match cell with
+      | `Key _ -> ()
+      | `Null -> Pmem.Pptr.write r off Pmem.Pptr.null
+      | `Foreign ->
+        Pmem.Pptr.write r off
+          (Pmem.Pptr.make ~region_id:(Scm.Region.id r + 1) ~off:base)
+      | `Bad_len -> Scm.Region.write_word r base (Fptree.Keys.max_var_key_len + 1));
+      let expect = String.equal (Fptree.Keys.Var.read ctx ~off) probe in
+      let lines = Hashtbl.create 8 in
+      let span o len =
+        for ln = o / line to (o + len - 1) / line do
+          Hashtbl.replace lines ln ()
+        done
+      in
+      span off 16;
+      (match cell with
+      | `Key k ->
+        span base 8;
+        span (base + 8) (String.length k)
+      | `Bad_len -> span base 8
+      | `Null | `Foreign -> ());
+      Scm.Config.set_stats true;
+      Scm.Stats.reset ();
+      let got = Fptree.Keys.Var.matches ctx ~off probe in
+      let reads = (Scm.Stats.snapshot ()).Scm.Stats.line_reads in
+      Scm.Config.set_stats false;
+      Alcotest.(check bool) (name ^ ": agrees with read") expect got;
+      Alcotest.(check int) (name ^ ": line reads") (Hashtbl.length lines) reads)
+    cases
 
 (* ---- range-scan gather ---- *)
 
@@ -563,6 +721,10 @@ let () =
         [
           Alcotest.test_case "var key blocks" `Quick test_var_key_blocks;
           Alcotest.test_case "defensive reads" `Quick test_var_key_defensive_read;
+          Alcotest.test_case "fixed search matches child_index" `Quick Search_fixed.test;
+          Alcotest.test_case "var search matches child_index" `Quick Search_var.test;
+          Alcotest.test_case "var matches reads what read reads" `Quick
+            test_var_matches_line_reads;
         ] );
       ( "gather",
         [ Alcotest.test_case "fixed filters and order" `Quick Gather_fixed.test_filters;

@@ -99,6 +99,17 @@ let run_recovery_family ~title ~names ~make ~key_of =
           let keys = Workloads.Keygen.permutation ~seed:3 size in
           Array.iter (fun i -> ignore (t.Trees.insert (key_of i) 1)) keys;
           let secs = t.Trees.recover () in
+          (* Untimed, without the injected delay: the recovered tree
+             must route every inserted key to its value. *)
+          Scm.Config.set_delay_injection false;
+          Array.iter
+            (fun i ->
+              if t.Trees.find (key_of i) <> Some 1 then begin
+                Printf.printf "FAIL: %s lost key %d of %d after recovery\n"
+                  name i size;
+                exit 1
+              end)
+            keys;
           Report.ms secs))
     [ 90.; 650. ];
   Report.note

@@ -22,11 +22,11 @@ let carve region ~rows =
 
 let get t i =
   if i < 0 || i >= t.rows then invalid_arg "Column.get";
-  Int64.to_int (Region.read_int64 t.region (t.off + (i * 8)))
+  Region.read_word t.region (t.off + (i * 8))
 
 let set t i v =
   if i < 0 || i >= t.rows then invalid_arg "Column.set";
-  Region.write_int64 t.region (t.off + (i * 8)) (Int64.of_int v)
+  Region.write_word t.region (t.off + (i * 8)) v
 
 (** Bulk sanity scan (recovery): fold over all rows. *)
 let fold t f acc =

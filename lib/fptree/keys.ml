@@ -37,10 +37,13 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
-  val search : t array -> int -> t -> int
-  (** [search keys n k]: the first [i < n] with [k <= keys.(i)], or [n]
-      when there is none, [n] clamped to the array's length: an inner
-      node's child choice.  See keys.mli. *)
+  val inner_repr : t Inner.repr
+  (** How an inner node holds separators of this type. *)
+
+  val search : t Inner.search
+  (** [search n k]: the first [i < n.nkeys] with [k <=] separator [i],
+      or [nkeys] when there is none, [nkeys] clamped to the arrays'
+      length: an inner node's child choice.  See keys.mli. *)
 
   val gather :
     ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->
@@ -97,10 +100,14 @@ module Fixed : KEY with type t = int = struct
   let dummy = min_int
   let compare = Int.compare
 
-  (* Binary search with the compare inline on an [int array]; the
-     clamp keeps every load inside the array, so it can be unchecked. *)
-  let search (keys : int array) n (k : int) =
-    let lo = ref 0 and hi = ref (min n (Array.length keys)) in
+  let inner_repr = Inner.Plain
+
+  (* Binary search with the compare inline on the node's [int array];
+     the clamp keeps every load inside the array, so it can be
+     unchecked. *)
+  let search (n : int Inner.inner) (k : int) =
+    let keys = n.Inner.keys in
+    let lo = ref 0 and hi = ref (min n.Inner.nkeys (Array.length keys)) in
     while !lo < !hi do
       let mid = (!lo + !hi) lsr 1 in
       if k <= Array.unsafe_get keys mid then hi := mid else lo := mid + 1
@@ -181,15 +188,16 @@ module Var : KEY with type t = string = struct
   let dummy = ""
   let compare = String.compare
 
-  (* [Fixed.search] with [String.compare] called directly. *)
-  let search (keys : string array) n (k : string) =
-    let lo = ref 0 and hi = ref (min n (Array.length keys)) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) lsr 1 in
-      if String.compare k (Array.unsafe_get keys mid) <= 0 then hi := mid
-      else lo := mid + 1
-    done;
-    !lo
+  let inner_repr = Inner.Anchored
+
+  (* An int binary search over the node's anchors ({!Anchor.search});
+     a plain string node (built by hand: the tree's are anchored)
+     takes the generic walk. *)
+  let search (n : string Inner.inner) (k : string) =
+    match n.Inner.repr with
+    | Inner.Anchored ->
+      Anchor.search n.Inner.prefix n.Inner.anchors n.Inner.keys n.Inner.nkeys k
+    | Inner.Plain -> Inner.child_index String.compare n k
 
   let fingerprint = Fingerprint.of_string
   let dram_bytes s = String.length s + 24 (* OCaml string header etc. *)

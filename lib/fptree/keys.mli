@@ -31,15 +31,20 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
-  val search : t array -> int -> t -> int
-  (** [search keys n k] is the first [i < n] with [k <= keys.(i)], or
-      [n] when there is none, where [n] is first clamped to
-      [Array.length keys] (a negative [n] gives 0): an inner node's
-      child choice, [Inner.child_index compare] without a call per
-      comparison.  The clamp keeps a torn [nkeys] from reading past
-      the array, so the loads are unchecked.  [Fixed] compares ints
-      inline, [Var] calls [String.compare] directly; nothing is
-      allocated. *)
+  val inner_repr : t Inner.repr
+  (** How an inner node holds separators of this type: [Fixed] as
+      plain ints, [Var] as a prefix and {!Anchor} ints. *)
+
+  val search : t Inner.search
+  (** [search n k] is the first [i < n.nkeys] with [k <=] separator
+      [i], or [nkeys] when there is none, where [nkeys] is first
+      clamped to the node's arrays (a negative [nkeys] gives 0): an
+      inner node's child choice, [Inner.child_index compare] without a
+      call per comparison.  The clamp keeps a torn [nkeys] from reading
+      past the arrays, so the loads are unchecked.  [Fixed] compares
+      ints inline over [keys]; [Var] searches the unboxed anchors and
+      compares strings only on a tie of two long anchors
+      ({!Anchor.search}); nothing is allocated. *)
 
   val gather :
     ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->

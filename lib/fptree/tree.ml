@@ -1209,7 +1209,7 @@ module Make (K : Keys.KEY) = struct
       pool size is a maintained counter ([n_free]), not an O(n) list
       traversal. *)
   let dram_bytes t =
-    Inner.dram_bytes t.inner ~key_bytes:(K.dram_bytes K.dummy)
+    Inner.dram_bytes t.inner ~key_bytes:K.dram_bytes
     + Leaf_groups.dram_bytes t.groups
 
   (** SCM footprint of the tree's arena (live allocated bytes). *)
@@ -1244,8 +1244,9 @@ module Make (K : Keys.KEY) = struct
     {
       ctx; layout; config = cfg; meta;
       spec = Spec.create ~retry_threshold:cfg.htm_retries ();
-      inner = Inner.create ~fanout:(cfg.inner_keys + 1) ~dummy_key:K.dummy
-                (Inner.leaf_ref (-1));
+      inner =
+        Inner.create ~fanout:(cfg.inner_keys + 1) ~dummy_key:K.dummy
+          ~repr:K.inner_repr (Inner.leaf_ref (-1));
       split_logs = logs cfg.n_split_logs (fun i -> D.Split i);
       delete_logs = logs cfg.n_delete_logs (fun i -> D.Delete i);
       groups = Leaf_groups.create ctx ~meta cfg layout;
@@ -1307,7 +1308,7 @@ module Make (K : Keys.KEY) = struct
     let first = (read_head t).Pptr.off in
     t.inner <-
       Inner.create ~fanout:(config.inner_keys + 1) ~dummy_key:K.dummy
-        (Inner.leaf_ref first);
+        ~repr:K.inner_repr (Inner.leaf_ref first);
     t
 
   let create ?config alloc =
@@ -1360,7 +1361,8 @@ module Make (K : Keys.KEY) = struct
         | None -> leaves := (K.dummy, Inner.leaf_ref leaf) :: !leaves);
     let arr = Array.of_list (List.rev !leaves) in
     t.inner <-
-      Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~dummy_key:K.dummy arr;
+      Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~dummy_key:K.dummy
+        ~repr:K.inner_repr arr;
     (* Rebuild the volatile free-leaf pool from the group list.
        Quarantined leaves are out of the list but must not be recycled
        as free. *)
@@ -1518,10 +1520,13 @@ module Make (K : Keys.KEY) = struct
           done);
     !acc
 
-  (** Structural invariant check (tests): leaves are in strictly
-      increasing key order along the linked list, every key routes to
-      its leaf through the inner nodes, and fingerprints match. *)
+  (** Structural invariant check (tests): every inner node's
+      separators ascend and an anchored node is in canonical form
+      ({!Inner.check}), leaves are in strictly increasing key order
+      along the linked list, every key routes to its leaf through the
+      inner nodes, and fingerprints match. *)
   let check_invariants t =
+    Inner.check K.compare t.inner;
     let prev_max = ref None in
     iter_leaves t (fun leaf ->
         let bm = leaf_bitmap t leaf in

@@ -69,11 +69,15 @@ let make ~id ~size =
 let id t = t.id
 let size t = t.size
 
-let check t off len =
-  if off < 0 || len < 0 || off + len > t.size then
-    invalid_arg
-      (Printf.sprintf "Region: out-of-bounds access off=%d len=%d size=%d"
-         off len t.size)
+(* The span test is inlined into every accessor; only the failure,
+   which formats its message, is a call. *)
+let[@inline never] out_of_bounds t off len =
+  invalid_arg
+    (Printf.sprintf "Region: out-of-bounds access off=%d len=%d size=%d"
+       off len t.size)
+
+let[@inline] check t off len =
+  if off < 0 || len < 0 || off + len > t.size then out_of_bounds t off len
 
 (* ---- mode ---- *)
 

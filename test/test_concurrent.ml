@@ -292,6 +292,75 @@ let test_range_during_delete_reinsert () =
   Alcotest.(check int) "every churned key is back" ((top / 2) + 1) (F.count t);
   F.check_invariants t
 
+(* Var keys on anchored inner nodes.  A block of keys sharing a long
+   prefix is preloaded; two writer domains then insert keys under
+   ever shorter cuts of that prefix and under new first bytes, below
+   the block (one writer) and above it (the other), so leaves split at
+   both ends and the inner nodes along the tree's edges lose prefix
+   bytes and are re-encoded, while a reader domain finds every
+   preloaded key.  The block's keys carry a group letter before a
+   seven-byte run, so a node spanning two groups holds long suffixes
+   whose anchors tie. *)
+module V = Fptree.Var
+
+let test_var_prefix_breaks ~htm_retries =
+  Scm.Registry.clear ();
+  Scm.Config.reset ();
+  Scm.Stats.reset ();
+  Scm.Config.set_crash_tracking false;
+  Scm.Config.set_stats false;
+  let t =
+    V.create
+      ~config:{ Tree.fptree_concurrent_config with m = 8; inner_keys = 8; htm_retries }
+      (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ())
+  in
+  let block =
+    Array.init 3000 (fun i ->
+        Printf.sprintf "m/shared-prefix/%c-same-7-%05d" (Char.chr (97 + (i mod 4))) (i / 4))
+  in
+  Array.iteri (fun i k -> if not (V.insert t k i) then failwith "preload duplicate") block;
+  let per = 1500 in
+  let leads = [| "m/shared-prefix/"; "m/shared-"; "m/"; "" |] in
+  let written d i =
+    Printf.sprintf "%s%c%05d" leads.(i mod 4) (if d = 0 then '0' else '~') i
+  in
+  let writing = Atomic.make 2 and bad = Atomic.make 0 in
+  let writers =
+    List.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              if not (V.insert t (written d i) ((10 * i) + d)) then
+                failwith "written key present"
+            done;
+            Atomic.decr writing))
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        let pass () =
+          Array.iteri
+            (fun i k -> if V.find t k <> Some i then Atomic.incr bad)
+            block
+        in
+        pass ();
+        while Atomic.get writing > 0 do
+          pass ()
+        done)
+  in
+  List.iter Domain.join writers;
+  Domain.join reader;
+  Alcotest.(check int) "every find of a preloaded key hit with its value" 0
+    (Atomic.get bad);
+  let model =
+    List.init 2 (fun d -> List.init per (fun i -> (written d i, (10 * i) + d)))
+    |> List.concat
+    |> List.append (Array.to_list (Array.mapi (fun i k -> (k, i)) block))
+    |> List.sort compare
+  in
+  Alcotest.(check int) "count" (List.length model) (V.count t);
+  Alcotest.(check (list (pair string int))) "full range" model
+    (V.range t ~lo:"" ~hi:(String.make 8 '\255'));
+  V.check_invariants t
+
 let test_recovery_after_concurrent_run () =
   let a, t = setup () in
   let per = 2000 in
@@ -348,6 +417,8 @@ let () =
             (with_and_without_speculation test_range_during_splits_is_ascending);
           Alcotest.test_case "range during delete and re-insert" `Quick
             test_range_during_delete_reinsert;
+          Alcotest.test_case "var keys while prefixes break" `Quick
+            (with_and_without_speculation test_var_prefix_breaks);
         ] );
       ( "recovery",
         [

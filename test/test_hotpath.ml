@@ -6,8 +6,9 @@
      same randomized operation trace — the fast accessors are a perf
      overlay, never a semantic one;
    - [find_value] must not allocate on the minor heap in fast mode,
-     for fixed and for var keys, and a kvstore GET hit allocates only
-     its two options;
+     for fixed and for var keys (also when anchors tie), a kvstore GET
+     hit allocates only its two options, and a TATP column read or
+     write nothing;
    - every combination of the instrumentation switches gives the same
      op results, contents and (where counted) line and persist counts;
    - two fixed op traces pin the counted-mode SCM counters exactly;
@@ -130,6 +131,70 @@ let test_var_find_no_alloc () =
     (Printf.sprintf "var find_value allocates nothing (hit %.1f, miss %.1f)"
        hit miss)
     true (hit = 0. && miss = 0.)
+
+(* The same pin on a tree whose separators keep long suffixes: keys
+   open with one of 26 letters and then a common run, so a node
+   spanning two letters has an empty prefix, and its separators'
+   anchors tie on their first seven bytes.  A descent then compares
+   the probe with a kept key (the tie path), still without
+   allocating. *)
+let tie_key i = Printf.sprintf "%c/common-part/%06d" (Char.chr (97 + (i mod 26))) (i / 26)
+
+let rec has_long_tie = function
+  | Fptree.Inner.Leaf _ -> false
+  | Fptree.Inner.Inner n ->
+    let tie = ref false in
+    for i = 1 to n.nkeys - 1 do
+      let a = n.anchors.(i) in
+      if a land 15 = 8 && a = n.anchors.(i - 1) then tie := true
+    done;
+    !tie || Array.exists has_long_tie (Array.sub n.children 0 (n.nkeys + 1))
+
+let test_var_find_tie_no_alloc () =
+  fast_mode ();
+  Scm.Registry.clear ();
+  let t =
+    Fptree.Var.create_concurrent ~inner_keys:16
+      (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ())
+  in
+  let hits = Array.init 10_000 (fun i -> tie_key (2 * i)) in
+  Array.iteri (fun i k -> ignore (Fptree.Var.insert t k i)) hits;
+  Alcotest.(check bool) "some node's long anchors tie" true
+    (has_long_tie t.Fptree.Var.inner.Fptree.Inner.root);
+  let misses = Array.init 10_000 (fun i -> tie_key ((2 * i) + 1)) in
+  let find k = ignore (Fptree.Var.find_value t ~default:(-1) k) in
+  Array.iter find (Array.sub hits 0 100);
+  let hit = words_per_key hits find and miss = words_per_key misses find in
+  Alcotest.(check bool)
+    (Printf.sprintf "var find_value on tied anchors allocates nothing (hit %.1f, miss %.1f)"
+       hit miss)
+    true (hit = 0. && miss = 0.)
+
+(* A TATP column read or write moves a tagged int: no [int64] box. *)
+let test_column_no_alloc () =
+  fast_mode ();
+  let r = Scm.Region.make ~id:78 ~size:(64 * 1024) in
+  Dbproto.Column.init_region r;
+  let c = Dbproto.Column.carve r ~rows:1000 in
+  for i = 0 to 999 do
+    Dbproto.Column.set c i ((3 * i) - 500)
+  done;
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 999 do
+    sum := !sum + Dbproto.Column.get c i
+  done;
+  let get_words = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 999 do
+    Dbproto.Column.set c i i
+  done;
+  let set_words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "values round-trip" ((3 * 999 * 1000 / 2) - 500_000) !sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "Column.get/set allocate nothing (get %.0f, set %.0f words)"
+       get_words set_words)
+    true (get_words = 0. && set_words = 0.)
 
 let test_kv_get_alloc () =
   let t, hits, _ = var_tree 2_000 in
@@ -546,6 +611,10 @@ let () =
             test_delete_alloc;
           Alcotest.test_case "var find_value is allocation-free" `Quick
             test_var_find_no_alloc;
+          Alcotest.test_case "var find_value on tied anchors is allocation-free"
+            `Quick test_var_find_tie_no_alloc;
+          Alcotest.test_case "column get and set are allocation-free" `Quick
+            test_column_no_alloc;
           Alcotest.test_case "kvstore get hit allocates its options only"
             `Quick test_kv_get_alloc;
         ] );

@@ -239,7 +239,7 @@ let mk_leaves n = Array.init n (fun i -> ((i + 1) * 10, Fptree.Inner.leaf_ref i)
 
 let test_inner_rebuild_and_route () =
   let leaves = mk_leaves 100 in
-  let t = Fptree.Inner.rebuild ~fanout:8 ~dummy_key:min_int leaves in
+  let t = Fptree.Inner.rebuild ~fanout:8 ~dummy_key:min_int ~repr:Fptree.Inner.Plain leaves in
   (* key k routes to the first leaf whose max (= (i+1)*10) >= k *)
   for k = 1 to 1100 do
     let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root k in
@@ -252,7 +252,8 @@ let test_inner_rebuild_and_route () =
 
 let test_inner_update_parents_splits () =
   let t =
-    Fptree.Inner.create ~fanout:4 ~dummy_key:min_int (Fptree.Inner.leaf_ref 0)
+    Fptree.Inner.create ~fanout:4 ~dummy_key:min_int ~repr:Fptree.Inner.Plain
+      (Fptree.Inner.leaf_ref 0)
   in
   (* register right siblings 1..20 with separators 10,20,... *)
   for i = 1 to 20 do
@@ -269,7 +270,7 @@ let test_inner_update_parents_splits () =
 
 let test_inner_find_leaf_and_prev () =
   let leaves = mk_leaves 10 in
-  let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int leaves in
+  let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int ~repr:Fptree.Inner.Plain leaves in
   let find k = Fptree.Inner.find_leaf_and_prev_rs (Htm.Node_versions.scratch ()) Fptree.Keys.Fixed.search t k in
   let l, prev = find 35 in
   Alcotest.(check int) "leaf for 35" 3 l.Fptree.Inner.off;
@@ -281,7 +282,7 @@ let test_inner_find_leaf_and_prev () =
 
 let test_inner_remove_leaf () =
   let leaves = mk_leaves 10 in
-  let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int leaves in
+  let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int ~repr:Fptree.Inner.Plain leaves in
   Fptree.Inner.remove_leaf t Fptree.Keys.Fixed.search 35;
   (* leaf 3 is gone; 35 now routes to leaf 4 (max 40) *)
   let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root 35 in
@@ -294,11 +295,11 @@ let test_inner_remove_leaf () =
   Alcotest.(check int) "last leaf still reachable" 9 l.Fptree.Inner.off
 
 let test_inner_dram_accounting () =
-  let t = Fptree.Inner.rebuild ~fanout:16 ~dummy_key:min_int (mk_leaves 1000) in
+  let t = Fptree.Inner.rebuild ~fanout:16 ~dummy_key:min_int ~repr:Fptree.Inner.Plain (mk_leaves 1000) in
   let nodes = Fptree.Inner.inner_node_count t in
   Alcotest.(check bool) "node count plausible" true (nodes > 70 && nodes < 120);
   Alcotest.(check bool) "dram bytes positive" true
-    (Fptree.Inner.dram_bytes t ~key_bytes:8 > nodes * 100)
+    (Fptree.Inner.dram_bytes t ~key_bytes:(fun _ -> 8) > nodes * 100)
 
 (* ---- key modules ---- *)
 
@@ -347,25 +348,26 @@ let test_var_key_defensive_read () =
 
 (* [K.search] against [Inner.child_index K.compare] on nodes of every
    fill [n = 0 .. cap]: sorted unique keys below [n], junk above (the
-   dummy or a stale key, as splits and removals leave them), and
-   probes below, equal to, between and above every key.  An [n] past
-   the array (or below 0) must act as the clamped node: with unchecked
-   loads, anything else reads outside the array. *)
+   dummy or a stale key, and a stale anchor, as splits and removals
+   leave them), and probes below, equal to, between and above every
+   key.  An [nkeys] past the arrays (or below 0) must act as the
+   clamped node: with unchecked loads, anything else reads outside
+   them. *)
 module Search_tests (K : Fptree.Keys.KEY) (S : sig
   val name : string
   val pool : K.t array  (* sorted, unique *)
   val probes : K.t array -> K.t list  (* for a node's keys *)
 end) =
 struct
-  let node keys n =
-    { Fptree.Inner.nkeys = n; keys; children = [||];
-      ver = Htm.Node_versions.fresh (); id = -1 }
-
   let test () =
     let rng = Random.State.make [| 29 |] in
     let np = Array.length S.pool in
     List.iter
       (fun cap ->
+        let t =
+          Fptree.Inner.create ~fanout:(cap + 1) ~dummy_key:K.dummy
+            ~repr:K.inner_repr (Fptree.Inner.leaf_ref 0)
+        in
         for n = 0 to cap do
           for _trial = 1 to 20 do
             (* [n] distinct pool indices, ascending *)
@@ -378,22 +380,26 @@ struct
             done;
             let live = Array.sub idx 0 n in
             Array.sort compare live;
-            let keys =
-              Array.init cap (fun i ->
-                  if i < n then S.pool.(live.(i))
-                  else if Random.State.bool rng then K.dummy
-                  else S.pool.(Random.State.int rng np))
-            in
-            let probes = S.probes (Array.sub keys 0 n) in
+            let keys = Array.map (fun i -> S.pool.(i)) live in
+            let node = Fptree.Inner.make_inner t in
+            Fptree.Inner.set_keys node keys;
+            for i = n to cap - 1 do
+              node.keys.(i) <-
+                (if Random.State.bool rng then K.dummy
+                 else S.pool.(Random.State.int rng np));
+              if Array.length node.anchors > 0 then
+                node.anchors.(i) <- Random.State.bits rng
+            done;
+            let probes = S.probes keys in
             List.iter
               (fun nk ->
                 let clamped = max 0 (min nk cap) in
                 List.iter
                   (fun k ->
-                    let expect =
-                      Fptree.Inner.child_index K.compare (node keys clamped) k
-                    in
-                    let got = K.search keys nk k in
+                    node.nkeys <- clamped;
+                    let expect = Fptree.Inner.child_index K.compare node k in
+                    node.nkeys <- nk;
+                    let got = K.search node k in
                     if got <> expect then
                       Alcotest.failf "%s cap %d n %d nkeys %d: search %d, child_index %d"
                         S.name cap n nk got expect)
@@ -434,6 +440,225 @@ module Search_var =
         @ Array.to_list pool
         @ List.concat_map (fun k -> [ k ^ "\000"; k ^ "z" ]) (Array.to_list keys)
     end)
+
+(* ---- anchored inner nodes ---- *)
+
+(* Anchored var-key nodes against a plain model.  The model is the
+   node's separators as a sorted [string array]; the node's prefix,
+   anchors, long keys and DRAM share are recomputed from it here, from
+   the definition (the longest common prefix; seven suffix bytes,
+   big-endian, zero-padded, then the length 0..7, or 8 for longer),
+   and [Keys.Var.search] must pick the child [child_index
+   String.compare] picks in a plain node holding the model.  Keys share
+   a random prefix of 0..20 bytes and have suffixes of 0..12 bytes over
+   [\000 a b \255], so anchors tie, pad with zeros and differ only in
+   the length; some keys leave the prefix, which breaks it on
+   insert. *)
+module Anchored_tests = struct
+  module I = Fptree.Inner
+
+  let alphabet = [| '\000'; 'a'; 'b'; '\255' |]
+
+  let rand_string rng len =
+    String.init len (fun _ -> alphabet.(Random.State.int rng 4))
+
+  (* A key under the trial's prefix [p], or (one in five) under a
+     shorter cut of it with a random byte after. *)
+  let gen_key rng p =
+    let suffix = rand_string rng (Random.State.int rng 13) in
+    if Random.State.int rng 5 > 0 then p ^ suffix
+    else
+      let cut = Random.State.int rng (String.length p + 1) in
+      String.sub p 0 cut ^ rand_string rng 1 ^ suffix
+
+  let model_lcp a b =
+    let n = min (String.length a) (String.length b) in
+    let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+    go 0
+
+  let model_anchor k pl =
+    let sl = String.length k - pl in
+    let a = ref 0 in
+    for j = 0 to 6 do
+      a := (!a * 256) + (if j < sl then Char.code k.[pl + j] else 0)
+    done;
+    (!a * 16) + min sl 8
+
+  let key_bytes = Fptree.Keys.Var.dram_bytes
+
+  (* [n] holds [model] in canonical form, and its DRAM share is the
+     documented sum: 24 + 8 per child slot + 8 per anchor slot + 8 per
+     key slot + the prefix + each long separator. *)
+  let check_node what (t : string I.t) (n : string I.inner) model =
+    let cnt = Array.length model in
+    Alcotest.(check int) (what ^ ": nkeys") cnt n.nkeys;
+    Alcotest.(check (array string)) (what ^ ": separators") model
+      (Array.init cnt (I.key n));
+    let pl = if cnt = 0 then 0 else model_lcp model.(0) model.(cnt - 1) in
+    let prefix = if cnt = 0 then "" else String.sub model.(0) 0 pl in
+    Alcotest.(check string) (what ^ ": prefix") prefix n.prefix;
+    let long k = String.length k - pl > 7 in
+    Alcotest.(check (array int)) (what ^ ": anchors")
+      (Array.map (fun k -> model_anchor k pl) model)
+      (Array.sub n.anchors 0 cnt);
+    Alcotest.(check (array string)) (what ^ ": kept keys")
+      (Array.init (Array.length n.keys) (fun i ->
+           if i < cnt && long model.(i) then model.(i) else ""))
+      n.keys;
+    let root = t.root in
+    t.root <- I.Inner n;
+    let bytes = I.dram_bytes t ~key_bytes in
+    t.root <- root;
+    let expect =
+      24 + (8 * Array.length n.children)
+      + (8 * (Array.length n.anchors + Array.length n.keys))
+      + key_bytes prefix
+      + Array.fold_left (fun b k -> if long k then b + key_bytes k else b) 0 model
+    in
+    Alcotest.(check int) (what ^ ": dram bytes") expect bytes
+
+  (* Probes below, equal to, between and above every separator, and
+     ones that leave the prefix inside it or stop short of it. *)
+  let probes model =
+    let p =
+      let cnt = Array.length model in
+      if cnt = 0 then "" else String.sub model.(0) 0 (model_lcp model.(0) model.(cnt - 1))
+    in
+    let around k =
+      let l = String.length k in
+      [ k; k ^ "\000"; k ^ "\255"; k ^ "a" ]
+      @ (if l = 0 then []
+         else
+           let last = Char.code k.[l - 1] in
+           [ String.sub k 0 (l - 1) ]
+           @ List.filter_map
+               (fun d ->
+                 let c = last + d in
+                 if c < 0 || c > 255 then None
+                 else Some (String.sub k 0 (l - 1) ^ String.make 1 (Char.chr c)))
+               [ -1; 1 ])
+    in
+    let inside =
+      List.concat
+        (List.init (String.length p) (fun j ->
+             let c = Char.code p.[j] in
+             [ String.sub p 0 j ]
+             @ List.filter_map
+                 (fun d ->
+                   let c = c + d in
+                   if c < 0 || c > 255 then None
+                   else Some (String.sub p 0 j ^ String.make 1 (Char.chr c) ^ "zz"))
+                 [ -1; 1 ]))
+    in
+    [ ""; "\000"; "\255\255\255\255\255\255\255\255\255" ]
+    @ inside @ List.concat_map around (Array.to_list model)
+
+  let check_search what (n : string I.inner) model =
+    let plain =
+      I.make_inner
+        (I.create ~fanout:(Array.length model + 2) ~dummy_key:"" ~repr:I.Plain
+           (I.leaf_ref 0))
+    in
+    I.set_keys plain model;
+    List.iter
+      (fun k ->
+        let expect = I.child_index String.compare plain k in
+        let got = Fptree.Keys.Var.search n k in
+        if got <> expect then
+          Alcotest.failf "%s: probe %S: search %d, child_index %d" what k got expect)
+      (probes model)
+
+  let check what t n model =
+    check_node what t n model;
+    check_search what n model
+
+  (* Random separator sets, set whole. *)
+  let test_search () =
+    let rng = Random.State.make [| 31 |] in
+    for trial = 1 to 300 do
+      let p = rand_string rng (Random.State.int rng 21) in
+      let cap = 1 + Random.State.int rng 24 in
+      let t =
+        I.create ~fanout:(cap + 1) ~dummy_key:"" ~repr:I.Anchored (I.leaf_ref 0)
+      in
+      let pool = List.init (2 * cap) (fun _ -> gen_key rng p) in
+      let pool = if Random.State.bool rng then p :: pool else pool in
+      let model =
+        List.sort_uniq String.compare pool |> List.filteri (fun i _ -> i < cap)
+        |> Array.of_list
+      in
+      let n = I.make_inner t in
+      I.set_keys n model;
+      check (Printf.sprintf "trial %d" trial) t n model
+    done
+
+  (* [k]'s position in [model] and the model with it *)
+  let insert_sorted model k =
+    let below, above =
+      List.partition (fun x -> String.compare x k < 0) (Array.to_list model)
+    in
+    (List.length below, Array.of_list (below @ (k :: above)))
+
+  let remove_sep model kpos =
+    Array.of_list (List.filteri (fun i _ -> i <> kpos) (Array.to_list model))
+
+  let leaves model =
+    Array.mapi (fun i k -> (k, I.leaf_ref i)) model
+
+  (* Random insert_at / remove_at / split_inner / rebuild sequences;
+     every node is checked after every step. *)
+  let test_edits () =
+    let rng = Random.State.make [| 37 |] in
+    for trial = 1 to 60 do
+      let p = rand_string rng (Random.State.int rng 21) in
+      let cap = 2 + Random.State.int rng 14 in
+      let t =
+        I.create ~fanout:(cap + 1) ~dummy_key:"" ~repr:I.Anchored (I.leaf_ref 0)
+      in
+      let n = ref (I.make_inner t) and model = ref [||] in
+      for step = 1 to 120 do
+        let what = Printf.sprintf "trial %d step %d" trial step in
+        let cnt = Array.length !model in
+        (match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 when cnt < cap ->
+          let k = gen_key rng p in
+          if not (Array.mem k !model) then begin
+            let pos, m = insert_sorted !model k in
+            I.insert_at !n pos k (I.Leaf (I.leaf_ref step));
+            model := m
+          end
+        | 5 | 6 when cnt > 0 ->
+          let pos = Random.State.int rng (cnt + 1) in
+          I.remove_at !n pos;
+          model := remove_sep !model (if pos = 0 then 0 else pos - 1)
+        | 7 | 8 when cnt >= 2 ->
+          let mid = cnt / 2 in
+          let sep, right = I.split_inner t !n in
+          Alcotest.(check string) (what ^ ": split separator") !model.(mid) sep;
+          let left_m = Array.sub !model 0 mid
+          and right_m = Array.sub !model (mid + 1) (cnt - mid - 1) in
+          check (what ^ " (split left)") t !n left_m;
+          check (what ^ " (split right)") t right right_m;
+          if Random.State.bool rng then (n := right; model := right_m)
+          else model := left_m
+        | 9 when cnt > 0 ->
+          let fanout = 3 + Random.State.int rng 4 in
+          let r =
+            I.rebuild ~fanout ~dummy_key:"" ~repr:I.Anchored (leaves !model)
+          in
+          I.check String.compare r;
+          Array.iteri
+            (fun i k ->
+              let l = I.find_leaf String.compare r.root k in
+              if l.off <> i then
+                Alcotest.failf "%s: rebuilt tree routes %S to leaf %d, not %d"
+                  what k l.off i)
+            !model
+        | _ -> ());
+        check what t !n !model
+      done
+    done
+end
 
 (* [Var.matches] reads what [String.equal (Var.read ...) k] reads: the
    cell's two pointer words, then (for a pointer into this region) the
@@ -725,6 +950,10 @@ let () =
           Alcotest.test_case "var search matches child_index" `Quick Search_var.test;
           Alcotest.test_case "var matches reads what read reads" `Quick
             test_var_matches_line_reads;
+          Alcotest.test_case "anchored search matches child_index" `Quick
+            Anchored_tests.test_search;
+          Alcotest.test_case "anchored node edits keep canonical form" `Quick
+            Anchored_tests.test_edits;
         ] );
       ( "gather",
         [ Alcotest.test_case "fixed filters and order" `Quick Gather_fixed.test_filters;

@@ -29,7 +29,7 @@ let[@inline] bytes7 k pl =
   else begin
     let a = ref 0 in
     for j = 0 to 6 do
-      let c = if j < sl then Char.code (String.unsafe_get k (pl + j)) else 0 in
+      let c = if j < sl then Char.code k.[pl + j] else 0 in
       a := (!a lsl 8) lor c
     done;
     !a
@@ -44,13 +44,13 @@ let[@inline] is_long a = a land 15 >= long_code
 let key p a =
   let pl = String.length p and sl = min 7 (a land 15) in
   String.init (pl + sl) (fun j ->
-      if j < pl then String.unsafe_get p j
+      if j < pl then p.[j]
       else Char.unsafe_chr ((a lsr (52 - (8 * (j - pl)))) land 255))
 
 let lcp a b =
   let n = min (String.length a) (String.length b) in
   let i = ref 0 in
-  while !i < n && String.unsafe_get a !i = String.unsafe_get b !i do
+  while !i < n && a.[!i] = b.[!i] do
     incr i
   done;
   !i
@@ -61,9 +61,7 @@ let rec against_bytes p pl k kl j =
   if j >= pl then 0
   else if j >= kl then -1
   else
-    let d =
-      Char.code (String.unsafe_get k j) - Char.code (String.unsafe_get p j)
-    in
+    let d = Char.code k.[j] - Char.code p.[j] in
     if d <> 0 then d else against_bytes p pl k kl (j + 1)
 
 (* [k] and [p] agree on [p]'s bytes from [j] on, for [8 <= pl <=
@@ -123,8 +121,4 @@ let search p (anchors : int array) (keys : string array) n k =
           (min (Array.length keys) (lower_bound anchors i (hi - i) (a + 1)))
       else i
 
-let equal p a long k =
-  let pl = String.length p in
-  against_prefix p pl k (String.length k) = 0
-  && encode k pl = a
-  && ((not (is_long a)) || String.equal k long)
+let has_prefix p k = against_prefix p (String.length p) k (String.length k) = 0

@@ -1,5 +1,5 @@
-(** Prefix-truncated integer anchors: how a var-key inner node stores
-    its separators ({!Inner.repr} [Anchored]).
+(** Prefix-truncated integer anchors: what a var-key inner node's
+    anchors are ({!Inner.kind}, {!Keys.Var}).
 
     A node keeps the common prefix [p] of its separators once, and for
     each separator [k = p ^ s] one int: the first seven bytes of the
@@ -40,7 +40,6 @@ val search : string -> int array -> string array -> int -> string -> int
     equal pair of long anchors is [k] compared with [keys.(i)] (within
     that array's length).  Allocation-free. *)
 
-val equal : string -> int -> string -> string -> bool
-(** [equal p a long k]: [k] is the separator stored as anchor [a]
-    under prefix [p] (with [long] its full key when [a] is long).
-    Allocation-free. *)
+val has_prefix : string -> string -> bool
+(** [has_prefix p k]: [k] starts with [p] (eight bytes per compare
+    when [p] holds eight).  Allocation-free. *)

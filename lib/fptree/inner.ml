@@ -34,24 +34,22 @@
     [root] just before the swap could validate against the detached
     pre-split root and miss every key above the new separator.
 
-    The structure is parametric in the key type.  The tree's descents
-    and structural updates take the key representation's [search]
-    ({!Keys.KEY.search}: one indirect call per level, its compares
-    inline); a comparison is passed only where one pair is compared,
-    and by the generic {!find_leaf}/{!find_leaf_rs} walk kept for
-    callers that hold nothing else.
-
-    {b Separators.}  A node's {!repr} says how it holds them.  [Plain]
-    (fixed keys): [keys.(i)] is separator [i].  [Anchored] (string
-    keys): the separators' longest common prefix once, in [prefix],
-    one {!Anchor} int per separator in [anchors], and in [keys.(i)]
-    the full key of a separator whose suffix is longer than seven
-    bytes, [""] for every other slot.  The form is canonical: it is a
-    function of the separators alone, so an insert that breaks the
-    prefix, or a removal of the first or last separator, re-encodes
-    the node, and {!check} can recompute it.  Whoever needs separator
-    [i] itself (a split, the root a split grows, the range scan's
-    upper bound, the invariant check) rebuilds it with {!key}. *)
+    {b One node form.}  Every node holds its separators the same way:
+    the longest common prefix of them once, in [prefix], one int per
+    separator in [anchors], and in [keys.(i)] the full key of a
+    separator its anchor cannot rebuild (a long one).  What an anchor
+    is belongs to the key kind ({!kind}), which each node carries: a
+    fixed key is its own anchor, under an empty prefix, and never
+    long, so a fixed node's [keys] is empty; a string's anchor is the
+    {!Anchor} encoding of the seven bytes after the prefix, and its
+    node keeps a long separator's full key and the kind's [blank] in
+    every other key slot.  The form is canonical, a function of the
+    separators alone: an edit that keeps the prefix (every edit of a
+    fixed node) shifts or blits the slots in place, one that changes
+    it re-encodes the node from its separators ({!key}), and {!check}
+    recomputes it.  Descents and structural updates choose children
+    through the kind's [search] ({!Keys.KEY.search}: one indirect call
+    per level, its compares inline). *)
 
 module Nv = Htm.Node_versions
 module Sched = Htm.Sched
@@ -64,16 +62,14 @@ type leaf_ref = {
 
 let leaf_ref off = { off; lock = Sched.make false; ver = Nv.fresh () }
 
-type _ repr = Plain : 'k repr | Anchored : string repr
-
 type 'k node = Inner of 'k inner | Leaf of leaf_ref
 
 and 'k inner = {
   mutable nkeys : int;
-  repr : 'k repr;
-  mutable prefix : string;   (* Anchored: the separators' common prefix *)
-  anchors : int array;       (* Anchored: capacity fanout - 1; Plain: [||] *)
-  keys : 'k array;           (* capacity fanout - 1; slots >= nkeys are junk *)
+  kind : 'k kind;            (* the key kind's steps, shared by its nodes *)
+  mutable prefix : string;   (* the separators' common prefix *)
+  anchors : int array;       (* capacity fanout - 1; slots >= nkeys are junk *)
+  keys : 'k array;           (* long separators: fanout - 1 slots, or [||] *)
   children : 'k node array;  (* capacity fanout; nkeys + 1 children in use *)
   ver : Nv.cell;             (* this node's version word *)
   id : int;
@@ -82,6 +78,19 @@ and 'k inner = {
          are identified by their non-negative SCM offset and the root
          pointer cell by 0, so inner ids draw from a process-wide
          negative sequence — disjoint from both by construction. *)
+}
+
+and 'k kind = {
+  search : 'k inner -> 'k -> int;
+  compare : 'k -> 'k -> int;
+  encode : string -> 'k -> int;
+  short : string -> int -> 'k;
+  is_long : int -> bool;
+  common_prefix : 'k -> 'k -> string;
+  keeps : string -> 'k -> bool;
+  long_keys : int -> 'k array;
+  blank : 'k;
+  held_bytes : 'k inner -> int;
 }
 
 (* Opaque (un-scheduled) atomic: id allocation is process-local
@@ -103,8 +112,7 @@ let regression_root_ver_hole = ref false
 
 type 'k t = {
   fanout : int;
-  dummy_key : 'k;
-  repr : 'k repr;
+  kind : 'k kind;
   mutable root : 'k node;
   root_ver : Nv.cell;
       (* Guards the [root] pointer itself.  Every node below the root
@@ -117,27 +125,21 @@ type 'k t = {
          pre-split root and miss every key above the new separator. *)
 }
 
-let make_inner : type k. k t -> k inner =
- fun t ->
+let make_inner (t : 'k t) : 'k inner =
   {
     nkeys = 0;
-    repr = t.repr;
+    kind = t.kind;
     prefix = "";
-    anchors =
-      (match t.repr with
-      | Plain -> [||]
-      | Anchored -> Array.make (t.fanout - 1) 0);
-    keys = Array.make (t.fanout - 1) t.dummy_key;
+    anchors = Array.make (t.fanout - 1) 0;
+    keys = t.kind.long_keys (t.fanout - 1);
     children = Array.make t.fanout (Leaf (leaf_ref (-1)));
     ver = Nv.fresh ();
     id = fresh_inner_id ();
   }
 
-let create ~fanout ~dummy_key ~repr first_leaf =
+let create ~fanout ~kind first_leaf =
   if fanout < 2 then invalid_arg "Inner.create: fanout must be >= 2";
-  let t =
-    { fanout; dummy_key; repr; root = Leaf first_leaf; root_ver = Nv.fresh () }
-  in
+  let t = { fanout; kind; root = Leaf first_leaf; root_ver = Nv.fresh () } in
   let root = make_inner t in
   root.children.(0) <- Leaf first_leaf;
   t.root <- Inner root;
@@ -147,57 +149,28 @@ let create ~fanout ~dummy_key ~repr first_leaf =
    key <= separator i, nkeys if none ([Keys.KEY.search]). *)
 type 'k search = 'k inner -> 'k -> int
 
-(** Separator [i] of [n] (an anchored node rebuilds a short one from
-    the prefix and its anchor, a fresh string). *)
-let[@inline] key : type k. k inner -> int -> k =
- fun n i ->
-  match n.repr with
-  | Plain -> n.keys.(i)
-  | Anchored ->
-    let a = n.anchors.(i) in
-    if Anchor.is_long a then n.keys.(i) else Anchor.key n.prefix a
+(** Separator [i] of [n]: a long one's kept key, or rebuilt from the
+    prefix and its anchor (for string keys a fresh string). *)
+let[@inline] key (n : 'k inner) i =
+  let a = n.anchors.(i) in
+  if n.kind.is_long a then n.keys.(i) else n.kind.short n.prefix a
 
-(** [cmp key (key n i) = 0], without building separator [i]. *)
-let equal_at : type k. (k -> k -> int) -> k inner -> int -> k -> bool =
- fun cmp n i k ->
-  match n.repr with
-  | Plain -> cmp k n.keys.(i) = 0
-  | Anchored -> Anchor.equal n.prefix n.anchors.(i) n.keys.(i) k
-
-(** The child to descend into: the first index i in [0, nkeys) with
-    key <= separator i, nkeys if none, found through [cmp] on the
-    separators {!key} gives — the generic form of [search n key], and
-    its reference.  (A top-level recursive function over plain
-    arguments: without flambda a local [let rec] capturing
-    [cmp]/[n]/[key] would be a minor-heap allocation per call.) *)
-let rec bsearch cmp (n : 'k inner) k lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if cmp k (key n mid) <= 0 then bsearch cmp n k lo mid
-    else bsearch cmp n k (mid + 1) hi
-
-let child_index cmp (n : 'k inner) k = bsearch cmp n k 0 n.nkeys
-
-(* The generic walk's child choice: [child_index cmp] on a plain node
-   (no separator is built there), the anchored search on an anchored
-   one, which picks the same child under [String.compare] without
-   allocating. *)
-let index : type k. (k -> k -> int) -> k inner -> k -> int =
- fun cmp n k ->
-  match n.repr with
-  | Plain -> child_index cmp n k
-  | Anchored -> Anchor.search n.prefix n.anchors n.keys n.nkeys k
+(** [k] is separator [i] of [n], tested without building it. *)
+let equal_at (n : 'k inner) i k =
+  let kind = n.kind and p = n.prefix and a = n.anchors.(i) in
+  kind.keeps p k && kind.encode p k = a
+  && ((not (kind.is_long a)) || kind.compare k n.keys.(i) = 0)
 
 (** Descend to the leaf responsible for [key]. *)
-let rec descend search node key =
+let rec descend node key =
   match node with
   | Leaf l -> l
-  | Inner n -> descend search n.children.(search n key) key
+  | Inner n -> descend n.children.(n.kind.search n key) key
 
 (* Node-level descent shared by the [_rs] entry points below; the
    caller must already have observed the cell guarding [node] (the
-   parent's cell, or [root_ver] for the root). *)
+   parent's cell, or [root_ver] for the root).  [search] is the tree's
+   kind's, read once per descent. *)
 let rec descend_node_rs rs search node key =
   match node with
   | Leaf l -> l
@@ -211,26 +184,14 @@ let rec descend_node_rs rs search node key =
     a writer modified a node on this path — or swapped the root out
     from under it.  Allocation-free.
     @raise Nv.Conflict when a writer is inside a node on the path. *)
-let descend_rs rs search t key =
+let descend_rs rs t key =
   Nv.observe_id rs t.root_ver 0;
-  descend_node_rs rs search t.root key
+  descend_node_rs rs t.kind.search t.root key
 
-(* The same two descents choosing children through [index cmp]. *)
-let rec find_leaf cmp node key =
-  match node with
-  | Leaf l -> l
-  | Inner n -> find_leaf cmp n.children.(index cmp n key) key
-
-let rec find_node_rs rs cmp node key =
-  match node with
-  | Leaf l -> l
-  | Inner n ->
-    Nv.observe_id rs n.ver n.id;
-    find_node_rs rs cmp n.children.(index cmp n key) key
-
-let find_leaf_rs rs cmp t key =
-  Nv.observe_id rs t.root_ver 0;
-  find_node_rs rs cmp t.root key
+(* The names the benchmark harness's descent probe calls; [cmp] is
+   unused. *)
+let find_leaf _cmp node key = descend node key
+let find_leaf_rs rs _cmp t key = descend_rs rs t key
 
 type 'k upper = {
   mutable key : 'k;
@@ -247,9 +208,9 @@ let upper key = { key; bounded = false; parent = Leaf no_leaf }
    with [node] recorded as the leaf's parent and the child's key as
    the upper bound when there is one.  The deepest level gives the
    tightest bound and the parent, so each level overwrites the last. *)
-let upper_index search cmp node n k above u =
+let upper_index search node n k above u =
   let i = search n k in
-  let i = if above && i < n.nkeys && equal_at cmp n i k then i + 1 else i in
+  let i = if above && i < n.nkeys && equal_at n i k then i + 1 else i in
   if i < n.nkeys then begin
     u.key <- key n i;
     u.bounded <- true
@@ -257,13 +218,13 @@ let upper_index search cmp node n k above u =
   u.parent <- node;
   i
 
-let rec upper_node_rs rs search cmp node key above u =
+let rec upper_node_rs rs search node key above u =
   match node with
   | Leaf l -> l
   | Inner n ->
     Nv.observe_id rs n.ver n.id;
-    upper_node_rs rs search cmp
-      n.children.(upper_index search cmp node n key above u) key above u
+    upper_node_rs rs search
+      n.children.(upper_index search node n key above u) key above u
 
 (* The leaf just above [key] through the parent [u] recorded, when
    [key] is one of that parent's separators and not its last: the next
@@ -272,22 +233,23 @@ let rec upper_node_rs rs search cmp node key above u =
    failed attempt's torn descent may record any node).  A node holding
    keys is attached (only an emptied node is unlinked) and its keys lie
    inside its routing range.  [no_leaf] otherwise. *)
-let sibling_rs rs search cmp key u =
+let sibling_rs rs search key u =
   match u.parent with
   | Leaf _ -> no_leaf
   | Inner n as node -> (
     Nv.observe_id rs n.ver n.id;
-    let i = upper_index search cmp node n key true u in
-    if i = 0 || i >= n.nkeys || not (equal_at cmp n (i - 1) key) then no_leaf
+    let i = upper_index search node n key true u in
+    if i = 0 || i >= n.nkeys || not (equal_at n (i - 1) key) then no_leaf
     else match n.children.(i) with Leaf l -> l | Inner _ -> no_leaf)
 
-let find_leaf_upper_rs rs search cmp t key ~above u =
-  let l = if above then sibling_rs rs search cmp key u else no_leaf in
+let find_leaf_upper_rs rs t key ~above u =
+  let search = t.kind.search in
+  let l = if above then sibling_rs rs search key u else no_leaf in
   if l != no_leaf then l
   else begin
     Nv.observe_id rs t.root_ver 0;
     u.bounded <- false;
-    upper_node_rs rs search cmp t.root key above u
+    upper_node_rs rs search t.root key above u
   end
 
 let rec rightmost_leaf_rs rs = function
@@ -300,10 +262,10 @@ let rec rightmost_leaf_rs rs = function
    order, if any (FindLeafAndPrevLeaf): each inner node on the path is
    observed before it is read, then the left subtree's rightmost path.
    [left] is the nearest subtree to the left of the path so far,
-   meaningful only when [has_left].  Top level over plain arguments
-   (see {!bsearch}): a local [let rec], a [Some] per level or an
-   [Option.map] partial application would each allocate on every
-   delete. *)
+   meaningful only when [has_left].  A top-level recursive function
+   over plain arguments: without flambda a local [let rec], a [Some]
+   per level or an [Option.map] partial application would each
+   allocate on every delete. *)
 let rec leaf_and_prev_rs rs search node key left has_left =
   match node with
   | Leaf l -> (l, if has_left then Some (rightmost_leaf_rs rs left) else None)
@@ -314,106 +276,95 @@ let rec leaf_and_prev_rs rs search node key left has_left =
       leaf_and_prev_rs rs search n.children.(i) key n.children.(i - 1) true
     else leaf_and_prev_rs rs search n.children.(i) key left has_left
 
-let find_leaf_and_prev_rs rs search t key =
+let find_leaf_and_prev_rs rs t key =
   Nv.observe_id rs t.root_ver 0;
   let root = t.root in
-  leaf_and_prev_rs rs search root key root false
+  leaf_and_prev_rs rs t.kind.search root key root false
 
 (* ---- structural updates (run under the writer lock) ---- *)
 
-(* Store the ascending separators [ks] into the anchored node [n] in
-   canonical form: their common prefix (that of the first and the
-   last), one anchor each, a long separator's full key, and [""] in
-   every other key slot, junk slots included, so no stale key stays
-   reachable.  The caller sets [nkeys]. *)
-let encode_all (n : string inner) ks =
-  let cnt = Array.length ks in
-  let p =
-    if cnt = 0 then ""
-    else
-      let l = Anchor.lcp ks.(0) ks.(cnt - 1) in
-      if l = String.length ks.(0) then ks.(0) else String.sub ks.(0) 0 l
-  in
-  let pl = String.length p in
-  Array.iteri
-    (fun i k ->
-      let a = Anchor.encode k pl in
-      n.anchors.(i) <- a;
-      n.keys.(i) <- (if Anchor.is_long a then k else ""))
-    ks;
-  Array.fill n.keys cnt (Array.length n.keys - cnt) "";
+(* Slots [i, i + len) of [src] to [j, j + len) of [dst]: the anchors,
+   and the kept keys of a kind that has them.  Array.blit (memmove)
+   rather than an element loop: nodes hold up to fanout - 1 = 4096
+   separators, and a split moves half of them. *)
+let blit_slots src i dst j len =
+  Array.blit src.anchors i dst.anchors j len;
+  if Array.length src.keys > 0 then Array.blit src.keys i dst.keys j len
+
+(* Blank key slots [i, i + len) of [n], so no stale key stays
+   reachable. *)
+let clear_keys n i len =
+  if Array.length n.keys > 0 then Array.fill n.keys i len n.kind.blank
+
+(* Slot [i] of [n] holds separator [k], whose anchor is [a]. *)
+let set_slot n i k a =
+  n.anchors.(i) <- a;
+  if Array.length n.keys > 0 then
+    n.keys.(i) <- (if n.kind.is_long a then k else n.kind.blank)
+
+(* Store the ascending separators [ks] into [n] in canonical form:
+   their common prefix (that of the first and the last), one anchor
+   each, a long separator's full key, and [blank] in every other key
+   slot, junk slots included.  The caller sets [nkeys]. *)
+let encode_all (n : 'k inner) ks =
+  let kind = n.kind and cnt = Array.length ks in
+  let p = if cnt = 0 then "" else kind.common_prefix ks.(0) ks.(cnt - 1) in
+  Array.iteri (fun i k -> set_slot n i k (kind.encode p k)) ks;
+  clear_keys n cnt (Array.length n.keys - cnt);
   n.prefix <- p
 
-(* Separators [0, cnt) of [n], built. *)
-let separators n cnt = Array.init cnt (key n)
+(* The common prefix of separators [i] and [j] of [n], [""] when
+   [i > j] (no separator): what a node keeping them would hold. *)
+let ends_prefix (n : 'k inner) i j =
+  if i > j then "" else n.kind.common_prefix (key n i) (key n j)
 
 (** Make the ascending [ks] the separators of [n] ([nkeys] included);
     its children are the caller's. *)
-let set_keys : type k. k inner -> k array -> unit =
- fun n ks ->
-  (match n.repr with
-  | Plain -> Array.blit ks 0 n.keys 0 (Array.length ks)
-  | Anchored -> encode_all n ks);
+let set_keys n ks =
+  encode_all n ks;
   n.nkeys <- Array.length ks
 
 (* Insert (key, right) just after [pos] in [n]; caller guarantees room.
-   Array.blit (memmove) rather than an element loop: nodes hold up to
-   fanout - 1 = 4096 keys, and a split shifts half of them on average,
-   so this is the dominant cost of propagating a leaf split upward.
-   An anchored node shifts its anchors alongside; a key outside its
-   prefix (or a first key) shortens the prefix, and the node is then
-   re-encoded from its built separators. *)
-let insert_at : type k. k inner -> int -> k -> k node -> unit =
- fun n pos k right ->
-  let cnt = n.nkeys in
-  (match n.repr with
-  | Plain ->
-    Array.blit n.keys pos n.keys (pos + 1) (cnt - pos);
-    n.keys.(pos) <- k
-  | Anchored ->
-    let pl = String.length n.prefix in
-    if cnt > 0 && Anchor.lcp n.prefix k = pl then begin
-      Array.blit n.anchors pos n.anchors (pos + 1) (cnt - pos);
-      Array.blit n.keys pos n.keys (pos + 1) (cnt - pos);
-      let a = Anchor.encode k pl in
-      n.anchors.(pos) <- a;
-      n.keys.(pos) <- (if Anchor.is_long a then k else "")
-    end
-    else
-      encode_all n
-        (Array.init (cnt + 1) (fun i ->
-             if i < pos then key n i
-             else if i = pos then k
-             else key n (i - 1))));
+   A key that keeps the prefix shifts the slots and encodes one;
+   otherwise the prefix shortens and the node is re-encoded from its
+   built separators. *)
+let insert_at (n : 'k inner) pos k right =
+  let cnt = n.nkeys and kind = n.kind in
+  let kept =
+    if cnt = 0 then String.equal n.prefix (kind.common_prefix k k)
+    else kind.keeps n.prefix k
+  in
+  if kept then begin
+    blit_slots n pos n (pos + 1) (cnt - pos);
+    set_slot n pos k (kind.encode n.prefix k)
+  end
+  else
+    encode_all n
+      (Array.init (cnt + 1) (fun i ->
+           if i < pos then key n i else if i = pos then k else key n (i - 1)));
   Array.blit n.children (pos + 1) n.children (pos + 2) (cnt - pos);
   n.children.(pos + 1) <- right;
   n.nkeys <- cnt + 1
 
-(* Split a full inner node into (left = n, sep, right).  Each anchored
-   half is re-encoded: its prefix can only lengthen. *)
-let split_inner : type k. k t -> k inner -> k * k inner =
- fun t n ->
+(* Split a full inner node into (left = n, sep, right).  A half whose
+   ends share the node's prefix takes its slots as they are; any other
+   is re-encoded (its prefix lengthened).  The right half goes first:
+   re-encoding the left changes what {!key} rebuilds. *)
+let split_inner (t : 'k t) (n : 'k inner) =
   let cnt = n.nkeys in
   let mid = cnt / 2 in
   let right = make_inner t in
   let moved = cnt - mid - 1 in
   Array.blit n.children (mid + 1) right.children 0 (moved + 1);
-  let sep =
-    match n.repr with
-    | Plain ->
-      let sep = n.keys.(mid) in
-      Array.blit n.keys (mid + 1) right.keys 0 moved;
-      (* Drop stale references so DRAM is not retained by junk slots. *)
-      for i = mid to cnt - 1 do
-        n.keys.(i) <- t.dummy_key
-      done;
-      sep
-    | Anchored ->
-      let ks = separators n cnt in
-      encode_all right (Array.sub ks (mid + 1) moved);
-      encode_all n (Array.sub ks 0 mid);
-      ks.(mid)
-  in
+  let sep = key n mid in
+  if String.equal n.prefix (ends_prefix n (mid + 1) (cnt - 1)) then begin
+    blit_slots n (mid + 1) right 0 moved;
+    right.prefix <- n.prefix
+  end
+  else encode_all right (Array.init moved (fun i -> key n (mid + 1 + i)));
+  if String.equal n.prefix (ends_prefix n 0 (mid - 1)) then
+    clear_keys n mid (cnt - mid)
+  else encode_all n (Array.init mid (key n));
   right.nkeys <- moved;
   for i = mid + 1 to cnt do
     n.children.(i) <- Leaf (leaf_ref (-1))
@@ -427,7 +378,8 @@ let split_inner : type k. k t -> k inner -> k * k inner =
     under the writer lock; each modified node's version is bumped, and
     a node that splits stays in its write phase until its parent holds
     the new separator (see the module header). *)
-let update_parents t search ~sep ~right =
+let update_parents t ~sep ~right =
+  let search = t.kind.search in
   let right_node = Leaf right in
   let rec go node =
     (* Returns Some (n, sep', right') if [node = Inner n] split; [n]'s
@@ -484,29 +436,24 @@ let update_parents t search ~sep ~right =
     if Obs.Gate.enabled () then Obs.Flight.root_swap ~dir:Obs.Flight.root_grow
 
 (* Remove children.(pos) and the separator adjacent to it.  Removing
-   an anchored node's first or last separator can lengthen its
-   prefix: the node is then re-encoded from its built separators. *)
-let remove_at : type k. k inner -> int -> unit =
- fun n pos ->
+   the first or last separator can lengthen the prefix: the node is
+   then re-encoded from its built separators. *)
+let remove_at (n : 'k inner) pos =
   let cnt = n.nkeys in
   let kpos = if pos = 0 then 0 else pos - 1 in
   let rest = cnt - 1 in
-  (match n.repr with
-  | Plain -> Array.blit n.keys (kpos + 1) n.keys kpos (rest - kpos)
-  | Anchored ->
-    let old i = if i < kpos then i else i + 1 in
-    let kept =
-      rest > 0
-      && ((kpos > 0 && kpos < rest)
-         || Anchor.lcp (key n (old 0)) (key n (old (rest - 1)))
-            = String.length n.prefix)
-    in
-    if kept then begin
-      Array.blit n.anchors (kpos + 1) n.anchors kpos (rest - kpos);
-      Array.blit n.keys (kpos + 1) n.keys kpos (rest - kpos);
-      n.keys.(rest) <- ""
-    end
-    else encode_all n (Array.init rest (fun i -> key n (old i))));
+  let kept =
+    (kpos > 0 && kpos < rest)
+    || String.equal n.prefix
+         (ends_prefix n (if kpos = 0 then 1 else 0)
+            (if kpos = rest then rest - 1 else rest))
+  in
+  if kept then begin
+    blit_slots n (kpos + 1) n kpos (rest - kpos);
+    clear_keys n rest 1
+  end
+  else
+    encode_all n (Array.init rest (fun i -> key n (if i < kpos then i else i + 1)));
   Array.blit n.children (pos + 1) n.children pos (cnt - pos);
   n.nkeys <- rest;
   (* Drop the stale trailing reference so DRAM is not retained. *)
@@ -519,7 +466,8 @@ let remove_at : type k. k inner -> int -> unit =
     the writer lock; the single modified ancestor's version is
     bumped — every root→leaf path to the dying subtree passes through
     it, so any reader still holding a reference is invalidated. *)
-let remove_leaf t search key =
+let remove_leaf t key =
+  let search = t.kind.search in
   let rec go node =
     (* Returns true if [node] ended up with zero children. *)
     match node with
@@ -575,15 +523,14 @@ let remove_leaf t search key =
 
 (* ---- bulk rebuild (recovery, Algorithm 9 / RebuildInnerNodes) ---- *)
 
+(* How full a rebuilt node is packed, as a share of fanout. *)
+let fill = 0.85
+
 (** Rebuild the inner structure from the leaves in key order, given
     each leaf's greatest key.  Nodes are packed to ~[fill] of fanout.
     Single-threaded (recovery): fresh version cells, no bumps. *)
-let rebuild ~fanout ~dummy_key ~repr ?(fill = 0.85)
-    (leaves : ('k * leaf_ref) array) =
-  let t =
-    { fanout; dummy_key; repr; root = Leaf (leaf_ref (-1));
-      root_ver = Nv.fresh () }
-  in
+let rebuild ~fanout ~kind (leaves : ('k * leaf_ref) array) =
+  let t = { fanout; kind; root = Leaf (leaf_ref (-1)); root_ver = Nv.fresh () } in
   let n_leaves = Array.length leaves in
   if n_leaves = 0 then invalid_arg "Inner.rebuild: no leaves";
   let per_node = max 2 (min fanout (int_of_float (float_of_int fanout *. fill))) in
@@ -640,46 +587,33 @@ let rec height = function
   | Leaf _ -> 0
   | Inner n -> 1 + height n.children.(0)
 
-(* One node's share of {!dram_bytes}. *)
-let node_bytes : type k. k t -> (k -> int) -> k inner -> int =
- fun t key_bytes n ->
-  let shape = 24 + (8 * Array.length n.children) in
-  match n.repr with
-  | Plain -> shape + (Array.length n.keys * key_bytes t.dummy_key)
-  | Anchored ->
-    let b =
-      ref (shape + (8 * (Array.length n.anchors + Array.length n.keys))
-           + key_bytes n.prefix)
-    in
-    for i = 0 to n.nkeys - 1 do
-      if Anchor.is_long n.anchors.(i) then b := !b + key_bytes n.keys.(i)
-    done;
-    !b
-
 (** DRAM footprint in bytes, summed over the nodes (see inner.mli). *)
-let dram_bytes t ~key_bytes =
-  fold_nodes (fun b n -> b + node_bytes t key_bytes n) 0 t.root
+let dram_bytes t =
+  fold_nodes
+    (fun b n ->
+      b + 24
+      + (8 * (Array.length n.children + Array.length n.anchors
+              + Array.length n.keys))
+      + n.kind.held_bytes n)
+    0 t.root
 
-(* [n]'s separators ascend under [cmp], and an anchored [n] equals the
-   canonical form of them, rebuilt in a scratch copy. *)
-let check_node : type k. (k -> k -> int) -> k inner -> unit =
- fun cmp n ->
-  let ks = separators n n.nkeys in
+(* [n]'s separators ascend, and [n] equals the canonical form of them,
+   rebuilt in a scratch copy. *)
+let check_node (n : 'k inner) =
+  let kind = n.kind in
+  let ks = Array.init n.nkeys (key n) in
   for i = 1 to n.nkeys - 1 do
-    if cmp ks.(i - 1) ks.(i) >= 0 then
+    if kind.compare ks.(i - 1) ks.(i) >= 0 then
       failwith "invariant: inner separators not ascending"
   done;
-  match n.repr with
-  | Plain -> ()
-  | Anchored ->
-    let c =
-      { n with anchors = Array.make (Array.length n.anchors) 0;
-               keys = Array.make (Array.length n.keys) "" }
-    in
-    encode_all c ks;
-    if not (String.equal c.prefix n.prefix
-            && Array.for_all2 String.equal c.keys n.keys
-            && Array.sub c.anchors 0 n.nkeys = Array.sub n.anchors 0 n.nkeys)
-    then failwith "invariant: anchored node not in canonical form"
+  let c =
+    { n with anchors = Array.make (Array.length n.anchors) 0;
+             keys = kind.long_keys (Array.length n.keys) }
+  in
+  encode_all c ks;
+  if not (String.equal c.prefix n.prefix
+          && Array.for_all2 (fun a b -> kind.compare a b = 0) c.keys n.keys
+          && Array.sub c.anchors 0 n.nkeys = Array.sub n.anchors 0 n.nkeys)
+  then failwith "invariant: inner node not in canonical form"
 
-let check cmp t = fold_nodes (fun () n -> check_node cmp n) () t.root
+let check t = fold_nodes (fun () n -> check_node n) () t.root

@@ -37,13 +37,14 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
-  val inner_repr : t Inner.repr
-  (** How an inner node holds separators of this type. *)
-
   val search : t Inner.search
   (** [search n k]: the first [i < n.nkeys] with [k <=] separator [i],
       or [nkeys] when there is none, [nkeys] clamped to the arrays'
       length: an inner node's child choice.  See keys.mli. *)
+
+  val inner_kind : t Inner.kind
+  (** The steps an inner node of this key type takes: [search] and the
+      anchor steps of its structural edits.  See keys.mli. *)
 
   val gather :
     ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->
@@ -100,19 +101,32 @@ module Fixed : KEY with type t = int = struct
   let dummy = min_int
   let compare = Int.compare
 
-  let inner_repr = Inner.Plain
-
-  (* Binary search with the compare inline on the node's [int array];
-     the clamp keeps every load inside the array, so it can be
-     unchecked. *)
+  (* Binary search with the compare inline on the node's anchors, the
+     keys themselves; the clamp keeps every load inside the array, so
+     it can be unchecked.  Not [Anchor]'s branch-free bound: its
+     subtraction trick holds for anchors below 2^60 only, and fixed
+     keys span all 63 bits. *)
   let search (n : int Inner.inner) (k : int) =
-    let keys = n.Inner.keys in
-    let lo = ref 0 and hi = ref (min n.Inner.nkeys (Array.length keys)) in
+    let anchors = n.Inner.anchors in
+    let lo = ref 0 and hi = ref (min n.Inner.nkeys (Array.length anchors)) in
     while !lo < !hi do
       let mid = (!lo + !hi) lsr 1 in
-      if k <= Array.unsafe_get keys mid then hi := mid else lo := mid + 1
+      if k <= Array.unsafe_get anchors mid then hi := mid else lo := mid + 1
     done;
     !lo
+
+  (* A key is its own anchor, under the empty prefix, and never long:
+     a fixed node keeps no keys and charges no bytes for them. *)
+  let inner_kind =
+    { Inner.search; compare;
+      encode = (fun _ k -> k);
+      short = (fun _ a -> a);
+      is_long = (fun _ -> false);
+      common_prefix = (fun _ _ -> "");
+      keeps = (fun _ _ -> true);
+      long_keys = (fun _ -> [||]);
+      blank = dummy;
+      held_bytes = (fun _ -> 0) }
 
   (* Collect, then sort.  The collect pass appends each hit unsorted,
      so it reads what a slot-by-slot loop reads, in that order; the sort
@@ -188,19 +202,34 @@ module Var : KEY with type t = string = struct
   let dummy = ""
   let compare = String.compare
 
-  let inner_repr = Inner.Anchored
-
-  (* An int binary search over the node's anchors ({!Anchor.search});
-     a plain string node (built by hand: the tree's are anchored)
-     takes the generic walk. *)
+  (* An int binary search over the node's anchors ({!Anchor.search}). *)
   let search (n : string Inner.inner) (k : string) =
-    match n.Inner.repr with
-    | Inner.Anchored ->
-      Anchor.search n.Inner.prefix n.Inner.anchors n.Inner.keys n.Inner.nkeys k
-    | Inner.Plain -> Inner.child_index String.compare n k
+    Anchor.search n.Inner.prefix n.Inner.anchors n.Inner.keys n.Inner.nkeys k
 
   let fingerprint = Fingerprint.of_string
   let dram_bytes s = String.length s + 24 (* OCaml string header etc. *)
+
+  (* A prefix and {!Anchor} ints; a long separator is kept whole. *)
+  let inner_kind =
+    { Inner.search; compare;
+      encode = (fun p k -> Anchor.encode k (String.length p));
+      short = Anchor.key;
+      is_long = Anchor.is_long;
+      common_prefix =
+        (fun a b ->
+          let l = Anchor.lcp a b in
+          if l = String.length a then a else String.sub a 0 l);
+      keeps = Anchor.has_prefix;
+      long_keys = (fun cap -> Array.make cap "");
+      blank = "";
+      held_bytes =
+        (fun n ->
+          let b = ref (dram_bytes n.Inner.prefix) in
+          for i = 0 to n.Inner.nkeys - 1 do
+            if Anchor.is_long n.Inner.anchors.(i) then
+              b := !b + dram_bytes n.Inner.keys.(i)
+          done;
+          !b) }
 
   (* Defensive read: a concurrent dirty read can chase a pointer into a
      block that was freed and reused; clamp and bounds-check so the

@@ -5,9 +5,14 @@
     Each representation carries the loops that compare many keys at
     once, specialised to its key type: {!KEY.search} picks an inner
     node's child on every level of every descent, {!KEY.gather} scans
-    a leaf for a range.  {!Inner} takes [search] as an argument rather
-    than a comparison, so a level costs one indirect call and its
-    compares are inline; {!KEY.compare} remains for single pairs. *)
+    a leaf for a range.  It also carries the steps that make an inner
+    node of its keys, one {!Inner.kind} record ({!KEY.inner_kind}):
+    every node holds a prefix and one int anchor per separator, and
+    only these steps know what an anchor is — a fixed key is its own,
+    a string's is the {!Anchor} encoding of its bytes after the
+    prefix.  A node carries its kind, so a descent level costs one
+    indirect call to [search] with the compares inline, and
+    {!KEY.compare} remains for single pairs. *)
 
 type ctx = {
   region : Scm.Region.t;
@@ -31,20 +36,25 @@ module type KEY = sig
   val dummy : t
   val compare : t -> t -> int
 
-  val inner_repr : t Inner.repr
-  (** How an inner node holds separators of this type: [Fixed] as
-      plain ints, [Var] as a prefix and {!Anchor} ints. *)
-
   val search : t Inner.search
   (** [search n k] is the first [i < n.nkeys] with [k <=] separator
       [i], or [nkeys] when there is none, where [nkeys] is first
       clamped to the node's arrays (a negative [nkeys] gives 0): an
-      inner node's child choice, [Inner.child_index compare] without a
-      call per comparison.  The clamp keeps a torn [nkeys] from reading
-      past the arrays, so the loads are unchecked.  [Fixed] compares
-      ints inline over [keys]; [Var] searches the unboxed anchors and
-      compares strings only on a tie of two long anchors
-      ({!Anchor.search}); nothing is allocated. *)
+      inner node's child choice, a binary search over the separators
+      without a call per comparison.  The clamp keeps a torn [nkeys]
+      from reading past the arrays, so the loads are unchecked.
+      [Fixed] compares ints inline over the anchors, which are its
+      keys; [Var] searches the unboxed anchors and compares strings
+      only on a tie of two long anchors ({!Anchor.search}); nothing is
+      allocated. *)
+
+  val inner_kind : t Inner.kind
+  (** The inner-node steps of this key type ({!Inner.kind}), [search]
+      among them.  [Fixed]: a key is its own anchor under the empty
+      prefix, never long; no key slots, no bytes beyond the anchors.
+      [Var]: {!Anchor} ints after the separators' common prefix, the
+      full key of a long one kept, [""] in every other key slot; the
+      prefix and each kept key cost [dram_bytes]. *)
 
   val gather :
     ctx -> Layout.t -> leaf:int -> bm:int -> lo:t -> hi:t -> t array ->

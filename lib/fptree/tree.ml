@@ -554,7 +554,7 @@ module Make (K : Keys.KEY) = struct
     let committed _ = ()
 
     let body t k () rs =
-      let leaf = Inner.descend_rs rs K.search t.inner k in
+      let leaf = Inner.descend_rs rs t.inner k in
       if not (try_lock t leaf) then
         Spec.abort rs ~obj:(Sched.obj_lock leaf.Inner.off);
       if Nv.validate rs then leaf
@@ -590,7 +590,7 @@ module Make (K : Keys.KEY) = struct
       if stats_on () then Obs.Histogram.record Metrics.find_retries attempts
 
     let body t k h rs =
-      let leaf = Inner.descend_rs rs K.search t.inner k in
+      let leaf = Inner.descend_rs rs t.inner k in
       (* The leaf's version word stands in for its content lines: a
          writer opens a phase before its first store, so a quiescent
          observation here plus validation after the probe brackets
@@ -741,13 +741,13 @@ module Make (K : Keys.KEY) = struct
                stands), but oracle-equivalent: the key set is
                unchanged. *)
             Spec.with_write t.spec (fun () ->
-                Inner.update_parents t.inner K.search ~sep ~right);
+                Inner.update_parents t.inner ~sep ~right);
             ver_end t leaf;
             Option.iter Nv.end_hold hold;
             unlock t leaf;
             raise e);
           Spec.with_write t.spec (fun () ->
-              Inner.update_parents t.inner K.search ~sep ~right);
+              Inner.update_parents t.inner ~sep ~right);
           ver_end t leaf;
           Option.iter Nv.end_hold hold;
           unlock t leaf;
@@ -848,7 +848,7 @@ module Make (K : Keys.KEY) = struct
       (match sep_right with
       | Some (sep, right) when did_split ->
         Spec.with_write t.spec (fun () ->
-            Inner.update_parents t.inner K.search ~sep ~right)
+            Inner.update_parents t.inner ~sep ~right)
       | _ -> ());
       ver_end t leaf;
       Option.iter Nv.end_hold hold;
@@ -900,7 +900,7 @@ module Make (K : Keys.KEY) = struct
       single && not sole
 
     let body t k h rs =
-      let leaf, prev = Inner.find_leaf_and_prev_rs rs K.search t.inner k in
+      let leaf, prev = Inner.find_leaf_and_prev_rs rs t.inner k in
       if not (try_lock t leaf) then
         Spec.abort rs ~obj:(Sched.obj_lock leaf.Inner.off);
       if not (Nv.validate rs) then begin
@@ -963,7 +963,7 @@ module Make (K : Keys.KEY) = struct
          refresh_csum t leaf.Inner.off;
          K.dealloc t.ctx ~off:(key_cell t leaf.Inner.off slot)
        end);
-      Spec.with_write t.spec (fun () -> Inner.remove_leaf t.inner K.search k);
+      Spec.with_write t.spec (fun () -> Inner.remove_leaf t.inner k);
       delete_leaf t leaf prev;
       (match prev with Some p -> ver_end t p | None -> ());
       ver_end t leaf;
@@ -1119,8 +1119,7 @@ module Make (K : Keys.KEY) = struct
 
     let body s key above rs =
       let leaf =
-        Inner.find_leaf_upper_rs rs K.search K.compare s.tree.inner key ~above
-          s.upper
+        Inner.find_leaf_upper_rs rs s.tree.inner key ~above s.upper
       in
       Nv.observe_id rs leaf.Inner.ver leaf.Inner.off;
       let n = gather s leaf key in
@@ -1209,8 +1208,7 @@ module Make (K : Keys.KEY) = struct
       pool size is a maintained counter ([n_free]), not an O(n) list
       traversal. *)
   let dram_bytes t =
-    Inner.dram_bytes t.inner ~key_bytes:K.dram_bytes
-    + Leaf_groups.dram_bytes t.groups
+    Inner.dram_bytes t.inner + Leaf_groups.dram_bytes t.groups
 
   (** SCM footprint of the tree's arena (live allocated bytes). *)
   let scm_bytes t = Pmem.Palloc.live_bytes (alloc t)
@@ -1245,8 +1243,8 @@ module Make (K : Keys.KEY) = struct
       ctx; layout; config = cfg; meta;
       spec = Spec.create ~retry_threshold:cfg.htm_retries ();
       inner =
-        Inner.create ~fanout:(cfg.inner_keys + 1) ~dummy_key:K.dummy
-          ~repr:K.inner_repr (Inner.leaf_ref (-1));
+        Inner.create ~fanout:(cfg.inner_keys + 1) ~kind:K.inner_kind
+          (Inner.leaf_ref (-1));
       split_logs = logs cfg.n_split_logs (fun i -> D.Split i);
       delete_logs = logs cfg.n_delete_logs (fun i -> D.Delete i);
       groups = Leaf_groups.create ctx ~meta cfg layout;
@@ -1307,8 +1305,8 @@ module Make (K : Keys.KEY) = struct
     complete_init t;
     let first = (read_head t).Pptr.off in
     t.inner <-
-      Inner.create ~fanout:(config.inner_keys + 1) ~dummy_key:K.dummy
-        ~repr:K.inner_repr (Inner.leaf_ref first);
+      Inner.create ~fanout:(config.inner_keys + 1) ~kind:K.inner_kind
+        (Inner.leaf_ref first);
     t
 
   let create ?config alloc =
@@ -1361,8 +1359,7 @@ module Make (K : Keys.KEY) = struct
         | None -> leaves := (K.dummy, Inner.leaf_ref leaf) :: !leaves);
     let arr = Array.of_list (List.rev !leaves) in
     t.inner <-
-      Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~dummy_key:K.dummy
-        ~repr:K.inner_repr arr;
+      Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~kind:K.inner_kind arr;
     (* Rebuild the volatile free-leaf pool from the group list.
        Quarantined leaves are out of the list but must not be recycled
        as free. *)
@@ -1521,12 +1518,12 @@ module Make (K : Keys.KEY) = struct
     !acc
 
   (** Structural invariant check (tests): every inner node's
-      separators ascend and an anchored node is in canonical form
+      separators ascend and it is in canonical form
       ({!Inner.check}), leaves are in strictly increasing key order
       along the linked list, every key routes to its leaf through the
       inner nodes, and fingerprints match. *)
   let check_invariants t =
-    Inner.check K.compare t.inner;
+    Inner.check t.inner;
     let prev_max = ref None in
     iter_leaves t (fun leaf ->
         let bm = leaf_bitmap t leaf in
@@ -1539,7 +1536,7 @@ module Make (K : Keys.KEY) = struct
               let fp = Layout.read_fp (region t) ~leaf t.layout s in
               if fp <> K.fingerprint k then failwith "invariant: bad fingerprint"
             end;
-            let routed = Inner.descend K.search t.inner.Inner.root k in
+            let routed = Inner.descend t.inner.Inner.root k in
             if routed.Inner.off <> leaf then
               failwith "invariant: inner nodes route key to wrong leaf"
           end
@@ -1573,7 +1570,7 @@ module Make (K : Keys.KEY) = struct
     (* The leaf currently covering [k] is not left locked by an unwound
        op. *)
     let leaf_locked_for t k =
-      Leaf_lock.is_locked (Inner.descend K.search t.inner.Inner.root k)
+      Leaf_lock.is_locked (Inner.descend t.inner.Inner.root k)
 
     let spec_stats t = Spec.stats t.spec
 

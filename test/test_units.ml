@@ -237,12 +237,14 @@ let test_microlog_pool_concurrent () =
 
 let mk_leaves n = Array.init n (fun i -> ((i + 1) * 10, Fptree.Inner.leaf_ref i))
 
+let fixed_kind = Fptree.Keys.Fixed.inner_kind
+
 let test_inner_rebuild_and_route () =
   let leaves = mk_leaves 100 in
-  let t = Fptree.Inner.rebuild ~fanout:8 ~dummy_key:min_int ~repr:Fptree.Inner.Plain leaves in
+  let t = Fptree.Inner.rebuild ~fanout:8 ~kind:fixed_kind leaves in
   (* key k routes to the first leaf whose max (= (i+1)*10) >= k *)
   for k = 1 to 1100 do
-    let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root k in
+    let l = Fptree.Inner.descend t.Fptree.Inner.root k in
     let expect = min 99 (((k + 9) / 10) - 1) in
     if l.Fptree.Inner.off <> expect then
       Alcotest.failf "key %d routed to leaf %d (expect %d)" k l.Fptree.Inner.off
@@ -252,16 +254,14 @@ let test_inner_rebuild_and_route () =
 
 let test_inner_update_parents_splits () =
   let t =
-    Fptree.Inner.create ~fanout:4 ~dummy_key:min_int ~repr:Fptree.Inner.Plain
-      (Fptree.Inner.leaf_ref 0)
+    Fptree.Inner.create ~fanout:4 ~kind:fixed_kind (Fptree.Inner.leaf_ref 0)
   in
   (* register right siblings 1..20 with separators 10,20,... *)
   for i = 1 to 20 do
-    Fptree.Inner.update_parents t Fptree.Keys.Fixed.search ~sep:(i * 10)
-      ~right:(Fptree.Inner.leaf_ref i)
+    Fptree.Inner.update_parents t ~sep:(i * 10) ~right:(Fptree.Inner.leaf_ref i)
   done;
   (* routing: key 95 -> leaf 9 (covers (90,100]); key 5 -> leaf 0 *)
-  let route k = (Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root k).Fptree.Inner.off in
+  let route k = (Fptree.Inner.descend t.Fptree.Inner.root k).Fptree.Inner.off in
   Alcotest.(check int) "low key" 0 (route 5);
   Alcotest.(check int) "mid key (90,100] -> leaf 9" 9 (route 95);
   Alcotest.(check int) "exact separator (80,90] -> leaf 8" 8 (route 90);
@@ -270,8 +270,8 @@ let test_inner_update_parents_splits () =
 
 let test_inner_find_leaf_and_prev () =
   let leaves = mk_leaves 10 in
-  let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int ~repr:Fptree.Inner.Plain leaves in
-  let find k = Fptree.Inner.find_leaf_and_prev_rs (Htm.Node_versions.scratch ()) Fptree.Keys.Fixed.search t k in
+  let t = Fptree.Inner.rebuild ~fanout:4 ~kind:fixed_kind leaves in
+  let find k = Fptree.Inner.find_leaf_and_prev_rs (Htm.Node_versions.scratch ()) t k in
   let l, prev = find 35 in
   Alcotest.(check int) "leaf for 35" 3 l.Fptree.Inner.off;
   (match prev with
@@ -282,24 +282,24 @@ let test_inner_find_leaf_and_prev () =
 
 let test_inner_remove_leaf () =
   let leaves = mk_leaves 10 in
-  let t = Fptree.Inner.rebuild ~fanout:4 ~dummy_key:min_int ~repr:Fptree.Inner.Plain leaves in
-  Fptree.Inner.remove_leaf t Fptree.Keys.Fixed.search 35;
+  let t = Fptree.Inner.rebuild ~fanout:4 ~kind:fixed_kind leaves in
+  Fptree.Inner.remove_leaf t 35;
   (* leaf 3 is gone; 35 now routes to leaf 4 (max 40) *)
-  let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root 35 in
+  let l = Fptree.Inner.descend t.Fptree.Inner.root 35 in
   Alcotest.(check int) "routes to successor" 4 l.Fptree.Inner.off;
   (* removing everything but one leaf keeps a routable structure *)
   List.iter
-    (fun k -> Fptree.Inner.remove_leaf t Fptree.Keys.Fixed.search k)
+    (fun k -> Fptree.Inner.remove_leaf t k)
     [ 5; 15; 25; 45; 55; 65; 75; 85 ];
-  let l = Fptree.Inner.find_leaf Int.compare t.Fptree.Inner.root 1 in
+  let l = Fptree.Inner.descend t.Fptree.Inner.root 1 in
   Alcotest.(check int) "last leaf still reachable" 9 l.Fptree.Inner.off
 
 let test_inner_dram_accounting () =
-  let t = Fptree.Inner.rebuild ~fanout:16 ~dummy_key:min_int ~repr:Fptree.Inner.Plain (mk_leaves 1000) in
+  let t = Fptree.Inner.rebuild ~fanout:16 ~kind:fixed_kind (mk_leaves 1000) in
   let nodes = Fptree.Inner.inner_node_count t in
   Alcotest.(check bool) "node count plausible" true (nodes > 70 && nodes < 120);
   Alcotest.(check bool) "dram bytes positive" true
-    (Fptree.Inner.dram_bytes t ~key_bytes:(fun _ -> 8) > nodes * 100)
+    (Fptree.Inner.dram_bytes t > nodes * 100)
 
 (* ---- key modules ---- *)
 
@@ -346,7 +346,18 @@ let test_var_key_defensive_read () =
 
 (* ---- inner-node search ---- *)
 
-(* [K.search] against [Inner.child_index K.compare] on nodes of every
+(* The model of [K.search]: a binary search that compares the probe
+   with each separator [Inner.key] builds, through [cmp]. *)
+let child_index cmp (n : 'k Fptree.Inner.inner) k =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if cmp k (Fptree.Inner.key n mid) <= 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 n.nkeys
+
+(* [K.search] against [child_index K.compare] on nodes of every
    fill [n = 0 .. cap]: sorted unique keys below [n], junk above (the
    dummy or a stale key, and a stale anchor, as splits and removals
    leave them), and probes below, equal to, between and above every
@@ -365,8 +376,8 @@ struct
     List.iter
       (fun cap ->
         let t =
-          Fptree.Inner.create ~fanout:(cap + 1) ~dummy_key:K.dummy
-            ~repr:K.inner_repr (Fptree.Inner.leaf_ref 0)
+          Fptree.Inner.create ~fanout:(cap + 1) ~kind:K.inner_kind
+            (Fptree.Inner.leaf_ref 0)
         in
         for n = 0 to cap do
           for _trial = 1 to 20 do
@@ -384,11 +395,11 @@ struct
             let node = Fptree.Inner.make_inner t in
             Fptree.Inner.set_keys node keys;
             for i = n to cap - 1 do
-              node.keys.(i) <-
-                (if Random.State.bool rng then K.dummy
-                 else S.pool.(Random.State.int rng np));
-              if Array.length node.anchors > 0 then
-                node.anchors.(i) <- Random.State.bits rng
+              if Array.length node.keys > 0 then
+                node.keys.(i) <-
+                  (if Random.State.bool rng then K.dummy
+                   else S.pool.(Random.State.int rng np));
+              node.anchors.(i) <- Random.State.bits rng
             done;
             let probes = S.probes keys in
             List.iter
@@ -397,7 +408,7 @@ struct
                 List.iter
                   (fun k ->
                     node.nkeys <- clamped;
-                    let expect = Fptree.Inner.child_index K.compare node k in
+                    let expect = child_index K.compare node k in
                     node.nkeys <- nk;
                     let got = K.search node k in
                     if got <> expect then
@@ -441,161 +452,118 @@ module Search_var =
         @ List.concat_map (fun k -> [ k ^ "\000"; k ^ "z" ]) (Array.to_list keys)
     end)
 
-(* ---- anchored inner nodes ---- *)
+(* ---- inner-node form ---- *)
 
-(* Anchored var-key nodes against a plain model.  The model is the
-   node's separators as a sorted [string array]; the node's prefix,
-   anchors, long keys and DRAM share are recomputed from it here, from
-   the definition (the longest common prefix; seven suffix bytes,
-   big-endian, zero-padded, then the length 0..7, or 8 for longer),
-   and [Keys.Var.search] must pick the child [child_index
-   String.compare] picks in a plain node holding the model.  Keys share
-   a random prefix of 0..20 bytes and have suffixes of 0..12 bytes over
-   [\000 a b \255], so anchors tie, pad with zeros and differ only in
-   the length; some keys leave the prefix, which breaks it on
-   insert. *)
-module Anchored_tests = struct
+(* Inner nodes of either key kind against a test-side model: the
+   node's separators as a sorted array.  The node's prefix, anchors,
+   kept keys and DRAM share are recomputed from the model here, from
+   the definition, and [K.search] must pick the model's first
+   separator at or above the probe.  [M] says what the definition is
+   for the key kind, and how a trial draws keys. *)
+module Node_tests (K : Fptree.Keys.KEY) (M : sig
+  val name : string
+  val key_t : K.t Alcotest.testable
+
+  (* What a trial draws its keys around, and a key added to half the
+     search trials' pools. *)
+  type gen
+
+  val gen : Random.State.t -> gen
+  val gen_key : Random.State.t -> gen -> K.t
+  val seed : gen -> K.t
+
+  (* The common prefix of sorted separators; a separator's anchor
+     under it, and whether it is long; the prefix's DRAM bytes. *)
+  val prefix : K.t array -> string
+  val anchor : string -> K.t -> int
+  val long : string -> K.t -> bool
+  val prefix_bytes : string -> int
+
+  (* Below, equal to, between and above every separator, for a node
+     holding these. *)
+  val probes : K.t array -> K.t list
+end) =
+struct
   module I = Fptree.Inner
-
-  let alphabet = [| '\000'; 'a'; 'b'; '\255' |]
-
-  let rand_string rng len =
-    String.init len (fun _ -> alphabet.(Random.State.int rng 4))
-
-  (* A key under the trial's prefix [p], or (one in five) under a
-     shorter cut of it with a random byte after. *)
-  let gen_key rng p =
-    let suffix = rand_string rng (Random.State.int rng 13) in
-    if Random.State.int rng 5 > 0 then p ^ suffix
-    else
-      let cut = Random.State.int rng (String.length p + 1) in
-      String.sub p 0 cut ^ rand_string rng 1 ^ suffix
-
-  let model_lcp a b =
-    let n = min (String.length a) (String.length b) in
-    let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
-    go 0
-
-  let model_anchor k pl =
-    let sl = String.length k - pl in
-    let a = ref 0 in
-    for j = 0 to 6 do
-      a := (!a * 256) + (if j < sl then Char.code k.[pl + j] else 0)
-    done;
-    (!a * 16) + min sl 8
-
-  let key_bytes = Fptree.Keys.Var.dram_bytes
 
   (* [n] holds [model] in canonical form, and its DRAM share is the
      documented sum: 24 + 8 per child slot + 8 per anchor slot + 8 per
      key slot + the prefix + each long separator. *)
-  let check_node what (t : string I.t) (n : string I.inner) model =
+  let check_node what (t : K.t I.t) (n : K.t I.inner) model =
     let cnt = Array.length model in
     Alcotest.(check int) (what ^ ": nkeys") cnt n.nkeys;
-    Alcotest.(check (array string)) (what ^ ": separators") model
+    Alcotest.(check (array M.key_t)) (what ^ ": separators") model
       (Array.init cnt (I.key n));
-    let pl = if cnt = 0 then 0 else model_lcp model.(0) model.(cnt - 1) in
-    let prefix = if cnt = 0 then "" else String.sub model.(0) 0 pl in
+    let prefix = M.prefix model in
     Alcotest.(check string) (what ^ ": prefix") prefix n.prefix;
-    let long k = String.length k - pl > 7 in
+    let long = M.long prefix in
     Alcotest.(check (array int)) (what ^ ": anchors")
-      (Array.map (fun k -> model_anchor k pl) model)
+      (Array.map (M.anchor prefix) model)
       (Array.sub n.anchors 0 cnt);
-    Alcotest.(check (array string)) (what ^ ": kept keys")
+    Alcotest.(check (array M.key_t)) (what ^ ": kept keys")
       (Array.init (Array.length n.keys) (fun i ->
-           if i < cnt && long model.(i) then model.(i) else ""))
+           if i < cnt && long model.(i) then model.(i) else K.dummy))
       n.keys;
     let root = t.root in
     t.root <- I.Inner n;
-    let bytes = I.dram_bytes t ~key_bytes in
+    let bytes = I.dram_bytes t in
     t.root <- root;
     let expect =
       24 + (8 * Array.length n.children)
       + (8 * (Array.length n.anchors + Array.length n.keys))
-      + key_bytes prefix
-      + Array.fold_left (fun b k -> if long k then b + key_bytes k else b) 0 model
+      + M.prefix_bytes prefix
+      + Array.fold_left
+          (fun b k -> if long k then b + K.dram_bytes k else b) 0 model
     in
     Alcotest.(check int) (what ^ ": dram bytes") expect bytes
 
-  (* Probes below, equal to, between and above every separator, and
-     ones that leave the prefix inside it or stop short of it. *)
-  let probes model =
-    let p =
-      let cnt = Array.length model in
-      if cnt = 0 then "" else String.sub model.(0) 0 (model_lcp model.(0) model.(cnt - 1))
+  (* The model's child for [k]: its first separator at or above [k]. *)
+  let model_index model k =
+    let rec go i =
+      if i < Array.length model && K.compare k model.(i) > 0 then go (i + 1)
+      else i
     in
-    let around k =
-      let l = String.length k in
-      [ k; k ^ "\000"; k ^ "\255"; k ^ "a" ]
-      @ (if l = 0 then []
-         else
-           let last = Char.code k.[l - 1] in
-           [ String.sub k 0 (l - 1) ]
-           @ List.filter_map
-               (fun d ->
-                 let c = last + d in
-                 if c < 0 || c > 255 then None
-                 else Some (String.sub k 0 (l - 1) ^ String.make 1 (Char.chr c)))
-               [ -1; 1 ])
-    in
-    let inside =
-      List.concat
-        (List.init (String.length p) (fun j ->
-             let c = Char.code p.[j] in
-             [ String.sub p 0 j ]
-             @ List.filter_map
-                 (fun d ->
-                   let c = c + d in
-                   if c < 0 || c > 255 then None
-                   else Some (String.sub p 0 j ^ String.make 1 (Char.chr c) ^ "zz"))
-                 [ -1; 1 ]))
-    in
-    [ ""; "\000"; "\255\255\255\255\255\255\255\255\255" ]
-    @ inside @ List.concat_map around (Array.to_list model)
+    go 0
 
-  let check_search what (n : string I.inner) model =
-    let plain =
-      I.make_inner
-        (I.create ~fanout:(Array.length model + 2) ~dummy_key:"" ~repr:I.Plain
-           (I.leaf_ref 0))
-    in
-    I.set_keys plain model;
+  let check_search what (n : K.t I.inner) model =
     List.iter
       (fun k ->
-        let expect = I.child_index String.compare plain k in
-        let got = Fptree.Keys.Var.search n k in
+        let expect = model_index model k in
+        let got = K.search n k in
         if got <> expect then
-          Alcotest.failf "%s: probe %S: search %d, child_index %d" what k got expect)
-      (probes model)
+          Alcotest.failf "%s: probe %a: search %d, model %d" what
+            (Alcotest.pp M.key_t) k got expect)
+      (M.probes model)
 
   let check what t n model =
     check_node what t n model;
     check_search what n model
 
+  (* Up to [cap] sorted distinct keys: [2 cap] draws (and, half the
+     time, the seed), the smallest kept. *)
+  let draw_model rng g cap =
+    let pool = List.init (2 * cap) (fun _ -> M.gen_key rng g) in
+    let pool = if Random.State.bool rng then M.seed g :: pool else pool in
+    List.sort_uniq K.compare pool |> List.filteri (fun i _ -> i < cap)
+    |> Array.of_list
+
   (* Random separator sets, set whole. *)
   let test_search () =
     let rng = Random.State.make [| 31 |] in
     for trial = 1 to 300 do
-      let p = rand_string rng (Random.State.int rng 21) in
+      let g = M.gen rng in
       let cap = 1 + Random.State.int rng 24 in
-      let t =
-        I.create ~fanout:(cap + 1) ~dummy_key:"" ~repr:I.Anchored (I.leaf_ref 0)
-      in
-      let pool = List.init (2 * cap) (fun _ -> gen_key rng p) in
-      let pool = if Random.State.bool rng then p :: pool else pool in
-      let model =
-        List.sort_uniq String.compare pool |> List.filteri (fun i _ -> i < cap)
-        |> Array.of_list
-      in
+      let t = I.create ~fanout:(cap + 1) ~kind:K.inner_kind (I.leaf_ref 0) in
+      let model = draw_model rng g cap in
       let n = I.make_inner t in
       I.set_keys n model;
-      check (Printf.sprintf "trial %d" trial) t n model
+      check (Printf.sprintf "%s trial %d" M.name trial) t n model
     done
 
   (* [k]'s position in [model] and the model with it *)
   let insert_sorted model k =
     let below, above =
-      List.partition (fun x -> String.compare x k < 0) (Array.to_list model)
+      List.partition (fun x -> K.compare x k < 0) (Array.to_list model)
     in
     (List.length below, Array.of_list (below @ (k :: above)))
 
@@ -605,60 +573,249 @@ module Anchored_tests = struct
   let leaves model =
     Array.mapi (fun i k -> (k, I.leaf_ref i)) model
 
+  (* One random edit of [!n] holding [!model]: an insert, a removal, a
+     split (keeping either half) or a rebuild of a tree over the model,
+     checked to route every separator to its leaf.  [check] sees each
+     half of a split. *)
+  let edit ~check rng g t n model step what =
+    let cap = t.I.fanout - 1 and cnt = Array.length !model in
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 | 4 when cnt < cap ->
+      let k = M.gen_key rng g in
+      if not (Array.mem k !model) then begin
+        let pos, m = insert_sorted !model k in
+        I.insert_at !n pos k (I.Leaf (I.leaf_ref step));
+        model := m
+      end
+    | 5 | 6 when cnt > 0 ->
+      let pos = Random.State.int rng (cnt + 1) in
+      I.remove_at !n pos;
+      model := remove_sep !model (if pos = 0 then 0 else pos - 1)
+    | 7 | 8 when cnt >= 2 ->
+      let mid = cnt / 2 in
+      let sep, right = I.split_inner t !n in
+      Alcotest.check M.key_t (what ^ ": split separator") !model.(mid) sep;
+      let left_m = Array.sub !model 0 mid
+      and right_m = Array.sub !model (mid + 1) (cnt - mid - 1) in
+      check (what ^ " (split left)") t !n left_m;
+      check (what ^ " (split right)") t right right_m;
+      if Random.State.bool rng then (n := right; model := right_m)
+      else model := left_m
+    | 9 when cnt > 0 ->
+      let fanout = 3 + Random.State.int rng 4 in
+      let r = I.rebuild ~fanout ~kind:K.inner_kind (leaves !model) in
+      I.check r;
+      Array.iteri
+        (fun i k ->
+          let l = I.descend r.root k in
+          if l.off <> i then
+            Alcotest.failf "%s: rebuilt tree routes %a to leaf %d, not %d"
+              what (Alcotest.pp M.key_t) k l.off i)
+        !model
+    | _ -> ()
+
   (* Random insert_at / remove_at / split_inner / rebuild sequences;
      every node is checked after every step. *)
   let test_edits () =
     let rng = Random.State.make [| 37 |] in
     for trial = 1 to 60 do
-      let p = rand_string rng (Random.State.int rng 21) in
+      let g = M.gen rng in
       let cap = 2 + Random.State.int rng 14 in
-      let t =
-        I.create ~fanout:(cap + 1) ~dummy_key:"" ~repr:I.Anchored (I.leaf_ref 0)
-      in
+      let t = I.create ~fanout:(cap + 1) ~kind:K.inner_kind (I.leaf_ref 0) in
       let n = ref (I.make_inner t) and model = ref [||] in
       for step = 1 to 120 do
-        let what = Printf.sprintf "trial %d step %d" trial step in
-        let cnt = Array.length !model in
-        (match Random.State.int rng 10 with
-        | 0 | 1 | 2 | 3 | 4 when cnt < cap ->
-          let k = gen_key rng p in
-          if not (Array.mem k !model) then begin
-            let pos, m = insert_sorted !model k in
-            I.insert_at !n pos k (I.Leaf (I.leaf_ref step));
-            model := m
-          end
-        | 5 | 6 when cnt > 0 ->
-          let pos = Random.State.int rng (cnt + 1) in
-          I.remove_at !n pos;
-          model := remove_sep !model (if pos = 0 then 0 else pos - 1)
-        | 7 | 8 when cnt >= 2 ->
-          let mid = cnt / 2 in
-          let sep, right = I.split_inner t !n in
-          Alcotest.(check string) (what ^ ": split separator") !model.(mid) sep;
-          let left_m = Array.sub !model 0 mid
-          and right_m = Array.sub !model (mid + 1) (cnt - mid - 1) in
-          check (what ^ " (split left)") t !n left_m;
-          check (what ^ " (split right)") t right right_m;
-          if Random.State.bool rng then (n := right; model := right_m)
-          else model := left_m
-        | 9 when cnt > 0 ->
-          let fanout = 3 + Random.State.int rng 4 in
-          let r =
-            I.rebuild ~fanout ~dummy_key:"" ~repr:I.Anchored (leaves !model)
-          in
-          I.check String.compare r;
-          Array.iteri
-            (fun i k ->
-              let l = I.find_leaf String.compare r.root k in
-              if l.off <> i then
-                Alcotest.failf "%s: rebuilt tree routes %S to leaf %d, not %d"
-                  what k l.off i)
-            !model
-        | _ -> ());
+        let what = Printf.sprintf "%s trial %d step %d" M.name trial step in
+        edit ~check rng g t n model step what;
         check what t !n !model
       done
     done
+
+  (* Torn reads.  An optimistic reader may see one write's [nkeys],
+     [prefix], [anchors] and [keys] beside another's.  Two canonical
+     states of one node (before and after a few edits) give every such
+     pairing; on each, [K.search] stays in [0, min nkeys capacity] and
+     a bounded descent of a tree holding only that node raises
+     nothing, from the root and through the recorded parent. *)
+  let test_torn () =
+    let rng = Random.State.make [| 41 |] in
+    let no_check _ _ _ _ = () in
+    for trial = 1 to 200 do
+      let g = M.gen rng in
+      let cap = 2 + Random.State.int rng 14 in
+      let t = I.create ~fanout:(cap + 1) ~kind:K.inner_kind (I.leaf_ref 0) in
+      let model = ref (draw_model rng g (Random.State.int rng (cap + 1))) in
+      let n = ref (I.make_inner t) in
+      I.set_keys !n !model;
+      Array.iteri (fun i _ -> !n.children.(i + 1) <- I.Leaf (I.leaf_ref i)) !model;
+      let snap (n : K.t I.inner) =
+        (n.nkeys, n.prefix, Array.copy n.anchors, Array.copy n.keys)
+      in
+      let model_a = !model and a = snap !n in
+      for step = 1 to 1 + Random.State.int rng 3 do
+        edit ~check:no_check rng g t n model step ""
+      done;
+      let b = snap !n in
+      let probes = M.probes model_a @ M.probes !model in
+      for mask = 0 to 15 do
+        let pick bit (nk, p, an, ks) (nk', p', an', ks') =
+          if mask land bit = 0 then (nk, p, an, ks) else (nk', p', an', ks')
+        in
+        let nk, _, _, _ = pick 1 a b and _, p, _, _ = pick 2 a b in
+        let _, _, an, _ = pick 4 a b and _, _, _, ks = pick 8 a b in
+        let h =
+          { !n with nkeys = nk; prefix = p; anchors = Array.copy an;
+                    keys = Array.copy ks }
+        in
+        let tree = { t with root = I.Inner h } in
+        let what = Printf.sprintf "%s trial %d hybrid %d" M.name trial mask in
+        List.iter
+          (fun k ->
+            let fail e =
+              Alcotest.failf "%s: probe %a raised %s" what
+                (Alcotest.pp M.key_t) k (Printexc.to_string e)
+            in
+            let i = try K.search h k with e -> fail e in
+            if i < 0 || i > min nk cap then
+              Alcotest.failf "%s: probe %a: search %d outside [0, %d]" what
+                (Alcotest.pp M.key_t) k i (min nk cap);
+            List.iter
+              (fun above ->
+                let u = I.upper k in
+                try
+                  for _ = 1 to 2 do
+                    ignore
+                      (I.find_leaf_upper_rs (Htm.Node_versions.scratch ()) tree
+                         k ~above u)
+                  done
+                with e -> fail e)
+              [ false; true ])
+          probes
+      done
+    done
 end
+
+(* String keys under a random prefix of 0..20 bytes with suffixes of
+   0..12 bytes over [\000 a b \255], so anchors tie, pad with zeros and
+   differ only in the length; one key in five leaves the prefix, which
+   breaks it on insert.  The anchor is defined as seven suffix bytes,
+   big-endian, zero-padded, then the length 0..7, or 8 for longer. *)
+module Var_nodes =
+  Node_tests
+    (Fptree.Keys.Var)
+    (struct
+      let name = "var"
+      let key_t = Alcotest.string
+      let alphabet = [| '\000'; 'a'; 'b'; '\255' |]
+
+      let rand_string rng len =
+        String.init len (fun _ -> alphabet.(Random.State.int rng 4))
+
+      type gen = string
+
+      let gen rng = rand_string rng (Random.State.int rng 21)
+
+      (* A key under the trial's prefix [p], or (one in five) under a
+         shorter cut of it with a random byte after. *)
+      let gen_key rng p =
+        let suffix = rand_string rng (Random.State.int rng 13) in
+        if Random.State.int rng 5 > 0 then p ^ suffix
+        else
+          let cut = Random.State.int rng (String.length p + 1) in
+          String.sub p 0 cut ^ rand_string rng 1 ^ suffix
+
+      let seed p = p
+
+      let lcp a b =
+        let n = min (String.length a) (String.length b) in
+        let rec go i = if i < n && a.[i] = b.[i] then go (i + 1) else i in
+        go 0
+
+      let prefix model =
+        let cnt = Array.length model in
+        if cnt = 0 then ""
+        else String.sub model.(0) 0 (lcp model.(0) model.(cnt - 1))
+
+      let anchor p k =
+        let pl = String.length p in
+        let sl = String.length k - pl in
+        let a = ref 0 in
+        for j = 0 to 6 do
+          a := (!a * 256) + (if j < sl then Char.code k.[pl + j] else 0)
+        done;
+        (!a * 16) + min sl 8
+
+      let long p k = String.length k - String.length p > 7
+      let prefix_bytes = Fptree.Keys.Var.dram_bytes
+
+      (* Probes around every separator, and ones that leave the prefix
+         inside it or stop short of it. *)
+      let probes model =
+        let p = prefix model in
+        let around k =
+          let l = String.length k in
+          [ k; k ^ "\000"; k ^ "\255"; k ^ "a" ]
+          @ (if l = 0 then []
+             else
+               let last = Char.code k.[l - 1] in
+               [ String.sub k 0 (l - 1) ]
+               @ List.filter_map
+                   (fun d ->
+                     let c = last + d in
+                     if c < 0 || c > 255 then None
+                     else Some (String.sub k 0 (l - 1) ^ String.make 1 (Char.chr c)))
+                   [ -1; 1 ])
+        in
+        let inside =
+          List.concat
+            (List.init (String.length p) (fun j ->
+                 let c = Char.code p.[j] in
+                 [ String.sub p 0 j ]
+                 @ List.filter_map
+                     (fun d ->
+                       let c = c + d in
+                       if c < 0 || c > 255 then None
+                       else Some (String.sub p 0 j ^ String.make 1 (Char.chr c) ^ "zz"))
+                     [ -1; 1 ]))
+        in
+        [ ""; "\000"; "\255\255\255\255\255\255\255\255\255" ]
+        @ inside @ List.concat_map around (Array.to_list model)
+    end)
+
+(* Fixed keys over the whole 63-bit range: the extremes, keys near 0
+   of either sign, keys drawn from all of it, and runs of neighbours
+   around the trial's base.  A key is its own anchor under the empty
+   prefix, never long, and the node keeps no keys. *)
+module Fixed_nodes =
+  Node_tests
+    (Fptree.Keys.Fixed)
+    (struct
+      let name = "fixed"
+      let key_t = Alcotest.int
+
+      type gen = int
+
+      let any rng = Int64.to_int (Random.State.bits64 rng)
+      let gen = any
+
+      let specials =
+        [| min_int + 1; min_int + 2; -2; -1; 0; 1; max_int - 1; max_int |]
+
+      let gen_key rng base =
+        match Random.State.int rng 8 with
+        | 0 -> specials.(Random.State.int rng (Array.length specials))
+        | 1 | 2 | 3 -> any rng
+        | _ -> base + Random.State.int rng 64 - 32
+
+      let seed base = base
+      let prefix _ = ""
+      let anchor _ k = k
+      let long _ _ = false
+      let prefix_bytes _ = 0
+
+      let probes model =
+        [ min_int; min_int + 1; -1; 0; 1; max_int ]
+        @ List.concat_map (fun k -> [ k - 1; k; k + 1 ]) (Array.to_list model)
+    end)
 
 (* [Var.matches] reads what [String.equal (Var.read ...) k] reads: the
    cell's two pointer words, then (for a pointer into this region) the
@@ -951,9 +1108,17 @@ let () =
           Alcotest.test_case "var matches reads what read reads" `Quick
             test_var_matches_line_reads;
           Alcotest.test_case "anchored search matches child_index" `Quick
-            Anchored_tests.test_search;
+            Var_nodes.test_search;
           Alcotest.test_case "anchored node edits keep canonical form" `Quick
-            Anchored_tests.test_edits;
+            Var_nodes.test_edits;
+          Alcotest.test_case "fixed node search matches the model" `Quick
+            Fixed_nodes.test_search;
+          Alcotest.test_case "fixed node edits keep canonical form" `Quick
+            Fixed_nodes.test_edits;
+          Alcotest.test_case "var torn node reads stay in bounds" `Quick
+            Var_nodes.test_torn;
+          Alcotest.test_case "fixed torn node reads stay in bounds" `Quick
+            Fixed_nodes.test_torn;
         ] );
       ( "gather",
         [ Alcotest.test_case "fixed filters and order" `Quick Gather_fixed.test_filters;

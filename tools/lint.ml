@@ -172,7 +172,9 @@ let is_ident_char c =
 
 (* Occurrences of [needle] in [hay] at a token boundary (the preceding
    char is not part of an identifier or, unless [qualified], a module
-   path). *)
+   path).  A needle ending in [_] is a prefix of the identifiers it
+   names ([String.unsafe_] matches [String.unsafe_get]), so it may be
+   followed by anything. *)
 let find_tokens ?(qualified = false) hay needle f =
   let nl = String.length needle in
   let n = String.length hay in
@@ -183,7 +185,8 @@ let find_tokens ?(qualified = false) hay needle f =
         || (not (is_ident_char hay.[i - 1])) && (qualified || hay.[i - 1] <> '.')
       in
       let after =
-        (not (is_ident_char needle.[nl - 1]))
+        needle.[nl - 1] = '_'
+        || (not (is_ident_char needle.[nl - 1]))
         || i + nl >= n
         || not (is_ident_char hay.[i + nl])
       in

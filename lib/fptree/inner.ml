@@ -125,6 +125,13 @@ type 'k t = {
          pre-split root and miss every key above the new separator. *)
 }
 
+(* What every unused child slot holds: one shared value, so clearing a
+   slot allocates nothing.  A torn descent that reaches it fails
+   validation, and [sibling_rs] answers [no_leaf] for it, falling back
+   to the root. *)
+let no_leaf = leaf_ref (-1)
+let no_child = Leaf no_leaf
+
 let make_inner (t : 'k t) : 'k inner =
   {
     nkeys = 0;
@@ -132,14 +139,14 @@ let make_inner (t : 'k t) : 'k inner =
     prefix = "";
     anchors = Array.make (t.fanout - 1) 0;
     keys = t.kind.long_keys (t.fanout - 1);
-    children = Array.make t.fanout (Leaf (leaf_ref (-1)));
+    children = Array.make t.fanout no_child;
     ver = Nv.fresh ();
     id = fresh_inner_id ();
   }
 
 let create ~fanout ~kind first_leaf =
   if fanout < 2 then invalid_arg "Inner.create: fanout must be >= 2";
-  let t = { fanout; kind; root = Leaf first_leaf; root_ver = Nv.fresh () } in
+  let t = { fanout; kind; root = no_child; root_ver = Nv.fresh () } in
   let root = make_inner t in
   root.children.(0) <- Leaf first_leaf;
   t.root <- Inner root;
@@ -199,8 +206,7 @@ type 'k upper = {
   mutable parent : 'k node;
 }
 
-let no_leaf = leaf_ref (-1)
-let upper key = { key; bounded = false; parent = Leaf no_leaf }
+let upper key = { key; bounded = false; parent = no_child }
 
 (* One level of a bounded descent: the child for [key] (with [above],
    for the keys just above [key]: keys are unique within a node, so
@@ -367,7 +373,7 @@ let split_inner (t : 'k t) (n : 'k inner) =
   else encode_all n (Array.init mid (key n));
   right.nkeys <- moved;
   for i = mid + 1 to cnt do
-    n.children.(i) <- Leaf (leaf_ref (-1))
+    n.children.(i) <- no_child
   done;
   n.nkeys <- mid;
   (sep, right)
@@ -457,7 +463,7 @@ let remove_at (n : 'k inner) pos =
   Array.blit n.children (pos + 1) n.children pos (cnt - pos);
   n.nkeys <- rest;
   (* Drop the stale trailing reference so DRAM is not retained. *)
-  n.children.(rest + 1) <- Leaf (leaf_ref (-1))
+  n.children.(rest + 1) <- no_child
 
 (** Unlink the leaf responsible for [key] from the inner structure
     (the leaf became empty and is being deleted).  Empty inner nodes
@@ -530,7 +536,7 @@ let fill = 0.85
     each leaf's greatest key.  Nodes are packed to ~[fill] of fanout.
     Single-threaded (recovery): fresh version cells, no bumps. *)
 let rebuild ~fanout ~kind (leaves : ('k * leaf_ref) array) =
-  let t = { fanout; kind; root = Leaf (leaf_ref (-1)); root_ver = Nv.fresh () } in
+  let t = { fanout; kind; root = no_child; root_ver = Nv.fresh () } in
   let n_leaves = Array.length leaves in
   if n_leaves = 0 then invalid_arg "Inner.rebuild: no leaves";
   let per_node = max 2 (min fanout (int_of_float (float_of_int fanout *. fill))) in

@@ -64,6 +64,10 @@ type leaf_ref = {
 
 val leaf_ref : int -> leaf_ref
 
+val no_leaf : leaf_ref
+(** No leaf (offset -1): what every unused child slot names, one shared
+    value. *)
+
 type 'k node = Inner of 'k inner | Leaf of leaf_ref
 
 and 'k inner = {

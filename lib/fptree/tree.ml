@@ -90,10 +90,6 @@ module Make (K : Keys.KEY) = struct
     split_logs : Microlog.Pool.t;
     delete_logs : Microlog.Pool.t;
     groups : Leaf_groups.t;
-    (* scratch for find_split_key (single-threaded mode only: concurrent
-       splits of distinct leaves may overlap, so they allocate fresh) *)
-    scratch_keys : K.t array;
-    scratch_slots : int array;
     stats : stats;
     (* leaves that failed checksum validation during recovery: spliced
        out of the chain but kept allocated for offline salvage *)
@@ -241,23 +237,30 @@ module Make (K : Keys.KEY) = struct
 
   (** Write entry [k, v] into free slot [slot] and persist it; the entry
       stays invisible until the bitmap is committed (Algorithm 2,
-      lines 12–15 / Algorithm 14, lines 12–18). *)
-  let write_entry t leaf slot k v h =
+      lines 12–15 / Algorithm 14, lines 12–18).  [from] is the slot of
+      the entry it replaces, or [-1] for a fresh key: an update of a var
+      key moves the old key block's pointer instead of allocating one
+      (Algorithm 16).  The key cell is persisted with the value exactly
+      when [K.write] did not publish it (var keys allocate their block
+      through the allocator, which persists the cell). *)
+  let write_entry t leaf slot ~from k v h =
     let r = region t in
     let koff = key_cell t leaf slot in
     let voff = value_cell t leaf slot in
+    let vb = t.layout.Layout.value_bytes in
+    let moved = from >= 0 && not K.inline in
     let sc = Scope.enter Obs.Attrib.comp_kv in
-    K.write t.ctx ~off:koff k;
+    if moved then K.move t.ctx ~src:(key_cell t leaf from) ~dst:koff
+    else K.write t.ctx ~off:koff k;
     Region.write_word r voff v;
-    if t.layout.Layout.value_bytes > 8 then
-      Region.fill r (voff + 8) (t.layout.Layout.value_bytes - 8) '\000';
+    if vb > 8 then Region.fill r (voff + 8) (vb - 8) '\000';
+    let kb = if K.inline || moved then K.cell_bytes else 0 in
     (if t.layout.Layout.split_arrays then begin
-       if K.inline then Scope.persist_in_scope r koff K.cell_bytes;
-       Scope.persist_in_scope r voff t.layout.Layout.value_bytes
+       if kb > 0 then Scope.persist_in_scope r koff kb;
+       Scope.persist_in_scope r voff vb
      end
-     else if K.inline then
-       Scope.persist_in_scope r koff (K.cell_bytes + t.layout.Layout.value_bytes)
-     else Scope.persist_in_scope r voff t.layout.Layout.value_bytes);
+     else (* a slot's value follows its key cell *)
+       Scope.persist_in_scope r (voff - kb) (kb + vb));
     Scope.leave sc;
     if t.layout.Layout.fingerprints then begin
       Layout.write_fp r ~leaf t.layout slot h;
@@ -316,16 +319,20 @@ module Make (K : Keys.KEY) = struct
       else if r > s then select_rank keys aux (s + 1) hi r
     end
 
+  (* The keys and slots a split selects over: one 64-slot pair per
+     domain (m <= 64), shared by every tree of this key type.  Between
+     filling it and its last read [find_split_key] only reads the
+     region and compares keys, so no [Sched] point falls there, and
+     model-checker fibers, which share one domain, cannot interleave
+     inside it. *)
+  let split_scratch =
+    Sched.local (fun () -> (Array.make 64 K.dummy, Array.make 64 0))
+
   (* Median discriminator and the bitmap of entries that move to the
-     new (upper) leaf.  Uses the tree's scratch arrays in
-     single-threaded mode; concurrent splits of distinct leaves may
-     overlap, so they take fresh arrays. *)
+     new (upper) leaf. *)
   let find_split_key t leaf =
     let bm = leaf_bitmap t leaf in
-    let keys, slots =
-      if t.config.use_groups then (t.scratch_keys, t.scratch_slots)
-      else (Array.make t.layout.Layout.m K.dummy, Array.make t.layout.Layout.m 0)
-    in
+    let keys, slots = Sched.scratch split_scratch in
     let n = ref 0 in
     for s = 0 to t.layout.Layout.m - 1 do
       if bm land (1 lsl s) <> 0 then begin
@@ -673,199 +680,117 @@ module Make (K : Keys.KEY) = struct
       | Some (c, id) when id < 0 -> Some c
       | _ -> None
 
-  let insert_into_nonfull t (l : Inner.leaf_ref) k v h =
+  (* The split a put that does not split carries: a static pair, so
+     that path allocates nothing. *)
+  let no_split = (K.dummy, Inner.no_leaf)
+
+  (* Write [k, v] into a free slot of the locked [l] and commit it with
+     one p-atomic bitmap write that also retires the entry in [from]
+     (an update is an insert-after-delete in one leaf: Algorithms 2, 8
+     and 16).  The version phase keeps optimistic readers of [l] from
+     probing half-written entries; it nests harmlessly inside a split's
+     phase on the same leaf. *)
+  let commit_entry t (l : Inner.leaf_ref) ~from k v h =
     let leaf = l.Inner.off in
     let bm = leaf_bitmap t leaf in
     let slot = Layout.first_zero t.layout bm in
     assert (slot >= 0);
-    (* Version phase for the content mutation: optimistic readers of
-       this leaf abort instead of probing half-written entries.  Nests
-       harmlessly inside a split's outer bracket on the same leaf. *)
     ver_begin t l;
-    (match write_entry t leaf slot k v h with
+    (match write_entry t leaf slot ~from k v h with
     | () -> ()
     | exception e ->
       (* Out-of-line key allocation failed: [K.write] allocates before
          its first store, so the leaf bytes are untouched and the entry
-         was never committed — close the phase and unwind. *)
+         was never committed. *)
       ver_end t l;
       raise e);
-    Layout.commit_bitmap (region t) ~leaf t.layout (bm lor (1 lsl slot));
+    let old = if from < 0 then 0 else 1 lsl from in
+    Layout.commit_bitmap (region t) ~leaf t.layout (bm land lnot old lor (1 lsl slot));
     refresh_csum t leaf;
+    if from >= 0 then K.reset_ref t.ctx ~off:(key_cell t leaf from);
     ver_end t l
 
-  (* Mutations and [create] are bracketed as flight op records while
-     the gate or tracing is on: in a traced run the op records are
-     pmcheck's scopes (they attribute persistence events and bound the
-     analyzer's dirty-at-publication check).  Otherwise an entry point
-     calls the op directly and builds no closure. *)
-  let[@inline] instrumented () = Obs.Gate.(any (observe lor tracing))
+  (* Every put ends here, returned or raised: a split's right sibling
+     is published to the parents (its keys are unreachable until then,
+     so also when the entry's key allocation failed after the split:
+     not byte-identical to the pre-op state, but the key set is
+     unchanged), the split leaf's phase closes, the parent's hold ends
+     and the leaf is unlocked. *)
+  let put_tail t leaf ((sep, right) as split) hold =
+    if split != no_split then begin
+      Spec.with_write t.spec (fun () -> Inner.update_parents t.inner ~sep ~right);
+      ver_end t leaf
+    end;
+    Option.iter Nv.end_hold hold;
+    unlock t leaf
 
-  let insert_op t k v =
-    if stats_on () then t.stats.inserts <- t.stats.inserts + 1;
+  (* Insert ([update = false]) or update [k]: false, changing nothing,
+     when [k]'s presence is not what the op needs (unique keys).  A full
+     leaf splits first.  The split leaf's version phase spans the whole
+     split: from before its first mutation (opened by [split_leaf])
+     until the parents reference the new right sibling — in the window
+     after its bitmap shrinks, keys above [sep] live only in the
+     unreachable right leaf, where a reader of the split leaf must not
+     validate.  The parent's hold spans the same window and the
+     allocation before it; a split that raises has unwound itself (log
+     disarmed, nothing persisted, no phase open). *)
+  let put_op ~update t k v =
+    if stats_on () then
+      if update then t.stats.updates <- t.stats.updates + 1
+      else t.stats.inserts <- t.stats.inserts + 1;
     let h = K.fingerprint k in
     let leaf = lock_leaf_for t k in
-    if find_slot t leaf.Inner.off k h >= 0 then begin
-      unlock t leaf;
-      false (* unique-key tree: duplicate insert is a no-op *)
-    end
-    else begin
-      if leaf_is_full t leaf.Inner.off then begin
-        (* The split leaf's version phase spans the whole split: from
-           before its first mutation (opened by [split_leaf]) until
-           the parents reference the new right sibling.  In the window
-           after [cur]'s bitmap shrinks but before [update_parents],
-           keys above [sep] live only in the (unreachable) right leaf
-           — a reader of [cur] must not validate there.  The parent's
-           hold spans the same window and the allocation before it. *)
-        let hold = split_hold () in
-        Option.iter Nv.begin_hold hold;
-        match split_leaf t leaf with
-        | exception e ->
-          (* The split's own unwind ran (log disarmed, nothing
-             persisted, no phase opened): release the hold and the
-             lock, unwind. *)
-          Option.iter Nv.end_hold hold;
-          unlock t leaf;
-          raise e
-        | sep, right ->
-          let target = if K.compare k sep <= 0 then leaf else right in
-          (match insert_into_nonfull t target k v h with
-          | () -> ()
-          | exception e ->
-            (* The split committed persistently before the out-of-line
-               key allocation failed.  The right sibling MUST still be
-               published to the parents before unwinding — its keys
-               would otherwise be unreachable to every future
-               traversal.  Not byte-identical to pre-op (the split
-               stands), but oracle-equivalent: the key set is
-               unchanged. *)
-            Spec.with_write t.spec (fun () ->
-                Inner.update_parents t.inner ~sep ~right);
-            ver_end t leaf;
-            Option.iter Nv.end_hold hold;
-            unlock t leaf;
-            raise e);
-          Spec.with_write t.spec (fun () ->
-              Inner.update_parents t.inner ~sep ~right);
-          ver_end t leaf;
-          Option.iter Nv.end_hold hold;
-          unlock t leaf;
-          true
-      end
-      else begin
-        (match insert_into_nonfull t leaf k v h with
-        | () -> ()
-        | exception e ->
-          (* Out-of-line key allocation failed pre-commit: the leaf is
-             untouched, but the lock must still be released. *)
-          unlock t leaf;
-          raise e);
-        unlock t leaf;
-        true
-      end
-    end
-
-  let insert t k v =
-    let ko = Obs.Attrib.set_op Obs.Event.op_insert in
-    let r =
-      if instrumented () then
-        Obs.Flight.bracket ~op:Obs.Event.op_insert ~key:(K.fingerprint k)
-          ~ok:Fun.id (fun () -> insert_op t k v)
-      else insert_op t k v
-    in
-    Obs.Attrib.restore_op ko;
-    r
-
-  let update_op t k v =
-    if stats_on () then t.stats.updates <- t.stats.updates + 1;
-    let h = K.fingerprint k in
-    let leaf = lock_leaf_for t k in
-    let prev_slot0 = find_slot t leaf.Inner.off k h in
-    if prev_slot0 < 0 then begin
+    let prev = find_slot t leaf.Inner.off k h in
+    if (prev >= 0) <> update then begin
       unlock t leaf;
       false
     end
     else begin
-      (* Insert-after-delete published by a single p-atomic bitmap
-         write (Algorithm 8 / 16).  One version phase on the locked
-         leaf covers the whole mutation — including, on a split, the
-         window until the parents reference the right sibling; a
-         split opens it once its new leaf is allocated and holds the
-         parent as in [insert_op]. *)
       let full = leaf_is_full t leaf.Inner.off in
       let hold = if full then split_hold () else None in
       Option.iter Nv.begin_hold hold;
-      let target, prev_slot, did_split, sep_right =
-        if full then
-          match split_leaf t leaf with
-          | exception e ->
-            (* Exhaustion before any mutation (the split unwound, no
-               phase opened): release the hold and the lock, leave
-               the old entry standing. *)
-            Option.iter Nv.end_hold hold;
-            unlock t leaf;
-            raise e
-          | sep, right ->
-            let target = if K.compare k sep <= 0 then leaf else right in
-            let slot = find_slot t target.Inner.off k h in
-            assert (slot >= 0);
-            (target, slot, true, Some (sep, right))
-        else begin
-          ver_begin t leaf;
-          (leaf, prev_slot0, false, None)
-        end
-      in
-      let tl = target.Inner.off in
-      let bm = leaf_bitmap t tl in
-      let slot = Layout.first_zero t.layout bm in
-      assert (slot >= 0);
-      let r = region t in
-      if K.inline then write_entry t tl slot k v h
-      else begin
-        (* Var keys: reuse the existing key block (Algorithm 16). *)
-        let sc = Scope.enter Obs.Attrib.comp_kv in
-        K.move t.ctx ~src:(key_cell t tl prev_slot) ~dst:(key_cell t tl slot);
-        Region.write_word r (value_cell t tl slot) v;
-        if t.layout.Layout.value_bytes > 8 then
-          Region.fill r (value_cell t tl slot + 8)
-            (t.layout.Layout.value_bytes - 8) '\000';
-        Scope.persist_in_scope r (key_cell t tl slot)
-          (K.cell_bytes
-          + if t.layout.Layout.split_arrays then 0 else t.layout.Layout.value_bytes);
-        if t.layout.Layout.split_arrays then
-          Scope.persist_in_scope r (value_cell t tl slot) t.layout.Layout.value_bytes;
-        Scope.leave sc;
-        if t.layout.Layout.fingerprints then begin
-          Layout.write_fp r ~leaf:tl t.layout slot h;
-          Layout.persist_fp r ~leaf:tl t.layout slot
-        end
-      end;
-      let bm' = bm land lnot (1 lsl prev_slot) lor (1 lsl slot) in
-      Layout.commit_bitmap r ~leaf:tl t.layout bm';
-      refresh_csum t tl;
-      if not K.inline then K.reset_ref t.ctx ~off:(key_cell t tl prev_slot);
-      (match sep_right with
-      | Some (sep, right) when did_split ->
-        Spec.with_write t.spec (fun () ->
-            Inner.update_parents t.inner ~sep ~right)
-      | _ -> ());
-      ver_end t leaf;
-      Option.iter Nv.end_hold hold;
-      unlock t leaf;
-      true
+      let split = ref no_split in
+      match
+        if full then split := split_leaf t leaf;
+        let sep, right = !split in
+        let target = if full && K.compare k sep > 0 then right else leaf in
+        let from = if full && update then find_slot t target.Inner.off k h else prev in
+        commit_entry t target ~from k v h
+      with
+      | () ->
+        put_tail t leaf !split hold;
+        true
+      | exception e ->
+        put_tail t leaf !split hold;
+        raise e
     end
 
-  let update t k v =
-    let ko = Obs.Attrib.set_op Obs.Event.op_update in
+  (* Named once: a partial application at each call would build a
+     closure per op. *)
+  let put_new = put_op ~update:false
+  let put_old = put_op ~update:true
+
+  (* Mutations and [create] enter through [traced], which sets the op
+     for attribution and, while the gate or tracing is on, brackets
+     [f x y z] as a flight op record keyed by [key y]: in a traced run
+     the op records are pmcheck's scopes (they attribute persistence
+     events and bound the analyzer's dirty-at-publication check).
+     Otherwise it calls [f] directly and builds no closure. *)
+  let traced ~op ~key ~ok f x y z =
+    let ko = Obs.Attrib.set_op op in
     let r =
-      if instrumented () then
-        Obs.Flight.bracket ~op:Obs.Event.op_update ~key:(K.fingerprint k)
-          ~ok:Fun.id (fun () -> update_op t k v)
-      else update_op t k v
+      if Obs.Gate.(any (observe lor tracing)) then
+        Obs.Flight.bracket ~op ~key:(key y) ~ok (fun () -> f x y z)
+      else f x y z
     in
     Obs.Attrib.restore_op ko;
     r
+
+  let insert t k v =
+    traced ~op:Obs.Event.op_insert ~key:K.fingerprint ~ok:Fun.id put_new t k v
+
+  let update t k v =
+    traced ~op:Obs.Event.op_update ~key:K.fingerprint ~ok:Fun.id put_old t k v
 
   type delete_decision =
     | Del_in_leaf of Inner.leaf_ref
@@ -924,27 +849,27 @@ module Make (K : Keys.KEY) = struct
           end
   end)
 
-  let delete_op t k =
+  (* Retire the entry in [slot] of [leaf]: one p-atomic bitmap write,
+     the checksum, then its key block (Algorithms 5 and 15). *)
+  let clear_entry t leaf slot =
+    Layout.commit_bitmap (region t) ~leaf t.layout
+      (leaf_bitmap t leaf land lnot (1 lsl slot));
+    refresh_csum t leaf;
+    K.dealloc t.ctx ~off:(key_cell t leaf slot)
+
+  let delete_op t k () =
     if stats_on () then t.stats.deletes <- t.stats.deletes + 1;
     let h = K.fingerprint k in
     match Delete_section.run t k h with
     | Del_in_leaf leaf ->
       let slot = find_slot t leaf.Inner.off k h in
-      if slot < 0 then begin
-        unlock t leaf;
-        false
-      end
-      else begin
-        let bm = leaf_bitmap t leaf.Inner.off in
+      if slot >= 0 then begin
         ver_begin t leaf;
-        Layout.commit_bitmap (region t) ~leaf:leaf.Inner.off t.layout
-          (bm land lnot (1 lsl slot));
-        refresh_csum t leaf.Inner.off;
-        K.dealloc t.ctx ~off:(key_cell t leaf.Inner.off slot);
-        ver_end t leaf;
-        unlock t leaf;
-        true
-      end
+        clear_entry t leaf.Inner.off slot;
+        ver_end t leaf
+      end;
+      unlock t leaf;
+      slot >= 0
     | Del_whole_leaf (leaf, prev) ->
       (* The dying leaf's version phase spans the var-key clearing, the
          inner-structure unlink, and the chain unlink; the
@@ -957,11 +882,7 @@ module Make (K : Keys.KEY) = struct
       (if not K.inline then begin
          let slot = find_slot t leaf.Inner.off k h in
          assert (slot >= 0);
-         let bm = leaf_bitmap t leaf.Inner.off in
-         Layout.commit_bitmap (region t) ~leaf:leaf.Inner.off t.layout
-           (bm land lnot (1 lsl slot));
-         refresh_csum t leaf.Inner.off;
-         K.dealloc t.ctx ~off:(key_cell t leaf.Inner.off slot)
+         clear_entry t leaf.Inner.off slot
        end);
       Spec.with_write t.spec (fun () -> Inner.remove_leaf t.inner k);
       delete_leaf t leaf prev;
@@ -971,15 +892,7 @@ module Make (K : Keys.KEY) = struct
       true
 
   let delete t k =
-    let ko = Obs.Attrib.set_op Obs.Event.op_delete in
-    let r =
-      if instrumented () then
-        Obs.Flight.bracket ~op:Obs.Event.op_delete ~key:(K.fingerprint k)
-          ~ok:Fun.id (fun () -> delete_op t k)
-      else delete_op t k
-    in
-    Obs.Attrib.restore_op ko;
-    r
+    traced ~op:Obs.Event.op_delete ~key:K.fingerprint ~ok:Fun.id delete_op t k ()
 
   (* ---- capacity: admission control and the typed result surface ----
 
@@ -1038,46 +951,40 @@ module Make (K : Keys.KEY) = struct
           ~a:(Pmem.Palloc.bytes_free (alloc t)) ~b:0 ~c:0 ~d:0
     end
 
+  (* The one refusal path: [try_put] runs an admitted [put], and an
+     [Out_of_scm] that escapes it anyway (the hard reserve makes that
+     unreachable for an admitted insert; an injected or pathological
+     failure, or an update's split, can still get here) left the tree
+     as it was, so it is refused the same way as at the watermark,
+     after a reclamation. *)
+  let refuse t ~op k =
+    note_refused t ~op ~fp:(K.fingerprint k);
+    Error `Out_of_space
+
+  let try_put t ~op put k v =
+    match put t k v with
+    | r -> Ok r
+    | exception Pmem.Palloc.Out_of_scm ->
+      ignore (reclaim_space t);
+      refuse t ~op k
+
   let try_insert t k v =
     let a = alloc t in
     let reserve = insert_reserve t in
-    let admitted =
-      Pmem.Palloc.admit a ~reserve
-      || begin
-           (* Refused at the watermark: reclaim synchronously and retry
-              the admission once before giving up. *)
-           ignore (reclaim_space t);
-           Pmem.Palloc.admit a ~reserve
-         end
-    in
-    if not admitted then begin
-      note_refused t ~op:Obs.Event.op_insert ~fp:(K.fingerprint k);
-      Error `Out_of_space
-    end
-    else begin
+    (* Refused at the watermark: reclaim synchronously and retry the
+       admission once before giving up. *)
+    if Pmem.Palloc.admit a ~reserve
+       || (ignore (reclaim_space t); Pmem.Palloc.admit a ~reserve)
+    then begin
       note_admitted t;
-      match insert t k v with
-      | fresh -> Ok fresh
-      | exception Pmem.Palloc.Out_of_scm ->
-        (* The hard reserve makes this unreachable in normal operation;
-           if an injected (or pathological) failure gets here anyway
-           the op unwound cleanly — tree untouched — so surface the
-           same typed refusal. *)
-        ignore (reclaim_space t);
-        note_refused t ~op:Obs.Event.op_insert ~fp:(K.fingerprint k);
-        Error `Out_of_space
+      try_put t ~op:Obs.Event.op_insert insert k v
     end
+    else refuse t ~op:Obs.Event.op_insert k
 
-  let try_update t k v =
-    (* No admission gate: updates in place must keep working past the
-       watermark.  Only the (rare) split-on-update path allocates, and
-       it unwinds cleanly on exhaustion. *)
-    match update t k v with
-    | updated -> Ok updated
-    | exception Pmem.Palloc.Out_of_scm ->
-      ignore (reclaim_space t);
-      note_refused t ~op:Obs.Event.op_update ~fp:(K.fingerprint k);
-      Error `Out_of_space
+  (* No admission gate: updates in place must keep working past the
+     watermark.  Only the (rare) split-on-update path allocates, and it
+     unwinds cleanly on exhaustion. *)
+  let try_update t k v = try_put t ~op:Obs.Event.op_update update k v
 
   (* Deletes never allocate; the envelope exists so every mutating op
      has the same typed signature at the upper layers. *)
@@ -1244,12 +1151,10 @@ module Make (K : Keys.KEY) = struct
       spec = Spec.create ~retry_threshold:cfg.htm_retries ();
       inner =
         Inner.create ~fanout:(cfg.inner_keys + 1) ~kind:K.inner_kind
-          (Inner.leaf_ref (-1));
+          Inner.no_leaf;
       split_logs = logs cfg.n_split_logs (fun i -> D.Split i);
       delete_logs = logs cfg.n_delete_logs (fun i -> D.Delete i);
       groups = Leaf_groups.create ctx ~meta cfg layout;
-      scratch_keys = Array.make layout.Layout.m K.dummy;
-      scratch_slots = Array.make layout.Layout.m 0;
       stats = fresh_stats ();
       quarantined = [];
       degraded = false;
@@ -1286,7 +1191,7 @@ module Make (K : Keys.KEY) = struct
 
   (** Create a fresh tree in [alloc]'s region.  The tree descriptor is
       anchored at the allocator root. *)
-  let create_op ?(config = fptree_config) alloc =
+  let create_op config alloc () =
     let region = Pmem.Palloc.region alloc in
     if not (Pptr.is_null (Pmem.Palloc.root alloc)) then
       failwith "Tree.create: region already holds a tree (use recover)";
@@ -1309,16 +1214,9 @@ module Make (K : Keys.KEY) = struct
         (Inner.leaf_ref first);
     t
 
-  let create ?config alloc =
-    let ko = Obs.Attrib.set_op Obs.Event.op_create in
-    let t =
-      if instrumented () then
-        Obs.Flight.bracket ~op:Obs.Event.op_create ~key:0
-          ~ok:(fun _ -> true) (fun () -> create_op ?config alloc)
-      else create_op ?config alloc
-    in
-    Obs.Attrib.restore_op ko;
-    t
+  let create ?(config = fptree_config) alloc =
+    traced ~op:Obs.Event.op_create ~key:(fun _ -> 0) ~ok:(fun _ -> true)
+      create_op config alloc ()
 
   (* Rebuild the volatile side from the persistent leaves: Algorithm 9
      (and the leak audit of Algorithm 17 for var keys). *)

@@ -68,8 +68,6 @@ module Make (K : Keys.KEY) : sig
     split_logs : Microlog.Pool.t;
     delete_logs : Microlog.Pool.t;
     groups : Leaf_groups.t;
-    scratch_keys : key array;
-    scratch_slots : int array;
     stats : stats;
     mutable quarantined : int list;
     mutable degraded : bool;

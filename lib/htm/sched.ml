@@ -123,3 +123,15 @@ module Opaque = struct
   let fetch_and_add = Atomic.fetch_and_add
   let incr = Atomic.incr
 end
+
+(* ---- per-domain scratch ----
+
+   One buffer per real domain, built on the domain's first [scratch]
+   call.  Fibers under the checker share one domain and so one buffer,
+   which is safe exactly when no yield point falls between filling it
+   and its last read. *)
+
+type 'a local = 'a Domain.DLS.key
+
+let local init = Domain.DLS.new_key init
+let[@inline] scratch k = Domain.DLS.get k

@@ -95,3 +95,18 @@ module Opaque : sig
   val fetch_and_add : int atom -> int -> int
   val incr : int atom -> unit
 end
+
+(** {1 Per-domain scratch}
+
+    A buffer kept per real domain, for a caller that fills it and reads
+    it back without yielding in between: under the checker every fiber
+    shares one domain, hence one buffer, so no {!point} or instrumented
+    access may fall between the fill and the last read. *)
+
+type 'a local
+
+val local : (unit -> 'a) -> 'a local
+(** A slot whose buffer each domain builds on first use. *)
+
+val scratch : 'a local -> 'a
+(** The calling domain's buffer; allocates only on the first call. *)

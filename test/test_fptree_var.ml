@@ -66,6 +66,32 @@ let test_update_reuses_key_block () =
   Alcotest.(check int) "no allocation on update (key block reused)"
     allocs_before (Pmem.Palloc.alloc_count a)
 
+(* An update on a full leaf splits it first and then writes the entry
+   into whichever half holds the key, moving the old key block's
+   pointer there: the split's new leaf is the one allocation, and no
+   key block is freed.  Keys in both halves, on the concurrent
+   configuration (a leaf per split, no groups). *)
+let test_update_split_reuses_key_block () =
+  List.iter
+    (fun i ->
+      let a = fresh_alloc () in
+      let t = V.create_concurrent ~m:8 a in
+      for j = 0 to 7 do
+        ignore (V.insert t (key j) j)
+      done;
+      Alcotest.(check int) "one full leaf" 1 (V.leaf_count t);
+      let allocs = Pmem.Palloc.alloc_count a and frees = Pmem.Palloc.free_count a in
+      Alcotest.(check bool) "update" true (V.update t (key i) 100);
+      Alcotest.(check int) "the update split" 2 (V.leaf_count t);
+      Alcotest.(check int) "one allocation: the new leaf" (allocs + 1)
+        (Pmem.Palloc.alloc_count a);
+      Alcotest.(check int) "no key block freed" frees (Pmem.Palloc.free_count a);
+      Alcotest.(check (option int)) "new value" (Some 100) (V.find t (key i));
+      V.check_invariants t;
+      Alcotest.(check (list int)) "no leaks" []
+        (Pmem.Palloc.leaked_blocks a ~reachable:(V.reachable_blocks t)))
+    [ 0; 7 ]
+
 let test_delete_frees_key_block () =
   let a, t = single () in
   ignore (V.insert t "k1" 1);
@@ -216,6 +242,8 @@ let () =
         [
           Alcotest.test_case "update reuses key block" `Quick
             test_update_reuses_key_block;
+          Alcotest.test_case "update on a full leaf reuses the key block" `Quick
+            test_update_split_reuses_key_block;
           Alcotest.test_case "delete frees key block" `Quick
             test_delete_frees_key_block;
           Alcotest.test_case "churn leaves no leaks" `Quick test_churn_no_leaks;

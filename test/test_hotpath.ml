@@ -578,6 +578,69 @@ let test_delete_heavy_trace () =
         }
         (counter_trace delete_heavy_trace))
 
+(* The one write path allocates only when it splits: a put that finds
+   room in its leaf (an insert, or an update, whose leaf is not full)
+   builds no tuple, closure or option, in either configuration.  Keys
+   go in at stride 4, so leaves are about half full; one in eight of
+   the gaps is then filled, too few to fill a leaf, and the leaf count
+   shows that nothing split. *)
+let test_put_no_alloc () =
+  let check name create =
+    fast_mode ();
+    Scm.Registry.clear ();
+    let t = create (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ()) in
+    let n = 16_000 in
+    for i = 0 to n - 1 do
+      ignore (F.insert t (4 * i) i)
+    done;
+    (* warm up *)
+    ignore (F.insert t 1 0);
+    ignore (F.update t 1 1);
+    let leaves = F.leaf_count t in
+    let words f =
+      let w0 = Gc.minor_words () in
+      for i = 1 to (n / 8) - 1 do
+        f (8 * i)
+      done;
+      Gc.minor_words () -. w0
+    in
+    let ins = words (fun i -> assert (F.insert t ((4 * i) + 1) i)) in
+    let upd = words (fun i -> assert (F.update t ((4 * i) + 1) (i + 1))) in
+    Alcotest.(check int) (name ^ ": nothing split") leaves (F.leaf_count t);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: insert and update allocate nothing (%.0f, %.0f words)"
+         name ins upd)
+      true (ins = 0. && upd = 0.)
+  in
+  check "single" (fun a -> F.create_single a);
+  check "concurrent" (fun a -> F.create_concurrent a)
+
+(* A split selects its median in per-domain scratch: no m-sized array
+   per split, in either configuration.  Ascending inserts split the
+   last leaf every m/2 keys; the words per split must not grow with m
+   (two fresh m-slot arrays would add 2(m + 1) words). *)
+let test_split_scratch () =
+  let per_split m =
+    fast_mode ();
+    Scm.Registry.clear ();
+    let t = F.create_concurrent ~m (Pmem.Palloc.create ~size:(64 * 1024 * 1024) ()) in
+    for i = 0 to 999 do
+      ignore (F.insert t i i)
+    done;
+    let l0 = F.leaf_count t in
+    let w0 = Gc.minor_words () in
+    for i = 1000 to 20_999 do
+      ignore (F.insert t i i)
+    done;
+    let dw = Gc.minor_words () -. w0 in
+    dw /. float_of_int (F.leaf_count t - l0)
+  in
+  let w8 = per_split 8 and w64 = per_split 64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "split words do not grow with m (m = 8: %.1f, m = 64: %.1f)"
+       w8 w64)
+    true (w64 -. w8 < 56.)
+
 let test_m64_concurrent_fill () =
   fast_mode ();
   Scm.Registry.clear ();
@@ -617,6 +680,10 @@ let () =
             test_column_no_alloc;
           Alcotest.test_case "kvstore get hit allocates its options only"
             `Quick test_kv_get_alloc;
+          Alcotest.test_case "insert and update that do not split allocate nothing"
+            `Quick test_put_no_alloc;
+          Alcotest.test_case "a split allocates no m-sized scratch" `Quick
+            test_split_scratch;
         ] );
       ( "admission",
         [ Alcotest.test_case "watermark check is allocation-free" `Quick

@@ -67,6 +67,19 @@ let test_crash_sweep_groups () =
     [ List.nth scripts 3; List.nth scripts 4 ]
     [ 13; 11 ]
 
+(* An update on a full leaf: it splits the leaf, then writes the new
+   entry into the half holding the key and retires the old one with the
+   same bitmap write.  Every crash state recovers, the crash-point count
+   is pinned (the same 17 as the insert that splits), and the analyzer
+   finds no error in the clean trace. *)
+let test_update_split () =
+  let setup = List.init 8 (fun i -> E.Ins ((i + 1) * 10, i)) in
+  let ops = [ E.Upd (80, 99) ] in
+  sweep_one ~config:cfg "update-split" setup ops 17;
+  let r = E.sweep_missing_persist ~config:cfg ~setup ops in
+  Alcotest.(check (list string)) "update-split: clean trace has no errors" []
+    (List.map (Format.asprintf "%a" A.pp_finding) (A.errors r.E.clean_findings))
+
 (* Paper-sized leaves in group mode: the split script crosses thousands
    of persists, so sample every 11th boundary instead of all of them. *)
 let cfg_m64 =
@@ -472,6 +485,7 @@ let () =
             test_crash_sweep_random_eviction;
           Alcotest.test_case "missing-persist injection: 5 ops" `Slow
             test_injection_sweep_all_ops;
+          Alcotest.test_case "crash sweep: update-split" `Slow test_update_split;
         ] );
       ( "analyzer",
         [

@@ -301,6 +301,37 @@ let test_inner_dram_accounting () =
   Alcotest.(check bool) "dram bytes positive" true
     (Fptree.Inner.dram_bytes t > nodes * 100)
 
+(* Every cleared child slot holds the one shared empty child: a fixed
+   [split_inner] allocates on the minor heap only what its new node
+   does (the node's arrays are major-heap blocks at this fanout) plus
+   the returned pair, and [remove_at] allocates nothing. *)
+let test_inner_edit_alloc () =
+  let module I = Fptree.Inner in
+  let fanout = 4097 in
+  let t = I.create ~fanout ~kind:fixed_kind (I.leaf_ref 0) in
+  let full () =
+    let n = I.make_inner t in
+    I.set_keys n (Array.init (fanout - 1) (fun i -> 2 * i));
+    Array.iteri (fun i _ -> n.I.children.(i) <- I.Leaf (I.leaf_ref i)) n.I.children;
+    n
+  in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let node = words (fun () -> ignore (I.make_inner t)) in
+  let n = full () in
+  let split = words (fun () -> ignore (I.split_inner t n)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "split_inner allocates its node only (%.0f words, node %.0f)"
+       split node)
+    true (split <= node +. 3.);
+  let n = full () in
+  let removed = words (fun () -> I.remove_at n 0; I.remove_at n 100) in
+  Alcotest.(check (float 0.)) "remove_at allocates nothing" 0. removed;
+  I.check { t with I.root = I.Inner n }
+
 (* ---- key modules ---- *)
 
 (* a scratch block whose payload hosts pointer cells owned by "the
@@ -1098,6 +1129,8 @@ let () =
           Alcotest.test_case "find leaf and prev" `Quick test_inner_find_leaf_and_prev;
           Alcotest.test_case "remove leaf" `Quick test_inner_remove_leaf;
           Alcotest.test_case "dram accounting" `Quick test_inner_dram_accounting;
+          Alcotest.test_case "edits clear slots without allocating" `Quick
+            test_inner_edit_alloc;
         ] );
       ( "keys",
         [

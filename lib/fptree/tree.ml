@@ -733,7 +733,9 @@ module Make (K : Keys.KEY) = struct
      unreachable right leaf, where a reader of the split leaf must not
      validate.  The parent's hold spans the same window and the
      allocation before it; a split that raises has unwound itself (log
-     disarmed, nothing persisted, no phase open). *)
+     disarmed, nothing persisted, no phase open).  A split keeps every
+     entry in its slot ([Layout.copy_leaf] copies the whole leaf), so an
+     update's [prev] names the old entry in either half. *)
   let put_op ~update t k v =
     if stats_on () then
       if update then t.stats.updates <- t.stats.updates + 1
@@ -754,8 +756,7 @@ module Make (K : Keys.KEY) = struct
         if full then split := split_leaf t leaf;
         let sep, right = !split in
         let target = if full && K.compare k sep > 0 then right else leaf in
-        let from = if full && update then find_slot t target.Inner.off k h else prev in
-        commit_entry t target ~from k v h
+        commit_entry t target ~from:prev k v h
       with
       | () ->
         put_tail t leaf !split hold;
@@ -1267,17 +1268,6 @@ module Make (K : Keys.KEY) = struct
 
   (* ---- recovery checksum validation (quarantine pass) ---- *)
 
-  (* A next pointer is followable iff it is null or names an aligned
-     leaf-sized span inside this region; a torn or media-damaged
-     pointer fails this and truncates the chain (the keys behind it are
-     unreachable either way). *)
-  let plausible_next t p =
-    Pptr.is_null p
-    || (p.Pptr.region_id = Region.id (region t)
-       && p.Pptr.off > 0
-       && p.Pptr.off land 7 = 0
-       && p.Pptr.off + t.layout.Layout.bytes <= Region.size (region t))
-
   (* Walk the persistent leaf list validating each leaf's integrity
      cell (checksum layouts only).  Stale cells — a crash hit the
      window between a p-atomic bitmap commit and the checksum refresh —
@@ -1300,7 +1290,11 @@ module Make (K : Keys.KEY) = struct
           Pptr.write_committed r (leaf + t.layout.Layout.next_off) p;
           Scope.leave sc
       in
-      let sanitize p = if plausible_next t p then p else Pptr.null in
+      (* A next pointer that is not followable ({!Pptr.plausible}: torn
+         or media-damaged) truncates the chain; the keys behind it are
+         unreachable either way. *)
+      let plausible p = Pptr.plausible r ~span:t.layout.Layout.bytes p in
+      let sanitize p = if plausible p then p else Pptr.null in
       let rec walk prev p =
         if not (Pptr.is_null p) then begin
           let leaf = p.Pptr.off in
@@ -1322,7 +1316,7 @@ module Make (K : Keys.KEY) = struct
         end
       in
       let head = read_head t in
-      let head = if plausible_next t head then head
+      let head = if plausible head then head
         else begin write_head t Pptr.null; Pptr.null end in
       walk None head;
       (* An all-corrupt chain leaves a tree with no leaves, which the

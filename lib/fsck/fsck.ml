@@ -85,14 +85,6 @@ let reclaim ctx payload =
     note ctx Warning "unreclaimable" payload msg;
     false
 
-(* A followable chain pointer: null, or an 8-aligned in-region span. *)
-let plausible ctx ~span p =
-  Pptr.is_null p
-  || (p.Pptr.region_id = Region.id ctx.region
-     && p.Pptr.off > 0
-     && p.Pptr.off land 7 = 0
-     && p.Pptr.off + span <= Region.size ctx.region)
-
 let rec audit ctx =
   Palloc.iter_blocks ctx.alloc (fun ~payload ~bytes ~allocated ->
       if allocated then Hashtbl.replace ctx.blocks payload bytes);
@@ -170,7 +162,7 @@ and audit_tree ctx meta cfg kind =
           note ~repaired ctx Error "double-link" g "group linked twice"
         end
         else if
-          not (plausible ctx ~span:group_bytes p)
+          not (Pptr.plausible ctx.region ~span:group_bytes p)
           || (match Hashtbl.find_opt ctx.blocks g with
              | Some b -> b < group_bytes
              | None -> true)
@@ -215,7 +207,7 @@ and audit_tree ctx meta cfg kind =
         note ~repaired ctx Error "double-link" leaf
           "leaf linked twice (shared tail or cycle)"
       end
-      else if not (plausible ctx ~span:layout.Layout.bytes p
+      else if not (Pptr.plausible r ~span:layout.Layout.bytes p
                   && leaf_addressable leaf)
       then begin
         let repaired = ctx.repair && (splice prev Pptr.null; true) in
@@ -229,7 +221,7 @@ and audit_tree ctx meta cfg kind =
         | Layout.Csum_corrupt when cfg.D.checksums ->
           let next = Layout.read_next r ~leaf layout in
           let next =
-            if plausible ctx ~span:layout.Layout.bytes next then next
+            if Pptr.plausible r ~span:layout.Layout.bytes next then next
             else Pptr.null
           in
           let repaired = ctx.repair && (splice prev next; true) in

@@ -16,11 +16,8 @@
     invariants, match the oracle exactly — up to atomicity of the one
     in-flight operation — hold no leaked blocks, and accept new
     operations.  Any deviation raises {!Divergence} with the seed and
-    iteration, which reproduce the failure deterministically.
-
-    [sweep_recovery_crashes] is the re-entrancy proof: it crashes
-    {e recovery itself} at every persist boundary in turn and checks
-    that a second recovery converges from each intermediate state. *)
+    iteration, which reproduce the failure deterministically.  The
+    checks are {!Enumerate.verify}, the step every crash sweep runs. *)
 
 module F = Fptree.Fixed
 
@@ -66,34 +63,10 @@ let gen_op rng ~window_lo =
   | 4 | 5 -> Enumerate.Upd (k, Random.State.int rng 1_000_000)
   | _ -> Enumerate.Del k
 
-(* Exact tree/model comparison (count first: cheap reject). *)
-let matches t model =
-  F.count t = Hashtbl.length model
-  && Hashtbl.fold (fun k v ok -> ok && F.find t k = Some v) model true
-
-let probe_key = key_space + 1_000_000
-
-(* Post-restart verification: invariants, oracle equality (resolving
-   the in-flight operation into the oracle when the tree committed it),
-   leak audit, usability probe. *)
-let verify_restart ~where t a oracle pending =
-  (try F.check_invariants t
-   with Failure m -> failf "%s: invariant violation: %s" where m);
-  (if not (matches t oracle) then begin
-     match pending with
-     | Some op when
-         (let m' = Hashtbl.copy oracle in
-          Enumerate.apply_model m' op;
-          matches t m') ->
-       Enumerate.apply_model oracle op
-     | _ -> failf "%s: recovered tree diverges from oracle" where
-   end);
-  (match Pmem.Palloc.leaked_blocks a ~reachable:(F.reachable_blocks t) with
-  | [] -> ()
-  | l -> failf "%s: %d leaked blocks" where (List.length l));
-  ignore (F.insert t probe_key 1);
-  if F.find t probe_key <> Some 1 then failf "%s: tree unusable" where;
-  ignore (F.delete t probe_key)
+(* [Enumerate.verify], its verdict raised as a {!Divergence}. *)
+let verify ~where t a oracle pending =
+  try Enumerate.verify ~where t a oracle pending
+  with Enumerate.Check_failed s -> failf "%s" s
 
 (* Not [Enumerate.default_arena]: the loop's tree grows with
    [iterations], where a sweep replays one short script. *)
@@ -136,12 +109,8 @@ let run ?(arena_bytes = 32 * 1024 * 1024)
     let window_lo = iter * ops_per_iter / 4 in
     (try
        for _ = 1 to ops_per_iter do
-         let op = gen_op rng ~window_lo in
-         pending := Some op;
          incr ops;
-         Enumerate.apply_tree !t op;
-         Enumerate.apply_model oracle op;
-         pending := None
+         Enumerate.replay !t oracle pending [ gen_op rng ~window_lo ]
        done
      with Scm.Fault.Crash_injected ->
        fired := true;
@@ -169,7 +138,7 @@ let run ?(arena_bytes = 32 * 1024 * 1024)
     end;
     alloc := Pmem.Palloc.of_region region;
     t := F.recover ~config !alloc;
-    verify_restart ~where !t !alloc oracle !pending
+    verify ~where !t !alloc oracle !pending
   done;
   {
     iterations;
@@ -181,68 +150,6 @@ let run ?(arena_bytes = 32 * 1024 * 1024)
     final_keys = Hashtbl.length oracle;
   }
 
-(* ---- crash-during-recovery sweep ---- *)
-
-type recovery_sweep = {
-  recovery_crash_points : int;  (** recovery persists crashed into *)
-}
-
-(* Build the crashed image: fresh arena, the setup prefix crash-free,
-   then ops with a crash at persist [crash_at].  Returns the arena and
-   the model (with the op in flight at the crash, if any). *)
-let build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at =
-  Scm.Registry.clear ();
-  Scm.Config.reset ();
-  let a = Pmem.Palloc.create ~size:arena_bytes () in
-  let t = F.create ~config a in
-  let m = Hashtbl.create 64 in
-  let pending = ref None in
-  Enumerate.replay t m pending setup;
-  if not (Scm.Fault.inject Persist_crash crash_at (fun () ->
-              Enumerate.replay t m pending ops))
-  then invalid_arg "sweep_recovery_crashes: crash_at beyond script";
-  Scm.Region.crash ~mode (Pmem.Palloc.region a);
-  (a, m, !pending)
-
-(* Recovery must be re-entrant: whatever prefix of recovery's own
-   persists survives a second crash, running recovery again from that
-   state converges to a consistent tree.  Sweeps k = 1, 2, ... until a
-   recovery completes without reaching its k-th persist.  The crashed
-   image is built once; each k restores it and copies the model (the
-   verification may resolve the in-flight op into it). *)
-let sweep_recovery_crashes ?(mode = Scm.Config.Revert_all_dirty)
-    ?(arena_bytes = Enumerate.default_arena)
-    ?(config = Fptree.Tree.fptree_config) ~setup ~ops ~crash_at () =
-  let a, model, pending =
-    build_crashed ~mode ~arena_bytes ~config ~setup ~ops ~crash_at
-  in
-  let region = Pmem.Palloc.region a in
-  let crashed = Scm.Region.image region in
-  let recovery_crash_points =
-    Scm.Fault.sweep Persist_crash (fun k inject ->
-        Scm.Region.restore region crashed;
-        let m = Hashtbl.copy model in
-        let recovered = ref None in
-        if inject (fun () ->
-               recovered := Some (F.recover ~config (Pmem.Palloc.of_region region)))
-        then begin
-          Scm.Region.crash ~mode region;
-          let a2 = Pmem.Palloc.of_region region in
-          let t2 = F.recover ~config a2 in
-          verify_restart
-            ~where:(Printf.sprintf "recovery-sweep crash_at=%d k=%d" crash_at k)
-            t2 a2 m pending
-        end
-        else
-          (* Recovery finished before its k-th persist: verify; the
-             sweep stops here. *)
-          verify_restart
-            ~where:(Printf.sprintf "recovery-sweep crash_at=%d k=%d (clean)"
-                      crash_at k)
-            (Option.get !recovered) (Pmem.Palloc.of_region region) m pending)
-  in
-  { recovery_crash_points }
-
 (* ---- capacity-exhaustion scenario ---- *)
 
 type exhaustion_report = {
@@ -251,34 +158,6 @@ type exhaustion_report = {
   boundary_ops : int;    (** delete/insert rounds at the watermark *)
   recovered_keys : int;  (** tree size after the crash-at-watermark recovery *)
 }
-
-(* Like [verify_restart], but the usability probe goes through the
-   typed admission surface: near exhaustion a refusal is a legal
-   outcome, an escaping exception never is. *)
-let verify_exhausted ~where t a oracle pending =
-  (try F.check_invariants t
-   with Failure m -> failf "%s: invariant violation: %s" where m);
-  (if not (matches t oracle) then begin
-     match pending with
-     | Some op when
-         (let m' = Hashtbl.copy oracle in
-          Enumerate.apply_model m' op;
-          matches t m') ->
-       Enumerate.apply_model oracle op
-     | _ -> failf "%s: recovered tree diverges from oracle" where
-   end);
-  (match Pmem.Palloc.leaked_blocks a ~reachable:(F.reachable_blocks t) with
-  | [] -> ()
-  | l -> failf "%s: %d leaked blocks" where (List.length l));
-  match F.try_insert t probe_key 1 with
-  | Ok true ->
-    if F.find t probe_key <> Some 1 then failf "%s: tree unusable" where;
-    ignore (F.delete t probe_key)
-  | Ok false -> failf "%s: probe key already present" where
-  | Error `Out_of_space ->
-    (* refused: fine at exhaustion, but it must really be a refusal *)
-    if F.find t probe_key <> None then
-      failf "%s: refused insert left the probe key behind" where
 
 (** Fill a small arena through the admission surface until it refuses,
     prove the degraded mode still serves (reads, in-place updates,
@@ -318,7 +197,7 @@ let run_exhaustion ?(arena_bytes = 192 * 1024)
     failf "%s: refusal did not enter degraded mode" where;
   (* 2. degraded mode keeps serving: exact reads, in-place updates and
      deletes (an update that needs a split may legally be refused) *)
-  if not (matches t oracle) then
+  if not (Enumerate.matches t oracle) then
     failf "%s: refused insert changed the tree" where;
   let upd_ok = ref 0 in
   for _ = 1 to 16 do
@@ -363,7 +242,7 @@ let run_exhaustion ?(arena_bytes = 192 * 1024)
   done;
   if !readmitted = 0 then
     failf "%s: freeing %d keys re-admitted no insert" where run_len;
-  if not (matches t oracle) then
+  if not (Enumerate.matches t oracle) then
     failf "%s: tree diverged from oracle at the boundary" where;
   (* 4. crash at the watermark, mid-hammering *)
   let pending = ref None in
@@ -399,7 +278,7 @@ let run_exhaustion ?(arena_bytes = 192 * 1024)
   Scm.Region.crash ~mode region;
   let a' = Pmem.Palloc.of_region region in
   let t' = F.recover ~config a' in
-  verify_exhausted ~where:(where ^ " (post-crash)") t' a' oracle !pending;
+  verify ~where:(where ^ " (post-crash)") t' a' oracle !pending;
   (match Fsck.errors (Fsck.check region) with
   | [] -> ()
   | l -> failf "%s: fsck found %d errors after recovery" where (List.length l));

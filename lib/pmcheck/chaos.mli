@@ -8,7 +8,8 @@
     allocation failure mid-operation.  After every restart the
     recovered tree must pass invariants, match the oracle up to
     atomicity of the one in-flight operation, hold no leaked blocks,
-    and accept new operations. *)
+    and accept new operations: {!Enumerate.verify}, the step every
+    crash sweep runs. *)
 
 exception Divergence of string
 (** Raised when a restarted tree fails verification.  The message
@@ -41,28 +42,6 @@ val run :
     [arena_bytes] arena (default 32 MiB).  Two calls with equal
     arguments behave identically.  Raises
     {!Divergence} on the first verification failure. *)
-
-type recovery_sweep = {
-  recovery_crash_points : int;  (** recovery persists crashed into *)
-}
-
-val sweep_recovery_crashes :
-  ?mode:Scm.Config.crash_mode ->
-  ?arena_bytes:int ->
-  ?config:Fptree.Tree.config ->
-  setup:Enumerate.op list ->
-  ops:Enumerate.op list ->
-  crash_at:int ->
-  unit ->
-  recovery_sweep
-(** The re-entrancy proof: build the crashed image reached by
-    injecting a crash at persist [crash_at] of [ops] (after a
-    crash-free [setup] prefix), then crash {e recovery itself} at its
-    k-th persist for k = 1, 2, ... and check that a second recovery
-    converges from each intermediate state.  Stops when a recovery
-    completes without reaching its k-th persist.  Raises
-    {!Divergence} on failure and [Invalid_argument] when [crash_at]
-    lies beyond the script's persist count. *)
 
 type exhaustion_report = {
   admitted : int;        (** inserts admitted before the first refusal *)

@@ -369,6 +369,23 @@ let recover_reclaim t =
   log_clear t;
   Obs.Attrib.restore_component sc
 
+(* Walk the blocks carved below [bump], in address order: [f] gets
+   each one's payload offset, payload bytes and allocation bit. *)
+let walk_blocks t ~bump f =
+  let off = ref heap_start in
+  while !off < bump do
+    let header = block_header t !off in
+    let units = block_units header in
+    if units = 0 || units > max_units then
+      failwith "Palloc: corrupt block header";
+    f ~payload:(payload_of_block !off) ~bytes:(units * unit_size)
+      ~allocated:(block_allocated header);
+    off := !off + gross_span units
+  done
+
+(** Iterate all blocks ever carved from the heap, in address order. *)
+let iter_blocks t f = walk_blocks t ~bump:(read_bump t) f
+
 (* Rebuild the volatile capacity shadows from the persistent heap.
    O(blocks) region reads, so NOT run eagerly at open (the baselines'
    instant-recovery bound counts every line): [of_region] leaves the
@@ -377,15 +394,8 @@ let recover_reclaim t =
 let recompute_shadows t =
   let bump = read_bump t in
   let free = ref 0 in
-  let off = ref heap_start in
-  while !off < bump do
-    let header = block_header t !off in
-    let units = block_units header in
-    if units = 0 || units > max_units then
-      failwith "Palloc: corrupt block header";
-    if not (block_allocated header) then free := !free + gross_span units;
-    off := !off + gross_span units
-  done;
+  walk_blocks t ~bump (fun ~payload:_ ~bytes ~allocated ->
+      if not allocated then free := !free + unit_size + bytes);
   t.v_free_bytes <- !free;
   (* bump last: a concurrent [bytes_free] treats the shadows as valid
      the instant it sees [v_bump >= 0] *)
@@ -432,20 +442,6 @@ let set_root t p =
 let root_loc t = Pptr.Loc.make t.region off_root
 
 (* ---- introspection: heap walk, leak audit, memory accounting ---- *)
-
-(** Iterate all blocks ever carved from the heap, in address order. *)
-let iter_blocks t f =
-  let bump = read_bump t in
-  let off = ref heap_start in
-  while !off < bump do
-    let header = block_header t !off in
-    let units = block_units header in
-    if units = 0 || units > max_units then
-      failwith "Palloc.iter_blocks: corrupt block header";
-    f ~payload:(payload_of_block !off) ~bytes:(units * unit_size)
-      ~allocated:(block_allocated header);
-    off := !off + gross_span units
-  done
 
 (** Gross SCM bytes currently held by allocated blocks (headers included). *)
 let live_bytes t =

@@ -19,6 +19,13 @@ let of_region r ~off = make ~region_id:(Scm.Region.id r) ~off
 
 let equal a b = a.region_id = b.region_id && a.off = b.off
 
+let plausible r ~span p =
+  is_null p
+  || (p.region_id = Scm.Region.id r
+     && p.off > 0
+     && p.off land 7 = 0
+     && p.off + span <= Scm.Region.size r)
+
 (** A persistent pointer that cannot be dereferenced in this process:
     null ([region_id = 0]) or naming a region that is not open.  Typed
     — carrying the failing id and offset — so diagnostic layers (CLI,

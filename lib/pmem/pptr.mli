@@ -18,6 +18,11 @@ val make : region_id:int -> off:int -> t
 val of_region : Scm.Region.t -> off:int -> t
 val equal : t -> t -> bool
 
+(** A followable pointer to a [span]-byte object in [r]: null, or an
+    8-aligned, non-zero offset into [r] whose span ends inside it.  A
+    torn or media-damaged pointer fails it. *)
+val plausible : Scm.Region.t -> span:int -> t -> bool
+
 (** Raised by {!resolve} on a pointer that cannot be dereferenced in
     this process: null ([region_id = 0]) or naming a region that is not
     open.  Carries the failing coordinates so diagnostic layers can

@@ -101,17 +101,17 @@ let test_alloc_failure_no_leak () =
    persist boundaries (a crash point past the end just proves recovery
    converged without injection — the verify still runs).  Both counts
    are pinned: the sum shows recoveries really were interrupted
-   mid-repair, and a move means the injector or the sweep changed. *)
-let sweep_all_crash_points ~config ~setup ~ops ~expect =
+   mid-repair, and a move means the injector or the sweep changed.
+   [K] is the sweeps of one key kind. *)
+let sweep_all_crash_points (type k) (module K : E.S with type key = k) ~config
+    ~setup ~ops ~expect =
   let total = ref 0 in
   let crash_at = ref 1 in
   let exhausted = ref false in
   while not !exhausted do
-    match
-      C.sweep_recovery_crashes ~config ~setup ~ops ~crash_at:!crash_at ()
-    with
+    match K.sweep_recovery_crashes ~config ~setup ~ops ~crash_at:!crash_at () with
     | r ->
-      total := !total + r.C.recovery_crash_points;
+      total := !total + r.E.recovery_crash_points;
       incr crash_at
     | exception Invalid_argument _ -> exhausted := true
   done;
@@ -123,13 +123,25 @@ let split_script = (List.init 8 (fun i -> E.Ins ((i + 1) * 10, i)), [ E.Ins (90,
 
 let test_recovery_crash_sweep () =
   let setup, ops = split_script in
-  sweep_all_crash_points ~config:cfg_small ~setup ~ops ~expect:(58, 17);
-  sweep_all_crash_points ~config:cfg_groups ~setup ~ops ~expect:(30, 13)
+  sweep_all_crash_points (module E) ~config:cfg_small ~setup ~ops
+    ~expect:(58, 17);
+  sweep_all_crash_points (module E) ~config:cfg_groups ~setup ~ops
+    ~expect:(30, 13)
 
 let test_recovery_crash_sweep_checksums () =
   let config = { cfg_small with Tree.checksums = true } in
   let setup, ops = split_script in
-  sweep_all_crash_points ~config ~setup ~ops ~expect:(126, 23)
+  sweep_all_crash_points (module E) ~config ~setup ~ops ~expect:(126, 23)
+
+(* The same sweep over string keys: m = 4, so the 9th key splits a
+   full leaf and recovery has a split to redo or roll back, and an
+   out-of-line key block to keep or free (Algorithm 17). *)
+let test_recovery_crash_sweep_var () =
+  let key i = Printf.sprintf "key%02d" ((i + 1) * 10) in
+  sweep_all_crash_points (module E.Var)
+    ~config:{ cfg_small with Tree.m = 4 }
+    ~setup:(List.init 8 (fun i -> E.Ins (key i, i)))
+    ~ops:[ E.Ins (key 8, 8) ] ~expect:(143, 26)
 
 (* ---- checksummed recovery quarantines media damage ---- *)
 
@@ -227,6 +239,8 @@ let () =
             test_recovery_crash_sweep;
           Alcotest.test_case "crash-during-recovery, checksums" `Slow
             test_recovery_crash_sweep_checksums;
+          Alcotest.test_case "crash-during-recovery, var keys" `Slow
+            test_recovery_crash_sweep_var;
           Alcotest.test_case "media damage is quarantined" `Quick
             test_recover_quarantines_corrupt_leaf;
           Alcotest.test_case "double recovery is a no-op" `Quick

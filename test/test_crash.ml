@@ -13,7 +13,6 @@
    - the tree remains fully usable afterwards. *)
 
 module F = Fptree.Fixed
-module V = Fptree.Var
 module Tree = Fptree.Tree
 module E = Pmcheck.Enumerate
 
@@ -58,59 +57,13 @@ let test_sweep_var_keys () =
   let ops =
     List.concat
       [
-        List.init 40 (fun i -> `Ins (keypool.(i), i));
-        List.init 20 (fun i -> `Upd (keypool.(i * 2), i + 50));
-        List.init 30 (fun i -> `Del keypool.(i));
+        List.init 40 (fun i -> E.Ins (keypool.(i), i));
+        List.init 20 (fun i -> E.Upd (keypool.(i * 2), i + 50));
+        List.init 30 (fun i -> E.Del keypool.(i));
       ]
   in
-  let apply m = function
-    | `Ins (k, v) -> if not (Hashtbl.mem m k) then Hashtbl.replace m k v
-    | `Del k -> Hashtbl.remove m k
-    | `Upd (k, v) -> if Hashtbl.mem m k then Hashtbl.replace m k v
-  in
-  let points =
-    Scm.Fault.sweep Persist_crash (fun n inject ->
-        Scm.Registry.clear ();
-        Scm.Config.reset ();
-        let a = Pmem.Palloc.create ~size:E.default_arena () in
-        let t = V.create ~config a in
-        let m = Hashtbl.create 64 in
-        let pending = ref None in
-        let crashed =
-          inject (fun () ->
-              List.iter
-                (fun op ->
-                  pending := Some op;
-                  (match op with
-                  | `Ins (k, v) -> ignore (V.insert t k v)
-                  | `Del k -> ignore (V.delete t k)
-                  | `Upd (k, v) -> ignore (V.update t k v));
-                  apply m op;
-                  pending := None)
-                ops)
-        in
-        if crashed then begin
-          Scm.Region.crash (Pmem.Palloc.region a);
-          let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-          let t2 = V.recover ~config a' in
-          V.check_invariants t2;
-          let matches model =
-            let ok = ref (V.count t2 = Hashtbl.length model) in
-            Hashtbl.iter (fun k v -> if V.find t2 k <> Some v then ok := false) model;
-            !ok
-          in
-          let m' = Hashtbl.copy m in
-          Option.iter (apply m') !pending;
-          if not (matches m || matches m') then
-            Alcotest.failf "var crash at persist %d: inconsistent" n;
-          match Pmem.Palloc.leaked_blocks a' ~reachable:(V.reachable_blocks t2) with
-          | [] -> ()
-          | l ->
-            Alcotest.failf "var crash at persist %d: %d leaked blocks" n
-              (List.length l)
-        end)
-  in
-  Alcotest.(check int) "var-key crash points" 1209 points
+  Alcotest.(check int) "var-key crash points" 1209
+    (E.Var.sweep_crash_states ~config ~setup:[] ops).E.crash_points
 
 (* Crash during tree creation must be recoverable too. *)
 let test_crash_during_create () =

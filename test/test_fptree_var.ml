@@ -141,33 +141,14 @@ let test_recovery () =
 let test_recovery_leak_audit_insert () =
   (* Sweep crash points through a var-key insert; whatever the crash
      point, recovery (Algorithm 17's audit) must leave no leaked key
-     block. *)
-  let points =
-    Scm.Fault.sweep Persist_crash (fun n inject ->
-        Scm.Registry.clear ();
-        Scm.Config.reset ();
-        let a = Pmem.Palloc.create ~size:(32 * 1024 * 1024) () in
-        let t = V.create_single ~m:4 a in
-        ignore (V.insert t "anchor" 1);
-        if inject (fun () -> ignore (V.insert t "leaky" 2)) then begin
-          Scm.Region.crash (Pmem.Palloc.region a);
-          let a' = Pmem.Palloc.of_region (Pmem.Palloc.region a) in
-          let t2 = V.recover a' in
-          V.check_invariants t2;
-          let leaks =
-            Pmem.Palloc.leaked_blocks a' ~reachable:(V.reachable_blocks t2)
-          in
-          Alcotest.(check (list int))
-            (Printf.sprintf "crash@%d: audit leaves no leaks" n)
-            [] leaks;
-          (* the insert is atomic: present with value 2, or absent *)
-          (match V.find t2 "leaky" with
-          | Some v -> Alcotest.(check int) "complete insert" 2 v
-          | None -> ());
-          Alcotest.(check (option int)) "anchor intact" (Some 1) (V.find t2 "anchor")
-        end)
+     block, the insert is atomic and the anchor key intact. *)
+  let module E = Pmcheck.Enumerate in
+  let r =
+    E.Var.sweep_crash_states
+      ~config:{ V.var_single_config with Tree.m = 4 }
+      ~setup:[ E.Ins ("anchor", 1) ] [ E.Ins ("leaky", 2) ]
   in
-  Alcotest.(check bool) "swept multiple crash points" true (points > 2)
+  Alcotest.(check bool) "swept multiple crash points" true (r.E.crash_points > 2)
 
 (* model-based property test over string keys *)
 let qcheck_model =

@@ -554,12 +554,12 @@ let test_core_trace () =
   with_gate_cycled (fun () ->
       Alcotest.check trace_counters "core trace"
         {
-          line_reads = 122942;
+          line_reads = 122938;
           line_writes = 113973;
           flushes = 113973;
           fences = 98158;
           persists = 98158;
-          key_probes = 32688;
+          key_probes = 32677;
           leaf_deletes = 0;
         }
         (counter_trace core_trace))

@@ -145,3 +145,8 @@ let write_anchor r cell p =
   let sc = Scope.enter Obs.Attrib.comp_tree_meta in
   Pmem.Pptr.write_committed r cell p;
   Scope.leave sc
+
+let refuse_link what ~cell p fault =
+  Format.kasprintf failwith "Tree.recover: %s %s link %a at offset %d"
+    Pmem.Pptr.(match fault with Dangling -> "dangling" | Revisit -> "repeated")
+    what Pmem.Pptr.pp p cell

@@ -110,3 +110,8 @@ val mark_initialized : Scm.Region.t -> meta:int -> unit
 (** [write_anchor r cell p]: committed pointer publish into a
     descriptor anchor or a group header, charged to [tree_meta]. *)
 val write_anchor : Scm.Region.t -> int -> Pmem.Pptr.t -> unit
+
+(** [refuse_link what ~cell p fault]: end recovery at a [what] ("leaf"
+    or "group") link that {!Pmem.Pptr.walk} will not follow, with
+    [Failure "Tree.recover: …"]; [fptree_cli fsck --repair] cuts it. *)
+val refuse_link : string -> cell:int -> Pmem.Pptr.t -> Pmem.Pptr.fault -> 'a

@@ -218,13 +218,11 @@ let free_idle_groups t =
   List.iter (fun g -> free_group t g) full
 
 let iter_groups t f =
-  let rec scan p =
-    if not (Pptr.is_null p) then begin
-      f p.Pptr.off;
-      scan (group_next t p.Pptr.off)
-    end
-  in
-  scan (read_group_head t)
+  ignore
+    (Pptr.walk t.region ~span:(D.group_bytes t.config t.layout) ~next_cell:0
+       ~ok:(fun _ -> true) ~bad:(D.refuse_link "group")
+       (fun ~cell:_ ~next g -> f g; next)
+       (t.meta + D.meta_group_head))
 
 let rebuild t ~in_use =
   let s = t.free_head in

@@ -37,7 +37,9 @@ val recover : t -> unit
     group leaf for which [in_use] is false is free. *)
 val rebuild : t -> in_use:(int -> bool) -> unit
 
-(** Visit the group blocks along the persistent list. *)
+(** Visit the group blocks along the persistent list.
+    @raise Failure ["Tree.recover: …"] at a dangling or repeated group
+    link ({!Descriptor.refuse_link}). *)
 val iter_groups : t -> (int -> unit) -> unit
 
 (** DRAM footprint of the pool and the leaf-to-group table. *)

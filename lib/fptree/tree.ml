@@ -1222,49 +1222,57 @@ module Make (K : Keys.KEY) = struct
   (* Rebuild the volatile side from the persistent leaves: Algorithm 9
      (and the leak audit of Algorithm 17 for var keys). *)
   let rebuild_volatile t =
-    (* Walk the leaf list: discriminators, leak audit, lock resets. *)
+    (* Walk the leaf list: discriminators, leak audit, lock resets.  A
+       link the walk will not follow refuses the image: without
+       checksums recovery salvages nothing (fsck --repair does), and
+       with them the quarantine pass has already cut every bad link. *)
     let leaves = ref [] in
-    let in_list = Hashtbl.create 1024 in
-    iter_leaves t (fun leaf ->
-        Hashtbl.replace in_list leaf ();
-        Region.write_u8 (region t) (leaf + t.layout.Layout.lock_off) 0;
-        let bm = leaf_bitmap t leaf in
-        let max_key = ref None in
-        for s = 0 to t.layout.Layout.m - 1 do
-          let cell = key_cell t leaf s in
-          if bm land (1 lsl s) <> 0 then begin
-            let k = read_key t leaf s in
-            match !max_key with
-            | None -> max_key := Some k
-            | Some mk -> if K.compare k mk > 0 then max_key := Some k
-          end
-          else
-            (* Leak audit for out-of-line keys (Algorithm 17). *)
-            match K.cell_ref t.ctx ~off:cell with
-            | None | Some { Pptr.region_id = 0; _ } -> ()
-            | Some p ->
-              let duplicate = ref false in
-              for s' = 0 to t.layout.Layout.m - 1 do
-                if bm land (1 lsl s') <> 0 then
-                  match K.cell_ref t.ctx ~off:(key_cell t leaf s') with
-                  | Some p' when Pptr.equal p p' -> duplicate := true
-                  | _ -> ()
-              done;
-              if !duplicate then K.reset_ref t.ctx ~off:cell
-              else K.dealloc t.ctx ~off:cell
-        done;
-        match !max_key with
-        | Some mk -> leaves := (mk, Inner.leaf_ref leaf) :: !leaves
-        | None -> leaves := (K.dummy, Inner.leaf_ref leaf) :: !leaves);
+    let in_list =
+      Pptr.walk (region t) ~span:t.layout.Layout.bytes
+        ~next_cell:t.layout.Layout.next_off ~ok:(fun _ -> true)
+        ~bad:(D.refuse_link "leaf")
+        (fun ~cell:_ ~next leaf ->
+          Region.write_u8 (region t) (leaf + t.layout.Layout.lock_off) 0;
+          let bm = leaf_bitmap t leaf in
+          let max_key = ref None in
+          for s = 0 to t.layout.Layout.m - 1 do
+            let cell = key_cell t leaf s in
+            if bm land (1 lsl s) <> 0 then begin
+              let k = read_key t leaf s in
+              match !max_key with
+              | None -> max_key := Some k
+              | Some mk -> if K.compare k mk > 0 then max_key := Some k
+            end
+            else
+              (* Leak audit for out-of-line keys (Algorithm 17). *)
+              match K.cell_ref t.ctx ~off:cell with
+              | None | Some { Pptr.region_id = 0; _ } -> ()
+              | Some p ->
+                let duplicate = ref false in
+                for s' = 0 to t.layout.Layout.m - 1 do
+                  if bm land (1 lsl s') <> 0 then
+                    match K.cell_ref t.ctx ~off:(key_cell t leaf s') with
+                    | Some p' when Pptr.equal p p' -> duplicate := true
+                    | _ -> ()
+                done;
+                if !duplicate then K.reset_ref t.ctx ~off:cell
+                else K.dealloc t.ctx ~off:cell
+          done;
+          let mk = Option.value !max_key ~default:K.dummy in
+          leaves := (mk, Inner.leaf_ref leaf) :: !leaves;
+          next)
+        (t.meta + D.meta_head)
+    in
     let arr = Array.of_list (List.rev !leaves) in
     t.inner <-
       Inner.rebuild ~fanout:(t.config.inner_keys + 1) ~kind:K.inner_kind arr;
     (* Rebuild the volatile free-leaf pool from the group list.
        Quarantined leaves are out of the list but must not be recycled
        as free. *)
-    if t.config.use_groups then
-      Leaf_groups.rebuild t.groups ~in_use:(fun l ->
-          Hashtbl.mem in_list l || List.mem l t.quarantined)
+    if t.config.use_groups then begin
+      List.iter (fun l -> Hashtbl.replace in_list l ()) t.quarantined;
+      Leaf_groups.rebuild t.groups ~in_use:(Hashtbl.mem in_list)
+    end
 
   (* ---- recovery checksum validation (quarantine pass) ---- *)
 
@@ -1274,51 +1282,41 @@ module Make (K : Keys.KEY) = struct
      are recomputed in place.  Corrupt leaves (torn or media-damaged
      content) are spliced out of the list and quarantined behind
      [Metrics.quarantined_leaves]: the tree comes back serving the
-     surviving keyspace instead of aborting recovery.  Splices are
+     surviving keyspace instead of aborting recovery.  A link the walk
+     will not follow (dangling or closing a cycle) is cut: the keys
+     behind it are unreachable either way.  Splices and cuts are
      committed 16-byte pointer publishes, so a crash mid-pass leaves a
-     list this same pass converges on when re-run; a visited set guards
-     against corrupt links closing a cycle. *)
+     list this same pass converges on when re-run. *)
   let quarantine_pass t =
     if t.layout.Layout.checksums then begin
       let r = region t in
-      let visited = Hashtbl.create 64 in
-      let set_next prev p =
-        match prev with
-        | None -> write_head t p
-        | Some leaf ->
+      let span = t.layout.Layout.bytes in
+      let head_cell = t.meta + D.meta_head in
+      let set_next cell p =
+        if cell = head_cell then write_head t p
+        else begin
           let sc = Scope.enter Obs.Attrib.comp_recovery in
-          Pptr.write_committed r (leaf + t.layout.Layout.next_off) p;
+          Pptr.write_committed r cell p;
           Scope.leave sc
-      in
-      (* A next pointer that is not followable ({!Pptr.plausible}: torn
-         or media-damaged) truncates the chain; the keys behind it are
-         unreachable either way. *)
-      let plausible p = Pptr.plausible r ~span:t.layout.Layout.bytes p in
-      let sanitize p = if plausible p then p else Pptr.null in
-      let rec walk prev p =
-        if not (Pptr.is_null p) then begin
-          let leaf = p.Pptr.off in
-          if Hashtbl.mem visited leaf then set_next prev Pptr.null
-          else begin
-            Hashtbl.replace visited leaf ();
-            match Layout.verify_checksum r ~leaf t.layout with
-            | Layout.Csum_ok -> walk (Some leaf) (leaf_next t leaf)
-            | Layout.Csum_stale ->
-              Layout.write_checksum r ~leaf t.layout;
-              walk (Some leaf) (leaf_next t leaf)
-            | Layout.Csum_corrupt ->
-              t.quarantined <- leaf :: t.quarantined;
-              Obs.Counter.incr Metrics.quarantined_leaves;
-              let next = sanitize (leaf_next t leaf) in
-              set_next prev next;
-              walk prev next
-          end
         end
       in
-      let head = read_head t in
-      let head = if plausible head then head
-        else begin write_head t Pptr.null; Pptr.null end in
-      walk None head;
+      ignore
+        (Pptr.walk r ~span ~next_cell:t.layout.Layout.next_off
+           ~ok:(fun _ -> true)
+           ~bad:(fun ~cell _ _ -> set_next cell Pptr.null)
+           (fun ~cell ~next leaf ->
+             match Layout.verify_checksum r ~leaf t.layout with
+             | Layout.Csum_ok -> next
+             | Layout.Csum_stale ->
+               Layout.write_checksum r ~leaf t.layout;
+               next
+             | Layout.Csum_corrupt ->
+               t.quarantined <- leaf :: t.quarantined;
+               Obs.Counter.incr Metrics.quarantined_leaves;
+               let p = leaf_next t leaf in
+               set_next cell (if Pptr.plausible r ~span p then p else Pptr.null);
+               cell)
+           head_cell);
       (* An all-corrupt chain leaves a tree with no leaves, which the
          rest of the code never has to handle: scrub one quarantined
          leaf back to an empty head (its keys are lost either way). *)

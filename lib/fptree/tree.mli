@@ -87,8 +87,10 @@ module Make (K : Keys.KEY) : sig
       micro-logs, audit leaks, quarantine corrupt leaves (checksum
       layouts), rebuild the DRAM inner nodes (Algorithm 9).  [config]
       supplies the fields the descriptor does not persist.
-      @raise Failure on a missing tree, an implausible descriptor word
-      or a key-kind mismatch. *)
+      @raise Failure on a missing tree, an implausible descriptor word,
+      a key-kind mismatch, or a leaf or group link it will not follow
+      ({!Pmem.Pptr.walk}; checksum layouts cut a bad leaf link
+      instead). *)
 
   val find_value : t -> default:int -> key -> int
   (** The value bound to the key, or [default]: the allocation-free

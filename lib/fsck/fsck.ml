@@ -146,45 +146,36 @@ and audit_tree ctx meta cfg kind =
             Hashtbl.replace referenced p.Pptr.off ())
         [ Microlog.read_fst log; Microlog.read_snd log ])
     (D.log_slots cfg);
+  (* Both link walks note a link they will not follow; repair cuts it
+     with a committed (p-atomic publish) write of null. *)
+  let bad ~twice ~dangling ~cell p fault =
+    let repaired =
+      ctx.repair && (Pptr.write_committed r cell Pptr.null; true)
+    in
+    match fault with
+    | Pptr.Revisit -> note ~repaired ctx Error "double-link" p.Pptr.off twice
+    | Pptr.Dangling ->
+      note ~repaired ctx Error "dangling-link" p.Pptr.off dangling
+  in
   (* Group list (single-threaded mode): leaves live inside group
      blocks, so account the groups and learn the valid leaf slots. *)
   let leaf_slots = Hashtbl.create 256 in
-  if cfg.D.use_groups then begin
-    let seen = Hashtbl.create 64 in
-    let rec scan prev p =
-      if not (Pptr.is_null p) then
-        let g = p.Pptr.off in
-        if Hashtbl.mem seen g then begin
-          let repaired =
-            ctx.repair
-            && (Pptr.write_committed r prev Pptr.null; true)
-          in
-          note ~repaired ctx Error "double-link" g "group linked twice"
-        end
-        else if
-          not (Pptr.plausible ctx.region ~span:group_bytes p)
-          || (match Hashtbl.find_opt ctx.blocks g with
-             | Some b -> b < group_bytes
-             | None -> true)
-        then begin
-          let repaired =
-            ctx.repair
-            && (Pptr.write_committed r prev Pptr.null; true)
-          in
-          note ~repaired ctx Error "dangling-link" g
-            "group link to unallocated or implausible target"
-        end
-        else begin
-          Hashtbl.replace seen g ();
-          Hashtbl.replace referenced g ();
-          for i = 0 to cfg.D.group_size - 1 do
-            Hashtbl.replace leaf_slots (D.group_leaf layout g i) ()
-          done;
-          scan g (Pptr.read r g)
-        end
-    in
-    scan (meta + D.meta_group_head) (Pptr.read r (meta + D.meta_group_head))
-  end;
+  if cfg.D.use_groups then
+    ignore
+      (Pptr.walk r ~span:group_bytes ~next_cell:0
+         ~ok:(fun g ->
+           match Hashtbl.find_opt ctx.blocks g with
+           | Some b -> b >= group_bytes
+           | None -> false)
+         ~bad:(bad ~twice:"group linked twice"
+                 ~dangling:"group link to unallocated or implausible target")
+         (fun ~cell:_ ~next g ->
+           Hashtbl.replace referenced g ();
+           for i = 0 to cfg.D.group_size - 1 do
+             Hashtbl.replace leaf_slots (D.group_leaf layout g i) ()
+           done;
+           next)
+         (meta + D.meta_group_head));
   (* A leaf the chain may legally visit. *)
   let leaf_addressable off =
     if cfg.D.use_groups then Hashtbl.mem leaf_slots off
@@ -193,53 +184,36 @@ and audit_tree ctx meta cfg kind =
       | Some b -> b >= layout.Layout.bytes
       | None -> false
   in
-  (* Walk the leaf chain.  [prev] is the region offset of the pointer
-     cell that got us here, so repair can splice over it with a
-     committed (p-atomic publish) write. *)
-  let chain = Hashtbl.create 1024 in
+  (* Walk the leaf chain.  A corrupt leaf that repair splices out (its
+     cell then names the leaf's plausible successor, or null) is off
+     the chain: reclaimable (plain blocks) or left for the group scan
+     below. *)
   let keys = ref 0 in
-  let splice prev p = Pptr.write_committed r prev p in
-  let rec walk prev p =
-    if not (Pptr.is_null p) then begin
-      let leaf = p.Pptr.off in
-      if Hashtbl.mem chain leaf then begin
-        let repaired = ctx.repair && (splice prev Pptr.null; true) in
-        note ~repaired ctx Error "double-link" leaf
-          "leaf linked twice (shared tail or cycle)"
-      end
-      else if not (Pptr.plausible r ~span:layout.Layout.bytes p
-                  && leaf_addressable leaf)
-      then begin
-        let repaired = ctx.repair && (splice prev Pptr.null; true) in
-        note ~repaired ctx Error "dangling-link" leaf
-          "next pointer to unallocated or implausible target"
-      end
-      else begin
-        Hashtbl.replace chain leaf ();
-        let next_cell = leaf + layout.Layout.next_off in
+  let spliced = ref [] in
+  let span = layout.Layout.bytes in
+  let chain =
+    Pptr.walk r ~span ~next_cell:layout.Layout.next_off ~ok:leaf_addressable
+      ~bad:(bad ~twice:"leaf linked twice (shared tail or cycle)"
+              ~dangling:"next pointer to unallocated or implausible target")
+      (fun ~cell ~next leaf ->
         match Layout.verify_checksum r ~leaf layout with
         | Layout.Csum_corrupt when cfg.D.checksums ->
-          let next = Layout.read_next r ~leaf layout in
-          let next =
-            if Pptr.plausible r ~span:layout.Layout.bytes next then next
-            else Pptr.null
-          in
-          let repaired = ctx.repair && (splice prev next; true) in
+          let p = Layout.read_next r ~leaf layout in
+          let p = if Pptr.plausible r ~span p then p else Pptr.null in
+          let repaired = ctx.repair && (Pptr.write_committed r cell p; true) in
           note ~repaired ctx Error "leaf-corrupt" leaf
             "content does not match its integrity cell";
           if repaired then begin
-            (* Off the chain now: reclaimable (plain blocks) or left
-               for the group scan below. *)
-            Hashtbl.remove chain leaf;
-            walk prev next
+            spliced := leaf :: !spliced;
+            cell
           end
-          else walk next_cell next
+          else next
         | Layout.Csum_stale ->
           if ctx.repair then Layout.write_checksum r ~leaf layout;
           note ~repaired:ctx.repair ctx Warning "checksum-stale" leaf
             "integrity cell older than the committed bitmap";
           keys := !keys + Layout.bitmap_count (Layout.read_bitmap r ~leaf layout);
-          walk next_cell (Layout.read_next r ~leaf layout)
+          next
         | Layout.Csum_ok | Layout.Csum_corrupt ->
           keys := !keys + Layout.bitmap_count (Layout.read_bitmap r ~leaf layout);
           (* Out-of-line key blocks referenced from any slot (occupied,
@@ -250,11 +224,10 @@ and audit_tree ctx meta cfg kind =
               if (not (Pptr.is_null kp)) && Hashtbl.mem ctx.blocks kp.Pptr.off
               then Hashtbl.replace referenced kp.Pptr.off ()
             done;
-          walk next_cell (Layout.read_next r ~leaf layout)
-      end
-    end
+          next)
+      (meta + D.meta_head)
   in
-  walk (meta + D.meta_head) (Pptr.read r (meta + D.meta_head));
+  List.iter (Hashtbl.remove chain) !spliced;
   if (not cfg.D.use_groups) then
     Hashtbl.iter (fun leaf () -> Hashtbl.replace referenced leaf ()) chain;
   (* Allocator cross-check: every allocated block must now be owned. *)

@@ -257,21 +257,7 @@ let run_exhaustion ?(arena_bytes = 192 * 1024)
            let window_lo = if Random.State.bool rng then 0 else !next_key in
            let op = gen_op rng ~window_lo in
            pending := Some op;
-           (match op with
-           | Enumerate.Ins (k, v) -> (
-             match F.try_insert t k v with
-             | Ok true -> Hashtbl.replace oracle k v
-             | Ok false -> ()
-             | Error `Out_of_space -> incr refusals)
-           | Enumerate.Upd (k, v) -> (
-             match F.try_update t k v with
-             | Ok true -> Hashtbl.replace oracle k v
-             | Ok false -> ()
-             | Error `Out_of_space -> incr refusals)
-           | Enumerate.Del k ->
-             (match F.try_delete t k with
-             | Ok true -> Hashtbl.remove oracle k
-             | Ok _ | Error _ -> ()));
+           if not (Enumerate.try_apply t oracle op) then incr refusals;
            pending := None
          done));
   let region = Pmem.Palloc.region a in

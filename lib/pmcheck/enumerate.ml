@@ -49,6 +49,7 @@ module type TREE = sig
 
   val create : ?config:Fptree.Tree.config -> Pmem.Palloc.t -> t
   val recover : ?config:Fptree.Tree.config -> Pmem.Palloc.t -> t
+  val try_delete : t -> key -> (bool, [ `Out_of_space ]) result
   val watermark_state : t -> int
   val check_invariants : t -> unit
   val reachable_blocks : t -> int list
@@ -62,6 +63,7 @@ module type S = sig
   val apply_tree : tree -> key op -> unit
   val apply_model : model -> key op -> unit
   val replay : tree -> model -> key op option ref -> key op list -> unit
+  val try_apply : tree -> model -> key op -> bool
   val matches : tree -> model -> bool
 
   val verify :
@@ -106,6 +108,18 @@ module Make (T : TREE) (P : sig val probe_key : T.key end) :
         apply_model m op;
         pending := None)
       ops
+
+  (* One op through the typed surface; the model takes it in only when
+     the tree admitted it. *)
+  let try_apply t m op =
+    match
+      match op with
+      | Ins (k, v) -> T.try_insert t k v
+      | Upd (k, v) -> T.try_update t k v
+      | Del k -> T.try_delete t k
+    with
+    | Ok _ -> apply_model m op; true
+    | Error `Out_of_space -> false
 
   (* Exact tree/model comparison (count first: cheap reject). *)
   let matches t m =

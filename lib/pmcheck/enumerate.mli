@@ -41,6 +41,7 @@ module type TREE = sig
 
   val create : ?config:Fptree.Tree.config -> Pmem.Palloc.t -> t
   val recover : ?config:Fptree.Tree.config -> Pmem.Palloc.t -> t
+  val try_delete : t -> key -> (bool, [ `Out_of_space ]) result
   val watermark_state : t -> int
   val check_invariants : t -> unit
   val reachable_blocks : t -> int list
@@ -65,6 +66,12 @@ module type S = sig
       in order; [pending] holds the operation in flight, so after an
       injected crash it names the op that may or may not have
       committed. *)
+
+  val try_apply : tree -> model -> key op -> bool
+  (** [try_apply t m op] applies [op] through [try_insert] /
+      [try_update] / [try_delete] and, when the tree admits it, to the
+      model too.  [false] reports a refusal ([`Out_of_space]), which
+      leaves the model as it was. *)
 
   val matches : tree -> model -> bool
   (** The tree holds exactly the model's pairs. *)

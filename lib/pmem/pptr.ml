@@ -95,6 +95,28 @@ let reset_committed r off =
   Obs.Flight.publish ~region:(Scm.Region.id r) ~off ~len:size_bytes
     ~site:Obs.Event.publish_pptr_reset
 
+type fault = Dangling | Revisit
+
+(* The one rule for following a chain of persistent links (the leaf
+   list, the group list): a link is followed only to a plausible block
+   the caller accepts and the walk has not visited; any other link is
+   handed to [bad], which cuts it, reports it or refuses the image, and
+   that branch ends there.  The visited set is returned. *)
+let walk r ~span ~next_cell ~ok ~bad visit head_cell =
+  let seen = Hashtbl.create 1024 in
+  let rec go cell =
+    let p = read r cell in
+    if not (is_null p) then
+      if Hashtbl.mem seen p.off then bad ~cell p Revisit
+      else if not (plausible r ~span p && ok p.off) then bad ~cell p Dangling
+      else begin
+        Hashtbl.replace seen p.off ();
+        go (visit ~cell ~next:(p.off + next_cell) p.off)
+      end
+  in
+  go head_cell;
+  seen
+
 let pp ppf p =
   if is_null p then Format.fprintf ppf "<null>"
   else Format.fprintf ppf "<r%d:%#x>" p.region_id p.off

@@ -23,6 +23,27 @@ val equal : t -> t -> bool
     torn or media-damaged pointer fails it. *)
 val plausible : Scm.Region.t -> span:int -> t -> bool
 
+(** Why {!walk} did not follow a link: [Dangling], not {!plausible} or
+    refused by the caller's [ok]; [Revisit], it names a block already
+    visited (a shared tail or a cycle). *)
+type fault = Dangling | Revisit
+
+(** [walk r ~span ~next_cell ~ok ~bad visit head_cell] follows a chain
+    of persistent links, starting with the pointer stored at offset
+    [head_cell].  The pointer [p] read from a cell is followed only
+    when it names a [span]-byte block that is {!plausible}, passes
+    [ok p.off] and has not been visited; the walk then calls
+    [visit ~cell ~next off], where [next = off + next_cell] is the
+    block's own next cell, and goes on from the cell [visit] returns:
+    [next], or [cell] again after [visit] spliced the block out.  Any
+    other non-null pointer goes to [bad ~cell p fault] and that branch
+    ends; a null one ends the walk.  Returns the visited block
+    offsets. *)
+val walk :
+  Scm.Region.t -> span:int -> next_cell:int -> ok:(int -> bool) ->
+  bad:(cell:int -> t -> fault -> unit) ->
+  (cell:int -> next:int -> int -> int) -> int -> (int, unit) Hashtbl.t
+
 (** Raised by {!resolve} on a pointer that cannot be dereferenced in
     this process: null ([region_id = 0]) or naming a region that is not
     open.  Carries the failing coordinates so diagnostic layers can

@@ -75,15 +75,19 @@ let test_clean_audit () =
   Alcotest.(check int) "chain length (groups)" (F.leaf_count t)
     r.Fsck.chain_leaves
 
+(* An in-region but implausible target, as [fptree_cli corrupt link]
+   writes. *)
+let dangle region cell =
+  Pmem.Pptr.write_committed region cell
+    { Pmem.Pptr.region_id = Scm.Region.id region;
+      off = Scm.Region.size region - 8 }
+
 let test_dangling_link () =
   let a, t = build ~config:cfg 200 in
   let region = Pmem.Palloc.region a in
   let leaves = chain_leaves t in
   let mid = leaves.(Array.length leaves / 2) in
-  Pmem.Pptr.write_committed region
-    (mid + t.F.layout.Fptree.Layout.next_off)
-    { Pmem.Pptr.region_id = Scm.Region.id region;
-      off = Scm.Region.size region - 8 };
+  dangle region (mid + t.F.layout.Fptree.Layout.next_off);
   let r = Fsck.check region in
   Alcotest.(check bool) "dangling-link detected" true
     (List.mem "dangling-link" (classes r));
@@ -209,6 +213,85 @@ let test_groups_dangling_group_link () =
   Alcotest.(check bool) "group dangling-link detected" true
     (List.mem "dangling-link" (classes r))
 
+(* Recovery follows a persistent link by the one rule fsck audits
+   ({!Pmem.Pptr.walk}).  With checksums, a dangling next pointer behind
+   an intact leaf is cut: the tree comes back serving exactly the keys
+   in front of the cut (keys 1..n sit in chain order), and fsck
+   --repair then reclaims the unlinked tail as orphans. *)
+let test_checksummed_dangling_link () =
+  let config = { cfg with Tree.checksums = true } in
+  let a, t = build ~config 200 in
+  let region = Pmem.Palloc.region a in
+  let leaves = chain_leaves t in
+  let cut = Array.length leaves / 2 in
+  let front = ref 0 in
+  for i = 0 to cut do
+    front := !front + Fptree.Layout.bitmap_count (F.leaf_bitmap t leaves.(i))
+  done;
+  dangle region (leaves.(cut) + t.F.layout.Fptree.Layout.next_off);
+  let t = F.recover ~config (Pmem.Palloc.of_region region) in
+  F.check_invariants t;
+  Alcotest.(check (list int)) "no leaf quarantined" [] (F.Testing.quarantined t);
+  Alcotest.(check int) "leaves in front of the cut" (cut + 1) (F.leaf_count t);
+  Alcotest.(check int) "serves exactly the keys in front" !front (F.count t);
+  for i = 1 to 200 do
+    Alcotest.(check (option int)) (Printf.sprintf "key %d" i)
+      (if i <= !front then Some (i * 3) else None)
+      (F.find t i)
+  done;
+  let r = Fsck.check ~repair:true region in
+  Alcotest.(check (list (pair string bool))) "tail reclaimed as orphans"
+    (List.init (Array.length leaves - cut - 1) (fun _ -> ("orphan", true)))
+    (List.map (fun f -> (f.Fsck.cls, f.Fsck.repaired)) r.Fsck.findings);
+  ignore (check_clean region)
+
+(* Without checksums recovery salvages nothing: a link its walk will not
+   follow refuses the image with a one-line [Failure "Tree.recover: …"]
+   (fsck --repair is the path that cuts it), and promptly: a cycle
+   must neither spin nor allocate without bound. *)
+let test_bad_links_refused () =
+  let refused what ~config region =
+    let t0 = Unix.gettimeofday () in
+    (match F.recover ~config (Pmem.Palloc.of_region region) with
+    | _ -> Alcotest.failf "%s: recover accepted the image" what
+    | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: refused by recovery (%s)" what msg)
+        true (String.starts_with ~prefix:"Tree.recover: " msg));
+    let dt = Unix.gettimeofday () -. t0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: refused promptly (%.3fs)" what dt)
+      true (dt < 0.5)
+  in
+  let leaf_chain () =
+    let a, t = build ~config:cfg 200 in
+    let leaves = chain_leaves t in
+    ( Pmem.Palloc.region a, leaves,
+      fun i -> leaves.(i) + t.F.layout.Fptree.Layout.next_off )
+  in
+  let region, leaves, link = leaf_chain () in
+  dangle region (link (Array.length leaves / 2));
+  refused "dangling leaf link" ~config:cfg region;
+  let region, leaves, link = leaf_chain () in
+  Pmem.Pptr.write_committed region (link (Array.length leaves - 2))
+    (Pmem.Pptr.of_region region ~off:leaves.(1));
+  refused "leaf cycle" ~config:cfg region;
+  (* a cyclic group list: the last group links back to the first *)
+  let a, _t = build ~config:cfg_groups 200 in
+  let region = Pmem.Palloc.region a in
+  let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
+  let head = Pmem.Pptr.read region (meta + D.meta_group_head) in
+  let rec last g =
+    let next = Pmem.Pptr.read region g in
+    if Pmem.Pptr.is_null next then g else last next.Pmem.Pptr.off
+  in
+  Pmem.Pptr.write_committed region (last head.Pmem.Pptr.off) head;
+  refused "cyclic group list" ~config:cfg_groups region;
+  let r = Fsck.check region in
+  Alcotest.(check (list string)) "fsck names the group cycle"
+    [ "double-link" ] (classes r);
+  ignore (repair_and_verify ~config:cfg_groups ~n:200 region)
+
 (* A block parked in any micro-log slot belongs to an operation that
    recovery will finish or roll back, so fsck must count it as owned —
    in the last split and delete slots of a multi-log image and in the
@@ -264,5 +347,9 @@ let () =
           Alcotest.test_case
             "blocks parked in every micro-log slot are referenced" `Quick
             test_parked_blocks_referenced;
+          Alcotest.test_case "dangling link behind an intact leaf (checksums)"
+            `Quick test_checksummed_dangling_link;
+          Alcotest.test_case "bad links refused without checksums" `Quick
+            test_bad_links_refused;
         ] );
     ]

@@ -211,6 +211,10 @@ FSCK_IMG="$WORK/fsck.scm"
 "$CLI" fill "$FSCK_IMG" 2000 > /dev/null
 "$CLI" fsck "$FSCK_IMG" --summary
 "$CLI" corrupt "$FSCK_IMG" link > /dev/null
+# with checksums, recovery cuts the dangling link and opens the image
+# (stats saves nothing: the link is still there for fsck below)
+"$CLI" stats "$FSCK_IMG" > /dev/null || {
+  echo "FAIL: checksummed recovery did not cut a dangling link"; exit 1; }
 if "$CLI" fsck "$FSCK_IMG" --summary > /dev/null 2>&1; then
   echo "FAIL: fsck missed an injected dangling link"; exit 1
 fi
@@ -219,6 +223,20 @@ fi
   echo "FAIL: region not clean after fsck --repair"; exit 1; }
 # the repaired region must still open and answer queries
 "$CLI" stats "$FSCK_IMG" > /dev/null
+# without checksums, recovery refuses the same damage: exit 1 and one
+# "Tree.recover:" line (fsck --repair is the path that cuts it)
+PLAIN_IMG="$WORK/fsck_plain.scm"
+"$CLI" create "$PLAIN_IMG" > /dev/null
+"$CLI" fill "$PLAIN_IMG" 2000 > /dev/null
+"$CLI" corrupt "$PLAIN_IMG" link > /dev/null
+status=0
+out=$("$CLI" stats "$PLAIN_IMG" 2>&1) || status=$?
+if [ "$status" != 1 ] || [ "$(printf '%s\n' "$out" | wc -l)" != 1 ] \
+   || ! printf '%s\n' "$out" | grep -q 'Tree.recover:'; then
+  echo "FAIL: dangling leaf link not refused by recovery (exit $status): $out"
+  exit 1
+fi
+echo "   dangling leaf link refused without checksums (exit 1, one line)"
 
 echo "== capacity (watermark refusal -> degraded serving -> clean image) =="
 CAP_IMG="$WORK/capacity.scm"

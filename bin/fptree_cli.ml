@@ -788,6 +788,14 @@ let corrupt_cmd =
         { Pmem.Pptr.region_id = Scm.Region.id region;
           off = Scm.Region.size region - 8 };
       Printf.printf "corrupt: dangling next pointer at leaf %d\n" mid
+    | `Head ->
+      (* The same implausible target in the descriptor's head link:
+         no leaf is reachable, so recovery refuses the image. *)
+      Pmem.Pptr.write_committed region
+        (t.Fptree.Fixed.meta + Fptree.Descriptor.meta_head)
+        { Pmem.Pptr.region_id = Scm.Region.id region;
+          off = Scm.Region.size region - 8 };
+      Printf.printf "corrupt: dangling leaf-list head\n"
     | `Orphan ->
       (* Allocate through the allocator's scratch cell, then retract the
          reference: an allocated block no structure owns. *)
@@ -807,10 +815,11 @@ let corrupt_cmd =
   let kind =
     Arg.(
       required
-      & pos 1 (some (enum [ ("link", `Link); ("orphan", `Orphan);
-                            ("media", `Media) ])) None
+      & pos 1 (some (enum [ ("link", `Link); ("head", `Head);
+                            ("orphan", `Orphan); ("media", `Media) ])) None
       & info [] ~docv:"KIND"
           ~doc:"damage class: $(b,link) (dangling next pointer), \
+                $(b,head) (dangling leaf-list head in the descriptor), \
                 $(b,orphan) (allocated unreferenced block), $(b,media) \
                 (flip bits in a leaf's data)")
   in

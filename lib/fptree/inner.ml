@@ -2,9 +2,13 @@
 
     Inner nodes live in DRAM as classical sorted main-memory B+-Tree
     nodes and are rebuilt from the leaf linked list on recovery.
-    Separator [i] is the greatest key reachable through [children.(i)]
-    (the discriminator recovery extracts from each leaf), so search
-    descends into the first child whose separator is >= the probe.
+    Separator [i] is the greatest key reachable through child [i] (the
+    discriminator recovery extracts from each leaf), so search descends
+    into the first child whose separator is >= the probe.  Children are
+    typed by level: a bottom node's are leaf references ([leaves]),
+    every other node's are nodes ([inners]); the immutable [bottom]
+    says which, so a descent loads each node record straight from its
+    parent's array, with no box around it.
 
     {b Conflict granularity.}  Every node — inner node and leaf
     reference alike — embeds its own {!Htm.Node_versions.cell} version
@@ -16,10 +20,11 @@
     node they touch with [begin_write]/[end_write] on that node's cell
     only.  A reader is invalidated exactly when a writer modified a
     node it read — the cache-line-granular conflict detection of real
-    TSX, instead of the tree-global version word the seed used.  The
-    cell lives in the node record itself, so the reader's version
-    probe touches memory the descent is already reading (no shared
-    side table to miss on, and no cross-node collisions).
+    TSX, instead of the tree-global version word the seed used.  Each
+    node record points at its own cell, so the reader's version probe
+    needs no shared side table (nothing to miss on, no cross-node
+    collisions); the word itself is a separate [int Atomic.t] block
+    until OCaml has atomic record fields (inner.mli, Layout).
 
     A split keeps the {e child's} write phase open until the parent
     holds the new separator: between those two steps the key range is
@@ -62,15 +67,15 @@ type leaf_ref = {
 
 let leaf_ref off = { off; lock = Sched.make false; ver = Nv.fresh () }
 
-type 'k node = Inner of 'k inner | Leaf of leaf_ref
-
-and 'k inner = {
+type 'k inner = {
   mutable nkeys : int;
+  bottom : bool;             (* children are leaves; fixed at creation *)
   kind : 'k kind;            (* the key kind's steps, shared by its nodes *)
   mutable prefix : string;   (* the separators' common prefix *)
   anchors : int array;       (* capacity fanout - 1; slots >= nkeys are junk *)
   keys : 'k array;           (* long separators: fanout - 1 slots, or [||] *)
-  children : 'k node array;  (* capacity fanout; nkeys + 1 children in use *)
+  leaves : leaf_ref array;   (* bottom: capacity fanout, nkeys + 1 in use; else [||] *)
+  inners : 'k inner array;   (* not bottom: the same; else [||] *)
   ver : Nv.cell;             (* this node's version word *)
   id : int;
       (* Stable negative identity for abort attribution (the flight
@@ -113,7 +118,8 @@ let regression_root_ver_hole = ref false
 type 'k t = {
   fanout : int;
   kind : 'k kind;
-  mutable root : 'k node;
+  nil : 'k inner;
+  mutable root : 'k inner;
   root_ver : Nv.cell;
       (* Guards the [root] pointer itself.  Every node below the root
          is reached through a parent cell the reader has already
@@ -125,31 +131,43 @@ type 'k t = {
          pre-split root and miss every key above the new separator. *)
 }
 
-(* What every unused child slot holds: one shared value, so clearing a
-   slot allocates nothing.  A torn descent that reaches it fails
-   validation, and [sibling_rs] answers [no_leaf] for it, falling back
-   to the root. *)
+(* What every unused child slot holds: [no_leaf] in a bottom node,
+   the tree's [nil] in any other, so clearing a slot allocates
+   nothing.  [nil] is an empty bottom node whose one child is
+   [no_leaf], and no writer ever touches it: a torn descent that
+   reaches it ends at [no_leaf] and fails validation, and [sibling_rs]
+   answers [no_leaf] for it, falling back to the root.  Its identity
+   is outside the id sequence, so it shifts no node's id. *)
 let no_leaf = leaf_ref (-1)
-let no_child = Leaf no_leaf
 
-let make_inner (t : 'k t) : 'k inner =
+let empty ~fanout ~kind =
+  if fanout < 2 then invalid_arg "Inner.create: fanout must be >= 2";
+  let nil =
+    { nkeys = 0; bottom = true; kind; prefix = ""; anchors = [||];
+      keys = [||]; leaves = [| no_leaf |]; inners = [||];
+      ver = Nv.fresh (); id = min_int }
+  in
+  { fanout; kind; nil; root = nil; root_ver = Nv.fresh () }
+
+let make_inner (t : 'k t) ~bottom : 'k inner =
   {
     nkeys = 0;
+    bottom;
     kind = t.kind;
     prefix = "";
     anchors = Array.make (t.fanout - 1) 0;
     keys = t.kind.long_keys (t.fanout - 1);
-    children = Array.make t.fanout no_child;
+    leaves = (if bottom then Array.make t.fanout no_leaf else [||]);
+    inners = (if bottom then [||] else Array.make t.fanout t.nil);
     ver = Nv.fresh ();
     id = fresh_inner_id ();
   }
 
 let create ~fanout ~kind first_leaf =
-  if fanout < 2 then invalid_arg "Inner.create: fanout must be >= 2";
-  let t = { fanout; kind; root = no_child; root_ver = Nv.fresh () } in
-  let root = make_inner t in
-  root.children.(0) <- Leaf first_leaf;
-  t.root <- Inner root;
+  let t = empty ~fanout ~kind in
+  let root = make_inner t ~bottom:true in
+  root.leaves.(0) <- first_leaf;
+  t.root <- root;
   t
 
 (* [search n key]: the first index i in [0, n.nkeys) with
@@ -169,21 +187,18 @@ let equal_at (n : 'k inner) i k =
   && ((not (kind.is_long a)) || kind.compare k n.keys.(i) = 0)
 
 (** Descend to the leaf responsible for [key]. *)
-let rec descend node key =
-  match node with
-  | Leaf l -> l
-  | Inner n -> descend n.children.(n.kind.search n key) key
+let rec descend (n : 'k inner) key =
+  let i = n.kind.search n key in
+  if n.bottom then n.leaves.(i) else descend n.inners.(i) key
 
 (* Node-level descent shared by the [_rs] entry points below; the
-   caller must already have observed the cell guarding [node] (the
+   caller must already have observed the cell guarding [n] (the
    parent's cell, or [root_ver] for the root).  [search] is the tree's
    kind's, read once per descent. *)
-let rec descend_node_rs rs search node key =
-  match node with
-  | Leaf l -> l
-  | Inner n ->
-    Nv.observe_id rs n.ver n.id;
-    descend_node_rs rs search n.children.(search n key) key
+let rec descend_node_rs rs search n key =
+  Nv.observe_id rs n.ver n.id;
+  let i = search n key in
+  if n.bottom then n.leaves.(i) else descend_node_rs rs search n.inners.(i) key
 
 (** {!descend} for speculative sections: observes [t.root_ver] before
     dereferencing the root pointer, then each inner node's version
@@ -197,90 +212,93 @@ let descend_rs rs t key =
 
 (* The names the benchmark harness's descent probe calls; [cmp] is
    unused. *)
-let find_leaf _cmp node key = descend node key
+let find_leaf _cmp root key = descend root key
 let find_leaf_rs rs _cmp t key = descend_rs rs t key
 
 type 'k upper = {
   mutable key : 'k;
   mutable bounded : bool;
-  mutable parent : 'k node;
+  mutable parent : 'k inner;
 }
 
-let upper key = { key; bounded = false; parent = no_child }
+let upper t key = { key; bounded = false; parent = t.nil }
 
-(* One level of a bounded descent: the child for [key] (with [above],
-   for the keys just above [key]: keys are unique within a node, so
-   that is the next child when [key] is itself a separator here),
-   with [node] recorded as the leaf's parent and the child's key as
-   the upper bound when there is one.  The deepest level gives the
-   tightest bound and the parent, so each level overwrites the last. *)
-let upper_index search node n k above u =
+(* One level of a bounded descent: the child index for [key] in [n]
+   (with [above], for the keys just above [key]: keys are unique
+   within a node, so that is the next child when [key] is itself a
+   separator here), with [n] recorded as the leaf's parent and the
+   child's key as the upper bound when there is one.  The deepest
+   level gives the tightest bound and the parent, so each level
+   overwrites the last. *)
+let upper_index search n k above u =
   let i = search n k in
   let i = if above && i < n.nkeys && equal_at n i k then i + 1 else i in
   if i < n.nkeys then begin
     u.key <- key n i;
     u.bounded <- true
   end;
-  u.parent <- node;
+  u.parent <- n;
   i
 
-let rec upper_node_rs rs search node key above u =
-  match node with
-  | Leaf l -> l
-  | Inner n ->
-    Nv.observe_id rs n.ver n.id;
-    upper_node_rs rs search
-      n.children.(upper_index search node n key above u) key above u
+let rec upper_node_rs rs search n key above u =
+  Nv.observe_id rs n.ver n.id;
+  let i = upper_index search n key above u in
+  if n.bottom then n.leaves.(i)
+  else upper_node_rs rs search n.inners.(i) key above u
 
 (* The leaf just above [key] through the parent [u] recorded, when
    [key] is one of that parent's separators and not its last: the next
    child then routes the keys above [key] up to the next separator,
    whatever changed since, and however the parent was reached (a
-   failed attempt's torn descent may record any node).  A node holding
-   keys is attached (only an emptied node is unlinked) and its keys lie
-   inside its routing range.  [no_leaf] otherwise. *)
-let sibling_rs rs search key u =
-  match u.parent with
-  | Leaf _ -> no_leaf
-  | Inner n as node -> (
+   failed attempt's torn descent may record any node, a bottom one or
+   not).  A node holding keys is attached (only an emptied node is
+   unlinked) and its keys lie inside its routing range.  [no_leaf]
+   otherwise, and at once, observing nothing, while no parent is
+   recorded yet. *)
+let sibling_rs rs t key u =
+  let n = u.parent in
+  if n == t.nil then no_leaf
+  else begin
     Nv.observe_id rs n.ver n.id;
-    let i = upper_index search node n key true u in
-    if i = 0 || i >= n.nkeys || not (equal_at n (i - 1) key) then no_leaf
-    else match n.children.(i) with Leaf l -> l | Inner _ -> no_leaf)
+    let i = upper_index t.kind.search n key true u in
+    if i = 0 || i >= n.nkeys || not (equal_at n (i - 1) key) || not n.bottom
+    then no_leaf
+    else n.leaves.(i)
+  end
 
 let find_leaf_upper_rs rs t key ~above u =
-  let search = t.kind.search in
-  let l = if above then sibling_rs rs search key u else no_leaf in
+  let l = if above then sibling_rs rs t key u else no_leaf in
   if l != no_leaf then l
   else begin
     Nv.observe_id rs t.root_ver 0;
     u.bounded <- false;
-    upper_node_rs rs search t.root key above u
+    upper_node_rs rs t.kind.search t.root key above u
   end
 
-let rec rightmost_leaf_rs rs = function
-  | Leaf l -> l
-  | Inner n ->
-    Nv.observe_id rs n.ver n.id;
-    rightmost_leaf_rs rs n.children.(n.nkeys)
+let rec rightmost_leaf_rs rs n =
+  Nv.observe_id rs n.ver n.id;
+  if n.bottom then n.leaves.(n.nkeys) else rightmost_leaf_rs rs n.inners.(n.nkeys)
 
 (* The leaf for [key] and the leaf immediately to its left in key
    order, if any (FindLeafAndPrevLeaf): each inner node on the path is
-   observed before it is read, then the left subtree's rightmost path.
-   [left] is the nearest subtree to the left of the path so far,
-   meaningful only when [has_left].  A top-level recursive function
-   over plain arguments: without flambda a local [let rec], a [Some]
-   per level or an [Option.map] partial application would each
-   allocate on every delete. *)
-let rec leaf_and_prev_rs rs search node key left has_left =
-  match node with
-  | Leaf l -> (l, if has_left then Some (rightmost_leaf_rs rs left) else None)
-  | Inner n ->
-    Nv.observe_id rs n.ver n.id;
-    let i = search n key in
-    if i > 0 then
-      leaf_and_prev_rs rs search n.children.(i) key n.children.(i - 1) true
-    else leaf_and_prev_rs rs search n.children.(i) key left has_left
+   observed before it is read; the left leaf is the bottom node's
+   previous child, or else the rightmost leaf of [left], the nearest
+   subtree to the left of the path so far (meaningful only when
+   [has_left]).  A top-level recursive function over plain arguments:
+   without flambda a local [let rec], a [Some] per level or an
+   [Option.map] partial application would each allocate on every
+   delete. *)
+let rec leaf_and_prev_rs rs search n key left has_left =
+  Nv.observe_id rs n.ver n.id;
+  let i = search n key in
+  if n.bottom then
+    ( n.leaves.(i),
+      if i > 0 then Some n.leaves.(i - 1)
+      else if has_left then Some (rightmost_leaf_rs rs left)
+      else None )
+  else if i > 0 then
+    leaf_and_prev_rs rs search n.inners.(i) key n.inners.(i - 1) true
+  else leaf_and_prev_rs rs search n.inners.(i) key left has_left
 
 let find_leaf_and_prev_rs rs t key =
   Nv.observe_id rs t.root_ver 0;
@@ -330,11 +348,15 @@ let set_keys n ks =
   encode_all n ks;
   n.nkeys <- Array.length ks
 
+(* The key edits below are one body for both levels: [children] is the
+   node's own child array ([leaves] or [inners]), and [none] what a
+   cleared slot of it holds. *)
+
 (* Insert (key, right) just after [pos] in [n]; caller guarantees room.
    A key that keeps the prefix shifts the slots and encodes one;
    otherwise the prefix shortens and the node is re-encoded from its
    built separators. *)
-let insert_at (n : 'k inner) pos k right =
+let insert_at (n : 'k inner) children pos k right =
   let cnt = n.nkeys and kind = n.kind in
   let kept =
     if cnt = 0 then String.equal n.prefix (kind.common_prefix k k)
@@ -348,20 +370,28 @@ let insert_at (n : 'k inner) pos k right =
     encode_all n
       (Array.init (cnt + 1) (fun i ->
            if i < pos then key n i else if i = pos then k else key n (i - 1)));
-  Array.blit n.children (pos + 1) n.children (pos + 2) (cnt - pos);
-  n.children.(pos + 1) <- right;
+  Array.blit children (pos + 1) children (pos + 2) (cnt - pos);
+  children.(pos + 1) <- right;
   n.nkeys <- cnt + 1
 
-(* Split a full inner node into (left = n, sep, right).  A half whose
-   ends share the node's prefix takes its slots as they are; any other
-   is re-encoded (its prefix lengthened).  The right half goes first:
-   re-encoding the left changes what {!key} rebuilds. *)
+(* Children [mid + 1, cnt] of [src] become [dst]'s first ones, and
+   their slots in [src] hold [none]. *)
+let move_children src dst mid cnt none =
+  Array.blit src (mid + 1) dst 0 (cnt - mid);
+  Array.fill src (mid + 1) (cnt - mid) none
+
+(* Split a full inner node into (left = n, sep, right), on n's level.
+   A half whose ends share the node's prefix takes its slots as they
+   are; any other is re-encoded (its prefix lengthened).  The right
+   half goes first: re-encoding the left changes what {!key}
+   rebuilds. *)
 let split_inner (t : 'k t) (n : 'k inner) =
   let cnt = n.nkeys in
   let mid = cnt / 2 in
-  let right = make_inner t in
+  let right = make_inner t ~bottom:n.bottom in
   let moved = cnt - mid - 1 in
-  Array.blit n.children (mid + 1) right.children 0 (moved + 1);
+  if n.bottom then move_children n.leaves right.leaves mid cnt no_leaf
+  else move_children n.inners right.inners mid cnt t.nil;
   let sep = key n mid in
   if String.equal n.prefix (ends_prefix n (mid + 1) (cnt - 1)) then begin
     blit_slots n (mid + 1) right 0 moved;
@@ -372,9 +402,6 @@ let split_inner (t : 'k t) (n : 'k inner) =
     clear_keys n mid (cnt - mid)
   else encode_all n (Array.init mid (key n));
   right.nkeys <- moved;
-  for i = mid + 1 to cnt do
-    n.children.(i) <- no_child
-  done;
   n.nkeys <- mid;
   (sep, right)
 
@@ -386,56 +413,52 @@ let split_inner (t : 'k t) (n : 'k inner) =
     the new separator (see the module header). *)
 let update_parents t ~sep ~right =
   let search = t.kind.search in
-  let right_node = Leaf right in
-  let rec go node =
-    (* Returns Some (n, sep', right') if [node = Inner n] split; [n]'s
-       write phase is then still open and the caller closes it once the
-       parent references [right']. *)
-    match node with
-    | Leaf _ -> assert false
-    | Inner n -> (
-      let i = search n sep in
-      match n.children.(i) with
-      | Leaf _ ->
+  let rec go n =
+    (* Returns Some (n, (sep', right')) if [n] split; [n]'s write phase
+       is then still open and the caller closes it once the parent
+       references [right']. *)
+    let i = search n sep in
+    let grew =
+      if n.bottom then begin
         Nv.begin_write_id n.ver n.id;
-        insert_at n i sep right_node;
-        if n.nkeys = t.fanout - 1 then Some (n, split_inner t n)
-        else begin
-          Nv.end_write_id n.ver n.id;
-          None
-        end
-      | Inner _ as child -> (
-        match go child with
-        | None -> None
+        insert_at n n.leaves i sep right;
+        true
+      end
+      else
+        match go n.inners.(i) with
+        | None -> false
         | Some (c, (sep', right')) ->
           Nv.begin_write_id n.ver n.id;
-          insert_at n i sep' (Inner right');
+          insert_at n n.inners i sep' right';
           (* [right'] is reachable through [n] now: close the split
              child's phase. *)
           Nv.end_write_id c.ver c.id;
-          if n.nkeys = t.fanout - 1 then Some (n, split_inner t n)
-          else begin
-            Nv.end_write_id n.ver n.id;
-            None
-          end))
+          true
+    in
+    if not grew then None
+    else if n.nkeys = t.fanout - 1 then Some (n, split_inner t n)
+    else begin
+      Nv.end_write_id n.ver n.id;
+      None
+    end
   in
   match go t.root with
   | None -> ()
   | Some (c, (sep', right')) ->
     let old_root = t.root in
-    let root = make_inner t in
-    root.children.(0) <- old_root;
-    insert_at root 0 sep' (Inner right');
+    let root = make_inner t ~bottom:false in
+    root.inners.(0) <- old_root;
+    insert_at root root.inners 0 sep' right';
     (* The swap changes which keys are reachable from the root
        pointer, and the pointer has no parent cell to invalidate
        through: bump [root_ver] around it so a reader that loaded the
        old root just before the swap fails validation instead of
        resolving keys above [sep'] against the detached pre-split
        root. *)
-    if !regression_root_ver_hole then t.root <- Inner root
+    if !regression_root_ver_hole then t.root <- root
     else begin
       Nv.begin_write_id t.root_ver 0;
-      t.root <- Inner root;
+      t.root <- root;
       Nv.end_write_id t.root_ver 0
     end;
     Nv.end_write_id c.ver c.id;
@@ -444,7 +467,7 @@ let update_parents t ~sep ~right =
 (* Remove children.(pos) and the separator adjacent to it.  Removing
    the first or last separator can lengthen the prefix: the node is
    then re-encoded from its built separators. *)
-let remove_at (n : 'k inner) pos =
+let remove_slot (n : 'k inner) children pos none =
   let cnt = n.nkeys in
   let kpos = if pos = 0 then 0 else pos - 1 in
   let rest = cnt - 1 in
@@ -460,10 +483,14 @@ let remove_at (n : 'k inner) pos =
   end
   else
     encode_all n (Array.init rest (fun i -> key n (if i < kpos then i else i + 1)));
-  Array.blit n.children (pos + 1) n.children pos (cnt - pos);
+  Array.blit children (pos + 1) children pos (cnt - pos);
   n.nkeys <- rest;
   (* Drop the stale trailing reference so DRAM is not retained. *)
-  n.children.(rest + 1) <- no_child
+  children.(rest + 1) <- none
+
+let remove_at t n pos =
+  if n.bottom then remove_slot n n.leaves pos no_leaf
+  else remove_slot n n.inners pos t.nil
 
 (** Unlink the leaf responsible for [key] from the inner structure
     (the leaf became empty and is being deleted).  Empty inner nodes
@@ -474,41 +501,25 @@ let remove_at (n : 'k inner) pos =
     it, so any reader still holding a reference is invalidated. *)
 let remove_leaf t key =
   let search = t.kind.search in
-  let rec go node =
-    (* Returns true if [node] ended up with zero children. *)
-    match node with
-    | Leaf _ -> assert false
-    | Inner n -> (
-      let i = search n key in
-      match n.children.(i) with
-      | Leaf _ ->
-        if n.nkeys = 0 then (* single-child node: removing empties it *)
-          true
-        else begin
-          Nv.begin_write_id n.ver n.id;
-          remove_at n i;
-          Nv.end_write_id n.ver n.id;
-          false
-        end
-      | Inner _ as child ->
-        if go child then
-          if n.nkeys = 0 then true
-          else begin
-            Nv.begin_write_id n.ver n.id;
-            remove_at n i;
-            Nv.end_write_id n.ver n.id;
-            false
-          end
-        else false)
+  let rec go n =
+    (* Returns true if [n] ended up with zero children. *)
+    let i = search n key in
+    if not (n.bottom || go n.inners.(i)) then false
+    else if n.nkeys = 0 then (* single-child node: removing empties it *)
+      true
+    else begin
+      Nv.begin_write_id n.ver n.id;
+      remove_at t n i;
+      Nv.end_write_id n.ver n.id;
+      false
+    end
   in
   if go t.root then begin
     (* The whole tree emptied; keep an empty root. *)
-    match t.root with
-    | Inner n ->
-      Nv.begin_write_id n.ver n.id;
-      n.nkeys <- 0;
-      Nv.end_write_id n.ver n.id
-    | Leaf _ -> assert false
+    let n = t.root in
+    Nv.begin_write_id n.ver n.id;
+    n.nkeys <- 0;
+    Nv.end_write_id n.ver n.id
   end;
   (* Collapse a root holding a single inner child.  Unlike a root
      split, this swap does not change reachability — the old root is a
@@ -517,15 +528,12 @@ let remove_leaf t key =
      current view and no [root_ver] bump is needed.  (Should the tree
      later grow a new root above [c], that swap bumps [root_ver] and
      invalidates any reader still holding the stale pointer.) *)
-  match t.root with
-  | Inner n when n.nkeys = 0 -> (
-    match n.children.(0) with
-    | Inner _ as c ->
-      t.root <- c;
-      if Obs.Gate.enabled () then
-        Obs.Flight.root_swap ~dir:Obs.Flight.root_collapse
-    | Leaf _ -> ())
-  | _ -> ()
+  let n = t.root in
+  if n.nkeys = 0 && not n.bottom then begin
+    t.root <- n.inners.(0);
+    if Obs.Gate.enabled () then
+      Obs.Flight.root_swap ~dir:Obs.Flight.root_collapse
+  end
 
 (* ---- bulk rebuild (recovery, Algorithm 9 / RebuildInnerNodes) ---- *)
 
@@ -533,73 +541,74 @@ let remove_leaf t key =
 let fill = 0.85
 
 (** Rebuild the inner structure from the leaves in key order, given
-    each leaf's greatest key.  Nodes are packed to ~[fill] of fanout.
-    Single-threaded (recovery): fresh version cells, no bumps. *)
+    each leaf's greatest key.  Nodes are packed to ~[fill] of fanout,
+    level by level up to a single root (a bottom node when the leaves
+    fit in one).  Single-threaded (recovery): fresh version cells, no
+    bumps. *)
 let rebuild ~fanout ~kind (leaves : ('k * leaf_ref) array) =
-  let t = { fanout; kind; root = no_child; root_ver = Nv.fresh () } in
+  let t = empty ~fanout ~kind in
   let n_leaves = Array.length leaves in
   if n_leaves = 0 then invalid_arg "Inner.rebuild: no leaves";
   let per_node = max 2 (min fanout (int_of_float (float_of_int fanout *. fill))) in
-  (* level: array of (max key, node) *)
-  let level =
-    Array.map (fun (k, l) -> (k, Leaf l)) leaves
+  (* One level over [n] children, whose greatest keys are [max_key i]:
+     the new nodes and their greatest keys.  [link node base cnt]
+     stores children [base, base + cnt) in [node]. *)
+  let level ~bottom n max_key link =
+    let groups = (n + per_node - 1) / per_node in
+    let maxes = Array.make groups (max_key (n - 1)) in
+    let nodes = Array.make groups t.nil in
+    for g = 0 to groups - 1 do
+      let base = g * per_node in
+      let cnt = min per_node (n - base) in
+      let node = make_inner t ~bottom in
+      link node base cnt;
+      set_keys node (Array.init (cnt - 1) (fun i -> max_key (base + i)));
+      maxes.(g) <- max_key (base + cnt - 1);
+      nodes.(g) <- node
+    done;
+    (maxes, nodes)
   in
-  let rec build level =
-    if Array.length level = 1 then snd level.(0)
-    else begin
-      let n = Array.length level in
-      let groups = (n + per_node - 1) / per_node in
-      let next =
-        Array.init groups (fun g ->
-            let base = g * per_node in
-            let cnt = min per_node (n - base) in
-            let node = make_inner t in
-            for i = 0 to cnt - 1 do
-              node.children.(i) <- snd level.(base + i)
-            done;
-            set_keys node
-              (Array.init (cnt - 1) (fun i -> fst level.(base + i)));
-            (fst level.(base + cnt - 1), Inner node))
-      in
-      build next
-    end
+  let rec up (maxes, nodes) =
+    if Array.length nodes = 1 then nodes.(0)
+    else
+      up
+        (level ~bottom:false (Array.length nodes) (Array.get maxes)
+           (fun node base cnt -> Array.blit nodes base node.inners 0 cnt))
   in
-  let root =
-    match build level with
-    | Inner _ as r -> r
-    | Leaf _ as l ->
-      (* Single leaf: wrap in a root so the shape invariant holds. *)
-      let node = make_inner t in
-      node.children.(0) <- l;
-      Inner node
-  in
-  t.root <- root;
+  t.root <-
+    up
+      (level ~bottom:true n_leaves
+         (fun i -> fst leaves.(i))
+         (fun node base cnt ->
+           for i = 0 to cnt - 1 do
+             node.leaves.(i) <- snd leaves.(base + i)
+           done));
   t
 
 (* ---- introspection ---- *)
 
-let rec fold_nodes f acc = function
-  | Leaf _ -> acc
-  | Inner n ->
-    let acc = ref (f acc n) in
+let rec fold_nodes f acc n =
+  let acc = f acc n in
+  if n.bottom then acc
+  else begin
+    let acc = ref acc in
     for i = 0 to n.nkeys do
-      acc := fold_nodes f !acc n.children.(i)
+      acc := fold_nodes f !acc n.inners.(i)
     done;
     !acc
+  end
 
 let inner_node_count t = fold_nodes (fun c _ -> c + 1) 0 t.root
 
-let rec height = function
-  | Leaf _ -> 0
-  | Inner n -> 1 + height n.children.(0)
+let rec height n = if n.bottom then 1 else 1 + height n.inners.(0)
 
 (** DRAM footprint in bytes, summed over the nodes (see inner.mli). *)
 let dram_bytes t =
   fold_nodes
     (fun b n ->
       b + 24
-      + (8 * (Array.length n.children + Array.length n.anchors
-              + Array.length n.keys))
+      + (8 * (Array.length n.leaves + Array.length n.inners
+              + Array.length n.anchors + Array.length n.keys))
       + n.kind.held_bytes n)
     0 t.root
 
@@ -622,4 +631,22 @@ let check_node (n : 'k inner) =
           && Array.sub c.anchors 0 n.nkeys = Array.sub n.anchors 0 n.nkeys)
   then failwith "invariant: inner node not in canonical form"
 
-let check t = fold_nodes (fun () n -> check_node n) () t.root
+(* [n]'s live children are on one level: real leaves below a bottom
+   node, nodes of equal height below any other. *)
+let check_level (n : 'k inner) =
+  if n.bottom then begin
+    for i = 0 to n.nkeys do
+      if n.leaves.(i) == no_leaf then
+        failwith "invariant: bottom node child is not a leaf"
+    done
+  end
+  else begin
+    let h = height n.inners.(0) in
+    for i = 1 to n.nkeys do
+      if height n.inners.(i) <> h then
+        failwith "invariant: inner node children of unequal height"
+    done
+  end
+
+let check t =
+  fold_nodes (fun () n -> check_node n; check_level n) () t.root

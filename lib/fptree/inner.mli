@@ -1,7 +1,7 @@
 (** Transient inner nodes (Selective Persistence, Section 4.1):
     classical sorted main-memory B+-Tree nodes living in DRAM, rebuilt
     from the persistent leaf linked list on recovery.  Separator [i]
-    ({!key}) is the greatest key reachable through [children.(i)].
+    ({!key}) is the greatest key reachable through child [i].
     Parametric in the key type, not functorised: what depends on the
     key is one {!kind} record per key module ({!Keys.KEY.inner_kind}),
     which every node carries.
@@ -47,11 +47,30 @@
     every byte read is bounded by its string's length, so such a read
     misroutes at worst, and the section's validation rejects it.
 
+    {b Layout.}  Children are typed by level.  A bottom node keeps
+    its children in [leaves], every other node in [inners], each with
+    [fanout] slots; the other array is [[||]], and the immutable
+    [bottom] says which.  Per level, a descent loads:
+    - before (one [Inner n | Leaf l] variant per child slot): the
+      constructor block, the node record it wraps, the version cell,
+      the anchor array (and a kept key on a tie), the child array, and
+      at the last level the [Leaf] block before the leaf reference;
+    - now: the node record, read straight from the parent's [inners]
+      (the root from [root]), its version cell, the anchor array (and a
+      kept key on a tie), and the child array, [leaves] at the bottom.
+    The version word stays its own block ({!Htm.Node_versions.cell},
+    an [int Atomic.t]): co-locating it in the record needs atomic
+    record fields, which OCaml has from 5.4 on.  Unused child slots
+    hold {!no_leaf} in a bottom node and the tree's [nil] in any
+    other: an empty bottom node whose one child is {!no_leaf}, which
+    no writer touches, so a torn descent that reaches a cleared slot
+    ends at {!no_leaf} and fails validation.
+
     {b Bytes.}  {!dram_bytes} counts per node 24 bytes of record, 8
-    per child slot, 8 per anchor slot, 8 per key slot and the kind's
-    [held_bytes]: for string keys [String.length s + 24] for the
-    prefix and each kept long key; 0 for fixed keys, whose nodes have
-    no key slots. *)
+    per child slot ([leaves] plus [inners]: [fanout] slots), 8 per
+    anchor slot, 8 per key slot and the kind's [held_bytes]: for
+    string keys [String.length s + 24] for the prefix and each kept
+    long key; 0 for fixed keys, whose nodes have no key slots. *)
 
 type leaf_ref = {
   off : int;             (** leaf payload offset inside the tree's region *)
@@ -65,13 +84,13 @@ type leaf_ref = {
 val leaf_ref : int -> leaf_ref
 
 val no_leaf : leaf_ref
-(** No leaf (offset -1): what every unused child slot names, one shared
-    value. *)
+(** No leaf (offset -1), one shared value: what every unused slot of
+    a bottom node holds, and the one child of each tree's [nil]. *)
 
-type 'k node = Inner of 'k inner | Leaf of leaf_ref
-
-and 'k inner = {
+type 'k inner = {
   mutable nkeys : int;
+  bottom : bool;
+      (** the children are leaves; fixed when the node is made *)
   kind : 'k kind;  (** the key kind's steps, shared by its nodes *)
   mutable prefix : string;
       (** the separators' longest common prefix ([""] with none;
@@ -80,7 +99,12 @@ and 'k inner = {
   keys : 'k array;
       (** a long separator's full key, [blank] in every other slot;
           [[||]] for a kind that has no long anchors *)
-  children : 'k node array;
+  leaves : leaf_ref array;
+      (** a bottom node's children ([nkeys + 1] in use); [[||]] in any
+          other *)
+  inners : 'k inner array;
+      (** the children of a node that is not bottom, one level down;
+          [[||]] in a bottom node *)
   ver : Htm.Node_versions.cell;  (** this node's version word *)
   id : int;
       (** stable negative identity for abort attribution (flight
@@ -121,14 +145,17 @@ and 'k kind = {
 type 'k t = {
   fanout : int;
   kind : 'k kind;  (** every node's *)
-  mutable root : 'k node;
+  nil : 'k inner;
+      (** the empty node every cleared [inners] slot and a fresh
+          {!upper}'s [parent] hold; never a live subtree *)
+  mutable root : 'k inner;
   root_ver : Htm.Node_versions.cell;
       (** guards the [root] pointer: observed by the [_rs] traversals
           before dereferencing [root], bumped around a root-split swap
           (the root has no parent cell to invalidate through) *)
 }
 
-(** A tree over a single leaf: root is an inner node with one child.
+(** A tree over a single leaf: root is a bottom node with one child.
     @raise Invalid_argument if [fanout < 2]. *)
 val create : fanout:int -> kind:'k kind -> leaf_ref -> 'k t
 
@@ -158,7 +185,7 @@ val key : 'k inner -> int -> 'k
 (** Descend to the leaf responsible for [key] through each node's
     [search], recording nothing (invariant checks, tests,
     single-threaded harnesses).  Allocation-free. *)
-val descend : 'k node -> 'k -> leaf_ref
+val descend : 'k inner -> 'k -> leaf_ref
 
 (** {!descend} for speculative sections: observes [root_ver] before
     dereferencing the root pointer, then each traversed inner node's
@@ -169,7 +196,7 @@ val descend_rs : Htm.Node_versions.readset -> 'k t -> 'k -> leaf_ref
 
 (** [find_leaf cmp] is {!descend}; [cmp] is unused.  The benchmark
     harness's descent probe calls this name. *)
-val find_leaf : ('k -> 'k -> int) -> 'k node -> 'k -> leaf_ref
+val find_leaf : ('k -> 'k -> int) -> 'k inner -> 'k -> leaf_ref
 
 (** [find_leaf_rs rs cmp] is {!descend_rs}[ rs]; [cmp] is unused. *)
 val find_leaf_rs :
@@ -181,11 +208,12 @@ val find_leaf_rs :
 type 'k upper = {
   mutable key : 'k;
   mutable bounded : bool;
-  mutable parent : 'k node;
+  mutable parent : 'k inner;
 }
 
-(** A record holding [key], unbounded, with no parent yet. *)
-val upper : 'k -> 'k upper
+(** A record holding [key], unbounded, with no parent yet (the tree's
+    [nil]). *)
+val upper : 'k t -> 'k -> 'k upper
 
 (** [find_leaf_upper_rs rs t key ~above u] descends to the leaf for
     [key] ([above = false]), or to the leaf holding the keys just
@@ -232,35 +260,43 @@ val rebuild : fanout:int -> kind:'k kind -> ('k * leaf_ref) array -> 'k t
     The steps {!update_parents}, {!remove_leaf} and {!rebuild} are made
     of, exported for the node-level tests.  None bumps a version. *)
 
-(** An empty node of [t]'s fanout and kind. *)
-val make_inner : 'k t -> 'k inner
+(** An empty node of [t]'s fanout and kind, on the bottom level or
+    not. *)
+val make_inner : 'k t -> bottom:bool -> 'k inner
 
 (** Make the ascending keys the node's separators ([nkeys] too); the
     children are the caller's. *)
 val set_keys : 'k inner -> 'k array -> unit
 
-(** [insert_at n pos key right]: [key] becomes separator [pos] and
-    [right] child [pos + 1], shifting the rest; the node must have
-    room. *)
-val insert_at : 'k inner -> int -> 'k -> 'k node -> unit
+(** [insert_at n children pos key right]: [key] becomes separator
+    [pos] and [right] child [pos + 1], shifting the rest; the node
+    must have room.  [children] is the node's own child array,
+    [n.leaves] or [n.inners] by its level. *)
+val insert_at : 'k inner -> 'c array -> int -> 'k -> 'c -> unit
 
-(** [remove_at n pos] removes child [pos] and the separator next to
-    it (separator [pos - 1], or 0 for the first child). *)
-val remove_at : 'k inner -> int -> unit
+(** [remove_at t n pos] removes child [pos] and the separator next to
+    it (separator [pos - 1], or 0 for the first child); the freed slot
+    holds {!no_leaf} or [t.nil]. *)
+val remove_at : 'k t -> 'k inner -> int -> unit
 
 (** Split a node in two at its median separator, which is returned
-    with the new right half; the node keeps the left half. *)
+    with the new right half, on the node's level; the node keeps the
+    left half. *)
 val split_inner : 'k t -> 'k inner -> 'k * 'k inner
 
 (** {1 Introspection} *)
 
 val inner_node_count : 'k t -> int
-val height : 'k node -> int
+val height : 'k inner -> int
+(** Levels of nodes from this one down to the leaves: 1 for a bottom
+    node. *)
 
 (** The nodes' DRAM footprint, summed as the module header sets out. *)
 val dram_bytes : 'k t -> int
 
-(** Every node's separators ascend under its kind's [compare], and the
-    node is in the canonical form of its separators.
+(** Every node's separators ascend under its kind's [compare], the
+    node is in the canonical form of its separators, and its live
+    children are on one level: real leaves (not {!no_leaf}) below a
+    bottom node, nodes of equal {!height} below any other.
     @raise Failure naming the broken property. *)
 val check : 'k t -> unit

@@ -130,17 +130,22 @@ let recover_getleaf t =
     Microlog.reset log
   end
 
+(* Follow the group list from the descriptor: [f g] on each group.  A
+   link the walk will not follow (dangling, or closing a cycle) ends
+   recovery with [Failure "Tree.recover: …"]. *)
+let iter_groups t f =
+  ignore
+    (Pptr.walk t.region ~span:(D.group_bytes t.config t.layout) ~next_cell:0
+       ~ok:(fun _ -> true) ~bad:(D.refuse_link "group")
+       (fun ~cell:_ ~next g -> f g; next)
+       (t.meta + D.meta_group_head))
+
 (* Recompute the persistent group-list tail by walking from the head
    (recovery helper for group frees; idempotent). *)
 let fix_group_tail t =
-  let rec last p =
-    if Pptr.is_null p then Pptr.null
-    else
-      let next = group_next t p.Pptr.off in
-      if Pptr.is_null next then p else last next
-  in
-  let tail = last (read_group_head t) in
-  if not (Pptr.equal (read_group_tail t) tail) then write_group_tail t tail
+  let last = ref Pptr.null in
+  iter_groups t (fun g -> last := pptr_of t g);
+  if not (Pptr.equal (read_group_tail t) !last) then write_group_tail t !last
 
 (* Unlink and deallocate a fully-free group (Algorithm 12). *)
 let free_group t g =
@@ -216,13 +221,6 @@ let free_idle_groups t =
       t.group_free []
   in
   List.iter (fun g -> free_group t g) full
-
-let iter_groups t f =
-  ignore
-    (Pptr.walk t.region ~span:(D.group_bytes t.config t.layout) ~next_cell:0
-       ~ok:(fun _ -> true) ~bad:(D.refuse_link "group")
-       (fun ~cell:_ ~next g -> f g; next)
-       (t.meta + D.meta_group_head))
 
 let rebuild t ~in_use =
   let s = t.free_head in

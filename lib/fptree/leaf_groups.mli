@@ -30,7 +30,10 @@ val free_idle_groups : t -> unit
 
 (** Replay the get-leaf and free-leaf micro-logs (Algorithms 11 and
     13): finish or roll back a group-list update a crash
-    interrupted. *)
+    interrupted.  Finishing a group free recomputes the list's tail
+    through {!iter_groups}.
+    @raise Failure ["Tree.recover: …"] at a dangling or repeated group
+    link on that walk. *)
 val recover : t -> unit
 
 (** Rebuild the volatile pool from the persistent group list: every

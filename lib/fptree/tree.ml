@@ -1062,7 +1062,7 @@ module Make (K : Keys.KEY) = struct
       let m = t.layout.Layout.m in
       let s =
         { tree = t; hi; lk = Array.make m K.dummy; lv = Array.make m 0;
-          upper = Inner.upper lo }
+          upper = Inner.upper t.inner lo }
       in
       let[@tail_mod_cons] rec leaf key above =
         let n = Range_section.run s key above in
@@ -1284,7 +1284,10 @@ module Make (K : Keys.KEY) = struct
      [Metrics.quarantined_leaves]: the tree comes back serving the
      surviving keyspace instead of aborting recovery.  A link the walk
      will not follow (dangling or closing a cycle) is cut: the keys
-     behind it are unreachable either way.  Splices and cuts are
+     behind it are unreachable either way.  The one exception is a
+     head link cut before any leaf was quarantined: that would leave no
+     leaf at all, not even one to scrub below, so it refuses the image
+     as the walk without checksums does.  Splices and cuts are
      committed 16-byte pointer publishes, so a crash mid-pass leaves a
      list this same pass converges on when re-run. *)
   let quarantine_pass t =
@@ -1303,7 +1306,10 @@ module Make (K : Keys.KEY) = struct
       ignore
         (Pptr.walk r ~span ~next_cell:t.layout.Layout.next_off
            ~ok:(fun _ -> true)
-           ~bad:(fun ~cell _ _ -> set_next cell Pptr.null)
+           ~bad:(fun ~cell p fault ->
+             if cell = head_cell && t.quarantined = [] then
+               D.refuse_link "leaf" ~cell p fault
+             else set_next cell Pptr.null)
            (fun ~cell ~next leaf ->
              match Layout.verify_checksum r ~leaf t.layout with
              | Layout.Csum_ok -> next

@@ -245,24 +245,41 @@ let test_checksummed_dangling_link () =
     (List.map (fun f -> (f.Fsck.cls, f.Fsck.repaired)) r.Fsck.findings);
   ignore (check_clean region)
 
-(* Without checksums recovery salvages nothing: a link its walk will not
-   follow refuses the image with a one-line [Failure "Tree.recover: …"]
-   (fsck --repair is the path that cuts it), and promptly: a cycle
-   must neither spin nor allocate without bound. *)
-let test_bad_links_refused () =
-  let refused what ~config region =
-    let t0 = Unix.gettimeofday () in
-    (match F.recover ~config (Pmem.Palloc.of_region region) with
-    | _ -> Alcotest.failf "%s: recover accepted the image" what
-    | exception Failure msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: refused by recovery (%s)" what msg)
-        true (String.starts_with ~prefix:"Tree.recover: " msg));
-    let dt = Unix.gettimeofday () -. t0 in
+(* Recovery of [region] ends in a one-line [Failure "Tree.recover: …"],
+   and promptly: a cycle must neither spin nor allocate without
+   bound. *)
+let refused what ~config region =
+  let t0 = Unix.gettimeofday () in
+  (match F.recover ~config (Pmem.Palloc.of_region region) with
+  | _ -> Alcotest.failf "%s: recover accepted the image" what
+  | exception Failure msg ->
     Alcotest.(check bool)
-      (Printf.sprintf "%s: refused promptly (%.3fs)" what dt)
-      true (dt < 0.5)
+      (Printf.sprintf "%s: refused by recovery (%s)" what msg)
+      true (String.starts_with ~prefix:"Tree.recover: " msg));
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: refused promptly (%.3fs)" what dt)
+    true (dt < 0.5)
+
+(* A 200-key image with groups of two whose group list is cyclic: the
+   last group links back to the first.  Returns the allocator, the
+   descriptor offset and the head group. *)
+let cyclic_groups () =
+  let a, _t = build ~config:cfg_groups 200 in
+  let region = Pmem.Palloc.region a in
+  let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
+  let head = Pmem.Pptr.read region (meta + D.meta_group_head) in
+  let rec last g =
+    let next = Pmem.Pptr.read region g in
+    if Pmem.Pptr.is_null next then g else last next.Pmem.Pptr.off
   in
+  Pmem.Pptr.write_committed region (last head.Pmem.Pptr.off) head;
+  (a, meta, head)
+
+(* Without checksums recovery salvages nothing: a link its walk will not
+   follow refuses the image (fsck --repair is the path that cuts
+   it). *)
+let test_bad_links_refused () =
   let leaf_chain () =
     let a, t = build ~config:cfg 200 in
     let leaves = chain_leaves t in
@@ -276,21 +293,40 @@ let test_bad_links_refused () =
   Pmem.Pptr.write_committed region (link (Array.length leaves - 2))
     (Pmem.Pptr.of_region region ~off:leaves.(1));
   refused "leaf cycle" ~config:cfg region;
-  (* a cyclic group list: the last group links back to the first *)
-  let a, _t = build ~config:cfg_groups 200 in
+  let a, _, _ = cyclic_groups () in
   let region = Pmem.Palloc.region a in
-  let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
-  let head = Pmem.Pptr.read region (meta + D.meta_group_head) in
-  let rec last g =
-    let next = Pmem.Pptr.read region g in
-    if Pmem.Pptr.is_null next then g else last next.Pmem.Pptr.off
-  in
-  Pmem.Pptr.write_committed region (last head.Pmem.Pptr.off) head;
   refused "cyclic group list" ~config:cfg_groups region;
   let r = Fsck.check region in
   Alcotest.(check (list string)) "fsck names the group cycle"
     [ "double-link" ] (classes r);
   ignore (repair_and_verify ~config:cfg_groups ~n:200 region)
+
+(* A dangling descriptor head leaves no leaf to salvage: with checksums
+   too, recovery refuses the image, and leaves the head as it found it
+   (cutting it to null would leave an empty leaf list). *)
+let test_dangling_head_refused () =
+  let config = { cfg with Tree.checksums = true } in
+  let a, t = build ~config 200 in
+  let region = Pmem.Palloc.region a in
+  let cell = t.F.meta + D.meta_head in
+  dangle region cell;
+  let bad = Pmem.Pptr.read region cell in
+  refused "dangling head (checksums)" ~config region;
+  Alcotest.(check bool) "head left as it was" true
+    (Pmem.Pptr.equal bad (Pmem.Pptr.read region cell))
+
+(* Replaying an armed free-leaf log that frees the head group walks the
+   group list to recompute its tail: on a cyclic list that walk is
+   refused like the rebuild's, not spun. *)
+let test_freeleaf_replay_cycle_refused () =
+  let a, meta, head = cyclic_groups () in
+  let region = Pmem.Palloc.region a in
+  let log =
+    Fptree.Microlog.make region (D.log_off cfg_groups ~meta D.Free_leaf)
+  in
+  Fptree.Microlog.set_fst log head;
+  refused "free-leaf replay over a cyclic group list" ~config:cfg_groups
+    region
 
 (* A block parked in any micro-log slot belongs to an operation that
    recovery will finish or roll back, so fsck must count it as owned —
@@ -351,5 +387,9 @@ let () =
             `Quick test_checksummed_dangling_link;
           Alcotest.test_case "bad links refused without checksums" `Quick
             test_bad_links_refused;
+          Alcotest.test_case "dangling head refused with checksums" `Quick
+            test_dangling_head_refused;
+          Alcotest.test_case "free-leaf replay over a cyclic group list refused"
+            `Quick test_freeleaf_replay_cycle_refused;
         ] );
     ]

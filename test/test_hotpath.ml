@@ -140,15 +140,15 @@ let test_var_find_no_alloc () =
    allocating. *)
 let tie_key i = Printf.sprintf "%c/common-part/%06d" (Char.chr (97 + (i mod 26))) (i / 26)
 
-let rec has_long_tie = function
-  | Fptree.Inner.Leaf _ -> false
-  | Fptree.Inner.Inner n ->
-    let tie = ref false in
-    for i = 1 to n.nkeys - 1 do
-      let a = n.anchors.(i) in
-      if a land 15 = 8 && a = n.anchors.(i - 1) then tie := true
-    done;
-    !tie || Array.exists has_long_tie (Array.sub n.children 0 (n.nkeys + 1))
+let rec has_long_tie (n : string Fptree.Inner.inner) =
+  let tie = ref false in
+  for i = 1 to n.nkeys - 1 do
+    let a = n.anchors.(i) in
+    if a land 15 = 8 && a = n.anchors.(i - 1) then tie := true
+  done;
+  !tie
+  || ((not n.bottom)
+      && Array.exists has_long_tie (Array.sub n.inners 0 (n.nkeys + 1)))
 
 let test_var_find_tie_no_alloc () =
   fast_mode ();
@@ -241,6 +241,25 @@ let test_delete_alloc () =
   Alcotest.(check bool)
     (Printf.sprintf "delete allocates <= 8 words (hit %.1f, miss %.1f)" hit miss)
     true (hit <= 8. && miss <= 8.)
+
+(* Recovery's inner rebuild allocates per node, not per leaf: each
+   node's arrays at the default fanout (513) are major-heap blocks, so
+   the minor heap sees the node records, their version cells and a few
+   closures per level.  At 100k leaves that is under one word per leaf
+   (0.07 measured); a (key, child) pair plus a box per leaf, as each
+   level's children were once handed up, is 5. *)
+let test_rebuild_alloc () =
+  let n = 100_000 in
+  let leaves = Array.init n (fun i -> (2 * i, Fptree.Inner.leaf_ref i)) in
+  let fanout = Fptree.Tree.fptree_config.Fptree.Tree.inner_keys + 1 in
+  let w0 = Gc.minor_words () in
+  let t = Fptree.Inner.rebuild ~fanout ~kind:Fptree.Keys.Fixed.inner_kind leaves in
+  let w = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "inner height >= 2" true
+    (Fptree.Inner.height t.Fptree.Inner.root >= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "rebuild allocates < 1 minor word per leaf (%.2f)" w)
+    true (w < 1.)
 
 (* A range scan allocates its result list and O(m) per-call scratch,
    nothing per leaf or per hit beyond the list: each returned pair is
@@ -670,6 +689,8 @@ let () =
             test_find_no_alloc;
           Alcotest.test_case "range allocates its list plus O(m) scratch"
             `Quick test_range_alloc;
+          Alcotest.test_case "rebuild allocates per node, not per leaf" `Quick
+            test_rebuild_alloc;
           Alcotest.test_case "delete allocates only its decision" `Quick
             test_delete_alloc;
           Alcotest.test_case "var find_value is allocation-free" `Quick

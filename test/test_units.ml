@@ -310,9 +310,9 @@ let test_inner_edit_alloc () =
   let fanout = 4097 in
   let t = I.create ~fanout ~kind:fixed_kind (I.leaf_ref 0) in
   let full () =
-    let n = I.make_inner t in
+    let n = I.make_inner t ~bottom:true in
     I.set_keys n (Array.init (fanout - 1) (fun i -> 2 * i));
-    Array.iteri (fun i _ -> n.I.children.(i) <- I.Leaf (I.leaf_ref i)) n.I.children;
+    Array.iteri (fun i _ -> n.I.leaves.(i) <- I.leaf_ref i) n.I.leaves;
     n
   in
   let words f =
@@ -320,7 +320,7 @@ let test_inner_edit_alloc () =
     f ();
     Gc.minor_words () -. w0
   in
-  let node = words (fun () -> ignore (I.make_inner t)) in
+  let node = words (fun () -> ignore (I.make_inner t ~bottom:true)) in
   let n = full () in
   let split = words (fun () -> ignore (I.split_inner t n)) in
   Alcotest.(check bool)
@@ -328,9 +328,96 @@ let test_inner_edit_alloc () =
        split node)
     true (split <= node +. 3.);
   let n = full () in
-  let removed = words (fun () -> I.remove_at n 0; I.remove_at n 100) in
+  let removed = words (fun () -> I.remove_at t n 0; I.remove_at t n 100) in
   Alcotest.(check (float 0.)) "remove_at allocates nothing" 0. removed;
-  I.check { t with I.root = I.Inner n }
+  I.check { t with I.root = n }
+
+(* Random [update_parents] / [remove_leaf] sequences on a fanout-4 tree
+   grow it to height >= 3 and collapse it back to 1, with
+   [check] (the level invariant included) after every step.  The model
+   is the live leaves in key order, each with the lower bound of its
+   range ([None] below every key): an add splits the range holding its
+   separator, and a removed leaf's range goes to a neighbour, whichever
+   now routes it.  Every leaf must route the key just above its lower
+   bound ([above], or [lowest] for the first). *)
+let level_walk (type k) name (kind : k Fptree.Inner.kind) ~(gen : Random.State.t -> k)
+    ~lowest ~(above : k -> k) ~(pp : k Fmt.t) =
+  let module I = Fptree.Inner in
+  let rng = Random.State.make [| 43 |] in
+  let t = I.create ~fanout:4 ~kind (I.leaf_ref 0) in
+  let probe = function None -> lowest | Some k -> above k in
+  let route lo = (I.descend t.root (probe lo)).off in
+  let used = Hashtbl.create 64 and live = ref [ (None, 0) ] in
+  let next = ref 1 and peak = ref 1 in
+  let step what =
+    (try I.check t with Failure e -> Alcotest.failf "%s %s: %s" name what e);
+    peak := max !peak (I.height t.root);
+    List.iter
+      (fun (lo, id) ->
+        if route lo <> id then
+          Alcotest.failf "%s %s: %a routes to leaf %d, not %d" name what pp
+            (probe lo) (route lo) id)
+      !live
+  in
+  let add () =
+    let k = gen rng in
+    if not (Hashtbl.mem used k) then begin
+      Hashtbl.add used k ();
+      I.update_parents t ~sep:k ~right:(I.leaf_ref !next);
+      let rec ins = function
+        | (lo, id) :: ((Some k', _) :: _ as rest) when kind.compare k' k < 0 ->
+          (lo, id) :: ins rest
+        | e :: rest -> e :: (Some k, !next) :: rest
+        | [] -> assert false
+      in
+      live := ins !live;
+      incr next;
+      step (Format.asprintf "add %a" pp k)
+    end
+  in
+  let remove () =
+    let l = Array.of_list !live in
+    let n = Array.length l in
+    if n > 1 then begin
+      let j = Random.State.int rng n in
+      let lo, id = l.(j) in
+      I.remove_leaf t (probe lo);
+      let heir = route lo in
+      if j > 0 && heir = snd l.(j - 1) then ()
+      else if j < n - 1 && heir = snd l.(j + 1) then l.(j + 1) <- (lo, heir)
+      else Alcotest.failf "%s: leaf %d's range went to leaf %d" name id heir;
+      live := List.filteri (fun i _ -> i <> j) (Array.to_list l);
+      step (Printf.sprintf "remove leaf %d" id)
+    end
+  in
+  for round = 1 to 3 do
+    while I.height t.root < 3 || List.length !live < 30 do
+      if Random.State.int rng 5 = 0 then remove () else add ()
+    done;
+    (* A removal collapses the root by at most one level, so the walk
+       goes on (one leaf added back, one removed) until the root is a
+       bottom node again. *)
+    while List.length !live > 1 || I.height t.root > 1 do
+      if List.length !live > 1 && Random.State.int rng 5 > 0 then remove ()
+      else add ()
+    done;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s round %d: grew to height %d" name round !peak)
+      true (!peak >= 3);
+    Alcotest.(check int) (Printf.sprintf "%s round %d: collapsed" name round)
+      1 (I.height t.root);
+    peak := 1
+  done
+
+let test_inner_levels () =
+  level_walk "fixed" fixed_kind
+    ~gen:(fun rng -> 2 * Random.State.int rng 100_000)
+    ~lowest:min_int ~above:succ ~pp:Fmt.int;
+  level_walk "var" Fptree.Keys.Var.inner_kind
+    ~gen:(fun rng ->
+      String.init (1 + Random.State.int rng 16) (fun _ ->
+          if Random.State.bool rng then 'a' else 'b'))
+    ~lowest:"" ~above:(fun k -> k ^ "\000") ~pp:Fmt.string
 
 (* ---- key modules ---- *)
 
@@ -423,7 +510,7 @@ struct
             let live = Array.sub idx 0 n in
             Array.sort compare live;
             let keys = Array.map (fun i -> S.pool.(i)) live in
-            let node = Fptree.Inner.make_inner t in
+            let node = Fptree.Inner.make_inner t ~bottom:true in
             Fptree.Inner.set_keys node keys;
             for i = n to cap - 1 do
               if Array.length node.keys > 0 then
@@ -536,11 +623,11 @@ struct
            if i < cnt && long model.(i) then model.(i) else K.dummy))
       n.keys;
     let root = t.root in
-    t.root <- I.Inner n;
+    t.root <- n;
     let bytes = I.dram_bytes t in
     t.root <- root;
     let expect =
-      24 + (8 * Array.length n.children)
+      24 + (8 * (Array.length n.leaves + Array.length n.inners))
       + (8 * (Array.length n.anchors + Array.length n.keys))
       + M.prefix_bytes prefix
       + Array.fold_left
@@ -586,7 +673,7 @@ struct
       let cap = 1 + Random.State.int rng 24 in
       let t = I.create ~fanout:(cap + 1) ~kind:K.inner_kind (I.leaf_ref 0) in
       let model = draw_model rng g cap in
-      let n = I.make_inner t in
+      let n = I.make_inner t ~bottom:true in
       I.set_keys n model;
       check (Printf.sprintf "%s trial %d" M.name trial) t n model
     done
@@ -615,12 +702,12 @@ struct
       let k = M.gen_key rng g in
       if not (Array.mem k !model) then begin
         let pos, m = insert_sorted !model k in
-        I.insert_at !n pos k (I.Leaf (I.leaf_ref step));
+        I.insert_at !n !n.leaves pos k (I.leaf_ref step);
         model := m
       end
     | 5 | 6 when cnt > 0 ->
       let pos = Random.State.int rng (cnt + 1) in
-      I.remove_at !n pos;
+      I.remove_at t !n pos;
       model := remove_sep !model (if pos = 0 then 0 else pos - 1)
     | 7 | 8 when cnt >= 2 ->
       let mid = cnt / 2 in
@@ -653,7 +740,7 @@ struct
       let g = M.gen rng in
       let cap = 2 + Random.State.int rng 14 in
       let t = I.create ~fanout:(cap + 1) ~kind:K.inner_kind (I.leaf_ref 0) in
-      let n = ref (I.make_inner t) and model = ref [||] in
+      let n = ref (I.make_inner t ~bottom:true) and model = ref [||] in
       for step = 1 to 120 do
         let what = Printf.sprintf "%s trial %d step %d" M.name trial step in
         edit ~check rng g t n model step what;
@@ -675,9 +762,9 @@ struct
       let cap = 2 + Random.State.int rng 14 in
       let t = I.create ~fanout:(cap + 1) ~kind:K.inner_kind (I.leaf_ref 0) in
       let model = ref (draw_model rng g (Random.State.int rng (cap + 1))) in
-      let n = ref (I.make_inner t) in
+      let n = ref (I.make_inner t ~bottom:true) in
       I.set_keys !n !model;
-      Array.iteri (fun i _ -> !n.children.(i + 1) <- I.Leaf (I.leaf_ref i)) !model;
+      Array.iteri (fun i _ -> !n.leaves.(i + 1) <- I.leaf_ref i) !model;
       let snap (n : K.t I.inner) =
         (n.nkeys, n.prefix, Array.copy n.anchors, Array.copy n.keys)
       in
@@ -697,7 +784,7 @@ struct
           { !n with nkeys = nk; prefix = p; anchors = Array.copy an;
                     keys = Array.copy ks }
         in
-        let tree = { t with root = I.Inner h } in
+        let tree = { t with root = h } in
         let what = Printf.sprintf "%s trial %d hybrid %d" M.name trial mask in
         List.iter
           (fun k ->
@@ -711,7 +798,7 @@ struct
                 (Alcotest.pp M.key_t) k i (min nk cap);
             List.iter
               (fun above ->
-                let u = I.upper k in
+                let u = I.upper tree k in
                 try
                   for _ = 1 to 2 do
                     ignore
@@ -1131,6 +1218,8 @@ let () =
           Alcotest.test_case "dram accounting" `Quick test_inner_dram_accounting;
           Alcotest.test_case "edits clear slots without allocating" `Quick
             test_inner_edit_alloc;
+          Alcotest.test_case "levels hold as the tree grows and collapses"
+            `Quick test_inner_levels;
         ] );
       ( "keys",
         [

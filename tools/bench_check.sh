@@ -223,20 +223,30 @@ fi
   echo "FAIL: region not clean after fsck --repair"; exit 1; }
 # the repaired region must still open and answer queries
 "$CLI" stats "$FSCK_IMG" > /dev/null
-# without checksums, recovery refuses the same damage: exit 1 and one
-# "Tree.recover:" line (fsck --repair is the path that cuts it)
+# recovery refuses damage it cannot salvage: exit 1 and one
+# "Tree.recover:" line
+expect_refused() {  # IMAGE DAMAGE
+  status=0
+  out=$("$CLI" stats "$1" 2>&1) || status=$?
+  if [ "$status" != 1 ] || [ "$(printf '%s\n' "$out" | wc -l)" != 1 ] \
+     || ! printf '%s\n' "$out" | grep -q 'Tree.recover:'; then
+    echo "FAIL: $2 not refused by recovery (exit $status): $out"
+    exit 1
+  fi
+}
+# without checksums, recovery refuses the same damage (fsck --repair is
+# the path that cuts it)
 PLAIN_IMG="$WORK/fsck_plain.scm"
 "$CLI" create "$PLAIN_IMG" > /dev/null
 "$CLI" fill "$PLAIN_IMG" 2000 > /dev/null
 "$CLI" corrupt "$PLAIN_IMG" link > /dev/null
-status=0
-out=$("$CLI" stats "$PLAIN_IMG" 2>&1) || status=$?
-if [ "$status" != 1 ] || [ "$(printf '%s\n' "$out" | wc -l)" != 1 ] \
-   || ! printf '%s\n' "$out" | grep -q 'Tree.recover:'; then
-  echo "FAIL: dangling leaf link not refused by recovery (exit $status): $out"
-  exit 1
-fi
+expect_refused "$PLAIN_IMG" "dangling leaf link"
 echo "   dangling leaf link refused without checksums (exit 1, one line)"
+# a dangling head leaves no leaf to keep, so even a checksummed image
+# is refused rather than cut
+"$CLI" corrupt "$FSCK_IMG" head > /dev/null
+expect_refused "$FSCK_IMG" "dangling head link"
+echo "   dangling head link refused with checksums (exit 1, one line)"
 
 echo "== capacity (watermark refusal -> degraded serving -> clean image) =="
 CAP_IMG="$WORK/capacity.scm"

@@ -5,6 +5,7 @@
    tree functor. *)
 
 module Region = Scm.Region
+module Pptr = Pmem.Pptr
 
 type config = {
   m : int;
@@ -60,7 +61,7 @@ let flags_of cfg =
   lor (if cfg.use_groups then 4 else 0)
   lor (if cfg.checksums then 8 else 0)
 
-let key_cell_bytes_of_kind kind = if kind = 0 then 8 else Pmem.Pptr.size_bytes
+let key_cell_bytes_of_kind kind = if kind = 0 then 8 else Pptr.size_bytes
 
 let layout_of ~key_cell_bytes cfg =
   let l =
@@ -143,10 +144,88 @@ let mark_initialized r ~meta =
 
 let write_anchor r cell p =
   let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-  Pmem.Pptr.write_committed r cell p;
+  Pptr.write_committed r cell p;
   Scope.leave sc
 
-let refuse_link what ~cell p fault =
+(* ---- the two persistent lists ----
+
+   The leaf chain and the group list are one kind of list: a head cell
+   in the descriptor and a next cell at a fixed offset in each node.
+   They differ in how a node's next cell is overwritten: a leaf's with
+   the logged 16-byte store of DeleteLeaf (only legal under an armed
+   micro-log), a group header's with a committed publish. *)
+
+type plist = {
+  region : Region.t;
+  what : string;
+  head : int;
+  next_cell : int;
+  span : int;
+  set_next : int -> Pptr.t -> unit;
+}
+
+let leaf_list r ~meta layout =
+  { region = r; what = "leaf"; head = meta + meta_head;
+    next_cell = layout.Layout.next_off; span = layout.Layout.bytes;
+    set_next = (fun leaf p -> Layout.write_next_persist r ~leaf layout p) }
+
+let group_list r ~meta cfg layout =
+  { region = r; what = "group"; head = meta + meta_group_head; next_cell = 0;
+    span = group_bytes cfg layout; set_next = write_anchor r }
+
+let next l node = Pptr.read l.region (node + l.next_cell)
+
+let refuse l ~cell p fault =
   Format.kasprintf failwith "Tree.recover: %s %s link %a at offset %d"
-    Pmem.Pptr.(match fault with Dangling -> "dangling" | Revisit -> "repeated")
-    what Pmem.Pptr.pp p cell
+    (match fault with Pptr.Dangling -> "dangling" | Pptr.Revisit -> "repeated")
+    l.what Pptr.pp p cell
+
+let walk ?(ok = fun _ -> true) ~bad l visit =
+  Pptr.walk l.region ~span:l.span ~next_cell:l.next_cell ~ok ~bad visit l.head
+
+(* The node whose next cell names the non-head [node]. *)
+let pred l node =
+  let exception Found of int in
+  match
+    walk ~bad:(refuse l) l (fun ~cell ~next n ->
+        if n = node then raise_notrace (Found (cell - l.next_cell)) else next)
+  with
+  | exception Found p -> p
+  | _ -> invalid_arg "Descriptor.unlink: node not on its list"
+
+(* DeleteLeaf (Algorithm 6) and FreeLeaf's group unlink (Algorithm 12):
+   arm [log] with the node, then with its predecessor unless it is the
+   head, and move the head or the predecessor's next cell past it. *)
+let unlink l log ?prev node =
+  let np = Pptr.of_region l.region ~off:node in
+  Microlog.set_fst log np;
+  if Pptr.equal (Pptr.read l.region l.head) np then
+    (write_anchor l.region l.head (next l node); Pptr.null)
+  else begin
+    let p = match prev with Some f -> f () | None -> pred l node in
+    let pp = Pptr.of_region l.region ~off:p in
+    Microlog.set_snd log pp;
+    l.set_next p (next l node);
+    pp
+  end
+
+(* Their recovery (Algorithms 7 and 13): redo whichever step the crash
+   cut, release the node from the log unless the unlink never
+   started, and retire the log. *)
+let redo_unlink l log ~release =
+  if not (Microlog.is_idle log) then begin
+    let np = Microlog.read_fst log in
+    let node = np.Pptr.off in
+    let prev = Microlog.read_snd log in
+    let head = Pptr.read l.region l.head in
+    let started =
+      if not (Pptr.is_null prev) then (* the predecessor was logged *)
+        (l.set_next prev.Pptr.off (next l node); true)
+      else if Pptr.equal np head then (* the node is still the head *)
+        (write_anchor l.region l.head (next l node); true)
+      else (* the head already moved past it, or nothing started *)
+        Pptr.equal (next l node) head
+    in
+    if started then release (Microlog.fst_loc log);
+    Microlog.reset log
+  end

@@ -111,7 +111,60 @@ val mark_initialized : Scm.Region.t -> meta:int -> unit
     descriptor anchor or a group header, charged to [tree_meta]. *)
 val write_anchor : Scm.Region.t -> int -> Pmem.Pptr.t -> unit
 
-(** [refuse_link what ~cell p fault]: end recovery at a [what] ("leaf"
-    or "group") link that {!Pmem.Pptr.walk} will not follow, with
-    [Failure "Tree.recover: …"]; [fptree_cli fsck --repair] cuts it. *)
-val refuse_link : string -> cell:int -> Pmem.Pptr.t -> Pmem.Pptr.fault -> 'a
+(** {1 The two persistent lists}
+
+    The leaf chain and the group list, each described once: where its
+    head lives, where a node keeps its next pointer, how many bytes a
+    node spans, and how a next pointer is overwritten.  Recovery, the
+    leaf-group allocator and fsck follow and unlink either list
+    through these values only. *)
+
+type plist = {
+  region : Scm.Region.t;
+  what : string;      (** ["leaf"] or ["group"], for refusals *)
+  head : int;         (** the descriptor anchor naming the first node *)
+  next_cell : int;    (** offset of a node's next pointer in the node *)
+  span : int;         (** bytes of one node *)
+  set_next : int -> Pmem.Pptr.t -> unit;
+      (** [set_next node p] overwrites [node]'s next pointer: a leaf's
+          with the logged store {!Layout.write_next_persist}, a group
+          header's with {!write_anchor}. *)
+}
+
+(** The leaf chain of the descriptor at [meta]. *)
+val leaf_list : Scm.Region.t -> meta:int -> Layout.t -> plist
+
+(** The leaf-group list of the descriptor at [meta]. *)
+val group_list : Scm.Region.t -> meta:int -> config -> Layout.t -> plist
+
+(** [walk ?ok ~bad l visit]: {!Pmem.Pptr.walk} over [l] from its head
+    ([ok] defaults to accepting every plausible node). *)
+val walk :
+  ?ok:(int -> bool) ->
+  bad:(cell:int -> Pmem.Pptr.t -> Pmem.Pptr.fault -> unit) -> plist ->
+  (cell:int -> next:int -> int -> int) -> (int, unit) Hashtbl.t
+
+(** [refuse l ~cell p fault]: end recovery at a link of [l] that
+    {!walk} will not follow, with [Failure "Tree.recover: …"];
+    [fptree_cli fsck --repair] cuts it. *)
+val refuse : plist -> cell:int -> Pmem.Pptr.t -> Pmem.Pptr.fault -> 'a
+
+(** DeleteLeaf (Algorithm 6) and FreeLeaf's group unlink (Algorithm
+    12): [unlink l log ?prev node] arms [log] with [node] and, unless
+    [node] is the head, with its predecessor, then moves the head or
+    the predecessor's next pointer past [node].  [prev] gives the
+    predecessor of a non-head node; without it, {!walk} finds it.
+    Returns the predecessor, or null when [node] was the head.  The
+    caller then releases [node] and resets [log].
+    @raise Failure ["Tree.recover: …"] at a link the predecessor walk
+    will not follow. *)
+val unlink :
+  plist -> Microlog.t -> ?prev:(unit -> int) -> int -> Pmem.Pptr.t
+
+(** The recovery of {!unlink} (Algorithms 7 and 13): when [log] is
+    armed, redo whichever step a crash cut (the predecessor was
+    logged; the node is still the head; the head already moved past
+    it), then [release] the node from the log's first cell; an unlink
+    that never started only resets the log. *)
+val redo_unlink :
+  plist -> Microlog.t -> release:(Pmem.Pptr.Loc.loc -> unit) -> unit

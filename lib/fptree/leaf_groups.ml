@@ -24,6 +24,7 @@ type t = {
   meta : int;
   config : D.config;
   layout : Layout.t;
+  list : D.plist;
   getleaf_log : Microlog.t;
   freeleaf_log : Microlog.t;
   free_head : free_node;                  (* sentinel of the free-leaf pool *)
@@ -38,6 +39,7 @@ let create (ctx : Keys.ctx) ~meta config layout =
   let rec s = { fl_leaf = -1; fl_prev = s; fl_next = s } in
   {
     region; alloc = ctx.Keys.alloc; meta; config; layout;
+    list = D.group_list region ~meta config layout;
     getleaf_log = Microlog.make region (D.log_off config ~meta D.Get_leaf);
     freeleaf_log = Microlog.make region (D.log_off config ~meta D.Free_leaf);
     free_head = s;
@@ -50,13 +52,8 @@ let create (ctx : Keys.ctx) ~meta config layout =
 let pptr_of t off = Pptr.of_region t.region ~off
 let group_leaf t g i = D.group_leaf t.layout g i
 
-let read_group_head t = Pptr.read t.region (t.meta + D.meta_group_head)
-let write_group_head t p = D.write_anchor t.region (t.meta + D.meta_group_head) p
 let read_group_tail t = Pptr.read t.region (t.meta + D.meta_group_tail)
 let write_group_tail t p = D.write_anchor t.region (t.meta + D.meta_group_tail) p
-
-let group_next t g = Pptr.read t.region g
-let write_group_next t g p = D.write_anchor t.region g p
 
 let register_group t g =
   Hashtbl.replace t.group_free g (ref 0);
@@ -81,13 +78,16 @@ let unlink_free_node t n =
   Hashtbl.remove t.free_nodes n.fl_leaf;
   t.n_free <- t.n_free - 1
 
-(* Append group [g] to the persistent group list; idempotent so that
-   recovery can redo it. *)
+(* Append group [g], its next pointer cleared first, to the persistent
+   group list; idempotent so that recovery can redo it. *)
 let link_group t g =
   let gp = pptr_of t g in
+  let sc = Scope.enter Obs.Attrib.comp_tree_meta in
+  Pptr.reset_committed t.region g; (* group.next = null *)
+  Scope.leave sc;
   let tail = read_group_tail t in
-  if Pptr.is_null tail then write_group_head t gp
-  else write_group_next t tail.Pptr.off gp;
+  if Pptr.is_null tail then D.write_anchor t.region t.list.D.head gp
+  else t.list.D.set_next tail.Pptr.off gp;
   write_group_tail t gp
 
 (* GetLeaf (Algorithm 10): take a free leaf, allocating and linking a
@@ -95,12 +95,8 @@ let link_group t g =
 let get_leaf t =
   if t.n_free = 0 then begin
     let log = t.getleaf_log in
-    Pmem.Palloc.alloc t.alloc ~into:(Microlog.fst_loc log)
-      (D.group_bytes t.config t.layout);
+    Pmem.Palloc.alloc t.alloc ~into:(Microlog.fst_loc log) t.list.D.span;
     let g = (Microlog.read_fst log).Pptr.off in
-    let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-    Pptr.reset_committed t.region g; (* group.next = null *)
-    Scope.leave sc;
     link_group t g;
     Microlog.reset log;
     register_group t g;
@@ -122,9 +118,6 @@ let recover_getleaf t =
     let tail = read_group_tail t in
     if Pptr.is_null tail || tail.Pptr.off <> g then begin
       (* Crashed before the group was fully linked: redo. *)
-      let sc = Scope.enter Obs.Attrib.comp_tree_meta in
-      Pptr.reset_committed t.region g;
-      Scope.leave sc;
       link_group t g
     end;
     Microlog.reset log
@@ -135,17 +128,7 @@ let recover_getleaf t =
    recovery with [Failure "Tree.recover: …"]. *)
 let iter_groups t f =
   ignore
-    (Pptr.walk t.region ~span:(D.group_bytes t.config t.layout) ~next_cell:0
-       ~ok:(fun _ -> true) ~bad:(D.refuse_link "group")
-       (fun ~cell:_ ~next g -> f g; next)
-       (t.meta + D.meta_group_head))
-
-(* Recompute the persistent group-list tail by walking from the head
-   (recovery helper for group frees; idempotent). *)
-let fix_group_tail t =
-  let last = ref Pptr.null in
-  iter_groups t (fun g -> last := pptr_of t g);
-  if not (Pptr.equal (read_group_tail t) !last) then write_group_tail t !last
+    (D.walk ~bad:(D.refuse t.list) t.list (fun ~cell:_ ~next g -> f g; next))
 
 (* Unlink and deallocate a fully-free group (Algorithm 12). *)
 let free_group t g =
@@ -154,57 +137,22 @@ let free_group t g =
      List.filter this replaces. *)
   for i = 0 to t.config.D.group_size - 1 do
     let l = group_leaf t g i in
-    (match Hashtbl.find_opt t.free_nodes l with
-    | Some n -> unlink_free_node t n
-    | None -> ());
+    Option.iter (unlink_free_node t) (Hashtbl.find_opt t.free_nodes l);
     Hashtbl.remove t.leaf_group l
   done;
   Hashtbl.remove t.group_free g;
   let log = t.freeleaf_log in
-  Microlog.set_fst log (pptr_of t g);
-  let head = read_group_head t in
-  (if head.Pptr.off = g then write_group_head t (group_next t g)
-   else begin
-     (* find the predecessor group *)
-     let rec pred p =
-       let next = group_next t p.Pptr.off in
-       if next.Pptr.off = g then p else pred next
-     in
-     let prev = pred head in
-     Microlog.set_snd log prev;
-     write_group_next t prev.Pptr.off (group_next t g)
-   end);
-  if (read_group_tail t).Pptr.off = g then fix_group_tail t;
+  let prev = D.unlink t.list log g in
+  if (read_group_tail t).Pptr.off = g then write_group_tail t prev;
   Pmem.Palloc.free t.alloc ~from:(Microlog.fst_loc log);
   Microlog.reset log
 
-let recover_freeleaf t =
-  let log = t.freeleaf_log in
-  if not (Microlog.is_idle log) then begin
-    let gp = Microlog.read_fst log in
-    let g = gp.Pptr.off in
-    let prev = Microlog.read_snd log in
-    let head = read_group_head t in
-    let finish () =
-      fix_group_tail t;
-      Pmem.Palloc.free t.alloc ~from:(Microlog.fst_loc log);
-      Microlog.reset log
-    in
-    if not (Pptr.is_null prev) then begin
-      write_group_next t prev.Pptr.off (group_next t g);
-      finish ()
-    end
-    else if (not (Pptr.is_null head)) && head.Pptr.off = g then begin
-      write_group_head t (group_next t g);
-      finish ()
-    end
-    else if Pptr.equal (group_next t g) head then finish ()
-    else Microlog.reset log
-  end
-
+(* A crash-cut group free leaves the tail as it was; {!rebuild}
+   derives it again. *)
 let recover t =
   recover_getleaf t;
-  recover_freeleaf t
+  D.redo_unlink t.list t.freeleaf_log ~release:(fun from ->
+      Pmem.Palloc.free t.alloc ~from)
 
 (* FreeLeaf (Algorithm 12): return a leaf to the volatile pool and
    deallocate its group once fully free. *)
@@ -230,12 +178,17 @@ let rebuild t ~in_use =
   t.n_free <- 0;
   Hashtbl.reset t.leaf_group;
   Hashtbl.reset t.group_free;
+  let last = ref Pptr.null in
   iter_groups t (fun g ->
+      last := pptr_of t g;
       register_group t g;
       for i = 0 to t.config.D.group_size - 1 do
         let l = group_leaf t g i in
         if not (in_use l) then add_free_leaf t l
-      done)
+      done);
+  (* The tail is derived from the walk, not trusted: a crash-cut group
+     free or a damaged image can leave it naming another block. *)
+  if not (Pptr.equal (read_group_tail t) !last) then write_group_tail t !last
 
 let dram_bytes t = (t.n_free * 8) + (Hashtbl.length t.leaf_group * 16)
 

@@ -6,8 +6,8 @@
     in the descriptor ({!Descriptor.meta_group_head}), and a volatile
     pool hands out the free leaves.  The get-leaf and free-leaf
     micro-logs make every group-list update crash-consistent; recovery
-    replays them ({!recover}) and then rebuilds the pool
-    ({!rebuild}). *)
+    replays them ({!recover}) and then rebuilds the pool and the list's
+    tail ({!rebuild}). *)
 
 type t
 
@@ -21,7 +21,9 @@ val create : Keys.ctx -> meta:int -> Descriptor.config -> Layout.t -> t
 val get_leaf : t -> int
 
 (** FreeLeaf (Algorithm 12): return an unlinked leaf to the pool, and
-    unlink and deallocate its group once all of its leaves are free. *)
+    unlink and deallocate its group once all of its leaves are free:
+    {!Descriptor.unlink} on the group list, whose predecessor becomes
+    the tail when the group was the last one. *)
 val free_leaf : t -> int -> unit
 
 (** Emergency reclamation: unlink and deallocate every group whose
@@ -29,20 +31,23 @@ val free_leaf : t -> int -> unit
 val free_idle_groups : t -> unit
 
 (** Replay the get-leaf and free-leaf micro-logs (Algorithms 11 and
-    13): finish or roll back a group-list update a crash
-    interrupted.  Finishing a group free recomputes the list's tail
-    through {!iter_groups}.
-    @raise Failure ["Tree.recover: …"] at a dangling or repeated group
-    link on that walk. *)
+    13): finish or roll back a group-list update a crash interrupted.
+    A group free is redone by {!Descriptor.redo_unlink}; it leaves the
+    tail word as it was, and {!rebuild} derives it again. *)
 val recover : t -> unit
 
 (** Rebuild the volatile pool from the persistent group list: every
-    group leaf for which [in_use] is false is free. *)
+    group leaf for which [in_use] is false is free.  The descriptor's
+    tail word is derived from the same walk: when it does not name the
+    last group visited (a crash-cut group free, or a damaged image), it
+    is rewritten with one committed publish.
+    @raise Failure ["Tree.recover: …"] at a dangling or repeated group
+    link ({!Descriptor.refuse}). *)
 val rebuild : t -> in_use:(int -> bool) -> unit
 
 (** Visit the group blocks along the persistent list.
     @raise Failure ["Tree.recover: …"] at a dangling or repeated group
-    link ({!Descriptor.refuse_link}). *)
+    link ({!Descriptor.refuse}). *)
 val iter_groups : t -> (int -> unit) -> unit
 
 (** DRAM footprint of the pool and the leaf-to-group table. *)

@@ -109,6 +109,7 @@ module Make (K : Keys.KEY) = struct
 
   let read_head t = Pptr.read (region t) (t.meta + D.meta_head)
   let write_head t p = D.write_anchor (region t) (t.meta + D.meta_head) p
+  let chain t = D.leaf_list (region t) ~meta:t.meta t.layout
 
   let pptr_of t off = Pptr.of_region (region t) ~off
 
@@ -472,7 +473,12 @@ module Make (K : Keys.KEY) = struct
       end
     end
 
-  (* ---- leaf delete (Algorithm 6) ---- *)
+  (* ---- leaf delete (Algorithm 6) ----
+
+     The unlink is the group list's too ({!Descriptor.unlink} over the
+     leaf chain, the predecessor from the descent); this keeps only the
+     release: hand the leaf to its group, or free it from the log.
+     Recovery replays it with {!Descriptor.redo_unlink}. *)
 
   let delete_leaf t (leaf : Inner.leaf_ref) (prev : Inner.leaf_ref option) =
     if stats_on () then t.stats.leaf_deletes <- t.stats.leaf_deletes + 1;
@@ -480,16 +486,9 @@ module Make (K : Keys.KEY) = struct
       Obs.Flight.merge ~leaf:leaf.Inner.off
         ~prev:(match prev with Some p -> p.Inner.off | None -> -1);
     let log = Microlog.Pool.acquire t.delete_logs in
-    let lp = pptr_of t leaf.Inner.off in
-    Microlog.set_fst log lp;
-    let head = read_head t in
-    (if Pptr.equal head lp then write_head t (leaf_next t leaf.Inner.off)
-     else begin
-       let p = Option.get prev in
-       Microlog.set_snd log (pptr_of t p.Inner.off);
-       Layout.write_next_persist (region t) ~leaf:p.Inner.off t.layout
-         (leaf_next t leaf.Inner.off)
-     end);
+    ignore
+      (D.unlink (chain t) log leaf.Inner.off
+         ~prev:(fun () -> (Option.get prev).Inner.off));
     (if t.config.use_groups then begin
        (* The leaf is unlinked; its storage is managed by the group
           machinery, which has its own micro-log.  Retire this log
@@ -506,34 +505,6 @@ module Make (K : Keys.KEY) = struct
        Microlog.reset log
      end);
     Microlog.Pool.release t.delete_logs log
-
-  let recover_delete t log =
-    if not (Microlog.is_idle log) then begin
-      let curp = Microlog.read_fst log in
-      let cur = curp.Pptr.off in
-      let prev = Microlog.read_snd log in
-      let head = read_head t in
-      let release () =
-        if not t.config.use_groups then
-          Pmem.Palloc.free (alloc t) ~from:(Microlog.fst_loc log);
-        Microlog.reset log
-      in
-      if not (Pptr.is_null prev) then begin
-        (* Crashed between DeleteLeaf:12 and :14: redo the unlink. *)
-        Layout.write_next_persist (region t) ~leaf:prev.Pptr.off t.layout
-          (leaf_next t cur);
-        release ()
-      end
-      else if Pptr.equal curp head then begin
-        (* Crashed at DeleteLeaf:7: redo the head update. *)
-        write_head t (leaf_next t cur);
-        release ()
-      end
-      else if Pptr.equal (leaf_next t cur) head then
-        (* Crashed at DeleteLeaf:14: head already updated. *)
-        release ()
-      else Microlog.reset log
-    end
 
   (* ---- speculative sections ---- *)
 
@@ -1220,7 +1191,9 @@ module Make (K : Keys.KEY) = struct
       create_op config alloc ()
 
   (* Rebuild the volatile side from the persistent leaves: Algorithm 9
-     (and the leak audit of Algorithm 17 for var keys). *)
+     (and the leak audit of Algorithm 17 for var keys).  With groups,
+     the pool and the group list's tail are rebuilt from the group
+     walk ({!Leaf_groups.rebuild}). *)
   let rebuild_volatile t =
     (* Walk the leaf list: discriminators, leak audit, lock resets.  A
        link the walk will not follow refuses the image: without
@@ -1228,10 +1201,8 @@ module Make (K : Keys.KEY) = struct
        with them the quarantine pass has already cut every bad link. *)
     let leaves = ref [] in
     let in_list =
-      Pptr.walk (region t) ~span:t.layout.Layout.bytes
-        ~next_cell:t.layout.Layout.next_off ~ok:(fun _ -> true)
-        ~bad:(D.refuse_link "leaf")
-        (fun ~cell:_ ~next leaf ->
+      let chain = chain t in
+      D.walk ~bad:(D.refuse chain) chain (fun ~cell:_ ~next leaf ->
           Region.write_u8 (region t) (leaf + t.layout.Layout.lock_off) 0;
           let bm = leaf_bitmap t leaf in
           let max_key = ref None in
@@ -1261,7 +1232,6 @@ module Make (K : Keys.KEY) = struct
           let mk = Option.value !max_key ~default:K.dummy in
           leaves := (mk, Inner.leaf_ref leaf) :: !leaves;
           next)
-        (t.meta + D.meta_head)
     in
     let arr = Array.of_list (List.rev !leaves) in
     t.inner <-
@@ -1293,8 +1263,9 @@ module Make (K : Keys.KEY) = struct
   let quarantine_pass t =
     if t.layout.Layout.checksums then begin
       let r = region t in
-      let span = t.layout.Layout.bytes in
-      let head_cell = t.meta + D.meta_head in
+      let chain = chain t in
+      let span = chain.D.span in
+      let head_cell = chain.D.head in
       let set_next cell p =
         if cell = head_cell then write_head t p
         else begin
@@ -1304,11 +1275,10 @@ module Make (K : Keys.KEY) = struct
         end
       in
       ignore
-        (Pptr.walk r ~span ~next_cell:t.layout.Layout.next_off
-           ~ok:(fun _ -> true)
+        (D.walk chain
            ~bad:(fun ~cell p fault ->
              if cell = head_cell && t.quarantined = [] then
-               D.refuse_link "leaf" ~cell p fault
+               D.refuse chain ~cell p fault
              else set_next cell Pptr.null)
            (fun ~cell ~next leaf ->
              match Layout.verify_checksum r ~leaf t.layout with
@@ -1321,8 +1291,7 @@ module Make (K : Keys.KEY) = struct
                Obs.Counter.incr Metrics.quarantined_leaves;
                let p = leaf_next t leaf in
                set_next cell (if Pptr.plausible r ~span p then p else Pptr.null);
-               cell)
-           head_cell);
+               cell));
       (* An all-corrupt chain leaves a tree with no leaves, which the
          rest of the code never has to handle: scrub one quarantined
          leaf back to an empty head (its keys are lost either way). *)
@@ -1380,7 +1349,11 @@ module Make (K : Keys.KEY) = struct
         Metrics.recovery_log_replay_us (fun () ->
           Leaf_groups.recover t.groups;
           Microlog.Pool.iter (recover_split t) t.split_logs;
-          Microlog.Pool.iter (recover_delete t) t.delete_logs);
+          (* With groups, the pool's rebuild takes an unlinked leaf back. *)
+          Microlog.Pool.iter
+            (D.redo_unlink (chain t) ~release:(fun from ->
+                 if not cfg.use_groups then Pmem.Palloc.free alloc ~from))
+            t.delete_logs);
     if initialized && t.layout.Layout.checksums then
       Obs.Flight.timed ~name:"fptree.recovery.quarantine"
         Metrics.recovery_quarantine_us (fun () -> quarantine_pass t);

@@ -89,8 +89,9 @@ module Make (K : Keys.KEY) : sig
       supplies the fields the descriptor does not persist.
       @raise Failure on a missing tree, an implausible descriptor word,
       a key-kind mismatch, or a leaf or group link it will not follow
-      ({!Pmem.Pptr.walk}; checksum layouts cut a bad leaf link
-      instead). *)
+      ({!Descriptor.walk}; checksum layouts cut a bad leaf link
+      instead).  A group-list tail word that does not name the last
+      group is rewritten, not refused. *)
 
   val find_value : t -> default:int -> key -> int
   (** The value bound to the key, or [default]: the allocation-free

@@ -131,7 +131,8 @@ and audit_tree ctx meta cfg kind =
   let layout =
     D.layout_of ~key_cell_bytes:(D.key_cell_bytes_of_kind kind) cfg
   in
-  let group_bytes = D.group_bytes cfg layout in
+  let groups = D.group_list r ~meta cfg layout in
+  let chain = D.leaf_list r ~meta layout in
   (* referenced[payload]: every block the tree structure accounts for *)
   let referenced = Hashtbl.create 256 in
   Hashtbl.replace referenced meta ();
@@ -162,10 +163,10 @@ and audit_tree ctx meta cfg kind =
   let leaf_slots = Hashtbl.create 256 in
   if cfg.D.use_groups then
     ignore
-      (Pptr.walk r ~span:group_bytes ~next_cell:0
+      (D.walk groups
          ~ok:(fun g ->
            match Hashtbl.find_opt ctx.blocks g with
-           | Some b -> b >= group_bytes
+           | Some b -> b >= groups.D.span
            | None -> false)
          ~bad:(bad ~twice:"group linked twice"
                  ~dangling:"group link to unallocated or implausible target")
@@ -174,8 +175,7 @@ and audit_tree ctx meta cfg kind =
            for i = 0 to cfg.D.group_size - 1 do
              Hashtbl.replace leaf_slots (D.group_leaf layout g i) ()
            done;
-           next)
-         (meta + D.meta_group_head));
+           next));
   (* A leaf the chain may legally visit. *)
   let leaf_addressable off =
     if cfg.D.use_groups then Hashtbl.mem leaf_slots off
@@ -190,16 +190,17 @@ and audit_tree ctx meta cfg kind =
      below. *)
   let keys = ref 0 in
   let spliced = ref [] in
-  let span = layout.Layout.bytes in
   let chain =
-    Pptr.walk r ~span ~next_cell:layout.Layout.next_off ~ok:leaf_addressable
+    D.walk chain ~ok:leaf_addressable
       ~bad:(bad ~twice:"leaf linked twice (shared tail or cycle)"
               ~dangling:"next pointer to unallocated or implausible target")
       (fun ~cell ~next leaf ->
         match Layout.verify_checksum r ~leaf layout with
         | Layout.Csum_corrupt when cfg.D.checksums ->
           let p = Layout.read_next r ~leaf layout in
-          let p = if Pptr.plausible r ~span p then p else Pptr.null in
+          let p =
+            if Pptr.plausible r ~span:chain.D.span p then p else Pptr.null
+          in
           let repaired = ctx.repair && (Pptr.write_committed r cell p; true) in
           note ~repaired ctx Error "leaf-corrupt" leaf
             "content does not match its integrity cell";
@@ -225,14 +226,13 @@ and audit_tree ctx meta cfg kind =
               then Hashtbl.replace referenced kp.Pptr.off ()
             done;
           next)
-      (meta + D.meta_head)
   in
   List.iter (Hashtbl.remove chain) !spliced;
   if (not cfg.D.use_groups) then
     Hashtbl.iter (fun leaf () -> Hashtbl.replace referenced leaf ()) chain;
   (* Allocator cross-check: every allocated block must now be owned. *)
   let expected_orphan_bytes =
-    if cfg.D.use_groups then group_bytes else D.leaf_span layout
+    if cfg.D.use_groups then groups.D.span else D.leaf_span layout
   in
   let unowned =
     Hashtbl.fold

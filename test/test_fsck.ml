@@ -315,9 +315,9 @@ let test_dangling_head_refused () =
   Alcotest.(check bool) "head left as it was" true
     (Pmem.Pptr.equal bad (Pmem.Pptr.read region cell))
 
-(* Replaying an armed free-leaf log that frees the head group walks the
-   group list to recompute its tail: on a cyclic list that walk is
-   refused like the rebuild's, not spun. *)
+(* Replaying an armed free-leaf log that frees the head group moves the
+   group-list head past it; the rebuild's walk of the list, which also
+   derives its tail, then meets the cycle and refuses it, not spun. *)
 let test_freeleaf_replay_cycle_refused () =
   let a, meta, head = cyclic_groups () in
   let region = Pmem.Palloc.region a in
@@ -327,6 +327,40 @@ let test_freeleaf_replay_cycle_refused () =
   Fptree.Microlog.set_fst log head;
   refused "free-leaf replay over a cyclic group list" ~config:cfg_groups
     region
+
+(* The descriptor's group tail is derived by recovery, not trusted: a
+   damaged tail word is rewritten by the rebuild's group walk, so the
+   group allocations after recovery link behind the real last group.
+   The groups are counted along the list from the head. *)
+let test_damaged_group_tail () =
+  let a, _t = build ~config:cfg_groups 200 in
+  let region = Pmem.Palloc.region a in
+  let meta = (Pmem.Palloc.root a).Pmem.Pptr.off in
+  let groups () =
+    let rec go n last g =
+      if Pmem.Pptr.is_null g then (n, last)
+      else go (n + 1) g (Pmem.Pptr.read region g.Pmem.Pptr.off)
+    in
+    go 0 Pmem.Pptr.null (Pmem.Pptr.read region (meta + D.meta_group_head))
+  in
+  let before, _ = groups () in
+  dangle region (meta + D.meta_group_tail);
+  let t = F.recover ~config:cfg_groups (Pmem.Palloc.of_region region) in
+  let n = ref 200 in
+  while fst (groups ()) < before + 2 do
+    incr n;
+    Alcotest.(check bool) (Printf.sprintf "insert %d" !n) true
+      (F.insert t !n (!n * 3))
+  done;
+  let _, last = groups () in
+  Alcotest.(check bool) "the tail names the last group" true
+    (Pmem.Pptr.equal last (Pmem.Pptr.read region (meta + D.meta_group_tail)));
+  F.check_invariants t;
+  for i = 1 to !n do
+    Alcotest.(check (option int)) (Printf.sprintf "key %d" i) (Some (i * 3))
+      (F.find t i)
+  done;
+  ignore (check_clean region)
 
 (* A block parked in any micro-log slot belongs to an operation that
    recovery will finish or roll back, so fsck must count it as owned —
@@ -391,5 +425,7 @@ let () =
             test_dangling_head_refused;
           Alcotest.test_case "free-leaf replay over a cyclic group list refused"
             `Quick test_freeleaf_replay_cycle_refused;
+          Alcotest.test_case "damaged group tail derived by recovery" `Quick
+            test_damaged_group_tail;
         ] );
     ]

@@ -587,7 +587,7 @@ let test_delete_heavy_trace () =
   with_gate_cycled (fun () ->
       Alcotest.check trace_counters "delete_heavy trace"
         {
-          line_reads = 111739;
+          line_reads = 111738;
           line_writes = 103296;
           flushes = 103296;
           fences = 90061;

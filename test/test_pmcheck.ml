@@ -61,11 +61,28 @@ let test_crash_sweep_all_ops () =
     (fun (name, setup, ops) n -> sweep_one ~config:cfg name setup ops n)
     scripts crash_points
 
+(* Groups of two over three leaves: 10..40 and 50..80 in the head
+   group, 90..130 alone in the tail group.  Emptying the last leaf frees
+   the tail group (its predecessor found by walking the group list, the
+   tail moved back to it); putting its keys back links a fresh group
+   behind that tail.  Emptying the first two leaves frees the head group
+   (the group-list head moves, as the leaf-list head did before it). *)
+let group_frees =
+  let setup = List.init 13 (fun i -> E.Ins ((i + 1) * 10, i)) in
+  let upper = List.init 5 (fun i -> (i + 9) * 10) in
+  [
+    ( "free tail group",
+      setup,
+      List.map (fun k -> E.Del k) upper
+      @ List.map (fun k -> E.Ins (k, k)) upper );
+    ("free head group", setup, List.init 8 (fun i -> E.Del ((i + 1) * 10)));
+  ]
+
 let test_crash_sweep_groups () =
   List.iter2
     (fun (name, setup, ops) n -> sweep_one ~config:cfg_groups name setup ops n)
-    [ List.nth scripts 3; List.nth scripts 4 ]
-    [ 13; 11 ]
+    ([ List.nth scripts 3; List.nth scripts 4 ] @ group_frees)
+    [ 13; 11; 66; 29 ]
 
 (* An update on a full leaf: it splits the leaf, then writes the new
    entry into the half holding the key and retires the old one with the

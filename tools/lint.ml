@@ -45,6 +45,12 @@
      lib/fptree/tree.ml): an op entry point brackets itself with
      [Obs.Flight.bracket], so a hand-written begin/end pair is a copy
      of the bracket.
+   - [Pptr.walk], however qualified, outside lib/pmem and
+     lib/fptree/descriptor.ml: the leaf chain and the group list are
+     each described once there ([Descriptor.leaf_list] /
+     [group_list]), and every other walk goes through
+     [Descriptor.walk], so no caller restates a list's head cell, next
+     cell or node span.
 
    Comments and string/char literals are stripped first, so prose
    mentioning these identifiers is fine.  [dune build @lint] scans
@@ -347,6 +353,13 @@ let check_file path =
       "guard_space outside lib/fptree and lib/baselines: call the tree's \
        try_insert / try_update (Fptree.Tree_intf.S) instead of wrapping \
        its ops again";
+  if not (in_lib "pmem" path
+          || (in_lib "fptree" path && Filename.basename path = "descriptor.ml"))
+  then
+    bad ~qualified:true "Pptr.walk"
+      "Pptr.walk outside lib/pmem and lib/fptree/descriptor.ml: walk a \
+       persistent list through Descriptor.walk over its leaf_list or \
+       group_list value";
   check_op_records path stripped
 
 let rec walk path =

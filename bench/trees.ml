@@ -69,7 +69,11 @@ let fptree_fixed ?(concurrent = false) ?m ?(value_bytes = 8) ?mb () =
     ~create:(fun a ->
       if concurrent then Fptree.Fixed.create_concurrent ?m ~value_bytes a
       else Fptree.Fixed.create_single ?m ~value_bytes a)
-    ~recover:(fun a -> Fptree.Fixed.recover a) ()
+    ~recover:(Fptree.Fixed.recover
+                ~config:
+                  (if concurrent then Fptree.Tree.fptree_concurrent_config
+                   else Fptree.Tree.fptree_config))
+    ()
 
 let ptree_fixed ?m ?(value_bytes = 8) ?mb () =
   persistent ~name:"PTree" (module Fptree.Ptree.Fixed) ?mb
@@ -113,7 +117,11 @@ let fptree_var ?(concurrent = false) ?(value_bytes = 8) ?mb () =
     ~create:(fun a ->
       if concurrent then Fptree.Var.create_concurrent ~value_bytes a
       else Fptree.Var.create_single ~value_bytes a)
-    ~recover:(fun a -> Fptree.Var.recover a) ()
+    ~recover:(Fptree.Var.recover
+                ~config:
+                  (if concurrent then Fptree.Var.var_concurrent_config
+                   else Fptree.Var.var_single_config))
+    ()
 
 let ptree_var ?(value_bytes = 8) ?mb () =
   persistent ~name:"PTreeVar" (module Fptree.Ptree.Var) ?mb

@@ -53,7 +53,11 @@ let fptree_config =
     n_split_logs = 1; n_delete_logs = 1; htm_retries = 8; checksums = false }
 
 (** Concurrent FPTree defaults (Table 1: leaf 64, inner 128; no leaf
-    groups — they are a central synchronization point). *)
+    groups — they are a central synchronization point).  [table1]'s
+    concurrent sweep keeps the inner width: 256 reads up to ~10%
+    faster but inserts ~25% slower at 4 domains on 2 CPUs, where a
+    wider node held by a split stalls more inserts (DESIGN.md §2).
+    FPTreeCVar overrides it ({!Var.var_concurrent_config}). *)
 let fptree_concurrent_config =
   { fptree_config with m = 64; inner_keys = 128; use_groups = false;
     n_split_logs = 56; n_delete_logs = 56 }

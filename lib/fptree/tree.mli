@@ -37,7 +37,9 @@ val fptree_config : config
 
 val fptree_concurrent_config : config
 (** Concurrent FPTree defaults (Table 1: leaf 64, inner 128; no leaf
-    groups, 56 micro-logs of each kind). *)
+    groups, 56 micro-logs of each kind).  The inner width is the
+    paper's, re-checked by [bench/main.exe table1] for software
+    speculation (DESIGN.md §2); FPTreeCVar widens it to 256. *)
 
 val ptree_config : config
 (** PTree (Table 1: leaf 32): no fingerprints, no leaf groups, keys

@@ -10,7 +10,8 @@ val var_single_config : Tree.config
 (** FPTreeVar (Table 1: inner nodes of 2048 keys). *)
 
 val var_concurrent_config : Tree.config
-(** FPTreeCVar (Table 1: inner nodes of 64 keys). *)
+(** FPTreeCVar: inner nodes of 256 keys (Table 1 has 64, sized for
+    TSX; see DESIGN.md §2). *)
 
 val create_single :
   ?m:int -> ?value_bytes:int -> ?inner_keys:int -> Pmem.Palloc.t -> t

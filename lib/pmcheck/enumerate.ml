@@ -44,6 +44,15 @@ type injection_report = {
 let is_missing_persist (f : Analyzer.finding) =
   f.Analyzer.cls = "missing-persist" || f.Analyzer.cls = "missing-persist-at-end"
 
+(* The converse of the allocator's leak audit: offsets in [reachable]
+   that are not the payload of an allocated block (freed, or never a
+   block at all) while the structure still reaches them. *)
+let dangling_blocks a ~reachable =
+  let live = Hashtbl.create 64 in
+  Pmem.Palloc.iter_blocks a (fun ~payload ~bytes:_ ~allocated ->
+      if allocated then Hashtbl.replace live payload ());
+  List.filter (fun off -> not (Hashtbl.mem live off)) reachable
+
 module type TREE = sig
   include Fptree.Tree_intf.S
 
@@ -140,9 +149,13 @@ module Make (T : TREE) (P : sig val probe_key : T.key end) :
               matches t m' ->
          apply_model m op
        | _ -> failf "%s: recovered tree diverges from the model" where);
-    (match Pmem.Palloc.leaked_blocks a ~reachable:(T.reachable_blocks t) with
+    let reachable = T.reachable_blocks t in
+    (match Pmem.Palloc.leaked_blocks a ~reachable with
     | [] -> ()
     | l -> failf "%s: %d leaked blocks" where (List.length l));
+    (match dangling_blocks a ~reachable with
+    | [] -> ()
+    | l -> failf "%s: %d reachable blocks not allocated" where (List.length l));
     match T.try_insert t P.probe_key 1 with
     | Ok true ->
       if T.find t P.probe_key <> Some 1 then failf "%s: tree unusable" where;

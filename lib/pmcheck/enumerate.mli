@@ -82,7 +82,8 @@ module type S = sig
       arena [a]: structural invariants; the model — [t] must equal [m],
       or [m] with the in-flight op [pending] applied (operation
       atomicity), which [m] then takes in; no leaked block
-      ({!Pmem.Palloc.leaked_blocks}); and usability — a probe key not in
+      ({!Pmem.Palloc.leaked_blocks}) and, conversely, no block the
+      tree reaches that is not allocated; and usability — a probe key not in
       any script goes in through [try_insert] and out again by
       [delete].  A refused probe is legal only past the soft watermark
       ([watermark_state t <> 0]) and must leave no trace.

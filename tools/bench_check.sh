@@ -31,6 +31,18 @@ echo "== tree handles (build, fill and recover every bench/trees.ml row) =="
 # fill and restart each one through its recovery path.
 dune exec bench/main.exe -- --scale 0.01 fig8 fig7rec fig7recvar > /dev/null
 
+echo "== table1 (leaf sweep + concurrent inner-width sweep, scale 0.01) =="
+# Every cell of the four concurrent tables (FPTreeC and FPTreeCVar x
+# read-mostly and Insert mixes, six widths each) must be printed, with
+# ten finite columns per row (the inner height an integer).
+T1="$WORK/table1.txt"
+dune exec bench/main.exe -- --scale 0.01 table1 > "$T1"
+num='[0-9]+\.[0-9]+'
+rows=$(grep -cE "^(64|128|256|512|1024|2048) +($num +){7}[0-9]+ +$num +$num\$" "$T1" || true)
+if [ "$rows" -ne 24 ]; then
+  echo "FAIL: table1 printed $rows of 24 concurrent-sweep rows"; cat "$T1"; exit 1
+fi
+
 echo "== hotpath microbench + perf gates (scale $SCALE) =="
 # Hotpath.run checks its own gates and exits 1 with a "FAIL:" line
 # below either bound: the 2-domain conc_find speedup >= 1.0 (effective
